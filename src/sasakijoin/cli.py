@@ -15,8 +15,10 @@ strings; isolating intervals as {lo, hi, approx} where approx is a decimal
 rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant violation.
-The environment variable SASAKI_JOBS, when set, overrides --jobs.
+Exit codes: 0 success, 1 invalid input, 2 internal invariant violation or
+any other internal failure.  The environment variable SASAKI_JOBS, when
+set, overrides --jobs; the worker count is clamped to the CPU count and to
+the number of sweep rows, with a note on stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .cscrays import (
 )
 from .exactpoly import RootRecord, format_poly, intpoly
 from .joinspace import (
+    AbelianGroupDescriptor,
     JoinParams,
     ParameterError,
     c1_coefficient,
@@ -269,7 +272,7 @@ def _csc_payload(args, caveat: bool) -> dict:
     params = JoinParams(args.p, args.l1, args.l2, w1, w2)
     fp = csc_polynomial(params)
     deflated, multiplicity = deflate_forbidden(fp)
-    report = csc_rays(params, args.precision)
+    report = csc_rays((params, deflated, multiplicity), args.precision)
     payload: dict = {
         "params": {"p": params.p, "l1": params.l1, "l2": params.l2,
                    "w": [params.w1, params.w2]},
@@ -359,6 +362,10 @@ def _sweep_payload(args, jobs: int) -> tuple[dict, list[str]]:
             raise ParameterError("nonempty range", "sweep csc needs --l2 A..B or --bound N")
         w1, w2 = args.w
         tasks = [(args.p, args.l1, w1, w2, l2, args.precision) for l2 in l2_values]
+        usable = min(os.cpu_count() or 1, len(tasks))
+        if jobs > usable:
+            print(f"note: jobs {jobs} clamped to {usable}", file=sys.stderr)
+            jobs = usable
         if jobs > 1:
             chunk = max(1, len(tasks) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -445,7 +452,8 @@ def _table_lines(report: dict) -> list[str]:
             lines.append(f"|H^4| = {payload['h4_order']}")
             lines.append(f"cohomology ring: Z[x,y]/({rel})")
             for row in payload["cohomology"]:
-                lines.append(f"  H^{row['degree']:<2} = {_format_group_row(row)}")
+                group = AbelianGroupDescriptor(row["free_rank"], tuple(row["torsion"]))
+                lines.append(f"  H^{row['degree']:<2} = {group}")
             if "p1" in payload:
                 lines.append(f"p1 residue: {payload['p1']} mod {payload['h4_order']}")
                 lines.append(f"linking form: {payload['linking_form']} "
@@ -498,16 +506,6 @@ def _table_lines(report: dict) -> list[str]:
     for warning in report["warnings"]:
         lines.append(f"warning: {warning}")
     return lines
-
-
-def _format_group_row(row: dict) -> str:
-    parts = []
-    if row["free_rank"] == 1:
-        parts.append("Z")
-    elif row["free_rank"] > 1:
-        parts.append(f"Z^{row['free_rank']}")
-    parts.extend(f"Z/{t}" for t in row["torsion"])
-    return " + ".join(parts) if parts else "0"
 
 
 def _csv_text(report: dict) -> str:
@@ -589,6 +587,11 @@ def main(argv=None) -> int:
         return 1
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # any other failure is a defect, not bad input: one line, no traceback
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
         return 2
 
     report = {

@@ -34,10 +34,10 @@ from .exactpoly import (
     IntPolynomial,
     RationalInterval,
     RootRecord,
-    _div_linear,
-    _refine_cell,
+    deflate_linear,
     intpoly,
     isolate_positive_roots,
+    refine_interval,
     sturm_count,
 )
 from .joinspace import JoinParams, ParameterError
@@ -184,15 +184,7 @@ def deflate_forbidden(fp: CscPolynomial) -> tuple[IntPolynomial, int]:
     """
     w1, w2 = fp.params.w1, fp.params.w2
     floor = 4 if w1 == w2 else 3
-    cur = fp.poly.coeffs
-    k = 0
-    while True:
-        quot = _div_linear(cur, w2, w1)
-        if quot is None:
-            break
-        cur = tuple(quot)
-        k += 1
-    cur = IntPolynomial(cur)
+    cur, k = deflate_linear(fp.poly, fp.forbidden_root)
     if k < floor:
         raise InternalInvariantError(
             f"root {w2}/{w1} has multiplicity {k} < {floor} in the ray polynomial")
@@ -206,7 +198,7 @@ def _interval_avoiding(poly: IntPolynomial, record: RootRecord, point: Fraction)
     lo, hi = record.value.lo, record.value.hi
     if not lo <= point <= hi:
         return record
-    lo, hi = _refine_cell(poly, lo, hi, hi - lo, [point])
+    lo, hi = refine_interval(poly, lo, hi, hi - lo, [point])
     return RootRecord(RationalInterval(lo, hi), record.multiplicity, record.is_rational)
 
 
@@ -231,8 +223,9 @@ def _reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> int:
                 raise InternalInvariantError(
                     f"rational roots {low.value} and {high.value} are not reciprocal")
         else:
+            # an interval reaching down to 0 inverts to one unbounded above
             inv_lo = 1 / low.value.hi
-            inv_hi = 1 / low.value.lo
+            inv_hi = 1 / low.value.lo if low.value.lo else high.value.hi
             a = max(high.value.lo, inv_lo)
             b = min(high.value.hi, inv_hi)
             if not a < b or sturm_count(poly, a, b) != 1:
@@ -241,10 +234,17 @@ def _reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> int:
     return len(below)
 
 
-def csc_rays(params: JoinParams, precision: int = 12) -> RayReport:
-    """Enumerate and classify the CSC rays for one parameter tuple."""
-    fp = csc_polynomial(params)
-    quotient, k = deflate_forbidden(fp)
+def csc_rays(params, precision: int = 12) -> RayReport:
+    """Enumerate and classify the CSC rays for one parameter tuple.
+
+    ``params`` is a :class:`JoinParams`, or ``(params, quotient, k)`` when the
+    caller has already built the ray polynomial and deflated it with
+    :func:`deflate_forbidden`.
+    """
+    if isinstance(params, JoinParams):
+        quotient, k = deflate_forbidden(csc_polynomial(params))
+    else:
+        params, quotient, k = params
     roots = isolate_positive_roots(quotient, precision) if quotient.degree >= 1 else []
 
     if params.w1 > params.w2:

@@ -1,24 +1,23 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
 Evaluation, formal derivatives, division, Yun square-free decomposition,
-Sturm chains, rational-root extraction, and certified isolation of the
-positive real roots.  Every decision made here (root counting, rationality,
-interval certification) uses exact integer or rational arithmetic; floating
-point never enters a decision path.  Decimal output, when wanted, is the
-caller's problem.
+Sturm chains, and certified isolation, refinement and identification of
+real roots.  Every decision made here (root counting, rationality, interval
+certification) uses exact integer or rational arithmetic; floating point
+never enters a decision path.  Decimal output is the caller's problem.
 
 A polynomial is a dense tuple of arbitrary-precision integer coefficients,
 lowest degree first, wrapped in :class:`IntPolynomial`.  The zero polynomial
-is the empty tuple.  Build values with :func:`intpoly`, which canonicalizes
-arbitrary coefficient sequences.
+is the empty tuple.  Build values with :func:`intpoly`.
 
-Root isolation is Sturm-chain bisection on (0, B] with B a Cauchy bound,
-applied after square-free reduction and after splitting off every rational
-root by the rational-root theorem.  The remaining polynomial has no rational
-roots at all, so bisection midpoints can never collide with a root and every
-reported interval has non-root rational endpoints.  A root is declared
-rational if and only if it appears among the rational-root candidates of the
-primitive part, which is sound and complete over the integers.
+Roots are isolated by Sturm-chain bisection of (0, B], B a Cauchy bound;
+one remainder sequence gives both the chain and the square-free test.  No
+integer is factored: a rational root n/d has d | lc, so once its cell is no
+wider than 1/|lc| one exact evaluation decides whether it is rational.
+Rational roots are then divided out and the quotient isolated again, so no
+bisection point is a root and every reported interval has non-root rational
+endpoints.  Cells are refined by bisection or, when deep, by Newton steps
+certified by exact signs; both reach the same dyadic cell.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "content",
     "primitive_part",
     "poly_gcd",
-    "squarefree_part",
     "squarefree_decompose",
     "sturm_count",
     "sign_variations",
@@ -275,17 +273,6 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return _normalized(x)
 
 
-def squarefree_part(poly: IntPolynomial) -> IntPolynomial:
-    """The product of the distinct irreducible factors, primitive, lc > 0."""
-    p = _normalized(poly)
-    if p.degree <= 0:
-        return p
-    g = poly_gcd(p, poly_derivative(p))
-    if g.degree == 0:
-        return p
-    return _normalized(poly_exact_div(p, g))
-
-
 def squarefree_decompose(poly: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Yun decomposition: poly = unit * prod(factor**multiplicity).
 
@@ -345,33 +332,27 @@ def _sign_at_endpoint(coeffs: tuple[int, ...], pt) -> int:
 
 
 def _variation_count(chain: list[tuple[int, ...]], pt) -> int:
-    prev = 0
-    n = 0
-    for cs in chain:
-        s = _sign_at_endpoint(cs, pt)
-        if s == 0:
-            continue
-        if prev and s != prev:
-            n += 1
-        prev = s
-    return n
+    return sign_variations(_sign_at_endpoint(cs, pt) for cs in chain)
 
 
-def _sturm_chain(sf: IntPolynomial) -> list[tuple[int, ...]]:
-    """Canonical Sturm chain of a square-free polynomial, over Z.
+def _sturm_chain(poly: IntPolynomial) -> list[tuple[int, ...]]:
+    """Sturm chain over Z of the square-free part of poly, which heads it.
 
-    Entries are primitive and sign-equivalent to the true remainder chain
-    f, f', -rem(f, f'), ...
+    Entries are sign-equivalent to the true remainder chain f, f',
+    -rem(f, f'), ...  That sequence for poly ends in gcd(poly, poly'): when
+    the gcd is a constant, poly is square-free and the sequence is its
+    chain; otherwise (rarely) the chain of poly / gcd is built instead.
     """
-    chain = [sf.coeffs]
-    d = poly_derivative(sf)
+    chain = [poly.coeffs]
+    d = poly_derivative(poly)
     if d.is_zero:
         return chain
     chain.append(d.coeffs)
     while len(chain[-1]) > 1:
         nxt = _neg_rem_like(chain[-2], chain[-1])
         if not nxt:
-            break
+            common = primitive_part(IntPolynomial(chain[-1]))
+            return _sturm_chain(poly_exact_div(poly, common))
         chain.append(nxt)
     return chain
 
@@ -405,10 +386,7 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
         raise ValueError("empty interval")
     if isinstance(a, Fraction) and isinstance(b, Fraction) and not a < b:
         raise ValueError("lo < hi required")
-    sf = squarefree_part(poly)
-    if sf.degree <= 0:
-        return 0
-    chain = _sturm_chain(sf)
+    chain = _sturm_chain(poly)
     return _variation_count(chain, a) - _variation_count(chain, b)
 
 
@@ -421,110 +399,35 @@ def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
     return 1 + Fraction(mx, an)
 
 
-# ----------------------------------------------------------------------
-# rational roots
+def deflate_linear(poly: IntPolynomial, root) -> tuple[IntPolynomial, int]:
+    """Divide out the full power of (den*x - num) for the rational root
+    num/den; return (quotient, k), k the exact multiplicity (0 for a non-root).
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of |n| (n != 0), via trial-division factorization."""
-    n = abs(n)
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for prime, e in factors.items():
-        divs = [v * prime ** k for v in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def _div_linear(cs: tuple[int, ...], num: int, den: int):
-    """Exact division of an integer polynomial by (den*x - num).
-
-    Returns the integer quotient coefficients, or None when the division is
-    not exact over Z.  Synthetic division from the top; when the full
-    division is exact every step is integral.
+    Synthetic division from the top: by Gauss's lemma every step of an exact
+    division is integral, so a fraction or a nonzero remainder ends it.
     """
-    quot = [0] * (len(cs) - 1)
-    r = cs[-1]
-    for i in range(len(cs) - 1, 0, -1):
-        qi, rem = divmod(r, den)
-        if rem:
-            return None
-        quot[i - 1] = qi
-        r = cs[i - 1] + num * qi
-    if r != 0:
-        return None
-    return quot
-
-
-def _rational_roots_stripped(cs: tuple[int, ...], positive_only: bool):
-    """Rational roots (with multiplicity) of a primitive polynomial whose
-    constant coefficient is nonzero.
-
-    Candidates n/d run over divisor pairs of the constant and leading
-    coefficients; (d - n) | f(1) and (d + n) | f(-1) filter out almost all
-    of them before any full evaluation.
-    """
-    if len(cs) <= 1:
-        return []
-    f_at_1 = _scaled_value(cs, 1, 1)
-    f_at_m1 = _scaled_value(cs, -1, 1)
-    out = []
-    lead_divisors = _divisors(cs[-1])
-    const_divisors = _divisors(cs[0])
-    for dn in lead_divisors:
-        for nm in const_divisors:
-            if gcd(nm, dn) != 1:
-                continue
-            for n in ((nm,) if positive_only else (nm, -nm)):
-                t = dn - n
-                if t and f_at_1 % t:
-                    continue
-                u = dn + n
-                if u and f_at_m1 % u:
-                    continue
-                if _sign_at(cs, Fraction(n, dn)) != 0:
-                    continue
-                mult = 0
-                cur = cs
-                while True:
-                    quot = _div_linear(cur, n, dn)
-                    if quot is None:
-                        break
-                    mult += 1
-                    cur = tuple(quot)
-                out.append((Fraction(n, dn), mult))
-    return out
-
-
-def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
-    """All rational roots with exact multiplicities, ascending.
-
-    Candidates come from the rational-root theorem applied to the primitive
-    part; multiplicities are found by repeated exact deflation.
-    """
-    if poly.is_zero:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    cs = primitive_part(poly).coeffs
-    out: list[tuple[Fraction, int]] = []
+    root = Fraction(root)
+    num, den = root.numerator, root.denominator
+    cs = poly.coeffs
     k = 0
-    while cs[k] == 0:
+    while len(cs) > 1:
+        quot = [0] * (len(cs) - 1)
+        r = cs[-1]
+        for i in range(len(cs) - 1, 0, -1):
+            qi, rem = divmod(r, den)
+            if rem:
+                return IntPolynomial(cs), k
+            quot[i - 1] = qi
+            r = cs[i - 1] + num * qi
+        if r:
+            break
+        cs = tuple(quot)
         k += 1
-    if k:
-        out.append((Fraction(0), k))
-        cs = cs[k:]
-    out.extend(_rational_roots_stripped(cs, positive_only=False))
-    out.sort(key=lambda t: t[0])
-    return out
+    return IntPolynomial(cs), k
 
 
 # ----------------------------------------------------------------------
-# isolation of positive real roots
+# isolation, refinement and identification of real roots
 
 @dataclass(frozen=True)
 class RationalInterval:
@@ -569,67 +472,171 @@ class RootRecord:
         return self.value.lo <= q <= self.value.hi
 
 
-def _isolate_cells(irr: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint cells (lo, hi] on (0, B], each holding one root of irr.
-
-    irr must be square-free with no rational roots, so no subdivision point
-    can ever be a root.
-    """
-    bound = cauchy_root_bound(irr)
-    chain = _sturm_chain(irr)
-    cache: dict[tuple[int, int], int] = {}
-
-    def var(pt: Fraction) -> int:
-        key = (pt.numerator, pt.denominator)
-        if key not in cache:
-            cache[key] = _variation_count(chain, pt)
-        return cache[key]
-
+def _isolate_cells(chain, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fraction, Fraction]]:
+    """Cells (a, b] of the bisection of (lo, hi], ascending: for each root of
+    chain[0] not in known, the first cell holding no other such root."""
     cells = []
-    work = [(Fraction(0), bound)]
+    work = [(lo, hi, _variation_count(chain, lo), _variation_count(chain, hi))]
     while work:
-        lo, hi = work.pop()
-        n = var(lo) - var(hi)
-        if n == 0:
-            continue
+        a, b, va, vb = work.pop()
+        n = va - vb - sum(a < r <= b for r in known)
         if n == 1:
-            cells.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        work.append((lo, mid))
-        work.append((mid, hi))
+            cells.append((a, b))
+        elif n > 1:
+            mid = (a + b) / 2
+            vm = _variation_count(chain, mid)
+            work.append((a, mid, va, vm))
+            work.append((mid, b, vm, vb))
     cells.sort()
     return cells
 
 
-def _refine_cell(irr, lo, hi, max_width, exclude):
-    """Shrink a sign-change cell below max_width and away from exclude points.
+# Newton refinement takes four evaluations per step (value and derivative at
+# the start, signs at the new cell ends) plus about _NEWTON_OVERHEAD, measured
+# on ray polynomials, for the warm-up and the steps that fail before its error
+# starts to square.
+_NEWTON_WARMUP = 4
+_NEWTON_OVERHEAD = 32
 
-    The cell must bracket a sign change of irr with no rational root of irr
-    inside, so bisection midpoints never land on a root.  Endpoints are kept
-    as integer numerators over one common denominator while iterating.
+
+def _newton_pays(levels: int) -> bool:
+    """Whether certified Newton steps need fewer evaluations than bisection,
+    one per level, to descend the given number of levels."""
+    steps = ((levels - 1) // _NEWTON_WARMUP).bit_length()
+    return _NEWTON_OVERHEAD + 4 * steps < levels
+
+
+def _bisect_levels(cs, a: int, den: int, width: int, s_hi: int, levels: int):
+    """Descend by bisection from the cell (a, a + width] / den."""
+    for _ in range(levels):
+        mid = 2 * a + width
+        den *= 2
+        a = mid if _scaled_value(cs, mid, den) * s_hi < 0 else 2 * a
+    return a, den
+
+
+def _newton_levels(cs, a: int, den: int, width: int, s_hi: int, levels: int):
+    """Descend from the cell (a, a + width] / den by certified Newton steps.
+
+    A step from the right end jumps ``gain`` levels and is kept only if the
+    exact signs at the ends of the new cell bracket the root.  The gain
+    doubles after a kept step, as the error squares, and halves after a
+    failed one, which is replaced by one bisection.
     """
-    cs = irr.coeffs
-    s_lo = _sign_at(cs, lo)
+    dcs = tuple(i * c for i, c in enumerate(cs))[1:]
+    done = gain = _NEWTON_WARMUP
+    a, den = _bisect_levels(cs, a, den, width, s_hi, done)
+    while done < levels:
+        step = min(gain, levels - done)
+        base, den2, last = a << step, den << step, (1 << step) - 1
+        x = a + width
+        v, d = _scaled_value(cs, x, den), _scaled_value(dcs, x, den)
+        # the Newton point x/den - v/(d*den), located on the finer grid
+        j = last if not d else min(max((((x * d - v) << step) // d - base) // width, 0), last)
+        # a grid point lies left of the root exactly when its value * s_hi < 0
+        if (j == 0 or _scaled_value(cs, base + j * width, den2) * s_hi < 0) and \
+                (j == last or _scaled_value(cs, base + (j + 1) * width, den2) * s_hi >= 0):
+            a, den, done, gain = base + j * width, den2, done + step, 2 * gain
+        else:
+            a, den = _bisect_levels(cs, a, den, width, s_hi, 1)
+            done, gain = done + 1, max(1, gain // 2)
+    return a, den
+
+
+def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
+                    exclude=()) -> tuple[Fraction, Fraction]:
+    """Shrink the isolating interval (lo, hi] of one root of poly.
+
+    (lo, hi] must hold exactly one root of poly, of odd multiplicity, and hi
+    must not be a root; the points of exclude must not be roots either.  The
+    result is the interval bisection reaches: the cell
+    (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
+    the least t at which the width is at most max_width and the closure holds
+    no point of exclude.  Deep refinements reach it by certified Newton
+    steps, shallow ones by bisection, whichever needs fewer evaluations.
+    """
+    cs = poly.coeffs
+    max_width = Fraction(max_width)
     den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    w_num, w_den = max_width.numerator, max_width.denominator
-    points = [(r.numerator, r.denominator) for r in exclude]
+    width = hi.numerator * (den // hi.denominator) - a
+    # every cell below is (a, a + width] / den, den doubling per level
+    s_hi = _sign_at(cs, hi)
+    ratio = -(-width * max_width.denominator // (max_width.numerator * den))
+    levels = (ratio - 1).bit_length() if ratio > 1 else 0
+    descend = _newton_levels if _newton_pays(levels) else _bisect_levels
+    a, den = descend(cs, a, den, width, s_hi, levels)
+    points = [(Fraction(r).numerator, Fraction(r).denominator) for r in exclude]
+    while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):
+        a, den = _bisect_levels(cs, a, den, width, s_hi, 1)
+    return Fraction(a, den), Fraction(a + width, den)
 
-    def done(a, b, den):
-        if (b - a) * w_den > w_num * den:
-            return False
-        return not any(a * rd <= rn * den <= b * rd for rn, rd in points)
 
-    while not done(a, b, den):
-        mid = a + b
-        s = _scaled_value(cs, mid, 2 * den)
-        if ((s > 0) - (s < 0)) == s_lo:
-            a, b, den = mid, 2 * b, 2 * den
-        else:
-            a, b, den = 2 * a, mid, 2 * den
-    return Fraction(a, den), Fraction(b, den)
+def _identify(sf: IntPolynomial, lo: Fraction, hi: Fraction, max_width: Fraction):
+    """The root of the square-free sf in its isolating cell (lo, hi]: the
+    exact value if it is rational, else a subcell that refines further to
+    its cell of width max_width.
+
+    A rational root n/d has d | lc.  Once the cell is no wider than 1/|lc|,
+    (|lc|*lo, |lc|*hi] holds at most one integer m, and one exact evaluation
+    at m/|lc| decides.
+    """
+    cs = sf.coeffs
+    lead = abs(cs[-1])
+    if _sign_at(cs, hi) == 0:
+        return hi
+    lo, hi = cell = refine_interval(sf, lo, hi, max(max_width, Fraction(1, lead)))
+    if max_width * lead > 1 and _sign_at(cs, hi) != 0:
+        lo, hi = refine_interval(sf, lo, hi, Fraction(1, lead))
+    candidate = Fraction(hi.numerator * lead // hi.denominator, lead)
+    if candidate > lo and _sign_at(cs, candidate) == 0:
+        return candidate
+    return cell
+
+
+def _squarefree_setup(poly: IntPolynomial):
+    """(k, chain, factors) for a nonzero poly = x**k * p0 up to a constant:
+    the Sturm chain of the square-free part of p0 and the Yun factors of p0
+    (p0 itself when it is square-free)."""
+    cs = primitive_part(poly).coeffs
+    k = next(i for i, c in enumerate(cs) if c)
+    p0 = IntPolynomial(cs[k:])
+    chain = _sturm_chain(p0)
+    factors = [(p0, 1)] if chain[0] == p0.coeffs else squarefree_decompose(p0)
+    return k, chain, factors
+
+
+def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
+    """Multiplicity of the Yun factor vanishing at lo, or changing sign on (lo, hi)."""
+    if len(factors) == 1:
+        return factors[0][1]
+    for fac, m in factors:
+        s = _sign_at(fac.coeffs, lo)
+        if (s == 0) if hi is None else s * _sign_at(fac.coeffs, hi) < 0:
+            return m
+    raise RuntimeError("root matches no square-free factor")
+
+
+def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
+    """All rational roots with exact multiplicities, ascending.
+
+    Each real root of the square-free part is isolated on (-B, B] and
+    identified in its cell; multiplicities come from the Yun factors.
+    """
+    if poly.is_zero:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    k, chain, factors = _squarefree_setup(poly)
+    out: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
+    if len(chain[0]) > 1:
+        sf = IntPolynomial(chain[0])
+        bound = cauchy_root_bound(sf)
+        lead_width = Fraction(1, abs(sf.coeffs[-1]))
+        for lo, hi in _isolate_cells(chain, -bound, bound):
+            root = _identify(sf, lo, hi, lead_width)
+            if isinstance(root, Fraction):
+                out.append((root, _multiplicity(factors, root)))
+    out.sort(key=lambda t: t[0])
+    return out
 
 
 def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[RootRecord]:
@@ -646,56 +653,41 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
         raise ValueError("precision must be between 1 and 1000")
     if poly.degree == 0:
         return []
+    _, chain, factors = _squarefree_setup(poly)
+    max_width = Fraction(1, 10 ** precision)
 
-    stripped = primitive_part(poly).coeffs
-    k = 0
-    while stripped[k] == 0:
-        k += 1
-    pos_rats = _rational_roots_stripped(stripped[k:], positive_only=True)
-    records = [RootRecord(r, m, True) for r, m in pos_rats]
+    # The first pass identifies every positive root of the square-free part
+    # sf.  Rational ones are divided out and the quotient irr is isolated
+    # again from its own Cauchy bound, so that no bisection point is a root.
+    sf = irr = IntPolynomial(chain[0])
+    rationals: list[Fraction] = []
+    while True:
+        cells = _isolate_cells(chain, Fraction(0), cauchy_root_bound(irr), rationals) \
+            if irr.degree >= 1 else []
+        if not rationals:
+            cells = [_identify(sf, lo, hi, max_width) for lo, hi in cells]
+            rationals = [r for r in cells if isinstance(r, Fraction)]
+            if rationals:
+                for r in rationals:
+                    irr = deflate_linear(irr, r)[0]
+                continue
+        intervals = [refine_interval(irr, lo, hi, max_width, rationals) for lo, hi in cells]
+        break
 
-    # strip the zero root and every positive rational root out of the
-    # square-free part; bisection on (0, B] then never meets a root at a
-    # rational point
-    irr = squarefree_part(poly)
-    if irr.coeffs[0] == 0:
-        irr = IntPolynomial(irr.coeffs[1:])
-    for r, _ in pos_rats:
-        quot = _div_linear(irr.coeffs, r.numerator, r.denominator)
-        if quot is None:
-            raise RuntimeError("square-free part lost a known rational root")
-        irr = IntPolynomial(tuple(quot))
-
-    if irr.degree >= 1:
-        max_width = Fraction(1, 10 ** precision)
-        exclude = [r for r, _ in pos_rats]
-        factors = squarefree_decompose(poly)
-        intervals = []
-        for lo, hi in _isolate_cells(irr):
-            lo, hi = _refine_cell(irr, lo, hi, max_width, exclude)
-            intervals.append((lo, hi))
-        # separate closures of adjacent cells (they may share an endpoint)
-        intervals.sort()
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(intervals) - 1):
-                lo1, hi1 = intervals[i]
-                lo2, hi2 = intervals[i + 1]
-                if hi1 >= lo2:
-                    intervals[i] = _refine_cell(irr, lo1, hi1, (hi1 - lo1) / 2, exclude)
-                    intervals[i + 1] = _refine_cell(irr, lo2, hi2, (hi2 - lo2) / 2, exclude)
-                    changed = True
-        for lo, hi in intervals:
-            mult = 0
-            for fac, m in factors:
-                if _sign_at(fac.coeffs, lo) * _sign_at(fac.coeffs, hi) < 0:
-                    mult = m
-                    break
-            if mult == 0:
-                raise RuntimeError("isolated interval matches no square-free factor")
-            records.append(RootRecord(RationalInterval(lo, hi), mult, False))
-
+    # separate closures of adjacent cells (they may share an endpoint)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(intervals) - 1):
+            lo1, hi1 = intervals[i]
+            lo2, hi2 = intervals[i + 1]
+            if hi1 >= lo2:
+                intervals[i] = refine_interval(irr, lo1, hi1, (hi1 - lo1) / 2, rationals)
+                intervals[i + 1] = refine_interval(irr, lo2, hi2, (hi2 - lo2) / 2, rationals)
+                changed = True
+    records = [RootRecord(r, _multiplicity(factors, r), True) for r in rationals]
+    records.extend(RootRecord(RationalInterval(lo, hi), _multiplicity(factors, lo, hi), False)
+                   for lo, hi in intervals)
     records.sort(key=lambda rec: rec.position)
     return records
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its output contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -284,3 +285,89 @@ def test_decimal_rendering_is_exact_integer_arithmetic():
     assert cli.decimal_str(Fraction(-1, 8), 3) == "-0.125"
     assert cli.decimal_str(Fraction(5, 1), 2) == "5.00"
     assert cli.decimal_str(Fraction(1, 2), 0) == "1"
+
+
+# ----------------------------------------------------------------------
+# internal failures, worker clamp, pinned outputs
+
+def test_internal_failure_exits_two_on_one_line(capsys, monkeypatch):
+    for error in (RuntimeError("kernel\nbroke"), ValueError("internal value")):
+        def boom(params, precision=12, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "csc_rays", boom)
+        code, out, err = run_cli(capsys, ["csc", "-p", "1", "-l1", "1", "-l2", "19",
+                                          "-w", "3,2", "--json"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
+        assert "Traceback" not in err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch):
+    base = ["sweep", "csc", "-p", "1", "-l1", "1", "-w", "3,2", "--json"]
+    _, expected, _ = run_cli(capsys, base + ["--l2", "1..30"])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    RecordingPool.created = []
+    code, out, err = run_cli(capsys, base + ["--l2", "1..30", "--jobs", "5000"])
+    assert code == 0 and out == expected
+    assert "clamped to 3" in err
+    monkeypatch.setenv("SASAKI_JOBS", "5000")
+    code, out, _ = run_cli(capsys, base + ["--l2", "1..30"])
+    assert code == 0 and out == expected
+    code, _, err = run_cli(capsys, base + ["--l2", "1..2"])
+    assert code == 0 and "clamped to 2" in err
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    code, _, err = run_cli(capsys, base + ["--l2", "1..30"])
+    assert code == 0 and "clamped to 1" in err
+    assert RecordingPool.created == [3, 3, 2]
+
+
+# sha256 of `csc ... --json` stdout, computed with the divisor-search kernel
+# (degree 174-184 and 1000-digit queries, and a 17-digit prime l1)
+PINNED_CSC = [
+    ("-p 90 -l1 1 -l2 5 -w 3,2",
+     "80e054672e1855469983bac2be1cd69727e1d88cd8cf3124181581b90c9cc719"),
+    ("-p 89 -l1 1 -l2 7 -w 5,3",
+     "15bc5484cc6b0cd316a7531d4806d88e9902353340d6f7ef2e24d13dceb789d6"),
+    ("-p 88 -l1 1 -l2 4 -w 1,1",
+     "eef7d3621d0ef49fd90ba2f1de368dbb3c611f1c7d19c5c10f049f28b3dfaeb3"),
+    ("-p 85 -l1 2 -l2 5 -w 4,3",
+     "90fe52d64501cbd33b22f93692003be95f263d21f163e81b01e8dd149a61b96e"),
+    ("-p 2 -l1 1 -l2 25 -w 1,1 --precision 1000",
+     "2ca9a784846a613987c564394fd8b2ed7806ca926b5a0e863770ccaf277de3d1"),
+    ("-p 1 -l1 1 -l2 23 -w 3,2 --precision 1000",
+     "2beb78f41f95c3d71ffb3da1d4ac0eb6f3e9f143c06e025f1ea88fc8a9c8190f"),
+    ("-p 1 -l1 1 -l2 19 -w 3,2 --precision 1000",
+     "b3e9bd1ad9ca50c73aff993aedbb504cba6ea2aed9bbdd6fd375df296a9bac63"),
+    ("-p 1 -l1 10000000000000061 -l2 2 -w 1,1",
+     "c9bf95d187ca5356a5bc5fed182f97d3bd687cd3f998ab8a49e5065e01d47902"),
+    ("-p 2 -l1 10000000000000061 -l2 5 -w 3,2",
+     "b085ae9a2be44edb7f42ffd98844de5ed91f10a34398369097ff5b9a98e61d8a"),
+]
+
+
+def test_csc_reports_match_pinned_bytes(capsys):
+    for flags, digest in PINNED_CSC:
+        code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags

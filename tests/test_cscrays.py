@@ -1,6 +1,7 @@
 """Tests for ray-polynomial construction, deflation, and CSC ray reports."""
 
 import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -25,6 +26,7 @@ from sasakijoin.exactpoly import (
     poly_derivative,
     poly_eval,
     rational_roots,
+    sturm_count,
 )
 from sasakijoin.joinspace import JoinParams, ParameterError, c1_coefficient
 
@@ -336,3 +338,25 @@ def test_quasiregular_family_solves_the_linear_identity():
         a = 2 * (1 + 2 ** p * (2 ** (p + 2) - (p * p + 2 * p + 5)))
         b = -1 + 2 ** (p + 1) * (2 ** (p + 2) - (2 * p + 3))
         assert a * l2 == b * l1
+
+
+def test_prime_l1_without_factoring():
+    # a 17-digit prime l1 took ~17 s of trial division with divisor search
+    start = time.perf_counter()
+    for params in (JoinParams(1, 10_000_000_000_000_061, 2, 1, 1),
+                   JoinParams(2, 10_000_000_000_000_061, 5, 3, 2)):
+        report = csc_rays(params)
+        quotient, _ = deflate_forbidden(csc_polynomial(params))
+        for ray in report.rays:
+            if not ray.record.is_rational:
+                iv = ray.record.value
+                assert sturm_count(quotient, iv.lo, iv.hi) == 1
+    assert time.perf_counter() - start < 5
+
+
+def test_pairing_with_interval_reaching_zero():
+    # at one digit the root near 0.04 keeps the cell (0, 95/1024]
+    report = csc_rays(JoinParams(2, 1, 25, 1, 1), precision=1)
+    assert report.unreduced_count == 3 and report.reduced_count == 2
+    low = report.rays[0].record.value
+    assert low.lo == 0 and low.width <= F(1, 10)

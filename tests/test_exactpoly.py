@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -375,3 +376,115 @@ def test_cubic_discriminant_sign_matches_root_count():
             assert distinct == 1
         else:
             assert distinct in (1, 2)
+
+
+# ----------------------------------------------------------------------
+# roots known by construction (hypothesis)
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from sasakijoin.exactpoly import refine_interval  # noqa: E402
+
+# large primes and smooth numbers: the denominators that made divisor search slow
+DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, 7, 97, 1_000_003, 2_147_483_647, 10_000_000_000_000_061,
+                     2 ** 40, 3 ** 25, 720_720, 2 ** 10 * 3 ** 6 * 5 ** 4]),
+    st.integers(1, 10 ** 9))
+LINEAR = st.tuples(DENOMINATORS, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 3))
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+def check_interval(record, witness, precision):
+    """The interval is narrow enough and brackets a sign change of witness,
+    a square-free factor holding the root."""
+    iv = record.value
+    assert not record.is_rational
+    assert iv.width <= F(1, 10 ** precision)
+    assert sign(oracles.horner(witness, iv.lo)) * sign(oracles.horner(witness, iv.hi)) < 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(LINEAR, min_size=1, max_size=4), st.booleans())
+def test_products_of_linear_factors(linears, with_quadratic):
+    expected = {}
+    coeffs = [1]
+    for d, n, m in linears:
+        coeffs = oracles.multiply(coeffs, oracles.power([-n, d], m))
+        expected[F(n, d)] = expected.get(F(n, d), 0) + m
+    if with_quadratic:  # x^2 - 2 adds irrational roots at +-sqrt(2)
+        coeffs = oracles.multiply(coeffs, [-2, 0, 1])
+    p = intpoly(coeffs)
+    assert rational_roots(p) == sorted(expected.items())
+    records = isolate_positive_roots(p, precision=15)
+    positive = sorted((r, m) for r, m in expected.items() if r > 0)
+    assert [(rec.value, rec.multiplicity) for rec in records if rec.is_rational] == positive
+    irrational = [rec for rec in records if not rec.is_rational]
+    assert len(irrational) == with_quadratic
+    for rec in irrational:
+        check_interval(rec, (-2, 0, 1), 15)
+        assert rec.multiplicity == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-50, 50).filter(bool), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6).filter(bool), st.sampled_from([1, 2]),
+       st.sampled_from([3, 12, 60, 300]))
+def test_irreducible_quadratics(a, b, c, power, precision):
+    disc = b * b - 4 * a * c
+    if disc <= 0 or isqrt(disc) ** 2 == disc:
+        return
+    quad = (c, b, a)
+    p = intpoly(oracles.power(quad, power))
+    assert rational_roots(p) == []
+    records = isolate_positive_roots(p, precision)
+    # both roots positive when their product and sum are; one when c/a < 0
+    positive = 2 if c * a > 0 and -b * a > 0 else (1 if c * a < 0 else 0)
+    assert len(records) == positive
+    for rec in records:
+        check_interval(rec, quad, precision)
+        assert rec.multiplicity == power
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 10 ** 12), st.sampled_from([10 ** 6, 10 ** 12, 2 ** 60]),
+       st.sampled_from([2, 3, 5]))
+def test_near_coincident_pairs(a, scale, k):
+    # (scale*x - a)^2 - k: irrational roots (a -+ sqrt(k))/scale, a few
+    # 1/scale apart, around the rationals a/scale and (a+1)/scale
+    near = (a * a - k, -2 * a * scale, scale * scale)
+    rational_pair = oracles.multiply([-a, scale], [-(a + 1), scale])
+    p = intpoly(oracles.multiply(near, rational_pair))
+    assert rational_roots(p) == [(F(a, scale), 1), (F(a + 1, scale), 1)]
+    records = isolate_positive_roots(p, precision=30)
+    assert [rec.is_rational for rec in records] == [False, True, True, False]
+    assert records[1].value == F(a, scale) and records[2].value == F(a + 1, scale)
+    for rec in (records[0], records[3]):
+        check_interval(rec, near, 30)
+        assert rec.multiplicity == 1
+    for left, right in zip(records, records[1:]):
+        assert (left.value if left.is_rational else left.value.hi) < right.position
+
+
+def bisection_reference(coeffs, lo, hi, max_width):
+    s_hi = sign(oracles.horner(coeffs, hi))
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        if sign(oracles.horner(coeffs, mid)) * s_hi < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10 ** 6), st.sampled_from([2, 3, 7, 10 ** 9 + 7]),
+       st.sampled_from([5, 40, 200, 1000]))
+def test_refinement_reaches_the_bisection_cell(n, k, digits):
+    # x^2 - k/n^2 ... as n^2 x^2 - k, root sqrt(k)/n in (0, ceil(sqrt k)]
+    coeffs = (-k, 0, n * n)
+    hi = F(isqrt(k) + 1, n)
+    cell = refine_interval(intpoly(coeffs), F(0), hi, F(1, 10 ** digits))
+    assert cell == bisection_reference(coeffs, F(0), hi, F(1, 10 ** digits))
