@@ -46,7 +46,9 @@ __all__ = [
     "sturm_count",
     "sign_variations",
     "cauchy_root_bound",
+    "deflate_linear",
     "rational_roots",
+    "refine_interval",
     "isolate_positive_roots",
     "cubic_discriminant",
     "format_poly",

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from sasakijoin.exactpoly import (
@@ -19,6 +20,7 @@ from sasakijoin.exactpoly import (
     poly_mul,
     primitive_part,
     rational_roots,
+    refine_interval,
     sign_variations,
     squarefree_decompose,
     sturm_count,
@@ -381,10 +383,6 @@ def test_cubic_discriminant_sign_matches_root_count():
 # ----------------------------------------------------------------------
 # roots known by construction (hypothesis)
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from sasakijoin.exactpoly import refine_interval  # noqa: E402
-
 # large primes and smooth numbers: the denominators that made divisor search slow
 DENOMINATORS = st.one_of(
     st.sampled_from([1, 2, 7, 97, 1_000_003, 2_147_483_647, 10_000_000_000_000_061,
@@ -483,7 +481,7 @@ def bisection_reference(coeffs, lo, hi, max_width):
 @given(st.integers(2, 10 ** 6), st.sampled_from([2, 3, 7, 10 ** 9 + 7]),
        st.sampled_from([5, 40, 200, 1000]))
 def test_refinement_reaches_the_bisection_cell(n, k, digits):
-    # x^2 - k/n^2 ... as n^2 x^2 - k, root sqrt(k)/n in (0, ceil(sqrt k)]
+    # n^2 x^2 - k has the root sqrt(k)/n in (0, (isqrt(k) + 1)/n]
     coeffs = (-k, 0, n * n)
     hi = F(isqrt(k) + 1, n)
     cell = refine_interval(intpoly(coeffs), F(0), hi, F(1, 10 ** digits))
