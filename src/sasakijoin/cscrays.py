@@ -234,7 +234,8 @@ def _reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> int:
     return len(below)
 
 
-def csc_rays(params, precision: int = 12) -> RayReport:
+def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
+             precision: int = 12) -> RayReport:
     """Enumerate and classify the CSC rays for one parameter tuple.
 
     ``params`` is a :class:`JoinParams`, or ``(params, quotient, k)`` when the
