@@ -655,7 +655,7 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
         raise ValueError("precision must be between 1 and 1000")
     if poly.degree == 0:
         return []
-    _, chain, factors = _squarefree_setup(poly)
+    k, chain, factors = _squarefree_setup(poly)
     max_width = Fraction(1, 10 ** precision)
 
     # The first pass identifies every positive root of the square-free part
@@ -673,7 +673,9 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
                 for r in rationals:
                     irr = deflate_linear(irr, r)[0]
                 continue
-        intervals = [refine_interval(irr, lo, hi, max_width, rationals) for lo, hi in cells]
+        # closures must also avoid a root at 0, which is not a root of irr
+        avoid = rationals + [Fraction(0)] if k else rationals
+        intervals = [refine_interval(irr, lo, hi, max_width, avoid) for lo, hi in cells]
         break
 
     # separate closures of adjacent cells (they may share an endpoint)
@@ -684,8 +686,8 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
             lo1, hi1 = intervals[i]
             lo2, hi2 = intervals[i + 1]
             if hi1 >= lo2:
-                intervals[i] = refine_interval(irr, lo1, hi1, (hi1 - lo1) / 2, rationals)
-                intervals[i + 1] = refine_interval(irr, lo2, hi2, (hi2 - lo2) / 2, rationals)
+                intervals[i] = refine_interval(irr, lo1, hi1, (hi1 - lo1) / 2, avoid)
+                intervals[i + 1] = refine_interval(irr, lo2, hi2, (hi2 - lo2) / 2, avoid)
                 changed = True
     records = [RootRecord(r, _multiplicity(factors, r), True) for r in rationals]
     records.extend(RootRecord(RationalInterval(lo, hi), _multiplicity(factors, lo, hi), False)

@@ -328,6 +328,22 @@ def test_isolation_invariants_on_seeded_randoms():
         assert with_mult <= sign_variations(p.coeffs)
 
 
+def test_closures_avoid_a_root_at_zero():
+    # positive roots within 10^-precision of the root 0: sqrt(1/500), and a
+    # root near 0.036 of a quintic sharing no factor with x
+    for cs in ((0, 0, -2, 0, 1000), (0, -16, 440, -105, 3, -9, 2)):
+        p = intpoly(cs)
+        for precision in (1, 2, 3, 12):
+            records = isolate_positive_roots(p, precision)
+            assert len(records) == sturm_count(p, 0, None)
+            for rec in records:
+                if not rec.is_rational:
+                    lo, hi = rec.value.lo, rec.value.hi
+                    assert 0 < lo and hi - lo <= F(1, 10 ** precision)
+                    assert sturm_count(p, lo, hi) == 1
+                    assert poly_eval(p, lo) != 0 and poly_eval(p, hi) != 0
+
+
 def test_multiplicity_soundness_by_deflation():
     rng = random.Random(99)
     for _ in range(60):
