@@ -4,7 +4,9 @@ Everything here is deliberately written from scratch on plain Fraction
 lists, sharing no code path with the package under test: Horner evaluation,
 naive polynomial algebra, a monic Euclidean gcd for square-free reduction,
 a fine-grid sign-scan + bisection root finder, and a rational-root
-candidate enumeration.  Slow and simple wins.
+candidate enumeration.  Simple wins; only the sign-scan evaluates on
+integers (the polynomial scaled to integer coefficients, each point
+num/den cleared by den**degree), since signs are all it reads.
 """
 
 from fractions import Fraction
@@ -147,6 +149,32 @@ def compare_with_signscan(coeffs, records):
                     assert horner(coeffs, cand) != 0
 
 
+def integer_multiple(coeffs):
+    """The coefficients times their least common denominator: integers,
+    with the same sign as the polynomial at every point."""
+    cs = [Fraction(c) for c in coeffs]
+    den = 1
+    for c in cs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return [int(c * den) for c in cs]
+
+
+def scaled_sign(icoeffs, num, den):
+    """Sign of the integer-coefficient polynomial at num/den, den > 0, read
+    off den**degree * p(num/den) by integer Horner."""
+    acc = 0
+    power = 1
+    for c in reversed(icoeffs):
+        acc = acc * num + c * power
+        power *= den
+    return (acc > 0) - (acc < 0)
+
+
+def sign_at(icoeffs, q):
+    q = Fraction(q)
+    return scaled_sign(icoeffs, q.numerator, q.denominator)
+
+
 def signscan_positive_roots(coeffs, width=Fraction(1, 10 ** 9)):
     """Distinct positive real roots by fine-grid sign scan plus bisection.
 
@@ -160,25 +188,33 @@ def signscan_positive_roots(coeffs, width=Fraction(1, 10 ** 9)):
     if len(sf) <= 1:
         return []
     bound = root_bound(sf)
+    icoeffs = integer_multiple(sf)
+    degree = len(icoeffs) - 1
 
     def scan(n):
-        points = [bound * k / n for k in range(n + 1)]
-        values = [horner(sf, t) for t in points]
+        # grid point k is bound*k/n = num*k/den; weights[i] = c_i * den**(degree-i)
+        num, den = bound.numerator, bound.denominator * n
+        weights = [c * den ** (degree - i) for i, c in enumerate(icoeffs)]
+        weights.reverse()
         events = []
         prev_sign = 0
-        prev_point = points[0]
-        for t, v in zip(points, values):
-            s = (v > 0) - (v < 0)
+        prev_k = 0
+        for k in range(n + 1):
+            x = num * k
+            acc = 0
+            for w in weights:
+                acc = acc * x + w
+            s = (acc > 0) - (acc < 0)
             if s == 0:
-                if t > 0:
-                    events.append(("exact", t))
+                if k > 0:
+                    events.append(("exact", Fraction(x, den)))
                 prev_sign = 0
-                prev_point = t
+                prev_k = k
                 continue
             if prev_sign and s != prev_sign:
-                events.append(("bracket", prev_point, t))
+                events.append(("bracket", Fraction(num * prev_k, den), Fraction(x, den)))
             prev_sign = s
-            prev_point = t
+            prev_k = k
         return events
 
     n = 256
@@ -201,16 +237,16 @@ def signscan_positive_roots(coeffs, width=Fraction(1, 10 ** 9)):
             out.append(event)
             continue
         lo, hi = event[1], event[2]
-        v_lo = horner(sf, lo)
+        s_lo = sign_at(icoeffs, lo)
         exact = None
         while hi - lo > width:
             mid = (lo + hi) / 2
-            v_mid = horner(sf, mid)
-            if v_mid == 0:
+            s_mid = sign_at(icoeffs, mid)
+            if s_mid == 0:
                 exact = mid
                 break
-            if (v_mid > 0) == (v_lo > 0):
-                lo, v_lo = mid, v_mid
+            if (s_mid > 0) == (s_lo > 0):
+                lo, s_lo = mid, s_mid
             else:
                 hi = mid
         if exact is not None:
