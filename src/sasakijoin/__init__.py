@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for sphere-join Sasaki manifolds.
 
-Subpackages:
+Modules:
 
 * :mod:`sasakijoin.exactpoly` -- integer/rational polynomial kernel with
   Sturm-certified isolation of positive real roots;

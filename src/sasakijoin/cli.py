@@ -15,6 +15,15 @@ strings; isolating intervals as {lo, hi, approx} where approx is a decimal
 rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
 
+Each subcommand (each target, for ``sweep``) is one entry of ``_COMMANDS``:
+a payload builder, a table renderer and a CSV row maker, defined side by
+side.  The builder takes the parsed arguments and returns the echo of its
+own arguments for ``request``, the payload, the warnings, and the objects
+its renderer prints besides the payload.  JSON prints the whole report.
+The renderer runs only under --table, and the warnings follow its lines.
+CSV writes the payload as key/value rows, except that the sweeps write one
+row per value of l2.
+
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation or
 any other internal failure.  The environment variable SASAKI_JOBS, when
 set, overrides --jobs; the worker count is clamped to the CPU count and to
@@ -25,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -45,10 +53,10 @@ from .cscrays import (
     csc_polynomial,
     csc_rays,
     deflate_forbidden,
+    maximal_ray_count,
 )
-from .exactpoly import RootRecord, format_poly, intpoly
+from .exactpoly import RootRecord, format_poly
 from .joinspace import (
-    AbelianGroupDescriptor,
     JoinParams,
     ParameterError,
     c1_coefficient,
@@ -110,8 +118,19 @@ def _record_payload(record: RootRecord, digits: int) -> dict:
     return out
 
 
-def _group_payload(group) -> dict:
-    return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
+def _params_payload(params: JoinParams) -> dict:
+    return {"p": params.p, "l1": params.l1, "l2": params.l2,
+            "w": [params.w1, params.w2]}
+
+
+def _params_line(params: dict) -> str:
+    return (f"join parameters: p={params['p']} l1={params['l1']} "
+            f"l2={params['l2']} w=({params['w'][0]},{params['w'][1]})")
+
+
+def _key_value_rows(payload: dict) -> list[list]:
+    return [["key", "value"],
+            *([key, json.dumps(payload[key], sort_keys=True)] for key in sorted(payload))]
 
 
 # ----------------------------------------------------------------------
@@ -198,35 +217,30 @@ def _build_parser() -> _Parser:
                      description="Exact invariants and CSC ray reports for join manifolds.")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p_inv = sub.add_parser("invariants", help="topological invariants of one tuple")
-    p_inv.add_argument("-p", type=int, required=True)
-    p_inv.add_argument("-l1", type=int, required=True, dest="l1")
-    p_inv.add_argument("-l2", type=int, required=True, dest="l2")
-    p_inv.add_argument("-w", type=_weight_pair, required=True, metavar="W1,W2")
-    _add_common(p_inv)
-
-    p_csc = sub.add_parser("csc", help="ray polynomial and CSC ray report")
-    p_csc.add_argument("-p", type=int, required=True)
-    p_csc.add_argument("-l1", type=int, required=True, dest="l1")
-    p_csc.add_argument("-l2", type=int, required=True, dest="l2")
-    p_csc.add_argument("-w", type=_weight_pair, required=True, metavar="W1,W2")
-    _add_common(p_csc)
+    for name, help_text in (("invariants", "topological invariants of one tuple"),
+                            ("csc", "ray polynomial and CSC ray report")):
+        p_one = sub.add_parser(name, help=help_text)
+        p_one.add_argument("-p", type=int, required=True)
+        p_one.add_argument("-l1", type=int, required=True)
+        p_one.add_argument("-l2", type=int, required=True)
+        p_one.add_argument("-w", type=_weight_pair, required=True, metavar="W1,W2")
+        _add_common(p_one)
 
     p_cls = sub.add_parser("classify", help="pairwise classification decisions")
     p_cls.add_argument("relation", choices=("homotopy", "homeo", "diffeo"))
     p_cls.add_argument("tuples", nargs="*", type=_param_tuple, metavar="l1,l2,w1,w2",
                        help="two dimension-7 tuples (homotopy relation only)")
-    p_cls.add_argument("-l1", type=int, dest="l1")
-    p_cls.add_argument("-l2", type=int, dest="l2")
-    p_cls.add_argument("-l2p", type=int, dest="l2p")
+    p_cls.add_argument("-l1", type=int)
+    p_cls.add_argument("-l2", type=int)
+    p_cls.add_argument("-l2p", type=int)
     _add_common(p_cls)
 
     p_sw = sub.add_parser("sweep", help="per-l2 sweeps")
     p_sw.add_argument("target", choices=("csc", "diffeo"))
     p_sw.add_argument("-p", type=int)
-    p_sw.add_argument("-l1", type=int, dest="l1")
-    p_sw.add_argument("-w", type=_weight_pair, dest="w", metavar="W1,W2")
-    p_sw.add_argument("--l2", type=_l2_range, dest="l2_range", metavar="A..B[:odd|:even]")
+    p_sw.add_argument("-l1", type=int)
+    p_sw.add_argument("-w", type=_weight_pair, metavar="W1,W2")
+    p_sw.add_argument("--l2", type=_l2_range, dest="l2_values", metavar="A..B[:odd|:even]")
     p_sw.add_argument("--bound", type=int, metavar="N",
                       help="shorthand for --l2 1..N (csc target)")
     _add_common(p_sw)
@@ -235,47 +249,60 @@ def _build_parser() -> _Parser:
 
 
 # ----------------------------------------------------------------------
-# payload builders
+# subcommands: payload builder and table renderer
 
-def _invariants_payload(args) -> dict:
-    w1, w2 = args.w
-    params = JoinParams(args.p, args.l1, args.l2, w1, w2)
+def _invariants(args):
+    params = JoinParams(args.p, args.l1, args.l2, *args.w)
     payload: dict = {
-        "params": {"p": params.p, "l1": params.l1, "l2": params.l2,
-                   "w": [params.w1, params.w2]},
+        "params": _params_payload(params),
         "dim": params.dim,
         "c1": c1_coefficient(params),
         "spin": is_spin(params),
     }
+    groups = []
     if params.p == 1:
         payload["dim5_type"] = diffeo_type_dim5(params.l1, params.l2,
                                                 params.w1, params.w2)
-        return payload
-    ring = cohomology_ring(params)
-    payload["h4_order"] = h4_order(params)
-    payload["ring"] = {
-        "generators": [[g, d] for g, d in ring.generators],
-        "relations": [str(r) for r in ring.relations],
-    }
-    payload["cohomology"] = [
-        {"degree": k, **_group_payload(cohomology_group(params, k))}
-        for k in range(params.dim + 1)
-    ]
-    if params.p == 2:
-        payload["p1"] = p1_class(params)
-        payload["linking_form"] = linking_form(params)
-    return payload
+    else:
+        ring = cohomology_ring(params)
+        payload["h4_order"] = h4_order(params)
+        payload["ring"] = {
+            "generators": [[g, d] for g, d in ring.generators],
+            "relations": [str(r) for r in ring.relations],
+        }
+        groups = [cohomology_group(params, k) for k in range(params.dim + 1)]
+        payload["cohomology"] = [
+            {"degree": k, "free_rank": group.free_rank, "torsion": list(group.torsion)}
+            for k, group in enumerate(groups)
+        ]
+        if params.p == 2:
+            payload["p1"] = p1_class(params)
+            payload["linking_form"] = linking_form(params)
+    return payload["params"], payload, [], groups
 
 
-def _csc_payload(args, caveat: bool) -> dict:
-    w1, w2 = args.w
-    params = JoinParams(args.p, args.l1, args.l2, w1, w2)
+def _invariants_table(payload: dict, groups) -> list[str]:
+    lines = [f"{_params_line(payload['params'])}  [dimension {payload['dim']}]",
+             f"c1 coefficient: {payload['c1']}   spin: {payload['spin']}"]
+    if "dim5_type" in payload:
+        return lines + [f"diffeomorphism type: {payload['dim5_type']}"]
+    order = payload["h4_order"]
+    lines.append(f"|H^4| = {order}")
+    lines.append(f"cohomology ring: Z[x,y]/({', '.join(payload['ring']['relations'])})")
+    lines.extend(f"  H^{k:<2} = {group}" for k, group in enumerate(groups))
+    if "p1" in payload:
+        lines.append(f"p1 residue: {payload['p1']} mod {order}")
+        lines.append(f"linking form: {payload['linking_form']} mod {order}")
+    return lines
+
+
+def _csc(args):
+    params = JoinParams(args.p, args.l1, args.l2, *args.w)
     fp = csc_polynomial(params)
     deflated, multiplicity = deflate_forbidden(fp)
     report = csc_rays((params, deflated, multiplicity), args.precision)
     payload: dict = {
-        "params": {"p": params.p, "l1": params.l1, "l2": params.l2,
-                   "w": [params.w1, params.w2]},
+        "params": _params_payload(params),
         "f_coeffs": list(fp.poly.coeffs),
         "forbidden_root": frac_str(fp.forbidden_root),
         "forbidden_multiplicity": multiplicity,
@@ -288,42 +315,60 @@ def _csc_payload(args, caveat: bool) -> dict:
         "reduced_count": report.reduced_count,
         "weyl_paired": report.weyl_paired,
     }
-    if caveat:
+    if args.quote_caveat:
         payload["caveat"] = CSC_CAVEAT
-    return payload
+    return payload["params"], payload, [], fp.poly
 
 
-def _classify_payload(args) -> dict:
+def _csc_table(payload: dict, poly) -> list[str]:
+    lines = [_params_line(payload["params"]),
+             "ray polynomial: " + format_poly(poly, var="b"),
+             f"forbidden root {payload['forbidden_root']} removed "
+             f"with multiplicity {payload['forbidden_multiplicity']}",
+             f"rays: {payload['unreduced_count']} unreduced, "
+             f"{payload['reduced_count']} reduced"]
+    for ray in payload["rays"]:
+        if ray["is_rational"]:
+            where, approx = f"b = {ray['value']}", ray["approx"]
+        else:
+            iv = ray["interval"]
+            where, approx = f"b in ({iv['lo']}, {iv['hi']})", iv["approx"]
+        lines.append(f"  {ray['class']:<13} {where}  "
+                     f"multiplicity {ray['multiplicity']}  ~ {approx}")
+    if "caveat" in payload:
+        lines.append(f"note: {payload['caveat']}")
+    return lines
+
+
+def _classify(args):
     if args.relation == "homotopy":
         if len(args.tuples) != 2:
             raise ParameterError("two tuples",
                                  "classify homotopy needs exactly two l1,l2,w1,w2 tuples")
-        (l1a, l2a, w1a, w2a), (l1b, l2b, w1b, w2b) = args.tuples
-        a = JoinParams(2, l1a, l2a, w1a, w2a)
-        b = JoinParams(2, l1b, l2b, w1b, w2b)
+        a, b = (JoinParams(2, *t) for t in args.tuples)
         verdict = kruggel_homotopy_equivalent(a, b)
-        return {
+        payload = {
             "relation": "homotopy",
-            "a": {"p": 2, "l1": a.l1, "l2": a.l2, "w": [a.w1, a.w2]},
-            "b": {"p": 2, "l1": b.l1, "l2": b.l2, "w": [b.w1, b.w2]},
+            "a": _params_payload(a),
+            "b": _params_payload(b),
             "overall": verdict.overall,
             "conditions": [
                 {"label": c.label, "holds": c.holds, "witness": list(c.witness)}
                 for c in verdict.conditions
             ],
         }
+        return {"relation": "homotopy", "tuples": args.tuples}, payload, [], None
     if args.l1 is None or args.l2 is None or args.l2p is None:
         raise ParameterError("flags -l1 -l2 -l2p",
                              f"classify {args.relation} needs -l1, -l2 and -l2p")
     homeo_mod, diffeo_mod = ks_moduli(args.l1)
     if args.relation == "homeo":
+        relation, modulus = "homeomorphism", homeo_mod
         result = ks_homeomorphic(args.l1, args.l2, args.l2p)
-        modulus = homeo_mod
     else:
+        relation, modulus = "diffeomorphism", diffeo_mod
         result = ks_diffeomorphic(args.l1, args.l2, args.l2p)
-        modulus = diffeo_mod
-    relation = "homeomorphism" if args.relation == "homeo" else "diffeomorphism"
-    return {
+    payload = {
         "relation": relation,
         "l1": args.l1,
         "l2": args.l2,
@@ -335,6 +380,20 @@ def _classify_payload(args) -> dict:
             "witness": [(args.l2p - args.l2) % modulus, modulus],
         }],
     }
+    request = {"relation": args.relation, "l1": args.l1, "l2": args.l2, "l2p": args.l2p}
+    return request, payload, [], None
+
+
+def _classify_table(payload: dict, _) -> list[str]:
+    return [f"relation: {payload['relation']}   verdict: {payload['overall']}",
+            *(f"  {cond['label']:<22} {str(cond['holds']):<5} witness={cond['witness']}"
+              for cond in payload["conditions"])]
+
+
+def _sweep_request(args) -> dict:
+    echo = {"target": args.target, "p": args.p, "l1": args.l1, "w": args.w,
+            "l2_values": args.l2_values, "bound": args.bound}
+    return {key: value for key, value in echo.items() if value is not None}
 
 
 def _csc_sweep_row(task) -> dict:
@@ -349,52 +408,70 @@ def _csc_sweep_row(task) -> dict:
             "reduced": report.reduced_count}
 
 
-def _sweep_payload(args, jobs: int) -> tuple[dict, list[str]]:
-    warnings: list[str] = []
-    if args.target == "csc":
-        if args.p is None or args.l1 is None or args.w is None:
-            raise ParameterError("flags -p -l1 -w", "sweep csc needs -p, -l1 and -w")
-        if args.l2_range is not None and args.bound is not None:
-            raise ParameterError("one range", "give either --l2 or --bound, not both")
-        l2_values = args.l2_range if args.l2_range is not None \
-            else (_l2_range(f"1..{args.bound}") if args.bound else None)
-        if not l2_values:
-            raise ParameterError("nonempty range", "sweep csc needs --l2 A..B or --bound N")
-        w1, w2 = args.w
-        tasks = [(args.p, args.l1, w1, w2, l2, args.precision) for l2 in l2_values]
-        usable = min(os.cpu_count() or 1, len(tasks))
-        if jobs > usable:
-            print(f"note: jobs {jobs} clamped to {usable}", file=sys.stderr)
-            jobs = usable
-        if jobs > 1:
-            chunk = max(1, len(tasks) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_csc_sweep_row, tasks, chunksize=chunk))
+def _sweep_csc(args):
+    if args.p is None or args.l1 is None or args.w is None:
+        raise ParameterError("flags -p -l1 -w", "sweep csc needs -p, -l1 and -w")
+    if args.l2_values is not None and args.bound is not None:
+        raise ParameterError("one range", "give either --l2 or --bound, not both")
+    l2_values = args.l2_values if args.bound is None else range(1, args.bound + 1)
+    if not l2_values:
+        raise ParameterError("nonempty range", "sweep csc needs --l2 A..B or --bound N")
+    w1, w2 = args.w
+    # l2 = 1 is coprime to everything, so this checks every rule not involving l2
+    JoinParams(args.p, args.l1, 1, w1, w2)
+    tasks = [(args.p, args.l1, w1, w2, l2, args.precision) for l2 in l2_values]
+    jobs = args.jobs
+    usable = min(os.cpu_count() or 1, len(tasks))
+    if jobs > usable:
+        print(f"note: jobs {jobs} clamped to {usable}", file=sys.stderr)
+        jobs = usable
+    if jobs > 1:
+        chunk = max(1, len(tasks) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(_csc_sweep_row, tasks, chunksize=chunk))
+    else:
+        rows = [_csc_sweep_row(task) for task in tasks]
+    maximal = maximal_ray_count(w1, w2)
+    threshold = next((row["l2"] for row in rows
+                      if row["valid"] and row["reduced"] == maximal), None)
+    warnings = [] if threshold is not None else \
+        ["no l2 in the range reaches the maximal ray count"]
+    payload = {
+        "target": "csc",
+        "p": args.p, "l1": args.l1, "w": [w1, w2],
+        "rows": rows,
+        "threshold_l2": threshold,
+    }
+    return _sweep_request(args), payload, warnings, None
+
+
+def _sweep_csc_table(payload: dict, _) -> list[str]:
+    lines = [f"csc sweep: p={payload['p']} l1={payload['l1']} "
+             f"w=({payload['w'][0]},{payload['w'][1]})",
+             "l2    valid  unreduced  reduced"]
+    for row in payload["rows"]:
+        if row["valid"]:
+            lines.append(f"{row['l2']:<5} yes    {row['unreduced']:<10} {row['reduced']}")
         else:
-            rows = [_csc_sweep_row(task) for task in tasks]
-        rows.sort(key=lambda row: row["l2"])
-        target_count = 2 if w1 == w2 else 3
-        count_key = "reduced" if w1 == w2 else "unreduced"
-        threshold = next((row["l2"] for row in rows
-                          if row["valid"] and row[count_key] == target_count), None)
-        if threshold is None:
-            warnings.append("no l2 in the range reaches the maximal ray count")
-        payload = {
-            "target": "csc",
-            "p": args.p, "l1": args.l1, "w": [w1, w2],
-            "rows": rows,
-            "threshold_l2": threshold,
-        }
-        return payload, warnings
-    # diffeomorphism partition
+            lines.append(f"{row['l2']:<5} no     ({row['constraint']})")
+    lines.append(f"threshold l2: {payload['threshold_l2']}")
+    return lines
+
+
+def _sweep_csc_rows(payload: dict) -> list[list]:
+    return [["l2", "valid", "constraint", "unreduced", "reduced", "is_threshold"],
+            *([row["l2"], row["valid"], row.get("constraint", ""),
+               row.get("unreduced", ""), row.get("reduced", ""),
+               row["l2"] == payload["threshold_l2"]] for row in payload["rows"])]
+
+
+def _sweep_diffeo(args):
     if args.l1 is None:
         raise ParameterError("flag -l1", "sweep diffeo needs -l1")
-    if not args.l2_range:
+    if not args.l2_values:
         raise ParameterError("nonempty range", "sweep diffeo needs --l2 A..B")
-    partition = partition_diffeo_types(args.l1, args.l2_range)
+    partition = partition_diffeo_types(args.l1, args.l2_values)
     homeo_mod, diffeo_mod = ks_moduli(args.l1)
-    for l2, constraint in partition.invalid:
-        warnings.append(f"l2={l2} skipped: {constraint}")
     payload = {
         "target": "diffeo",
         "l1": args.l1,
@@ -403,149 +480,32 @@ def _sweep_payload(args, jobs: int) -> tuple[dict, list[str]]:
         "classes": [list(c) for c in partition.classes],
         "invalid": [{"l2": l2, "constraint": c} for l2, c in partition.invalid],
     }
-    return payload, warnings
+    warnings = [f"l2={l2} skipped: {c}" for l2, c in partition.invalid]
+    return _sweep_request(args), payload, warnings, None
 
 
-# ----------------------------------------------------------------------
-# rendering
-
-def _echo_request(args) -> dict:
-    echo: dict = {"subcommand": args.subcommand, "format": args.fmt,
-                  "precision": args.precision}
-    if args.subcommand in ("invariants", "csc"):
-        echo.update({"p": args.p, "l1": args.l1, "l2": args.l2, "w": list(args.w)})
-    elif args.subcommand == "classify":
-        echo["relation"] = args.relation
-        if args.relation == "homotopy":
-            echo["tuples"] = [list(t) for t in args.tuples]
-        else:
-            echo.update({"l1": args.l1, "l2": args.l2, "l2p": args.l2p})
-    else:
-        echo["target"] = args.target
-        if args.p is not None:
-            echo["p"] = args.p
-        if args.l1 is not None:
-            echo["l1"] = args.l1
-        if args.w is not None:
-            echo["w"] = list(args.w)
-        if args.l2_range is not None:
-            echo["l2_values"] = args.l2_range
-        if args.bound is not None:
-            echo["bound"] = args.bound
-    return echo
+def _sweep_diffeo_table(payload: dict, _) -> list[str]:
+    return [f"diffeomorphism classes for l1={payload['l1']} "
+            f"(modulus {payload['diffeo_modulus']}):",
+            *(f"  class {i}: {cls}" for i, cls in enumerate(payload["classes"])),
+            *(f"  skipped l2={item['l2']}: {item['constraint']}"
+              for item in payload["invalid"])]
 
 
-def _table_lines(report: dict) -> list[str]:
-    payload = report["payload"]
-    sub = report["request"]["subcommand"]
-    lines: list[str] = []
-    if sub == "invariants":
-        params = payload["params"]
-        lines.append(f"join parameters: p={params['p']} l1={params['l1']} "
-                     f"l2={params['l2']} w=({params['w'][0]},{params['w'][1]})  "
-                     f"[dimension {payload['dim']}]")
-        lines.append(f"c1 coefficient: {payload['c1']}   spin: {payload['spin']}")
-        if "dim5_type" in payload:
-            lines.append(f"diffeomorphism type: {payload['dim5_type']}")
-        else:
-            rel = ", ".join(payload["ring"]["relations"])
-            lines.append(f"|H^4| = {payload['h4_order']}")
-            lines.append(f"cohomology ring: Z[x,y]/({rel})")
-            for row in payload["cohomology"]:
-                group = AbelianGroupDescriptor(row["free_rank"], tuple(row["torsion"]))
-                lines.append(f"  H^{row['degree']:<2} = {group}")
-            if "p1" in payload:
-                lines.append(f"p1 residue: {payload['p1']} mod {payload['h4_order']}")
-                lines.append(f"linking form: {payload['linking_form']} "
-                             f"mod {payload['h4_order']}")
-    elif sub == "csc":
-        params = payload["params"]
-        lines.append(f"join parameters: p={params['p']} l1={params['l1']} "
-                     f"l2={params['l2']} w=({params['w'][0]},{params['w'][1]})")
-        lines.append("ray polynomial: "
-                     + format_poly(intpoly(payload["f_coeffs"]), var="b"))
-        lines.append(f"forbidden root {payload['forbidden_root']} removed "
-                     f"with multiplicity {payload['forbidden_multiplicity']}")
-        lines.append(f"rays: {payload['unreduced_count']} unreduced, "
-                     f"{payload['reduced_count']} reduced")
-        for ray in payload["rays"]:
-            if ray["is_rational"]:
-                where = f"b = {ray['value']}"
-                approx = ray["approx"]
-            else:
-                where = f"b in ({ray['interval']['lo']}, {ray['interval']['hi']})"
-                approx = ray["interval"]["approx"]
-            lines.append(f"  {ray['class']:<13} {where}  "
-                         f"multiplicity {ray['multiplicity']}  ~ {approx}")
-        if "caveat" in payload:
-            lines.append(f"note: {payload['caveat']}")
-    elif sub == "classify":
-        lines.append(f"relation: {payload['relation']}   verdict: {payload['overall']}")
-        for cond in payload["conditions"]:
-            lines.append(f"  {cond['label']:<22} {str(cond['holds']):<5} "
-                         f"witness={cond['witness']}")
-    else:
-        if payload["target"] == "csc":
-            lines.append(f"csc sweep: p={payload['p']} l1={payload['l1']} "
-                         f"w=({payload['w'][0]},{payload['w'][1]})")
-            lines.append("l2    valid  unreduced  reduced")
-            for row in payload["rows"]:
-                if row["valid"]:
-                    lines.append(f"{row['l2']:<5} yes    {row['unreduced']:<10} "
-                                 f"{row['reduced']}")
-                else:
-                    lines.append(f"{row['l2']:<5} no     ({row['constraint']})")
-            lines.append(f"threshold l2: {payload['threshold_l2']}")
-        else:
-            lines.append(f"diffeomorphism classes for l1={payload['l1']} "
-                         f"(modulus {payload['diffeo_modulus']}):")
-            for i, cls in enumerate(payload["classes"]):
-                lines.append(f"  class {i}: {cls}")
-            for item in payload["invalid"]:
-                lines.append(f"  skipped l2={item['l2']}: {item['constraint']}")
-    for warning in report["warnings"]:
-        lines.append(f"warning: {warning}")
-    return lines
+def _sweep_diffeo_rows(payload: dict) -> list[list]:
+    return [["class_index", "l2"],
+            *([i, l2] for i, cls in enumerate(payload["classes"]) for l2 in cls),
+            *(["invalid", item["l2"]] for item in payload["invalid"])]
 
 
-def _csv_text(report: dict) -> str:
-    payload = report["payload"]
-    sub = report["request"]["subcommand"]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if sub == "sweep" and payload["target"] == "csc":
-        writer.writerow(["l2", "valid", "constraint", "unreduced", "reduced",
-                         "is_threshold"])
-        for row in payload["rows"]:
-            writer.writerow([
-                row["l2"],
-                row["valid"],
-                row.get("constraint", ""),
-                row.get("unreduced", ""),
-                row.get("reduced", ""),
-                row["l2"] == payload["threshold_l2"],
-            ])
-    elif sub == "sweep":
-        writer.writerow(["class_index", "l2"])
-        for i, cls in enumerate(payload["classes"]):
-            for l2 in cls:
-                writer.writerow([i, l2])
-        for item in payload["invalid"]:
-            writer.writerow(["invalid", item["l2"]])
-    else:
-        writer.writerow(["key", "value"])
-        for key in sorted(payload):
-            writer.writerow([key, json.dumps(payload[key], sort_keys=True)])
-    return buffer.getvalue()
-
-
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    elif fmt == "csv":
-        sys.stdout.write(_csv_text(report))
-    else:
-        print("\n".join(_table_lines(report)))
+# command: (payload builder, table renderer, CSV rows)
+_COMMANDS = {
+    "invariants": (_invariants, _invariants_table, _key_value_rows),
+    "csc": (_csc, _csc_table, _key_value_rows),
+    "classify": (_classify, _classify_table, _key_value_rows),
+    "sweep csc": (_sweep_csc, _sweep_csc_table, _sweep_csc_rows),
+    "sweep diffeo": (_sweep_diffeo, _sweep_diffeo_table, _sweep_diffeo_rows),
+}
 
 
 # ----------------------------------------------------------------------
@@ -558,30 +518,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
 
-    jobs = args.jobs
     env_jobs = os.environ.get("SASAKI_JOBS")
     if env_jobs is not None:
         try:
-            jobs = int(env_jobs)
+            args.jobs = int(env_jobs)
         except ValueError:
             print("error [SASAKI_JOBS]: must be an integer", file=sys.stderr)
             return 1
-    jobs = max(1, jobs)
+    args.jobs = max(1, args.jobs)
+    if args.quote_caveat is None:
+        args.quote_caveat = args.fmt == "table"
 
-    caveat = args.quote_caveat
-    if caveat is None:
-        caveat = args.fmt == "table"
-
-    warnings: list[str] = []
+    command = f"sweep {args.target}" if args.subcommand == "sweep" else args.subcommand
+    build, render, csv_rows = _COMMANDS[command]
     try:
-        if args.subcommand == "invariants":
-            payload = _invariants_payload(args)
-        elif args.subcommand == "csc":
-            payload = _csc_payload(args, caveat)
-        elif args.subcommand == "classify":
-            payload = _classify_payload(args)
-        else:
-            payload, warnings = _sweep_payload(args, jobs)
+        request, payload, warnings, view = build(args)
     except ParameterError as exc:
         print(f"error [{exc.constraint}]: {exc}", file=sys.stderr)
         return 1
@@ -594,13 +545,19 @@ def main(argv=None) -> int:
         print(f"internal error: {message}", file=sys.stderr)
         return 2
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "request": _echo_request(args),
-        "payload": payload,
-        "warnings": warnings,
-    }
-    _emit(report, args.fmt)
+    if args.fmt == "json":
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "request": {"subcommand": args.subcommand, "format": args.fmt,
+                        "precision": args.precision, **request},
+            "payload": payload,
+            "warnings": warnings,
+        }
+        print(json.dumps(report, sort_keys=True, indent=2))
+    elif args.fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows(payload))
+    else:
+        print("\n".join(render(payload, view) + [f"warning: {w}" for w in warnings]))
     return 0
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "wz_threshold",
     "deflate_forbidden",
     "csc_rays",
+    "maximal_ray_count",
     "min_l2_multiple_csc",
     "quasireg_family",
     "CSC_CAVEAT",
@@ -264,6 +265,15 @@ def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
     return RayReport(tuple(rays), 1 + len(roots), 1 + pairs, weyl_paired=True)
 
 
+def maximal_ray_count(w1: int, w2: int) -> int:
+    """The largest reduced ray count: 2 for w = (1,1), else 3.
+
+    For w1 > w2 the reduced and unreduced counts agree, so comparing
+    ``RayReport.reduced_count`` with this number decides maximality.
+    """
+    return 2 if w1 == w2 else 3
+
+
 def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int,
                         precision: int = 12):
     """Smallest valid l2 <= search_bound whose ray count is maximal.
@@ -274,20 +284,14 @@ def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int,
     """
     if search_bound < 1:
         raise ParameterError("search_bound >= 1", "search bound must be positive")
-    for name, value in (("p", p), ("l1", l1), ("w1", w1), ("w2", w2)):
-        if value < 1:
-            raise ParameterError(f"{name} >= 1", f"{name} must be positive")
-    if w1 < w2 or gcd(w1, w2) != 1:
-        raise ParameterError("weights", "need w1 >= w2 with gcd(w1,w2) = 1")
-    target_reduced = w1 == w2
+    # l2 = 1 is coprime to everything, so this checks every rule not involving l2
+    JoinParams(p, l1, 1, w1, w2)
     for l2 in range(1, search_bound + 1):
         try:
             params = JoinParams(p, l1, l2, w1, w2)
         except ParameterError:
             continue
-        report = csc_rays(params, precision)
-        count = report.reduced_count if target_reduced else report.unreduced_count
-        if count == (2 if target_reduced else 3):
+        if csc_rays(params, precision).reduced_count == maximal_ray_count(w1, w2):
             return l2
     return None
 

@@ -448,7 +448,31 @@ GOLDEN = {
     ),
 }
 
+# Deliberate departures from the earlier CLI, which exited 2 with an
+# internal error on a negative --bound, and exited 0 with every row invalid
+# when p, l1 or the weights broke a rule that holds for no l2.  Both are
+# invalid input now, as in the csc command.
+CORRECTED = {
+    "sweep csc -p 1 -l1 1 -w 3,2 --bound -3":
+        "error [nonempty range]: sweep csc needs --l2 A..B or --bound N\n",
+    "sweep csc -p 1 -l1 1 -w 2,3 --l2 1..3":
+        "error [w1 >= w2]: weights must satisfy w1 >= w2, got (2,3)\n",
+    "sweep csc -p 1 -l1 1 -w 4,2 --bound 3":
+        "error [gcd(w1,w2) = 1]: gcd(w1,w2) = 2 != 1\n",
+    "sweep csc -p 0 -l1 1 -w 3,2 --l2 1..3":
+        "error [p >= 1]: p must be a positive integer, got 0\n",
+}
+
+
 @pytest.mark.parametrize("args", sorted(GOLDEN))
 def test_output_matches_pinned_bytes(capsys, monkeypatch, args):
     assert outcome_digests(capsys, monkeypatch, args) == list(GOLDEN[args])
 
+
+
+@pytest.mark.parametrize("args", sorted(CORRECTED))
+def test_sweep_rejects_input_invalid_for_every_l2(capsys, monkeypatch, args):
+    monkeypatch.delenv("SASAKI_JOBS", raising=False)
+    for fmt in FORMATS:
+        assert cli.main(args.split() + fmt) == 1
+        assert capsys.readouterr() == ("", CORRECTED[args])

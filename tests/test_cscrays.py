@@ -319,6 +319,14 @@ def test_min_l2_examples():
         min_l2_multiple_csc(1, 1, 2, 3, 10)
 
 
+def test_min_l2_rejects_with_the_join_constraint():
+    for args, constraint in (((0, 1, 3, 2), "p >= 1"), ((1, 0, 3, 2), "l1 >= 1"),
+                             ((1, 1, 2, 3), "w1 >= w2"), ((1, 1, 4, 2), "gcd(w1,w2) = 1")):
+        with pytest.raises(ParameterError) as info:
+            min_l2_multiple_csc(*args, 10)
+        assert info.value.constraint == constraint
+
+
 def test_quasiregular_family_small_p():
     assert quasireg_family(1) == (2, 11)
     assert quasireg_family(2) == (26, 71)
