@@ -189,22 +189,16 @@ def signscan_positive_roots(coeffs, width=Fraction(1, 10 ** 9)):
         return []
     bound = root_bound(sf)
     icoeffs = integer_multiple(sf)
-    degree = len(icoeffs) - 1
 
     def scan(n):
-        # grid point k is bound*k/n = num*k/den; weights[i] = c_i * den**(degree-i)
+        # grid point k is bound*k/n = num*k/den
         num, den = bound.numerator, bound.denominator * n
-        weights = [c * den ** (degree - i) for i, c in enumerate(icoeffs)]
-        weights.reverse()
         events = []
         prev_sign = 0
         prev_k = 0
         for k in range(n + 1):
             x = num * k
-            acc = 0
-            for w in weights:
-                acc = acc * x + w
-            s = (acc > 0) - (acc < 0)
+            s = scaled_sign(icoeffs, x, den)
             if s == 0:
                 if k > 0:
                     events.append(("exact", Fraction(x, den)))
