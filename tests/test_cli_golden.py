@@ -5,7 +5,8 @@ Each case runs one argument list under the default format and under
 encoding of ``[exit code, stdout, stderr]``.  The cases cover every
 subcommand and branch, the error paths and argparse usage errors.
 ``COLUMNS`` is fixed because argparse wraps its usage line to the
-terminal width.
+terminal width.  The usage-error digests also pin argparse's wording,
+which differs between Python versions; they were computed on Python 3.11.
 """
 
 import hashlib
