@@ -371,3 +371,38 @@ def test_csc_reports_match_pinned_bytes(capsys):
         code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+# sha256 of `csc ... --json` stdout, computed with the kernel that identifies
+# every mixed-weight root in a cell of width 1/|lc|: p = 70-90 at precision
+# 12 and 50, 13-14 digit primes l1, and two quasi-regular tuples whose
+# leading coefficient exceeds 10**precision
+PINNED_CSC_MIXED = [
+    ("-p 90 -l1 1 -l2 7 -w 2,1",
+     "ec46ee986db554b85b0bbf800ac93403e6f64387fc3306aef6b40d6a44f1d17c"),
+    ("-p 90 -l1 1 -l2 7 -w 2,1 --precision 50",
+     "7c7784bdea75a0b154411b2669ed447adfd48a49a62874f32240c5163af85d31"),
+    ("-p 80 -l1 3 -l2 5 -w 3,1",
+     "dbc2661f9be2bbf66d85eb4994d2fb87b8a870059ef494730911ea703b96cf86"),
+    ("-p 80 -l1 3 -l2 5 -w 3,1 --precision 50",
+     "57d4f7e9cfda22b9e018e3694b4ae9c32b5654bd3fc74a1a0dc4af26b14931f4"),
+    ("-p 70 -l1 2 -l2 7 -w 3,2",
+     "36ff5cf78d1f1a1332c2558e516e0d7868e32eac3049655e44738c73f41a7f3e"),
+    ("-p 70 -l1 2 -l2 7 -w 3,2 --precision 50",
+     "33135ef2482d4fb3944b9be7c0c6b4855c9b400fb93082b1cb573c9653106ec2"),
+    ("-p 1 -l1 1000000000039 -l2 19000000000745 -w 3,2",
+     "4c8a689629f76abb5cb69b569402c97ac5a166a439a121101e40d19bb8ec21d2"),
+    ("-p 2 -l1 10000000000037 -l2 400000000001483 -w 3,1 --precision 50",
+     "b453574ba7b8250717caf3478d51e501cd86c249cd3bca17263413ced390061b"),
+    ("-p 1 -l1 2 -l2 43 -w 3,1 --precision 1",
+     "b253a5ed4a1bd237d30b067c23ec99d6c202802a06e2214b6544308337991794"),
+    ("-p 1 -l1 3 -l2 47 -w 2,1 --precision 1",
+     "d6f96e901364e965654434da06aff5c8d7130cbe8fdfe8da6b03a8974e7880a8"),
+]
+
+
+def test_mixed_weight_reports_match_pinned_bytes(capsys):
+    for flags, digest in PINNED_CSC_MIXED:
+        code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
