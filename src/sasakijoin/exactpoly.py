@@ -11,19 +11,23 @@ lowest degree first, wrapped in :class:`IntPolynomial`.  The zero polynomial
 is the empty tuple.  Build values with :func:`intpoly`.
 
 Roots are isolated by Sturm-chain bisection of (0, B], B a Cauchy bound;
-one remainder sequence gives both the chain and the square-free test.  No
-integer is factored: a rational root n/d has d | lc, so once its cell is no
-wider than 1/|lc| one exact evaluation decides whether it is rational.
-Rational roots are then divided out and the quotient isolated again, so no
-bisection point is a root and every reported interval has non-root rational
-endpoints.  Cells are refined by bisection or, when deep, by Newton steps
-certified by exact signs; both reach the same dyadic cell.
+one remainder sequence gives both the chain and the square-free test, and
+the last chain built is kept for root counting.  No integer is factored: a
+rational root n/d has d | lc, so it reduces to a root modulo every prime
+l not dividing lc.  When some l <= 31 shows there is none, no root is
+rational; otherwise a cell no wider than 1/|lc| holds at most one candidate
+and one exact evaluation decides.  Rational roots are then divided out and
+the quotient isolated again, so no bisection point is a root and every
+reported interval has non-root rational endpoints.  Cells are refined by
+bisection or, when deep, by Newton steps certified by exact signs; both
+reach the same dyadic cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isinf
 
 __all__ = [
@@ -333,22 +337,24 @@ def _sign_at_endpoint(coeffs: tuple[int, ...], pt) -> int:
     return _sign_at(coeffs, pt)
 
 
-def _variation_count(chain: list[tuple[int, ...]], pt) -> int:
+def _variation_count(chain: tuple[tuple[int, ...], ...], pt) -> int:
     return sign_variations(_sign_at_endpoint(cs, pt) for cs in chain)
 
 
-def _sturm_chain(poly: IntPolynomial) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=1)
+def _sturm_chain(poly: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     """Sturm chain over Z of the square-free part of poly, which heads it.
 
     Entries are sign-equivalent to the true remainder chain f, f',
     -rem(f, f'), ...  That sequence for poly ends in gcd(poly, poly'): when
     the gcd is a constant, poly is square-free and the sequence is its
     chain; otherwise (rarely) the chain of poly / gcd is built instead.
+    The last chain built is kept for the next caller.
     """
     chain = [poly.coeffs]
     d = poly_derivative(poly)
     if d.is_zero:
-        return chain
+        return tuple(chain)
     chain.append(d.coeffs)
     while len(chain[-1]) > 1:
         nxt = _neg_rem_like(chain[-2], chain[-1])
@@ -356,7 +362,7 @@ def _sturm_chain(poly: IntPolynomial) -> list[tuple[int, ...]]:
             common = primitive_part(IntPolynomial(chain[-1]))
             return _sturm_chain(poly_exact_div(poly, common))
         chain.append(nxt)
-    return chain
+    return tuple(chain)
 
 
 def sign_variations(coeffs) -> int:
@@ -388,7 +394,7 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
         raise ValueError("empty interval")
     if isinstance(a, Fraction) and isinstance(b, Fraction) and not a < b:
         raise ValueError("lo < hi required")
-    chain = _sturm_chain(poly)
+    chain = _sturm_chain(primitive_part(poly))
     return _variation_count(chain, a) - _variation_count(chain, b)
 
 
@@ -574,6 +580,17 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     return Fraction(a, den), Fraction(a + width, den)
 
 
+def _no_rational_root(cs: tuple[int, ...]) -> bool:
+    """Whether a prime l <= 31 not dividing lc certifies that the integer
+    polynomial cs has no rational root: it has no root mod l, while a root
+    n/d, d | lc, would reduce to the root n * d**-1 mod l."""
+    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        red = tuple(c % ell for c in cs)
+        if red[-1] and all(_scaled_value(red, x, 1) % ell for x in range(ell)):
+            return True
+    return False
+
+
 def _identify(sf: IntPolynomial, lo: Fraction, hi: Fraction, max_width: Fraction):
     """The root of the square-free sf in its isolating cell (lo, hi]: the
     exact value if it is rational, else a subcell that refines further to
@@ -623,13 +640,14 @@ def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     """All rational roots with exact multiplicities, ascending.
 
     Each real root of the square-free part is isolated on (-B, B] and
-    identified in its cell; multiplicities come from the Yun factors.
+    identified in its cell, unless a prime certifies that none is rational;
+    multiplicities come from the Yun factors.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     k, chain, factors = _squarefree_setup(poly)
     out: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
-    if len(chain[0]) > 1:
+    if len(chain[0]) > 1 and not _no_rational_root(chain[0]):
         sf = IntPolynomial(chain[0])
         bound = cauchy_root_bound(sf)
         lead_width = Fraction(1, abs(sf.coeffs[-1]))
@@ -666,7 +684,9 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
     while True:
         cells = _isolate_cells(chain, Fraction(0), cauchy_root_bound(irr), rationals) \
             if irr.degree >= 1 else []
-        if not rationals:
+        # identifying refines past max_width, unless no root can be rational
+        if not rationals and not (cells and abs(sf.coeffs[-1]) > max_width.denominator
+                                  and _no_rational_root(sf.coeffs)):
             cells = [_identify(sf, lo, hi, max_width) for lo, hi in cells]
             rationals = [r for r in cells if isinstance(r, Fraction)]
             if rationals:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sasakijoin.exactpoly import (
     IntPolynomial,
+    _no_rational_root,
     cauchy_root_bound,
     cubic_discriminant,
     intpoly,
@@ -502,3 +503,38 @@ def test_refinement_reaches_the_bisection_cell(n, k, digits):
     hi = F(isqrt(k) + 1, n)
     cell = refine_interval(intpoly(coeffs), F(0), hi, F(1, 10 ** digits))
     assert cell == bisection_reference(coeffs, F(0), hi, F(1, 10 ** digits))
+
+
+# ----------------------------------------------------------------------
+# the certificate that no root is rational
+
+# denominators above 31, and products of the primes the certificate tries
+# (the last one is divisible by all of them, so none can be used)
+CERT_DENOMINATORS = st.one_of(
+    st.sampled_from([37, 97, 1_000_003, 2_147_483_647, 2 ** 10 * 31,
+                     2 * 3 * 5 * 7 * 11 * 13, 200_560_490_130]),
+    st.integers(1, 10 ** 6))
+SMALL_COFACTOR = st.lists(st.integers(-30, 30), min_size=1, max_size=8).filter(lambda cs: cs[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(CERT_DENOMINATORS, st.integers(-10 ** 6, 10 ** 6), SMALL_COFACTOR)
+def test_certificate_never_denies_a_constructed_rational_root(d, n, cofactor):
+    poly = poly_mul(intpoly((-n, d)), intpoly(cofactor))
+    assert not _no_rational_root(poly.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_COFACTOR, st.none() | st.tuples(st.integers(1, 12), st.integers(-12, 12)))
+def test_certificate_agrees_with_a_divisor_scan(cofactor, linear):
+    poly = intpoly(cofactor)
+    if linear:
+        poly = poly_mul(poly, intpoly((-linear[1], linear[0])))
+    if poly.degree < 1:
+        return
+    has_rational = poly.coeffs[0] == 0 or any(
+        oracles.horner(poly.coeffs, cand) == 0
+        for cand in oracles.rational_candidates(poly.coeffs))
+    if _no_rational_root(poly.coeffs):
+        assert not has_rational
+    assert bool(rational_roots(poly)) == has_rational
