@@ -684,7 +684,7 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
     while True:
         cells = _isolate_cells(chain, Fraction(0), cauchy_root_bound(irr), rationals) \
             if irr.degree >= 1 else []
-        # identifying refines past max_width, unless no root can be rational
+        # identification refines past max_width: skip it if no root can be rational
         if not rationals and not (cells and abs(sf.coeffs[-1]) > max_width.denominator
                                   and _no_rational_root(sf.coeffs)):
             cells = [_identify(sf, lo, hi, max_width) for lo, hi in cells]

@@ -241,7 +241,6 @@ def test_rays_homogeneous_pairing():
     assert 1 / high.hi < low.hi and low.lo < 1 / high.lo
 
 
-
 def test_homogeneous_rays_build_one_remainder_sequence():
     # isolation builds the Sturm chain; the pairing's root count reuses it
     params = JoinParams(40, 1, 3, 1, 1)
@@ -251,6 +250,7 @@ def test_homogeneous_rays_build_one_remainder_sequence():
     assert report.reduced_count == 2 and report.rays[0].ray_class == "irregular"
     info = _sturm_chain.cache_info()
     assert info.misses == 1 and info.hits == 1
+
 
 def test_rays_quasiregular_family_case():
     report = csc_rays(JoinParams(1, 2, 11, 1, 1))

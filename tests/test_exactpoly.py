@@ -530,8 +530,6 @@ def test_certificate_agrees_with_a_divisor_scan(cofactor, linear):
     poly = intpoly(cofactor)
     if linear:
         poly = poly_mul(poly, intpoly((-linear[1], linear[0])))
-    if poly.degree < 1:
-        return
     has_rational = poly.coeffs[0] == 0 or any(
         oracles.horner(poly.coeffs, cand) == 0
         for cand in oracles.rational_candidates(poly.coeffs))
