@@ -10,6 +10,7 @@ import pytest
 import oracles
 from sasakijoin.cscrays import (
     InternalInvariantError,
+    _interval_avoiding,
     _raw_coefficients,
     csc_cubic_p1,
     csc_polynomial,
@@ -21,6 +22,8 @@ from sasakijoin.cscrays import (
     wz_threshold,
 )
 from sasakijoin.exactpoly import (
+    RationalInterval,
+    RootRecord,
     _sturm_chain,
     intpoly,
     isolate_positive_roots,
@@ -380,3 +383,11 @@ def test_pairing_with_interval_reaching_zero():
     assert report.unreduced_count == 3 and report.reduced_count == 2
     low = report.rays[0].record.value
     assert low.lo == 0 and low.width <= F(1, 10)
+
+
+def test_interval_avoiding_halves_until_the_point_leaves_the_closure():
+    # 100x^2 - 190x + 89 has the roots (19 -+ sqrt(5))/20, about 0.838 and 1.062
+    poly = intpoly([89, -190, 100])
+    record = RootRecord(RationalInterval(F(4, 5), F(1)), 1, False)
+    moved = _interval_avoiding(poly, record, F(1))
+    assert moved == RootRecord(RationalInterval(F(4, 5), F(9, 10)), 1, False)

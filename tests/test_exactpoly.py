@@ -202,6 +202,23 @@ def test_sturm_input_validation():
         sturm_count(G19, 2, 1)
 
 
+def test_sturm_one_unbounded_side_beyond_the_cauchy_bound():
+    p = intpoly(oracles.multiply(oracles.multiply([-1, 1], [-2, 1]), [-3, 1]))
+    assert sturm_count(p, 10 ** 6, None) == 0
+    assert sturm_count(p, None, -10 ** 6) == 0
+    assert sturm_count(p, -10 ** 6, None) == 3
+    assert sturm_count(p, None, 10 ** 6) == 3
+    assert sturm_count(p, F(5, 2), None) == 1
+    assert sturm_count(p, None, F(5, 2)) == 2
+
+
+def test_sturm_rejects_float_endpoints():
+    with pytest.raises(TypeError):
+        sturm_count(G19, 0.5, None)
+    with pytest.raises(TypeError):
+        sturm_count(G19, None, 2.0)
+
+
 def test_cauchy_bound_dominates_roots():
     rng = random.Random(5)
     for _ in range(80):
@@ -343,6 +360,15 @@ def test_closures_avoid_a_root_at_zero():
                     assert 0 < lo and hi - lo <= F(1, 10 ** precision)
                     assert sturm_count(p, lo, hi) == 1
                     assert poly_eval(p, lo) != 0 and poly_eval(p, hi) != 0
+
+
+def test_adjacent_closures_are_separated():
+    # 289x^2 - 170x + 23 = (17x - 5)^2 - 2: at one digit the two roots keep
+    # their isolating cells, which share the endpoint 81/272, until each is
+    # halved once
+    records = isolate_positive_roots(intpoly([23, -170, 289]), 1)
+    assert [(rec.value.lo, rec.value.hi) for rec in records] == \
+        [(F(27, 136), F(135, 544)), (F(189, 544), F(27, 68))]
 
 
 def test_multiplicity_soundness_by_deflation():
