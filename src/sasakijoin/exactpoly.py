@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isinf
+from math import gcd
 
 __all__ = [
     "IntPolynomial",
@@ -313,32 +313,8 @@ def squarefree_decompose(poly: IntPolynomial) -> list[tuple[IntPolynomial, int]]
 # ----------------------------------------------------------------------
 # Sturm chains and root counting
 
-_POS_INF = object()
-_NEG_INF = object()
-
-
-def _coerce_endpoint(v, low: bool):
-    if v is None:
-        return _NEG_INF if low else _POS_INF
-    if isinstance(v, float):
-        if isinf(v):
-            return _NEG_INF if v < 0 else _POS_INF
-        raise TypeError("finite endpoints must be exact rationals, not floats")
-    return Fraction(v)
-
-
-def _sign_at_endpoint(coeffs: tuple[int, ...], pt) -> int:
-    lead = coeffs[-1]
-    if pt is _POS_INF:
-        return (lead > 0) - (lead < 0)
-    if pt is _NEG_INF:
-        s = (lead > 0) - (lead < 0)
-        return -s if (len(coeffs) - 1) % 2 else s
-    return _sign_at(coeffs, pt)
-
-
-def _variation_count(chain: tuple[tuple[int, ...], ...], pt) -> int:
-    return sign_variations(_sign_at_endpoint(cs, pt) for cs in chain)
+def _variation_count(chain: tuple[tuple[int, ...], ...], pt: Fraction) -> int:
+    return sign_variations(_sign_at(cs, pt) for cs in chain)
 
 
 @lru_cache(maxsize=1)
@@ -382,20 +358,24 @@ def sign_variations(coeffs) -> int:
 def sturm_count(poly: IntPolynomial, lo, hi) -> int:
     """Number of distinct real roots in the interval (lo, hi].
 
-    lo and hi are exact rationals; pass None (or an infinite float) for an
-    unbounded side.  Multiple roots count once.  Endpoints are allowed to be
-    roots: a root at lo is excluded, a root at hi is included.
+    lo and hi are exact rationals; only None means an unbounded side, and
+    floats are rejected.  Multiple roots count once.  Endpoints are allowed to
+    be roots: a root at lo is excluded, a root at hi is included.
     """
     if poly.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    a = _coerce_endpoint(lo, low=True)
-    b = _coerce_endpoint(hi, low=False)
-    if a is _POS_INF or b is _NEG_INF:
-        raise ValueError("empty interval")
-    if isinstance(a, Fraction) and isinstance(b, Fraction) and not a < b:
+    if isinstance(lo, float) or isinstance(hi, float):
+        raise TypeError("endpoints must be exact rationals, not floats")
+    a, b = (None if v is None else Fraction(v) for v in (lo, hi))
+    if a is not None and b is not None and not a < b:
         raise ValueError("lo < hi required")
+    if poly.degree == 0:
+        return 0
+    # past every root and the other endpoint the count is the one at infinity
+    far = cauchy_root_bound(poly) + abs(a or 0) + abs(b or 0)
     chain = _sturm_chain(primitive_part(poly))
-    return _variation_count(chain, a) - _variation_count(chain, b)
+    return _variation_count(chain, -far if a is None else a) - \
+        _variation_count(chain, far if b is None else b)
 
 
 def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
@@ -474,11 +454,6 @@ class RootRecord:
         """A sort key below the root for rationals, below-left for intervals."""
         return self.value if self.is_rational else self.value.lo
 
-    def contains(self, q: Fraction) -> bool:
-        if self.is_rational:
-            return self.value == q
-        return self.value.lo <= q <= self.value.hi
-
 
 def _isolate_cells(chain, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fraction, Fraction]]:
     """Cells (a, b] of the bisection of (lo, hi], ascending: for each root of
@@ -500,18 +475,12 @@ def _isolate_cells(chain, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fr
 
 
 # Newton refinement takes four evaluations per step (value and derivative at
-# the start, signs at the new cell ends) plus about _NEWTON_OVERHEAD, measured
-# on ray polynomials, for the warm-up and the steps that fail before its error
-# starts to square.
+# the start, signs at the new cell ends) plus about 32, measured on ray
+# polynomials, for the warm-up and the steps that fail before its error starts
+# to square.  From _NEWTON_LEVELS levels on that is fewer than bisection's one
+# evaluation per level.
 _NEWTON_WARMUP = 4
-_NEWTON_OVERHEAD = 32
-
-
-def _newton_pays(levels: int) -> bool:
-    """Whether certified Newton steps need fewer evaluations than bisection,
-    one per level, to descend the given number of levels."""
-    steps = ((levels - 1) // _NEWTON_WARMUP).bit_length()
-    return _NEWTON_OVERHEAD + 4 * steps < levels
+_NEWTON_LEVELS = 49
 
 
 def _bisect_levels(cs, a: int, den: int, width: int, s_hi: int, levels: int):
@@ -572,7 +541,7 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     s_hi = _sign_at(cs, hi)
     ratio = -(-width * max_width.denominator // (max_width.numerator * den))
     levels = (ratio - 1).bit_length() if ratio > 1 else 0
-    descend = _newton_levels if _newton_pays(levels) else _bisect_levels
+    descend = _newton_levels if levels >= _NEWTON_LEVELS else _bisect_levels
     a, den = descend(cs, a, den, width, s_hi, levels)
     points = [(Fraction(r).numerator, Fraction(r).denominator) for r in exclude]
     while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):
@@ -677,26 +646,24 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
     max_width = Fraction(1, 10 ** precision)
 
     # The first pass identifies every positive root of the square-free part
-    # sf.  Rational ones are divided out and the quotient irr is isolated
-    # again from its own Cauchy bound, so that no bisection point is a root.
+    # sf; identification refines past max_width, so it is skipped when a
+    # prime shows that no root is rational.
     sf = irr = IntPolynomial(chain[0])
-    rationals: list[Fraction] = []
-    while True:
+    cells = _isolate_cells(chain, Fraction(0), cauchy_root_bound(sf)) if sf.degree >= 1 else []
+    if not (cells and abs(sf.coeffs[-1]) > max_width.denominator
+            and _no_rational_root(sf.coeffs)):
+        cells = [_identify(sf, lo, hi, max_width) for lo, hi in cells]
+    rationals = [r for r in cells if isinstance(r, Fraction)]
+    # The second pass divides the rationals out and isolates the quotient irr
+    # again from its own Cauchy bound, so that no bisection point is a root.
+    if rationals:
+        for r in rationals:
+            irr = deflate_linear(irr, r)[0]
         cells = _isolate_cells(chain, Fraction(0), cauchy_root_bound(irr), rationals) \
             if irr.degree >= 1 else []
-        # identification refines past max_width: skip it if no root can be rational
-        if not rationals and not (cells and abs(sf.coeffs[-1]) > max_width.denominator
-                                  and _no_rational_root(sf.coeffs)):
-            cells = [_identify(sf, lo, hi, max_width) for lo, hi in cells]
-            rationals = [r for r in cells if isinstance(r, Fraction)]
-            if rationals:
-                for r in rationals:
-                    irr = deflate_linear(irr, r)[0]
-                continue
-        # closures must also avoid a root at 0, which is not a root of irr
-        avoid = rationals + [Fraction(0)] if k else rationals
-        intervals = [refine_interval(irr, lo, hi, max_width, avoid) for lo, hi in cells]
-        break
+    # closures must also avoid a root at 0, which is not a root of irr
+    avoid = rationals + [Fraction(0)] if k else rationals
+    intervals = [refine_interval(irr, lo, hi, max_width, avoid) for lo, hi in cells]
 
     # separate closures of adjacent cells (they may share an endpoint)
     changed = True

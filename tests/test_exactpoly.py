@@ -210,6 +210,9 @@ def test_sturm_one_unbounded_side_beyond_the_cauchy_bound():
     assert sturm_count(p, None, 10 ** 6) == 3
     assert sturm_count(p, F(5, 2), None) == 1
     assert sturm_count(p, None, F(5, 2)) == 2
+    # a constant has no root and no Cauchy bound
+    assert sturm_count(intpoly([-7]), None, None) == 0
+    assert sturm_count(intpoly([7]), 0, None) == 0
 
 
 def test_sturm_rejects_float_endpoints():
@@ -217,6 +220,8 @@ def test_sturm_rejects_float_endpoints():
         sturm_count(G19, 0.5, None)
     with pytest.raises(TypeError):
         sturm_count(G19, None, 2.0)
+    with pytest.raises(TypeError):
+        sturm_count(G19, float("-inf"), float("inf"))
 
 
 def test_cauchy_bound_dominates_roots():
