@@ -13,6 +13,8 @@ ray), and classifies the surviving roots:
 * irrational root -> irregular CSC ray,
 * b = 1 for w = (1,1) -> the regular ray.
 
+No reported isolating interval's closure contains w2/w1.
+
 For w = (1,1) the coefficient vector is palindromic, so roots come in
 reciprocal pairs {b, 1/b}; each pair is one ray of the reduced cone and is
 counted once in ``reduced_count``.  For w1 > w2 no identification happens
@@ -248,16 +250,16 @@ def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
     else:
         params, quotient, k = params
     roots = isolate_positive_roots(quotient, precision) if quotient.degree >= 1 else []
+    forced = Fraction(params.w2, params.w1)
+    roots = [_interval_avoiding(quotient, rec, forced) for rec in roots]
 
     if params.w1 > params.w2:
         rays = tuple(Ray(rec, "quasi-regular" if rec.is_rational else "irregular")
                      for rec in roots)
         return RayReport(rays, len(rays), len(rays), weyl_paired=False)
 
-    one = Fraction(1)
-    roots = [_interval_avoiding(quotient, rec, one) for rec in roots]
     pairs = _reciprocal_pairs(quotient, roots)
-    regular = Ray(RootRecord(one, k, True), "regular")
+    regular = Ray(RootRecord(forced, k, True), "regular")
     rays = [Ray(rec, "quasi-regular" if rec.is_rational else "irregular")
             for rec in roots]
     rays.append(regular)

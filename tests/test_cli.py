@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 from sasakijoin import cli
 from sasakijoin.cscrays import InternalInvariantError
@@ -406,3 +407,23 @@ def test_mixed_weight_reports_match_pinned_bytes(capsys):
         code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+# sha256 of `csc ... --json` stdout once no interval's closure may hold the
+# forced root w2/w1; before that the middle interval of each held 1/2
+PINNED_CSC_FORCED_ROOT = [
+    ("-p 1 -l1 1 -l2 37 -w 2,1 --precision 1",
+     "538cd995aa259dea17967b0fecf3e669ceb0e76d44f41d3c73afea8631dfd002"),
+    ("-p 1 -l1 1 -l2 10000000000001 -w 2,1",
+     "cce6018053765c26adce80ea8d39d0cc2283256f7ee4efa365ea41daec5965d0"),
+]
+
+
+def test_mixed_weight_closures_avoid_the_forced_root(capsys):
+    for flags, digest in PINNED_CSC_FORCED_ROOT:
+        code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+        for ray in json.loads(out)["payload"]["rays"]:
+            lo, hi = (Fraction(ray["interval"][end]) for end in ("lo", "hi"))
+            assert not lo <= Fraction(1, 2) <= hi, flags

@@ -391,3 +391,34 @@ def test_interval_avoiding_halves_until_the_point_leaves_the_closure():
     record = RootRecord(RationalInterval(F(4, 5), F(1)), 1, False)
     moved = _interval_avoiding(poly, record, F(1))
     assert moved == RootRecord(RationalInterval(F(4, 5), F(9, 10)), 1, False)
+
+
+def _closure_holds(ray, point):
+    rec = ray.record
+    return not rec.is_rational and rec.value.lo <= point <= rec.value.hi
+
+
+def test_no_closure_holds_the_forced_root():
+    # as l2/l1 grows one root of the quotient approaches w2/w1
+    weights = ((1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (5, 3))
+    for w1, w2 in weights:
+        forced = F(w2, w1)
+        for p in (1, 2, 3):
+            for l1 in (1, 2, 3):
+                for l2 in range(1, 60):
+                    try:
+                        params = JoinParams(p, l1, l2, w1, w2)
+                    except ParameterError:
+                        continue
+                    for precision in (1, 2, 3):
+                        report = csc_rays(params, precision)
+                        assert not any(_closure_holds(ray, forced) for ray in report.rays), \
+                            (params, precision)
+            for e in range(9, 16):
+                for l2 in range(10 ** e + 1, 10 ** e + 8):
+                    try:
+                        params = JoinParams(p, 1, l2, w1, w2)
+                    except ParameterError:
+                        continue
+                    report = csc_rays(params)
+                    assert not any(_closure_holds(ray, forced) for ray in report.rays), params
