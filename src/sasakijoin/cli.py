@@ -397,12 +397,12 @@ def _sweep_request(args) -> dict:
 
 
 def _csc_sweep_row(task) -> dict:
-    p, l1, w1, w2, l2, precision = task
+    p, l1, w1, w2, l2 = task
     try:
         params = JoinParams(p, l1, l2, w1, w2)
     except ParameterError as exc:
         return {"l2": l2, "valid": False, "constraint": exc.constraint}
-    report = csc_rays(params, precision)
+    report = csc_rays(params)
     return {"l2": l2, "valid": True,
             "unreduced": report.unreduced_count,
             "reduced": report.reduced_count}
@@ -419,7 +419,7 @@ def _sweep_csc(args):
     w1, w2 = args.w
     # l2 = 1 is coprime to everything, so this checks every rule not involving l2
     JoinParams(args.p, args.l1, 1, w1, w2)
-    tasks = [(args.p, args.l1, w1, w2, l2, args.precision) for l2 in l2_values]
+    tasks = [(args.p, args.l1, w1, w2, l2) for l2 in l2_values]
     jobs = args.jobs
     usable = min(os.cpu_count() or 1, len(tasks))
     if jobs > usable:

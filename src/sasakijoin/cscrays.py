@@ -276,8 +276,7 @@ def maximal_ray_count(w1: int, w2: int) -> int:
     return 2 if w1 == w2 else 3
 
 
-def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int,
-                        precision: int = 12):
+def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int):
     """Smallest valid l2 <= search_bound whose ray count is maximal.
 
     Maximal means 3 unreduced rays for w1 > w2 and 2 reduced rays for
@@ -293,7 +292,7 @@ def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int,
             params = JoinParams(p, l1, l2, w1, w2)
         except ParameterError:
             continue
-        if csc_rays(params, precision).reduced_count == maximal_ray_count(w1, w2):
+        if csc_rays(params).reduced_count == maximal_ray_count(w1, w2):
             return l2
     return None
 

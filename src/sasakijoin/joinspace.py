@@ -90,10 +90,6 @@ class JoinParams:
     def dim(self) -> int:
         return 2 * self.p + 3
 
-    @property
-    def w(self) -> tuple[int, int]:
-        return (self.w1, self.w2)
-
 
 def validate(p, l1, l2, w1, w2) -> JoinParams:
     """Validate raw integers into a :class:`JoinParams` or raise ParameterError."""
