@@ -371,11 +371,12 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
         raise ValueError("lo < hi required")
     if poly.degree == 0:
         return 0
-    # past every root and the other endpoint the count is the one at infinity
-    far = cauchy_root_bound(poly) + abs(a or 0) + abs(b or 0)
+    if a is None or b is None:
+        # past every root and the other endpoint the count is the one at infinity
+        far = cauchy_root_bound(poly) + abs(a or 0) + abs(b or 0)
+        a, b = (-far if a is None else a), (far if b is None else b)
     chain = _sturm_chain(primitive_part(poly))
-    return _variation_count(chain, -far if a is None else a) - \
-        _variation_count(chain, far if b is None else b)
+    return _variation_count(chain, a) - _variation_count(chain, b)
 
 
 def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
