@@ -400,25 +400,16 @@ def _closure_holds(ray, point):
 
 def test_no_closure_holds_the_forced_root():
     # as l2/l1 grows one root of the quotient approaches w2/w1
-    weights = ((1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (5, 3))
-    for w1, w2 in weights:
-        forced = F(w2, w1)
-        for p in (1, 2, 3):
-            for l1 in (1, 2, 3):
-                for l2 in range(1, 60):
-                    try:
-                        params = JoinParams(p, l1, l2, w1, w2)
-                    except ParameterError:
-                        continue
-                    for precision in (1, 2, 3):
-                        report = csc_rays(params, precision)
-                        assert not any(_closure_holds(ray, forced) for ray in report.rays), \
-                            (params, precision)
-            for e in range(9, 16):
-                for l2 in range(10 ** e + 1, 10 ** e + 8):
-                    try:
-                        params = JoinParams(p, 1, l2, w1, w2)
-                    except ParameterError:
-                        continue
-                    report = csc_rays(params)
-                    assert not any(_closure_holds(ray, forced) for ray in report.rays), params
+    small = [(p, l1, l2, precision) for p in (1, 2, 3) for l1 in (1, 2, 3)
+             for l2 in range(1, 40) for precision in (1, 2, 3)]
+    large = [(p, 1, l2, 12) for p in (1, 2, 3) for e in range(9, 16)
+             for l2 in range(10 ** e + 1, 10 ** e + 8)]
+    for w1, w2 in ((1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2), (5, 3)):
+        for p, l1, l2, precision in small + large:
+            try:
+                params = JoinParams(p, l1, l2, w1, w2)
+            except ParameterError:
+                continue
+            report = csc_rays(params, precision)
+            assert not any(_closure_holds(ray, F(w2, w1)) for ray in report.rays), \
+                (params, precision)
