@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 import oracles
+from sasakijoin import cscrays
 from sasakijoin.cscrays import (
     InternalInvariantError,
     _interval_avoiding,
@@ -383,6 +384,26 @@ def test_pairing_with_interval_reaching_zero():
     assert report.unreduced_count == 3 and report.reduced_count == 2
     low = report.rays[0].record.value
     assert low.lo == 0 and low.width <= F(1, 10)
+
+
+def _interval(lo, hi):
+    return RootRecord(RationalInterval(lo, hi), 1, False)
+
+
+# The quotient of (1,1,6,1,1) is -b^2 + 3b - 1, with roots (3 -+ sqrt(5))/2,
+# about 0.382 and 2.618; each case hands csc_rays records that break pairing.
+@pytest.mark.parametrize("records, message", [
+    ([RootRecord(F(1, 2), 1, True)], "balance"),
+    ([RootRecord(F(1, 2), 1, True), _interval(F(2), F(3))], "rationality"),
+    ([RootRecord(F(1, 2), 1, True), RootRecord(F(3), 1, True)], "not reciprocal"),
+    ([_interval(F(1, 4), F(1, 3)), _interval(F(5), F(6))], "fails to isolate"),
+    # (1/3, 2/5] inverts to [5/2, 3), which meets (11/4, 4] only past 2.618
+    ([_interval(F(1, 3), F(2, 5)), _interval(F(11, 4), F(4))], "fails to isolate"),
+], ids=["unpartnered", "rationality", "rationals", "disjoint", "rootless-overlap"])
+def test_pairing_certificate_rejects_broken_records(monkeypatch, records, message):
+    monkeypatch.setattr(cscrays, "isolate_positive_roots", lambda poly, precision: records)
+    with pytest.raises(InternalInvariantError, match=message):
+        csc_rays(JoinParams(1, 1, 6, 1, 1))
 
 
 def test_interval_avoiding_halves_until_the_point_leaves_the_closure():
