@@ -101,9 +101,10 @@ class Ray:
 class RayReport:
     """CSC verdict for one parameter tuple.
 
-    ``unreduced_count`` counts distinct CSC values of b; ``reduced_count``
-    counts rays of the reduced cone, where for w = (1,1) the reciprocal
-    pair {b, 1/b} collapses to a single ray (``weyl_paired`` is True).
+    Both counts follow from ``rays``.  ``unreduced_count`` counts distinct CSC
+    values of b, one per ray; ``reduced_count`` counts rays of the reduced
+    cone, where for w = (1,1) the reciprocal pair {b, 1/b} collapses to a
+    single ray (``weyl_paired`` is True).
     """
 
     rays: tuple[Ray, ...]
@@ -205,16 +206,15 @@ def _interval_avoiding(poly: IntPolynomial, record: RootRecord, point: Fraction)
     return RootRecord(RationalInterval(lo, hi), record.multiplicity, record.is_rational)
 
 
-def _reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> int:
-    """Count reciprocal pairs {b, 1/b} among the records, verifying each match.
+def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> None:
+    """Verify that the records pair up as reciprocals {b, 1/b}.
 
-    ``records`` are the isolated roots of ``poly`` with 1 excluded; for the
-    palindromic homogeneous polynomial every root below 1 must pair with its
-    exact inverse above 1.
+    ``records`` are the isolated roots of ``poly`` in ascending order, with 1
+    excluded; for the palindromic homogeneous polynomial every root below 1
+    must pair with its exact inverse above 1.
     """
-    below = sorted((r for r in records if r.position < 1), key=lambda r: r.position)
-    above = sorted((r for r in records if r.position > 1), key=lambda r: r.position,
-                   reverse=True)
+    below = [r for r in records if r.position < 1]
+    above = [r for r in reversed(records) if r.position > 1]
     if len(below) != len(above):
         raise InternalInvariantError("roots of the homogeneous ray polynomial "
                                      "must balance around b = 1")
@@ -234,7 +234,6 @@ def _reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> int:
             if not a < b or sturm_count(poly, a, b) != 1:
                 raise InternalInvariantError(
                     "inverted isolating interval fails to isolate the partner root")
-    return len(below)
 
 
 def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
@@ -243,28 +242,23 @@ def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
 
     ``params`` is a :class:`JoinParams`, or ``(params, quotient, k)`` when the
     caller has already built the ray polynomial and deflated it with
-    :func:`deflate_forbidden`.
+    :func:`deflate_forbidden`.  The counts of the report follow from its rays.
     """
     if isinstance(params, JoinParams):
         quotient, k = deflate_forbidden(csc_polynomial(params))
     else:
         params, quotient, k = params
-    roots = isolate_positive_roots(quotient, precision) if quotient.degree >= 1 else []
     forced = Fraction(params.w2, params.w1)
-    roots = [_interval_avoiding(quotient, rec, forced) for rec in roots]
-
-    if params.w1 > params.w2:
-        rays = tuple(Ray(rec, "quasi-regular" if rec.is_rational else "irregular")
-                     for rec in roots)
-        return RayReport(rays, len(rays), len(rays), weyl_paired=False)
-
-    pairs = _reciprocal_pairs(quotient, roots)
-    regular = Ray(RootRecord(forced, k, True), "regular")
-    rays = [Ray(rec, "quasi-regular" if rec.is_rational else "irregular")
-            for rec in roots]
-    rays.append(regular)
-    rays.sort(key=lambda ray: ray.record.position)
-    return RayReport(tuple(rays), 1 + len(roots), 1 + pairs, weyl_paired=True)
+    records = [_interval_avoiding(quotient, rec, forced)
+               for rec in isolate_positive_roots(quotient, precision)]
+    rays = [Ray(rec, "quasi-regular" if rec.is_rational else "irregular") for rec in records]
+    paired = params.w1 == params.w2
+    if paired:
+        _check_reciprocal_pairs(quotient, records)
+        # the records balance around b = 1, so the regular ray sits in the middle
+        rays.insert(len(rays) // 2, Ray(RootRecord(forced, k, True), "regular"))
+    reduced = (len(rays) + 1) // 2 if paired else len(rays)
+    return RayReport(tuple(rays), len(rays), reduced, weyl_paired=paired)
 
 
 def maximal_ray_count(w1: int, w2: int) -> int:
@@ -306,9 +300,8 @@ def quasireg_family(p: int) -> tuple[int, int]:
     """
     if p < 1:
         raise ParameterError("p >= 1", "p must be positive")
+    # for p >= 1 neither vanishes: A/2 and B are odd
     a = 2 * (1 + 2 ** p * (2 ** (p + 2) - (p * p + 2 * p + 5)))
     b = -1 + 2 ** (p + 1) * (2 ** (p + 2) - (2 * p + 3))
-    if a == 0 or b == 0:
-        raise ValueError(f"degenerate coefficient in the quasi-regular family: A={a}, B={b}")
     g = gcd(a, b)
     return a // g, b // g

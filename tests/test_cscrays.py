@@ -386,6 +386,14 @@ def test_pairing_with_interval_reaching_zero():
     assert low.lo == 0 and low.width <= F(1, 10)
 
 
+@pytest.mark.parametrize("l2", [5, 6])
+@pytest.mark.parametrize("precision", [0, 1001])
+def test_precision_checked_even_for_a_constant_quotient(l2, precision):
+    # at l2 = 5 the ray polynomial is -(b-1)^6 and the quotient is constant
+    with pytest.raises(ValueError, match="precision"):
+        csc_rays(JoinParams(1, 1, l2, 1, 1), precision)
+
+
 def _interval(lo, hi):
     return RootRecord(RationalInterval(lo, hi), 1, False)
 
