@@ -166,7 +166,10 @@ def _param_tuple(text: str) -> tuple[int, int, int, int]:
 
 
 def _precision(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # out of range, so it gets the same message
     if not 1 <= value <= 1000:
         raise argparse.ArgumentTypeError("precision must be between 1 and 1000")
     return value

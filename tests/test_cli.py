@@ -254,6 +254,14 @@ def test_precision_flag_bounds(capsys):
     assert report["payload"]["rays"][1]["approx"] == "0.3333"
 
 
+def test_precision_flag_rejects_non_integers_with_the_range(capsys):
+    code, _, err = run_cli(capsys, ["csc", "-p", "1", "-l1", "1", "-l2", "19",
+                                    "-w", "3,2", "--precision", "abc"])
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        "sasakijoin csc: error: argument --precision: precision must be between 1 and 1000")
+
+
 def test_rationals_serialize_as_fraction_strings(capsys):
     report = run_json(capsys, ["csc", "-p", "1", "-l1", "2", "-l2", "11",
                                "-w", "1,1"])
