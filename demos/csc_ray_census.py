@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from sasakijoin import (
     JoinParams,
+    ParameterError,
     csc_polynomial,
     csc_rays,
     deflate_forbidden,
@@ -48,7 +49,7 @@ print("l2:", end=" ")
 for l2 in range(1, 31):
     try:
         p = JoinParams(1, 1, l2, 3, 2)
-    except Exception:
+    except ParameterError:
         continue
     n = csc_rays(p, precision=4).unreduced_count
     print(f"{l2}->{n}", end="  ")
