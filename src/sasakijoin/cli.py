@@ -167,12 +167,11 @@ def _param_tuple(text: str) -> tuple[int, int, int, int]:
 
 def _precision(text: str) -> int:
     try:
-        value = int(text)
+        if 1 <= (value := int(text)) <= 1000:
+            return value
     except ValueError:
-        value = 0  # out of range, so it gets the same message
-    if not 1 <= value <= 1000:
-        raise argparse.ArgumentTypeError("precision must be between 1 and 1000")
-    return value
+        pass
+    raise argparse.ArgumentTypeError("precision must be between 1 and 1000")
 
 
 def _l2_range(text: str) -> list[int]:
