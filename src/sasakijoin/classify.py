@@ -92,11 +92,11 @@ def ks_moduli(l1: int) -> tuple[int, int]:
     Homeomorphism: 2*l1^2 when l1 is odd or divisible by 4, else l1^2.
     Diffeomorphism: 2^lambda2 * 7^lambda7 * l1^2.
     """
-    lam = lambda_exponents(l1)
     if l1 % 2 == 1 or l1 % 4 == 0:
         homeo = 2 * l1 ** 2
     else:
         homeo = l1 ** 2
+    lam = lambda_exponents(l1)  # rejects l1 < 1
     return homeo, 2 ** lam.lambda2 * 7 ** lam.lambda7 * l1 ** 2
 
 
