@@ -435,3 +435,98 @@ def test_mixed_weight_closures_avoid_the_forced_root(capsys):
         for ray in json.loads(out)["payload"]["rays"]:
             lo, hi = (Fraction(ray["interval"][end]) for end in ("lo", "hi"))
             assert not lo <= Fraction(1, 2) <= hi, flags
+
+
+# sha256 of `sweep csc ...` stdout, computed with one csc_rays call per row:
+# families whose l2 range straddles the three-ray threshold t*, for p = 3, 7
+# and 20, w = (2,1), (5,3) and (1,1), l1 = 1 and 4, and two w = (1,1) ranges
+# through t = t* exactly, (3,2,3,1,1) and (2,3,7,1,1)
+PINNED_SWEEP_CSC = [
+    ("-p 3 -l1 1 -w 2,1 --l2 1..8 --json",
+     "1e9ac4c20ea998ce4105d1d45ad6c33ea49bd684e5f8e73c4489a472f843fa47"),
+    ("-p 3 -l1 1 -w 2,1 --l2 1..8 --csv",
+     "7352f7ab7c1d2e912457c65d76de09021801d15fe1d4979fed489d4419e13ff3"),
+    ("-p 3 -l1 4 -w 2,1 --l2 10..22 --json",
+     "42726dc0e6016040aca89882b027659613df3658b3f6ae9eb42fa8cf1c23847c"),
+    ("-p 3 -l1 4 -w 2,1 --l2 10..22 --csv",
+     "d186d807bbe1b3a9d538383fde6ca678e015fcfdcdc6dd83df0fbaa54856fc73"),
+    ("-p 3 -l1 1 -w 5,3 --l2 5..14 --json",
+     "aa8dfa6b0ce557f6cc912229d604c2d265d8a1cf66c4a4dfc18ed5f9591e9a44"),
+    ("-p 3 -l1 1 -w 5,3 --l2 5..14 --csv",
+     "de3e1cdbccf85fdcdbc3b73c5df66269ab57fadae084631c767c06e34e9d36c9"),
+    ("-p 3 -l1 4 -w 5,3 --l2 32..44 --json",
+     "7eab35bdcda60c043170d963a7da39e0b23ed3540d7079fe46f83920365ab5db"),
+    ("-p 3 -l1 4 -w 5,3 --l2 32..44 --csv",
+     "4c094286a295bebdc12dfe979790095ea5b71e473fab35b69e72f9ea02f69945"),
+    ("-p 3 -l1 1 -w 1,1 --l2 1..4 --json",
+     "0818b46208b8025700707ec70bdca8fd4cc60c772d03eef5861629a8aed40c20"),
+    ("-p 3 -l1 1 -w 1,1 --l2 1..4 --csv",
+     "993ea793f2ec7cf1adbc6d23a680f098942f6444107d775b557da031e9c98caf"),
+    ("-p 3 -l1 4 -w 1,1 --l2 3..9 --json",
+     "80b865faaa4f0095148f0e69bba4eb22481ae5bfdc0b5d8acf3f70aa6ddedd38"),
+    ("-p 3 -l1 4 -w 1,1 --l2 3..9 --csv",
+     "5066aa1e4c859bb0d4c4b9f2b36daf6f989d4e99dbdbdee701da65dbcc0a847a"),
+    ("-p 7 -l1 1 -w 2,1 --l2 1..4 --json",
+     "f9711f4dbb9288d175e82267f098d62c02d2256b5f731081b9369371f8f60b75"),
+    ("-p 7 -l1 1 -w 2,1 --l2 1..4 --csv",
+     "9751ea4709a3ffa19df8967752759b882d2a0172d5a00a76ead90bdb5eb0ea12"),
+    ("-p 7 -l1 4 -w 2,1 --l2 2..10 --json",
+     "70a4c189572520391fda6d98d7b5452a228b286f849595f3ed0079bceff0ce03"),
+    ("-p 7 -l1 4 -w 2,1 --l2 2..10 --csv",
+     "ea8163e7486d2dba5781858c249bf0f92f40f8168cb2577e0c60d78951e45afb"),
+    ("-p 7 -l1 1 -w 5,3 --l2 1..7 --json",
+     "6bb6be4011de2d34f78e98de6d18bf40251d2828e9a13abf4b45b79e45aa5994"),
+    ("-p 7 -l1 1 -w 5,3 --l2 1..7 --csv",
+     "ddf3e0832a6238dc89df3ddb5faacc34291ebc9d99713736aeb84ed4bfa31bff"),
+    ("-p 7 -l1 4 -w 5,3 --l2 10..20 --json",
+     "3e7180c47ba3b444ec6fdfdd0a62b45f494df71298a791b38ffd53501534376d"),
+    ("-p 7 -l1 4 -w 5,3 --l2 10..20 --csv",
+     "1e585348861cb07b360bb1423a37858c9ab4f29fcd3e561c35d6fbafa9e33187"),
+    ("-p 7 -l1 1 -w 1,1 --l2 1..3 --json",
+     "422947a5103e9d3fdc304d329643bfbd324803719a755fde76426a10af2cadde"),
+    ("-p 7 -l1 1 -w 1,1 --l2 1..3 --csv",
+     "ce955b6628353351f375fb24c5520682d52fcb6aca9887e2a694cf9694944734"),
+    ("-p 7 -l1 4 -w 1,1 --l2 1..5 --json",
+     "d7ba52f5d8eaccc46e6ebcb3441ff62971c2821b675db80f7cc6f9ca2d6db709"),
+    ("-p 7 -l1 4 -w 1,1 --l2 1..5 --csv",
+     "a78d4e2106e220714683aa01fc0d3f27c207d8cd0ff280b52821e20cde8a095c"),
+    ("-p 20 -l1 1 -w 2,1 --l2 1..3 --json",
+     "93b98543610f9a3e57c003dab3e117d349abf696da32ca021dcbe3920af43254"),
+    ("-p 20 -l1 1 -w 2,1 --l2 1..3 --csv",
+     "45600d5621801154d79e2e3cd04ef7fa59f94b2f6fdfe33ed8656a575f8994a6"),
+    ("-p 20 -l1 4 -w 2,1 --l2 1..5 --json",
+     "dce9260ed53ac7ff57c9e340e976b35844af1a8a380c6e0acfc8a76518d5cea6"),
+    ("-p 20 -l1 4 -w 2,1 --l2 1..5 --csv",
+     "e4f9c3eb0091b3c00fd84a773c4e33f435614ea3154dd993bf86b4bac909523b"),
+    ("-p 20 -l1 1 -w 5,3 --l2 1..4 --json",
+     "f8b2082fbe635800c299f85da7a1723c295faa4dc66ae8013fcf98b482a2784d"),
+    ("-p 20 -l1 1 -w 5,3 --l2 1..4 --csv",
+     "575789193a7d9c711ead2095f66b58c106cf7cb1cf28a11935f42d6b3b0111f9"),
+    ("-p 20 -l1 4 -w 5,3 --l2 1..9 --json",
+     "4226a93aeb203773f5aa1105f25549c27610b83c03243e4128eddae797c20ed0"),
+    ("-p 20 -l1 4 -w 5,3 --l2 1..9 --csv",
+     "18868277015e55bcf239b6821de885c57d4442ad7fe7aa21f12fba4361ffa300"),
+    ("-p 20 -l1 1 -w 1,1 --l2 1..3 --json",
+     "67f85248fa8110c0413a584bcf942ec948496e5b6f717b5d96e11ab24690d1a2"),
+    ("-p 20 -l1 1 -w 1,1 --l2 1..3 --csv",
+     "ce955b6628353351f375fb24c5520682d52fcb6aca9887e2a694cf9694944734"),
+    ("-p 20 -l1 4 -w 1,1 --l2 1..3 --json",
+     "a10213503dd3b4b003fdff6fdc9739cef96dc1ffa4b8448c7268346a87394049"),
+    ("-p 20 -l1 4 -w 1,1 --l2 1..3 --csv",
+     "0123c348c8598d8ac0824a2120e9510b23c957b4e3f2b240e8580dedfb96383f"),
+    ("-p 3 -l1 2 -w 1,1 --l2 1..8 --json",
+     "7de7433ceed50d2cf3cd482e2771bf1a7fd7f9f96f533ed5f777885d21c7d172"),
+    ("-p 3 -l1 2 -w 1,1 --l2 1..8 --csv",
+     "7eecc05637f615daecaaa3934015920a3bcf07e213c471f7a18e45ffa85162dd"),
+    ("-p 2 -l1 3 -w 1,1 --l2 5..9 --json",
+     "f80a29594fdcac5ab2cba512c9871cfb4716aa4822ac39308ad89da39da05d90"),
+    ("-p 2 -l1 3 -w 1,1 --l2 5..9 --csv",
+     "5ef5cc4adbf35ebd03ef56f50f7f590b61ac5260d8b38835c270056b889d8ee8"),
+]
+
+
+def test_sweep_reports_match_pinned_bytes(capsys):
+    for flags, digest in PINNED_SWEEP_CSC:
+        code, out, err = run_cli(capsys, ["sweep", "csc", *flags.split()])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
