@@ -21,6 +21,10 @@ the quotient isolated again, so no bisection point is a root and every
 reported interval has non-root rational endpoints.  Cells are refined by
 bisection or, when deep, by Newton steps certified by exact signs; both
 reach the same dyadic cell.
+
+A Taylor shift by 1 and Descartes' rule of signs on Moebius-mapped
+intervals certify, without a remainder sequence, that an interval holds no
+root or exactly one simple root.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ __all__ = [
     "squarefree_decompose",
     "sturm_count",
     "sign_variations",
+    "taylor_shift",
+    "descartes_count",
     "cauchy_root_bound",
     "deflate_linear",
     "rational_roots",
@@ -292,12 +298,14 @@ def squarefree_decompose(poly: IntPolynomial) -> list[tuple[IntPolynomial, int]]
     p = _normalized(poly)
     if p.degree == 0:
         return []
-    dp = poly_derivative(p)
-    g = poly_gcd(p, dp)
-    if g.degree == 0:
-        return [(p, 1)]
+    g = poly_gcd(p, poly_derivative(p))
+    return [(p, 1)] if g.degree == 0 else _yun(p, g)
+
+
+def _yun(p: IntPolynomial, g: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """Yun's loop for a normalized p, given g = gcd(p, p') of positive degree."""
     c = poly_exact_div(p, g)
-    d = poly_sub(poly_exact_div(dp, g), poly_derivative(c))
+    d = poly_sub(poly_exact_div(poly_derivative(p), g), poly_derivative(c))
     out: list[tuple[IntPolynomial, int]] = []
     i = 1
     while c.degree > 0:
@@ -377,6 +385,50 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
         a, b = (-far if a is None else a), (far if b is None else b)
     chain = _sturm_chain(primitive_part(poly))
     return _variation_count(chain, a) - _variation_count(chain, b)
+
+
+def _taylor_shift(cs) -> list[int]:
+    """Coefficients of f(x + 1) for the coefficients cs of f, lowest first."""
+    a = list(cs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _scaled(cs, s: Fraction) -> list[int]:
+    """Coefficients of den**n * f(s*x) for the rational s = num/den > 0."""
+    n = len(cs) - 1
+    return [c * s.numerator ** i * s.denominator ** (n - i) for i, c in enumerate(cs)]
+
+
+def taylor_shift(poly: IntPolynomial) -> IntPolynomial:
+    """poly(x + 1), by n(n+1)/2 integer additions."""
+    return IntPolynomial(tuple(_taylor_shift(poly.coeffs)))
+
+
+def descartes_count(poly: IntPolynomial, lo, hi=None) -> int:
+    """Sign variations of (1+x)**n * poly((lo + hi*x)/(1 + x)), the image of
+    the open interval (lo, hi) under the Moebius map onto (0, oo).
+
+    By Descartes' rule this bounds the number of roots in (lo, hi), counted
+    with multiplicity, and has the same parity: 0 proves there is none and
+    1 that there is exactly one, a simple one.  hi = None means an unbounded
+    interval; 0 <= lo < hi is required.
+    """
+    if poly.is_zero:
+        raise ValueError("root counting needs a nonzero polynomial")
+    lo = Fraction(lo)
+    if lo < 0 or hi is not None and not lo < hi:
+        raise ValueError("0 <= lo < hi required")
+    cs = poly.coeffs
+    if lo:
+        cs = _taylor_shift(_scaled(cs, lo))         # poly(lo*(1 + x))
+    if hi is None:
+        return sign_variations(cs)
+    cs = _scaled(cs, (hi - lo) / lo if lo else Fraction(hi))  # poly(lo + (hi-lo)*x)
+    # x -> 1/x then x -> x + 1 carries (0, 1) onto (0, oo)
+    return sign_variations(_taylor_shift(cs[::-1]))
 
 
 def cauchy_root_bound(poly: IntPolynomial) -> Fraction:
@@ -586,13 +638,19 @@ def _identify(sf: IntPolynomial, lo: Fraction, hi: Fraction, max_width: Fraction
 def _squarefree_setup(poly: IntPolynomial):
     """(k, chain, factors) for a nonzero poly = x**k * p0 up to a constant:
     the Sturm chain of the square-free part of p0 and the Yun factors of p0
-    (p0 itself when it is square-free)."""
+    (p0 itself when it is square-free).
+
+    The chain is headed by p0 / gcd(p0, p0'), so Yun starts from the gcd
+    that one exact division recovers.
+    """
     cs = primitive_part(poly).coeffs
     k = next(i for i, c in enumerate(cs) if c)
     p0 = IntPolynomial(cs[k:])
     chain = _sturm_chain(p0)
-    factors = [(p0, 1)] if chain[0] == p0.coeffs else squarefree_decompose(p0)
-    return k, chain, factors
+    if chain[0] == p0.coeffs:
+        return k, chain, [(p0, 1)]
+    p = _normalized(p0)
+    return k, chain, _yun(p, _normalized(poly_exact_div(p, IntPolynomial(chain[0]))))
 
 
 def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:

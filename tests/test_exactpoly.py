@@ -11,8 +11,10 @@ import oracles
 from sasakijoin.exactpoly import (
     IntPolynomial,
     _no_rational_root,
+    _squarefree_setup,
     cauchy_root_bound,
     cubic_discriminant,
+    descartes_count,
     intpoly,
     isolate_positive_roots,
     poly_derivative,
@@ -25,6 +27,7 @@ from sasakijoin.exactpoly import (
     sign_variations,
     squarefree_decompose,
     sturm_count,
+    taylor_shift,
 )
 from sasakijoin.cscrays import csc_polynomial
 from sasakijoin.joinspace import JoinParams
@@ -168,6 +171,69 @@ def test_squarefree_reconstruction_randoms():
         for fac, _ in dec:
             assert fac.coeffs[-1] > 0
             assert primitive_part(fac) == fac
+
+
+def test_squarefree_setup_starts_yun_from_the_chain_gcd():
+    rng = random.Random(37)
+    cases = [csc_polynomial(JoinParams(1, 2, 11, 1, 1)).poly,
+             csc_polynomial(JoinParams(1, 1, 5, 1, 1)).poly,
+             poly_mul(intpoly([0, 0, 1]), intpoly([-2, 1, 1]))]
+    for _ in range(100):
+        a, b, c = random_poly(rng, 3, 8), random_poly(rng, 3, 6), random_poly(rng, 2, 5)
+        cases.append(poly_mul(poly_mul(poly_mul(a, a), b), poly_mul(c, poly_mul(c, c))))
+    repeated = 0
+    for poly in cases:
+        cs = primitive_part(poly).coeffs
+        p0 = IntPolynomial(cs[next(i for i, c in enumerate(cs) if c):])
+        _, chain, factors = _squarefree_setup(poly)
+        if chain[0] != p0.coeffs:
+            repeated += 1
+            assert factors == squarefree_decompose(p0), poly
+    assert repeated >= 100
+
+
+# ----------------------------------------------------------------------
+# Taylor shift and Descartes counts
+
+def test_taylor_shift_is_a_shift_by_one():
+    rng = random.Random(41)
+    for _ in range(100):
+        p = random_poly(rng, 9, 40)
+        shifted = taylor_shift(p)
+        for x in (F(0), F(-3, 2), F(7, 5)):
+            assert poly_eval(shifted, x) == poly_eval(p, x + 1)
+    assert taylor_shift(intpoly([])) == intpoly([])
+
+
+def test_descartes_count_examples():
+    cubic = intpoly([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
+    assert descartes_count(cubic, 0) == 3
+    assert descartes_count(cubic, 0, F(3, 2)) == 1
+    assert descartes_count(cubic, F(3, 2), 4) == 2
+    assert descartes_count(cubic, 4) == 0
+    assert descartes_count(cubic, 1, 2) == 0      # roots at the ends are outside
+    assert descartes_count(intpoly([1, 0, 1]), 0) == 0
+    for lo, hi in ((-1, 2), (2, 2), (3, 2)):
+        with pytest.raises(ValueError):
+            descartes_count(cubic, lo, hi)
+    with pytest.raises(ValueError):
+        descartes_count(intpoly([]), 0)
+
+
+def test_descartes_count_bounds_the_roots_with_their_parity():
+    rng = random.Random(43)
+    for _ in range(400):
+        p = random_poly(rng, 8, 9)
+        lo = F(rng.randint(0, 20), rng.randint(1, 5))
+        hi = None if rng.random() < 0.3 else lo + F(rng.randint(1, 20), rng.randint(1, 5))
+        roots = 0
+        for fac, mult in squarefree_decompose(p):
+            inside = sturm_count(fac, lo, hi)
+            if hi is not None and poly_eval(fac, hi) == 0:
+                inside -= 1
+            roots += mult * inside
+        count = descartes_count(p, lo, hi)
+        assert count >= roots and (count - roots) % 2 == 0, (p, lo, hi)
 
 
 # ----------------------------------------------------------------------
