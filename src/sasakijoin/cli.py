@@ -54,6 +54,8 @@ from .cscrays import (
     csc_rays,
     deflate_forbidden,
     maximal_ray_count,
+    ray_threshold,
+    threshold_ray_counts,
 )
 from .exactpoly import RootRecord, format_poly
 from .joinspace import (
@@ -399,15 +401,16 @@ def _sweep_request(args) -> dict:
 
 
 def _csc_sweep_row(task) -> dict:
-    p, l1, w1, w2, l2 = task
+    p, l1, w1, w2, l2, threshold = task
     try:
         params = JoinParams(p, l1, l2, w1, w2)
     except ParameterError as exc:
         return {"l2": l2, "valid": False, "constraint": exc.constraint}
-    report = csc_rays(params)
-    return {"l2": l2, "valid": True,
-            "unreduced": report.unreduced_count,
-            "reduced": report.reduced_count}
+    counts = threshold_ray_counts(params, threshold)
+    if counts is None:
+        report = csc_rays(params)
+        counts = report.unreduced_count, report.reduced_count
+    return {"l2": l2, "valid": True, "unreduced": counts[0], "reduced": counts[1]}
 
 
 def _sweep_csc(args):
@@ -421,7 +424,11 @@ def _sweep_csc(args):
     w1, w2 = args.w
     # l2 = 1 is coprime to everything, so this checks every rule not involving l2
     JoinParams(args.p, args.l1, 1, w1, w2)
-    tasks = [(args.p, args.l1, w1, w2, l2) for l2 in l2_values]
+    try:
+        threshold = ray_threshold(args.p, w1, w2)
+    except InternalInvariantError:
+        threshold = None    # every row asks csc_rays
+    tasks = [(args.p, args.l1, w1, w2, l2, threshold) for l2 in l2_values]
     jobs = args.jobs
     usable = min(os.cpu_count() or 1, len(tasks))
     if jobs > usable:

@@ -20,6 +20,13 @@ reciprocal pairs {b, 1/b}; each pair is one ray of the reduced cone and is
 counted once in ``reduced_count``.  For w1 > w2 no identification happens
 and the unreduced and reduced counts agree.
 
+Every coefficient of the ray polynomial is linear in (l1, l2).  Once per
+family (p, w1, w2), :func:`ray_threshold` certifies the value t* of l2/l1
+at which the ray count jumps, from 1 to 3 (1 to 2 reduced for w = (1,1)),
+and :func:`threshold_ray_counts` reads a tuple's counts off it; sweeps and
+:func:`min_l2_multiple_csc` call :func:`csc_rays` only for tuples whose
+l2/l1 is not separated from t*.
+
 One caveat applies to every report: a root certifies constant scalar
 curvature for the admissible extremal representative of its ray.  Without
 a uniqueness theorem for extremal structures in an isotopy class, CSC
@@ -37,8 +44,13 @@ from .exactpoly import (
     RationalInterval,
     RootRecord,
     deflate_linear,
+    descartes_count,
     intpoly,
     isolate_positive_roots,
+    poly_derivative,
+    poly_eval,
+    poly_mul,
+    poly_sub,
     refine_interval,
     sturm_count,
 )
@@ -54,6 +66,9 @@ __all__ = [
     "csc_cubic_p1",
     "fourth_derivative_at_one",
     "wz_threshold",
+    "ray_threshold",
+    "threshold_ray_counts",
+    "THRESHOLD_WIDTH",
     "deflate_forbidden",
     "csc_rays",
     "maximal_ray_count",
@@ -178,6 +193,137 @@ def wz_threshold(p: int, l1: int) -> Fraction:
     return Fraction(2 * (3 + 2 * p) * l1, p * (p + 1))
 
 
+# Width of the interval that ray_threshold certifies around an irrational t*.
+THRESHOLD_WIDTH = Fraction(1, 10 ** 12)
+# Bisection levels on the critical point after which the certificate gives up.
+_THRESHOLD_LEVELS = 200
+
+
+def ray_threshold(p: int, w1: int, w2: int) -> Fraction | RationalInterval:
+    """The three-ray threshold t* of the family (p, w1, w2), certified.
+
+    Every coefficient of the ray polynomial is linear in (l1, l2), so
+    f = l2*A + l1*B, and a CSC value b != w2/w1 solves R(b) = t for
+    t = l2/l1 and R = -B/A.  The count changes only at critical values of R:
+    roots of the Wronskian A'B - AB', deflated by (w1*b - w2).  This checks,
+    by exact signs and Descartes counts, that w2/w1 is a root of A and B of
+    the forced multiplicities, that A has no other positive root, that R
+    tends to +oo at 0 and at oo, and that R has
+    - for w = (1,1), no critical point but b = 1, where it is finite, so a
+      reciprocal pair of rays joins the regular one exactly when
+      t > t* = R(1) = wz_threshold(p, 1), which is returned;
+    - for w1 > w2, one simple critical point c* in (0, w2/w1) between two
+      infinite ends, and none above w2/w1, where R runs from -oo to +oo;
+      so there is 1 ray for t < t* = R(c*), 2 at t = t* and 3 above.
+      A RationalInterval (lo, hi) of width THRESHOLD_WIDTH with
+      lo < t* < hi is returned.
+    A failed check raises :class:`InternalInvariantError`.
+    """
+    big_a, big_b, wronskian = _certified_structure(p, w1, w2)
+    if w1 == w2:
+        return wz_threshold(p, 1)
+    return _critical_value(p, w1, w2, big_a, big_b, wronskian)
+
+
+def _certified_structure(p: int, w1: int, w2: int):
+    """(A, B, W) for the family, once the checks of :func:`ray_threshold`
+    hold: f = l2*A + l1*B, and W is the Wronskian A'B - AB' deflated by
+    (w1*x - w2).  Raises :class:`InternalInvariantError` otherwise."""
+    JoinParams(p, 1, 1, w1, w2)
+    big_a = intpoly(_raw_coefficients(p, 0, 1, w1, w2))
+    big_b = intpoly(_raw_coefficients(p, 1, 0, w1, w2))
+    forced = Fraction(w2, w1)
+    paired = w1 == w2
+    a_rest, ka = deflate_linear(big_a, forced)
+    b_rest, kb = deflate_linear(big_b, forced)
+    wronskian = deflate_linear(poly_sub(poly_mul(poly_derivative(big_a), big_b),
+                                        poly_mul(big_a, poly_derivative(big_b))), forced)[0]
+    # R = -B/A tends to +oo at 0 and at oo, and A has no other positive root
+    certified = ((ka, kb) == ((4, 4) if paired else (4, 3))
+                 and big_a.coeffs[0] == 0 < big_a.coeffs[1] and big_b.coeffs[0] < 0
+                 and big_b.degree > big_a.degree and big_b.coeffs[-1] < 0 < big_a.coeffs[-1]
+                 and descartes_count(a_rest, 0) == 0)
+    if paired:
+        certified = (certified and descartes_count(wronskian, 0) == 0
+                     and -poly_eval(b_rest, 1) / poly_eval(a_rest, 1) == wz_threshold(p, 1))
+    else:
+        # R = -b_rest/((w1*x - w2)*a_rest): +oo just below w2/w1, -oo just above
+        certified = (certified and poly_eval(a_rest, forced) * poly_eval(b_rest, forced) > 0
+                     and descartes_count(wronskian, 0, forced) == 1
+                     and descartes_count(wronskian, forced) == 0)
+    if not certified:
+        raise InternalInvariantError(
+            f"the ray count structure of the family ({p}, {w1}, {w2}) is not certified")
+    return big_a, big_b, wronskian
+
+
+def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
+    """An interval of width THRESHOLD_WIDTH around R(c*), where c* is the one
+    critical point of R = -B/A in (0, w2/w1) and the minimum of R there.
+
+    The cell (lo, hi) of c* is bisected on the sign of the Wronskian.  R at a
+    cell end inside (0, w2/w1) exceeds t*.  Below that value by the width, at
+    t = n/d, f_t = n*A + d*B = A*(t - R) is negative at that end; when a
+    Descartes count shows it has no root in the cell, it is negative at c*
+    too, so t < t*.  The count is tried only once the parabola through R at
+    the cell ends and midpoint puts its minimum within half the width of that
+    value.
+    """
+    forced = Fraction(w2, w1)
+
+    def ratio(x: Fraction) -> Fraction:
+        return -poly_eval(big_b, x) / poly_eval(big_a, x)
+
+    lo, hi = Fraction(0), forced
+    r_lo = r_hi = None      # R at the cell ends; R has poles at 0 and w2/w1
+    s_hi = poly_eval(wronskian, hi) > 0
+    for _ in range(_THRESHOLD_LEVELS):
+        mid = (lo + hi) / 2
+        value = poly_eval(wronskian, mid)
+        r_mid = ratio(mid)
+        if not value:
+            return RationalInterval(r_mid - THRESHOLD_WIDTH / 2, r_mid + THRESHOLD_WIDTH / 2)
+        ends = (r_lo, r_hi)
+        if (value > 0) == s_hi:
+            hi, r_hi = mid, r_mid
+        else:
+            lo, r_lo = mid, r_mid
+        if None in ends:
+            continue
+        top = min(r_lo, r_hi)
+        curve = ends[0] - 2 * r_mid + ends[1]
+        if curve <= 0 or top - r_mid + (ends[1] - ends[0]) ** 2 / (8 * curve) \
+                >= THRESHOLD_WIDTH / 2:
+            continue
+        bottom = top - THRESHOLD_WIDTH
+        f_bottom = IntPolynomial(_raw_coefficients(p, bottom.denominator, bottom.numerator,
+                                                   w1, w2))
+        if descartes_count(f_bottom, lo, hi) == 0:
+            return RationalInterval(bottom, top)
+    raise InternalInvariantError(
+        f"the three-ray threshold of ({p}, {w1}, {w2}) was not separated "
+        f"in {_THRESHOLD_LEVELS} levels")
+
+
+def threshold_ray_counts(params: JoinParams, threshold) -> tuple[int, int] | None:
+    """(unreduced, reduced) ray counts of params read off the threshold that
+    :func:`ray_threshold` gives for its family, or None when l2/l1 is not
+    separated from t* (or threshold is None) and only :func:`csc_rays` can
+    tell."""
+    t = Fraction(params.l2, params.l1)
+    if isinstance(threshold, RationalInterval):
+        below, above = t <= threshold.lo, t >= threshold.hi
+    elif threshold is not None:
+        below, above = t < threshold, t > threshold
+    else:
+        return None
+    if below:
+        return 1, 1
+    if above:
+        return 3, maximal_ray_count(params.w1, params.w2)
+    return None
+
+
 def deflate_forbidden(fp: CscPolynomial) -> tuple[IntPolynomial, int]:
     """Divide out the full power of (w1*b - w2) and return (quotient, k).
 
@@ -275,18 +421,26 @@ def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int):
 
     Maximal means 3 unreduced rays for w1 > w2 and 2 reduced rays for
     w = (1,1).  Values of l2 violating the gcd constraints are skipped.
-    Returns None when no l2 within the bound qualifies.
+    Each count is read off :func:`ray_threshold` of the family, or comes
+    from :func:`csc_rays` when l2/l1 is not separated from t*.  Returns None
+    when no l2 within the bound qualifies.
     """
     if search_bound < 1:
         raise ParameterError("search_bound >= 1", "search bound must be positive")
     # l2 = 1 is coprime to everything, so this checks every rule not involving l2
     JoinParams(p, l1, 1, w1, w2)
+    try:
+        threshold = ray_threshold(p, w1, w2)
+    except InternalInvariantError:
+        threshold = None    # every l2 asks csc_rays
     for l2 in range(1, search_bound + 1):
         try:
             params = JoinParams(p, l1, l2, w1, w2)
         except ParameterError:
             continue
-        if csc_rays(params).reduced_count == maximal_ray_count(w1, w2):
+        counts = threshold_ray_counts(params, threshold)
+        reduced = counts[1] if counts else csc_rays(params).reduced_count
+        if reduced == maximal_ray_count(w1, w2):
             return l2
     return None
 

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from sasakijoin import cli
+import pytest
+
+from sasakijoin import cli, cscrays
 from sasakijoin.cscrays import InternalInvariantError
 
 
@@ -530,3 +532,42 @@ def test_sweep_reports_match_pinned_bytes(capsys):
         code, out, err = run_cli(capsys, ["sweep", "csc", *flags.split()])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+def _count_csc_rays(monkeypatch):
+    calls = []
+    real = cli.csc_rays
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "csc_rays", counting)
+    return calls
+
+
+def test_sweep_rows_separated_from_the_threshold_skip_csc_rays(capsys, monkeypatch):
+    calls = _count_csc_rays(monkeypatch)
+    code, out, err = run_cli(capsys, ["sweep", "csc", "-p", "2", "-l1", "1", "-w", "3,2",
+                                      "--l2", "250..3249", "--json"])
+    assert code == 0, err
+    assert len(json.loads(out)["payload"]["rows"]) == 3000
+    assert calls == []
+    # t = 7/3 is the threshold of p = 2, w = (1,1) itself
+    code, _, err = run_cli(capsys, ["sweep", "csc", "-p", "2", "-l1", "3", "-w", "1,1",
+                                    "--l2", "5..9"])
+    assert code == 0, err
+    assert [params.l2 for params, in calls] == [7]
+
+
+def test_sweep_falls_back_to_csc_rays_when_the_certificate_fails(capsys, monkeypatch):
+    real = cscrays.descartes_count
+    monkeypatch.setattr(cscrays, "descartes_count", lambda *args: real(*args) + 1)
+    with pytest.raises(InternalInvariantError):
+        cscrays.ray_threshold(3, 2, 1)
+    calls = _count_csc_rays(monkeypatch)
+    for flags, digest in PINNED_SWEEP_CSC[:12]:
+        code, out, err = run_cli(capsys, ["sweep", "csc", *flags.split()])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+    assert len(calls) > 12

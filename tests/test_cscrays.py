@@ -6,10 +6,12 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from sasakijoin import cscrays
 from sasakijoin.cscrays import (
+    THRESHOLD_WIDTH,
     InternalInvariantError,
     _interval_avoiding,
     _raw_coefficients,
@@ -20,16 +22,23 @@ from sasakijoin.cscrays import (
     fourth_derivative_at_one,
     min_l2_multiple_csc,
     quasireg_family,
+    ray_threshold,
+    threshold_ray_counts,
     wz_threshold,
 )
 from sasakijoin.exactpoly import (
     RationalInterval,
     RootRecord,
     _sturm_chain,
+    cubic_discriminant,
+    deflate_linear,
+    descartes_count,
     intpoly,
     isolate_positive_roots,
     poly_derivative,
     poly_eval,
+    poly_mul,
+    poly_sub,
     rational_roots,
     sturm_count,
 )
@@ -442,3 +451,125 @@ def test_no_closure_holds_the_forced_root():
             report = csc_rays(params, precision)
             assert not any(_closure_holds(ray, F(w2, w1)) for ray in report.rays), \
                 (params, precision)
+
+
+# ----------------------------------------------------------------------
+# the three-ray threshold t*(p, w1, w2)
+
+def _mixed_families(p_max, w_max):
+    return [(p, w1, w2) for p in range(1, p_max + 1) for w1 in range(2, w_max + 1)
+            for w2 in range(1, w1) if gcd(w1, w2) == 1]
+
+
+def test_criterion_8_holds_for_every_l1_and_l2():
+    # c1 <= 0 exactly when t = l2/l1 <= t0 = (w1+w2)/(p+1).  With the family's
+    # structure certified (R = -B/A continuous on (0, w2/w1), +oo at both
+    # ends), f at t0 having no root there puts R above t0 on (0, w2/w1), so
+    # every t <= t0 leaves only the one root above w2/w1.
+    families = _mixed_families(12, 20)
+    assert len(families) == 1524
+    for p, w1, w2 in families:
+        cscrays._certified_structure(p, w1, w2)
+        f = intpoly(_raw_coefficients(p, p + 1, w1 + w2, w1, w2))
+        assert descartes_count(f, 0, F(w2, w1)) == 0, (p, w1, w2)
+
+
+def test_wang_ziller_law_for_every_p_up_to_30():
+    # R = -B/A has no critical point in (0, oo) but b = 1 when the deflated
+    # Wronskian has no sign variation; then t* = R(1)
+    for p in range(1, 31):
+        big_a = intpoly(_raw_coefficients(p, 0, 1, 1, 1))
+        big_b = intpoly(_raw_coefficients(p, 1, 0, 1, 1))
+        wronskian = poly_sub(poly_mul(poly_derivative(big_a), big_b),
+                             poly_mul(big_a, poly_derivative(big_b)))
+        assert descartes_count(deflate_linear(wronskian, 1)[0], 0) == 0, p
+        assert ray_threshold(p, 1, 1) == wz_threshold(p, 1), p
+
+
+def _valid_pair(l1, l2, w1, w2, step):
+    """The first (l1, l2 + k*step), k >= 0, that is a valid p = 1 tuple."""
+    while True:
+        try:
+            JoinParams(1, l1, l2, w1, w2)
+            return l1, l2
+        except ParameterError:
+            l2 += step
+
+
+def test_threshold_at_p1_matches_the_cubic_discriminant():
+    threshold = ray_threshold(1, 3, 2)
+    assert F(18979, 1000) < threshold.lo < threshold.hi < F(18980, 1000)
+    assert threshold.width == THRESHOLD_WIDTH
+    # one real root of the cubic cofactor below t*, three above
+    l1 = 10 ** 9 + 7
+    below = _valid_pair(l1, threshold.lo.numerator * l1 // threshold.lo.denominator, 3, 2, -1)
+    above = _valid_pair(l1, -(-threshold.hi.numerator * l1 // threshold.hi.denominator), 3, 2, 1)
+    for (l1, l2), sign in ((below, -1), (above, 1)):
+        cubic = csc_cubic_p1(l1, l2, 3, 2)
+        assert cubic_discriminant(*reversed(cubic.coeffs)) * sign > 0
+        assert abs(F(l2, l1) - threshold.midpoint) < F(1, 10 ** 8)
+
+
+def test_threshold_validates_the_family():
+    with pytest.raises(ParameterError):
+        ray_threshold(0, 3, 2)
+    with pytest.raises(ParameterError):
+        ray_threshold(1, 2, 3)
+    with pytest.raises(ParameterError):
+        ray_threshold(1, 4, 2)
+
+
+def test_rows_at_the_threshold_are_left_to_csc_rays():
+    # (2,3,7,1,1) has t = 7/3 = t* exactly; the mixed tuple lies within
+    # THRESHOLD_WIDTH of t*(1, 3, 2)
+    for params in (JoinParams(2, 3, 7, 1, 1),
+                   JoinParams(1, 10000000000001, 189792026486741, 3, 2)):
+        threshold = ray_threshold(params.p, params.w1, params.w2)
+        assert threshold_ray_counts(params, threshold) is None
+    assert csc_rays(JoinParams(2, 3, 7, 1, 1)).unreduced_count == 1
+    assert threshold_ray_counts(JoinParams(2, 3, 7, 1, 1), None) is None
+
+
+def test_threshold_certificate_failure_raises(monkeypatch):
+    real = descartes_count
+    monkeypatch.setattr(cscrays, "descartes_count", lambda *args: real(*args) + 1)
+    for family in ((1, 3, 2), (2, 1, 1)):
+        with pytest.raises(InternalInvariantError):
+            ray_threshold(*family)
+    # min_l2_multiple_csc then asks csc_rays for every l2
+    assert min_l2_multiple_csc(1, 1, 3, 2, 30) == 19
+    assert min_l2_multiple_csc(2, 1, 1, 1, 10) == 3
+
+
+@st.composite
+def _family_tuples(draw):
+    p = draw(st.integers(1, 8))
+    w1 = draw(st.integers(1, 30))
+    w2 = draw(st.integers(1, w1))
+    assume(gcd(w1, w2) == 1)
+    threshold = ray_threshold(p, w1, w2)
+    if draw(st.booleans()):
+        l1, l2 = draw(st.integers(1, 30)), draw(st.integers(1, 600))
+    elif w1 == w2:
+        # t = t* exactly
+        l1, l2 = threshold.denominator, threshold.numerator
+    else:
+        # l2/l1 within 10**-12 of t*: inside the threshold interval or just outside
+        l1 = draw(st.integers(10 ** 13, 10 ** 13 + 10 ** 6))
+        l2 = round(threshold.midpoint * l1) + draw(st.integers(-10, 10))
+    try:
+        params = JoinParams(p, l1, l2, w1, w2)
+    except ParameterError:
+        assume(False)
+    return params, threshold
+
+
+@settings(max_examples=80, deadline=None)
+@given(_family_tuples())
+def test_threshold_counts_match_csc_rays(case):
+    params, threshold = case
+    report = csc_rays(params)
+    counts = threshold_ray_counts(params, threshold)
+    if counts is None:
+        counts = report.unreduced_count, report.reduced_count
+    assert counts == (report.unreduced_count, report.reduced_count)
