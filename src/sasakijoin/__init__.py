@@ -63,6 +63,7 @@ from .cscrays import (
     fourth_derivative_at_one,
     min_l2_multiple_csc,
     quasireg_family,
+    ray_threshold,
     wz_threshold,
 )
 
