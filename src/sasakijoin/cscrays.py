@@ -263,11 +263,9 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
 
     The cell (lo, hi) of c* is bisected on the sign of the Wronskian.  R at a
     cell end inside (0, w2/w1) exceeds t*.  Below that value by the width, at
-    t = n/d, f_t = n*A + d*B = A*(t - R) is negative at that end; when a
+    t = n/d, f_t = n*A + d*B = A*(t - R) is negative at that end; once a
     Descartes count shows it has no root in the cell, it is negative at c*
-    too, so t < t*.  The count is tried only once the parabola through R at
-    the cell ends and midpoint puts its minimum within half the width of that
-    value.
+    too, so t < t*.
     """
     forced = Fraction(w2, w1)
 
@@ -275,26 +273,18 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
         return -poly_eval(big_b, x) / poly_eval(big_a, x)
 
     lo, hi = Fraction(0), forced
-    r_lo = r_hi = None      # R at the cell ends; R has poles at 0 and w2/w1
     s_hi = poly_eval(wronskian, hi) > 0
     for _ in range(_THRESHOLD_LEVELS):
         mid = (lo + hi) / 2
         value = poly_eval(wronskian, mid)
-        r_mid = ratio(mid)
         if not value:
-            return RationalInterval(r_mid - THRESHOLD_WIDTH / 2, r_mid + THRESHOLD_WIDTH / 2)
-        ends = (r_lo, r_hi)
+            return RationalInterval(ratio(mid) - THRESHOLD_WIDTH / 2,
+                                    ratio(mid) + THRESHOLD_WIDTH / 2)
         if (value > 0) == s_hi:
-            hi, r_hi = mid, r_mid
+            hi = mid
         else:
-            lo, r_lo = mid, r_mid
-        if None in ends:
-            continue
-        top = min(r_lo, r_hi)
-        curve = ends[0] - 2 * r_mid + ends[1]
-        if curve <= 0 or top - r_mid + (ends[1] - ends[0]) ** 2 / (8 * curve) \
-                >= THRESHOLD_WIDTH / 2:
-            continue
+            lo = mid
+        top = min(ratio(x) for x in (lo, hi) if 0 < x < forced)
         bottom = top - THRESHOLD_WIDTH
         f_bottom = IntPolynomial(_raw_coefficients(p, bottom.denominator, bottom.numerator,
                                                    w1, w2))
