@@ -277,9 +277,9 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
     for _ in range(_THRESHOLD_LEVELS):
         mid = (lo + hi) / 2
         value = poly_eval(wronskian, mid)
-        if not value:
-            return RationalInterval(ratio(mid) - THRESHOLD_WIDTH / 2,
-                                    ratio(mid) + THRESHOLD_WIDTH / 2)
+        if not value:       # c* = mid, so t* = R(mid) exactly
+            t_star = ratio(mid)
+            return RationalInterval(t_star - THRESHOLD_WIDTH / 2, t_star + THRESHOLD_WIDTH / 2)
         if (value > 0) == s_hi:
             hi = mid
         else:
