@@ -456,17 +456,13 @@ def test_no_closure_holds_the_forced_root():
 # ----------------------------------------------------------------------
 # the three-ray threshold t*(p, w1, w2)
 
-def _mixed_families(p_max, w_max):
-    return [(p, w1, w2) for p in range(1, p_max + 1) for w1 in range(2, w_max + 1)
-            for w2 in range(1, w1) if gcd(w1, w2) == 1]
-
-
 def test_criterion_8_holds_for_every_l1_and_l2():
     # c1 <= 0 exactly when t = l2/l1 <= t0 = (w1+w2)/(p+1).  With the family's
     # structure certified (R = -B/A continuous on (0, w2/w1), +oo at both
     # ends), f at t0 having no root there puts R above t0 on (0, w2/w1), so
     # every t <= t0 leaves only the one root above w2/w1.
-    families = _mixed_families(12, 20)
+    families = [(p, w1, w2) for p in range(1, 13) for w1 in range(2, 21)
+                for w2 in range(1, w1) if gcd(w1, w2) == 1]
     assert len(families) == 1524
     for p, w1, w2 in families:
         cscrays._certified_structure(p, w1, w2)
