@@ -439,6 +439,29 @@ def test_mixed_weight_closures_avoid_the_forced_root(capsys):
             assert not lo <= Fraction(1, 2) <= hi, flags
 
 
+# sha256 of `csc ... --json` stdout for w = (1,1) tuples near t* whose bytes
+# depend on the order of the finishing steps: an interval whose closure holds
+# w2/w1 = 1 is refined only after adjacent closures are separated.  Clearing
+# 1 together with the other roots refines some cells a level further.
+PINNED_CSC_FINISHING_ORDER = [
+    ("-p 1 -l1 1001 -l2 5006 -w 1,1 --precision 1",
+     "de1049b7cde1760afb8af892c563da6c83e2d3176544c08f07e8e7f11eeef82a"),
+    ("-p 2 -l1 10001 -l2 23336 -w 1,1 --precision 2",
+     "8cfacd60a45a582d7b5d5456b9c55510707cc6dd6e8a9db0ca64af0d77a3c99d"),
+    ("-p 4 -l1 1000003 -l2 1100004 -w 1,1 --precision 3",
+     "91cdb0a31bc1422e83c2c31d01c5088c3ce2b0a2cf7c65652b941f63d4b63c8f"),
+    ("-p 5 -l1 1001 -l2 870 -w 1,1 --precision 1",
+     "f8917d2141bc8b1ff027f3f0a58b5804590fab6b69585836de130e07d788744c"),
+]
+
+
+def test_forced_root_is_cleared_after_closures_are_separated(capsys):
+    for flags, digest in PINNED_CSC_FINISHING_ORDER:
+        code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
 # sha256 of `sweep csc ...` stdout, computed with one csc_rays call per row:
 # families whose l2 range straddles the three-ray threshold t*, for p = 3, 7
 # and 20, w = (2,1), (5,3) and (1,1), l1 = 1 and 4, and two w = (1,1) ranges
