@@ -51,7 +51,6 @@ from .exactpoly import (
     poly_eval,
     poly_mul,
     poly_sub,
-    refine_interval,
     sturm_count,
 )
 from .joinspace import JoinParams, ParameterError
@@ -331,17 +330,6 @@ def deflate_forbidden(fp: CscPolynomial) -> tuple[IntPolynomial, int]:
     return cur, k
 
 
-def _interval_avoiding(poly: IntPolynomial, record: RootRecord, point: Fraction) -> RootRecord:
-    """Shrink an isolating interval until its closure excludes a non-root point."""
-    if record.is_rational:
-        return record
-    lo, hi = record.value.lo, record.value.hi
-    if not lo <= point <= hi:
-        return record
-    lo, hi = refine_interval(poly, lo, hi, hi - lo, [point])
-    return RootRecord(RationalInterval(lo, hi), record.multiplicity, record.is_rational)
-
-
 def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> None:
     """Verify that the records pair up as reciprocals {b, 1/b}.
 
@@ -385,8 +373,7 @@ def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
     else:
         params, quotient, k = params
     forced = Fraction(params.w2, params.w1)
-    records = [_interval_avoiding(quotient, rec, forced)
-               for rec in isolate_positive_roots(quotient, precision)]
+    records = isolate_positive_roots(quotient, precision, [forced])
     rays = [Ray(rec, "quasi-regular" if rec.is_rational else "irregular") for rec in records]
     paired = params.w1 == params.w2
     if paired:

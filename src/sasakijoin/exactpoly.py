@@ -20,7 +20,8 @@ and one exact evaluation decides.  Rational roots are then divided out and
 the quotient isolated again, so no bisection point is a root and every
 reported interval has non-root rational endpoints.  Cells are refined by
 bisection or, when deep, by Newton steps certified by exact signs; both
-reach the same dyadic cell.
+reach the same dyadic cell.  Reported intervals are finished in order:
+width and other roots, then adjacent closures pair by pair, then exclusions.
 
 A Taylor shift by 1 and Descartes' rule of signs on Moebius-mapped
 intervals certify, without a remainder sequence, that an interval holds no
@@ -521,9 +522,8 @@ def _isolate_cells(chain, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fr
         elif n > 1:
             mid = (a + b) / 2
             vm = _variation_count(chain, mid)
-            work.append((a, mid, va, vm))
             work.append((mid, b, vm, vb))
-    cells.sort()
+            work.append((a, mid, va, vm))
     return cells
 
 
@@ -577,8 +577,8 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
                     exclude=()) -> tuple[Fraction, Fraction]:
     """Shrink the isolating interval (lo, hi] of one root of poly.
 
-    (lo, hi] must hold exactly one root of poly, of odd multiplicity, and hi
-    must not be a root; the points of exclude must not be roots either.  The
+    (lo, hi] must hold exactly one root of poly, of odd multiplicity; hi
+    and the points of exclude must not be roots (ValueError otherwise).  The
     result is the interval bisection reaches: the cell
     (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
     the least t at which the width is at most max_width and the closure holds
@@ -592,6 +592,10 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     width = hi.numerator * (den // hi.denominator) - a
     # every cell below is (a, a + width] / den, den doubling per level
     s_hi = _sign_at(cs, hi)
+    if not s_hi:
+        raise ValueError(f"the interval end {hi} is a root")
+    if any(lo < r <= hi and not _sign_at(cs, Fraction(r)) for r in exclude):
+        raise ValueError("a point of exclude is a root")
     ratio = -(-width * max_width.denominator // (max_width.numerator * den))
     levels = (ratio - 1).bit_length() if ratio > 1 else 0
     descend = _newton_levels if levels >= _NEWTON_LEVELS else _bisect_levels
@@ -687,13 +691,15 @@ def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     return out
 
 
-def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[RootRecord]:
+def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
+                           exclude=()) -> list[RootRecord]:
     """Certified records of all distinct positive real roots, ascending.
 
-    Rational roots are reported exactly; every other root gets an isolating
-    interval of width at most 10**-precision whose closure avoids all other
-    roots and all other record intervals.  Multiplicities are read off the
-    Yun decomposition.
+    Rational roots are reported exactly.  Every other root gets an isolating
+    interval, finished in order: width at most 10**-precision and a closure
+    clear of all other roots; then adjacent closures separated pair by pair;
+    then a closure clear of each point of exclude, which must not be a root.
+    Multiplicities are read off the Yun decomposition.
     """
     if poly.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -724,17 +730,17 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12) -> list[Roo
     avoid = rationals + [Fraction(0)] if k else rationals
     intervals = [refine_interval(irr, lo, hi, max_width, avoid) for lo, hi in cells]
 
-    # separate closures of adjacent cells (they may share an endpoint)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(intervals) - 1):
-            lo1, hi1 = intervals[i]
-            lo2, hi2 = intervals[i + 1]
-            if hi1 >= lo2:
-                intervals[i] = refine_interval(irr, lo1, hi1, (hi1 - lo1) / 2, avoid)
-                intervals[i + 1] = refine_interval(irr, lo2, hi2, (hi2 - lo2) / 2, avoid)
-                changed = True
+    # Separate the closures of adjacent cells, which may share an endpoint,
+    # by halving both.  One level leaves a cell touching at most one
+    # neighbour, so each pair takes the same levels in any visiting order.
+    for i in range(len(intervals) - 1):
+        while intervals[i][1] >= intervals[i + 1][0]:
+            intervals[i:i + 2] = [refine_interval(irr, lo, hi, (hi - lo) / 2)
+                                  for lo, hi in intervals[i:i + 2]]
+    # Clearing exclude must come last: a cell refined before the separation
+    # changes how far its touching neighbour is halved, and so the reports.
+    intervals = [refine_interval(irr, lo, hi, hi - lo, exclude)
+                 if any(lo <= r <= hi for r in exclude) else (lo, hi) for lo, hi in intervals]
     records = [RootRecord(r, _multiplicity(factors, r), True) for r in rationals]
     records.extend(RootRecord(RationalInterval(lo, hi), _multiplicity(factors, lo, hi), False)
                    for lo, hi in intervals)

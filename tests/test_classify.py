@@ -222,6 +222,12 @@ def test_partition_reports_invalid_members():
     assert part.invalid == ((2, "gcd(l1,l2) = 1"), (4, "gcd(l1,l2) = 1"))
 
 
+def test_partition_reports_nonpositive_members():
+    part = partition_diffeo_types(3, [0, -2, 4, 3, 5])
+    assert part.classes == ((4,), (5,))
+    assert part.invalid == ((0, "l2 >= 1"), (-2, "l2 >= 1"), (3, "gcd(l1,l2) = 1"))
+
+
 def test_partition_agrees_with_pairwise_predicate():
     rng = random.Random(73)
     for l1 in (2, 3, 5, 7):

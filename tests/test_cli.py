@@ -140,6 +140,12 @@ def test_classify_homotopy_rejects_even_l1(capsys):
     assert "l1" in err
 
 
+def test_classify_homotopy_rejects_a_non_integer_entry(capsys):
+    code, out, err = run_cli(capsys, ["classify", "homotopy", "5,x,1,1", "1,21,25,1"])
+    assert code == 1 and out == ""
+    assert "invalid literal for int() with base 10: 'x'" in err
+
+
 def test_classify_homeo_diffeo_flags(capsys):
     report = run_json(capsys, ["classify", "diffeo", "-l1", "5", "-l2", "39",
                                "-l2p", "89"])
@@ -442,7 +448,7 @@ def test_mixed_weight_closures_avoid_the_forced_root(capsys):
 # sha256 of `csc ... --json` stdout for w = (1,1) tuples near t* whose bytes
 # depend on the order of the finishing steps: an interval whose closure holds
 # w2/w1 = 1 is refined only after adjacent closures are separated.  Clearing
-# 1 together with the other roots refines some cells a level further.
+# 1 together with the other roots leaves some neighbours a level coarser.
 PINNED_CSC_FINISHING_ORDER = [
     ("-p 1 -l1 1001 -l2 5006 -w 1,1 --precision 1",
      "de1049b7cde1760afb8af892c563da6c83e2d3176544c08f07e8e7f11eeef82a"),
@@ -594,3 +600,14 @@ def test_sweep_falls_back_to_csc_rays_when_the_certificate_fails(capsys, monkeyp
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
     assert len(calls) > 12
+
+
+def test_sweep_falls_back_to_csc_rays_when_the_threshold_is_not_separated(capsys, monkeypatch):
+    monkeypatch.setattr(cscrays, "_THRESHOLD_LEVELS", 1)
+    with pytest.raises(InternalInvariantError, match="not separated in 1 levels"):
+        cscrays.ray_threshold(1, 3, 2)
+    assert cscrays.min_l2_multiple_csc(1, 1, 3, 2, 30) == 19
+    for flags, digest in PINNED_SWEEP_CSC[:12]:
+        code, out, err = run_cli(capsys, ["sweep", "csc", *flags.split()])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags

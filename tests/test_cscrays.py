@@ -13,7 +13,6 @@ from sasakijoin import cscrays
 from sasakijoin.cscrays import (
     THRESHOLD_WIDTH,
     InternalInvariantError,
-    _interval_avoiding,
     _raw_coefficients,
     csc_cubic_p1,
     csc_polynomial,
@@ -418,17 +417,23 @@ def _interval(lo, hi):
     ([_interval(F(1, 3), F(2, 5)), _interval(F(11, 4), F(4))], "fails to isolate"),
 ], ids=["unpartnered", "rationality", "rationals", "disjoint", "rootless-overlap"])
 def test_pairing_certificate_rejects_broken_records(monkeypatch, records, message):
-    monkeypatch.setattr(cscrays, "isolate_positive_roots", lambda poly, precision: records)
+    monkeypatch.setattr(cscrays, "isolate_positive_roots",
+                        lambda poly, precision, exclude: records)
     with pytest.raises(InternalInvariantError, match=message):
         csc_rays(JoinParams(1, 1, 6, 1, 1))
 
 
-def test_interval_avoiding_halves_until_the_point_leaves_the_closure():
-    # 100x^2 - 190x + 89 has the roots (19 -+ sqrt(5))/20, about 0.838 and 1.062
-    poly = intpoly([89, -190, 100])
-    record = RootRecord(RationalInterval(F(4, 5), F(1)), 1, False)
-    moved = _interval_avoiding(poly, record, F(1))
-    assert moved == RootRecord(RationalInterval(F(4, 5), F(9, 10)), 1, False)
+@pytest.mark.parametrize("power", [1, 2], ids=["simple-roots", "double-roots"])
+def test_excluded_point_is_cleared_after_the_other_finishing_steps(power):
+    # 100x^2 - 190x + 89 has the roots (19 -+ sqrt(5))/20, about 0.838 and 1.062;
+    # the signs of its square, which do not change there, must not steer bisection
+    poly = intpoly([1])
+    for _ in range(power):
+        poly = poly_mul(poly, intpoly([89, -190, 100]))
+    first, second = isolate_positive_roots(poly, 1, [F(1)])
+    assert first == RootRecord(RationalInterval(F(261, 320), F(29, 32)), power, False)
+    # the first sub-cell of (319/320, 87/80] whose closure does not hold 1
+    assert second == RootRecord(RationalInterval(F(667, 640), F(87, 80)), power, False)
 
 
 def _closure_holds(ray, point):

@@ -602,6 +602,18 @@ def test_refinement_reaches_the_bisection_cell(n, k, digits):
     assert cell == bisection_reference(coeffs, F(0), hi, F(1, 10 ** digits))
 
 
+def test_refinement_rejects_a_root_at_the_right_end():
+    # x^2 - 1 has its root 1 at hi, where the sign that steers bisection is 0
+    with pytest.raises(ValueError, match="end 1 is a root"):
+        refine_interval(intpoly([-1, 0, 1]), F(1, 2), F(1), F(1, 10))
+
+
+def test_refinement_rejects_an_excluded_root():
+    # no cell holding the root 1 has a closure without 1
+    with pytest.raises(ValueError, match="a point of exclude is a root"):
+        refine_interval(intpoly([-1, 0, 1]), F(1, 2), F(3, 2), F(1, 10), [F(1)])
+
+
 # ----------------------------------------------------------------------
 # the certificate that no root is rational
 
