@@ -468,6 +468,32 @@ def test_forced_root_is_cleared_after_closures_are_separated(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
+# sha256 of `csc ... --json` stdout at degrees 244-804 in both weight shapes,
+# computed with the kernel that isolates every ray with the quotient's Sturm
+# chain (it took about 105 s at p = 400 with w = (3,2))
+PINNED_CSC_HIGH_DEGREE = [
+    ("-p 120 -l1 1 -l2 5 -w 1,1",
+     "042434833cc092cc07764a4c13703f5000b801aeff2d2b6c9ea9b5bf3a3530eb"),
+    ("-p 120 -l1 2 -l2 7 -w 3,2",
+     "341f4087f9e9236a10f74bda82d347307c14166e228fd35da03911b8cfb2e539"),
+    ("-p 200 -l1 1 -l2 4 -w 1,1",
+     "c42f8e39bdec96e8294a59abd4747666665769cac6b0b303bb8ea51fa75963f4"),
+    ("-p 200 -l1 1 -l2 5 -w 3,2",
+     "855d9c37951d45f17294b6f5dd8ab1b2caa2e7fadf4056b883d7eac902c3aec6"),
+    ("-p 400 -l1 1 -l2 5 -w 3,2",
+     "6e55abaa2914ac9756f4d90f0e234388d6e3851a585526b10fa8a88de8d29a71"),
+    ("-p 400 -l1 1 -l2 5 -w 1,1",
+     "5bca246ef15984df3ff82b68c0fbcd4f7a865446a2046b7aa5386fc14935fec8"),
+]
+
+
+def test_high_degree_reports_match_pinned_bytes(capsys):
+    for flags, digest in PINNED_CSC_HIGH_DEGREE:
+        code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
 # sha256 of `sweep csc ...` stdout, computed with one csc_rays call per row:
 # families whose l2 range straddles the three-ray threshold t*, for p = 3, 7
 # and 20, w = (2,1), (5,3) and (1,1), l1 = 1 and 4, and two w = (1,1) ranges
