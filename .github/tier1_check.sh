@@ -8,7 +8,7 @@ expected="tests/test_acceptance.py::test_criterion_05_literal_closed_form"
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rfE \
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rfE --durations=10 \
     --continue-on-collection-errors | tee "$log"
 status=${PIPESTATUS[0]}
 failed=$(grep -E '^(FAILED|ERROR) ' "$log" | cut -d' ' -f2)

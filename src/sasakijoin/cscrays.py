@@ -25,7 +25,11 @@ family (p, w1, w2), :func:`ray_threshold` certifies the value t* of l2/l1
 at which the ray count jumps, from 1 to 3 (1 to 2 reduced for w = (1,1)),
 and :func:`threshold_ray_counts` reads a tuple's counts off it; sweeps and
 :func:`min_l2_multiple_csc` call :func:`csc_rays` only for tuples whose
-l2/l1 is not separated from t*.
+l2/l1 is not separated from t*.  The same certificate lets :func:`csc_rays`
+skip the Sturm chain at high degree: each branch of R = -B/A holds at most
+one root, so the roots are bracketed by signs of the sparse ray polynomial
+and isolated, with byte-identical reports, by
+:func:`~sasakijoin.exactpoly.isolate_bracketed_roots`.
 
 One caveat applies to every report: a root certifies constant scalar
 curvature for the admissible extremal representative of its ray.  Without
@@ -37,15 +41,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .exactpoly import (
     IntPolynomial,
     RationalInterval,
     RootRecord,
+    SparseQuotient,
+    cauchy_root_bound,
+    certify_squarefree,
     deflate_linear,
     descartes_count,
     intpoly,
+    isolate_bracketed_roots,
     isolate_positive_roots,
     poly_derivative,
     poly_eval,
@@ -221,13 +230,14 @@ def ray_threshold(p: int, w1: int, w2: int) -> Fraction | RationalInterval:
     big_a, big_b, wronskian = _certified_structure(p, w1, w2)
     if w1 == w2:
         return wz_threshold(p, 1)
-    return _critical_value(p, w1, w2, big_a, big_b, wronskian)
+    return _critical_value(p, w1, w2, big_a, big_b, wronskian.quotient)
 
 
 def _certified_structure(p: int, w1: int, w2: int):
     """(A, B, W) for the family, once the checks of :func:`ray_threshold`
     hold: f = l2*A + l1*B, and W is the Wronskian A'B - AB' deflated by
-    (w1*x - w2).  Raises :class:`InternalInvariantError` otherwise."""
+    (w1*x - w2), as a :class:`SparseQuotient` of the 13-term A'B - AB'.
+    Raises :class:`InternalInvariantError` otherwise."""
     JoinParams(p, 1, 1, w1, w2)
     big_a = intpoly(_raw_coefficients(p, 0, 1, w1, w2))
     big_b = intpoly(_raw_coefficients(p, 1, 0, w1, w2))
@@ -235,8 +245,8 @@ def _certified_structure(p: int, w1: int, w2: int):
     paired = w1 == w2
     a_rest, ka = deflate_linear(big_a, forced)
     b_rest, kb = deflate_linear(big_b, forced)
-    wronskian = deflate_linear(poly_sub(poly_mul(poly_derivative(big_a), big_b),
-                                        poly_mul(big_a, poly_derivative(big_b))), forced)[0]
+    full = poly_sub(poly_mul(poly_derivative(big_a), big_b), poly_mul(big_a, poly_derivative(big_b)))
+    wronskian = deflate_linear(full, forced)[0]
     # R = -B/A tends to +oo at 0 and at oo, and A has no other positive root
     certified = ((ka, kb) == ((4, 4) if paired else (4, 3))
                  and big_a.coeffs[0] == 0 < big_a.coeffs[1] and big_b.coeffs[0] < 0
@@ -253,7 +263,7 @@ def _certified_structure(p: int, w1: int, w2: int):
     if not certified:
         raise InternalInvariantError(
             f"the ray count structure of the family ({p}, {w1}, {w2}) is not certified")
-    return big_a, big_b, wronskian
+    return big_a, big_b, SparseQuotient(full, wronskian, forced)
 
 
 def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
@@ -330,12 +340,15 @@ def deflate_forbidden(fp: CscPolynomial) -> tuple[IntPolynomial, int]:
     return cur, k
 
 
-def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> None:
+def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
+                            signs: SparseQuotient | None = None) -> None:
     """Verify that the records pair up as reciprocals {b, 1/b}.
 
     ``records`` are the isolated roots of ``poly`` in ascending order, with 1
     excluded; for the palindromic homogeneous polynomial every root below 1
-    must pair with its exact inverse above 1.
+    must pair with its exact inverse above 1.  The partner's root is counted
+    by :func:`sturm_count`, or, given the branch path's ``signs`` of poly
+    (then (1, oo) holds one root), by a sign change.
     """
     below = [r for r in records if r.position < 1]
     above = [r for r in reversed(records) if r.position > 1]
@@ -355,9 +368,93 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord]) -> N
             inv_hi = 1 / low.value.lo if low.value.lo else high.value.hi
             a = max(high.value.lo, inv_lo)
             b = min(high.value.hi, inv_hi)
-            if not a < b or sturm_count(poly, a, b) != 1:
+            if not a < b or not (signs.sign(a) * signs.sign(b) < 0 if signs
+                                 else sturm_count(poly, a, b) == 1):
                 raise InternalInvariantError(
                     "inverted isolating interval fails to isolate the partner root")
+
+
+# From this p on, csc_rays finds the roots on the branches of R.  Below it,
+# building and evaluating the Sturm chain of the dense quotient is cheaper
+# than certifying the family and the quotient.
+_BRANCH_MIN_P = 12
+# Bisection levels on c* in which a point between the two roots below w2/w1
+# is sought, or a Descartes count shows there are none.  A separator shows
+# up within 3 levels on most ray polynomials; a count costs as much as tens
+# of levels, so counts run at levels 4, 8, 16, 32 and 64 only.
+_SEPARATOR_LEVELS = 64
+
+
+def _roots_below(quotient: IntPolynomial, signs: SparseQuotient,
+                 wronskian: SparseQuotient, forced: Fraction):
+    """Brackets of the roots of the quotient in (0, w2/w1) for w1 > w2, or
+    None when they are not certified.
+
+    R = -B/A falls from +oo to its least value t* = R(c*) and rises to +oo
+    again, so at t = l2/l1 the quotient has the sign it has at 0 wherever
+    R > t.  c* is bisected on the sign of W.  A point where the quotient has
+    the other sign separates the two roots: brackets (0, s) and (s, w2/w1).
+    Otherwise R > t at both ends of the cell of c*, and so outside it; a
+    Descartes count of 0 on the cell leaves no root (t < t*).
+    """
+    outer = signs.sign(Fraction(0))
+    s_hi = wronskian.sign(forced)
+    lo, hi = Fraction(0), forced
+    for level in range(1, _SEPARATOR_LEVELS + 1):
+        mid = (lo + hi) / 2
+        s = signs.sign(mid)
+        if s != outer:
+            return [(Fraction(0), mid), (mid, forced)] if s else None
+        w = wronskian.sign(mid)
+        if not w:
+            return []       # mid = c*, where R is least, and R(c*) > t
+        lo, hi = (lo, mid) if w == s_hi else (mid, hi)
+        if level >= 4 and not level & (level - 1) and descartes_count(quotient, lo, hi) == 0:
+            return []
+    return None
+
+
+@lru_cache(maxsize=32)
+def _branch_wronskian(p: int, w1: int, w2: int) -> SparseQuotient | None:
+    """The Wronskian of :func:`_certified_structure`, certified once per
+    family for the branch path; None when the structure is not certified."""
+    try:
+        return _certified_structure(p, w1, w2)[2]
+    except InternalInvariantError:
+        return None
+
+
+def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int):
+    """(records, signs): the records ``isolate_positive_roots(quotient,
+    precision, [w2/w1])`` gives, found from the certified branch structure
+    of R without a remainder sequence, and the quotient's sparse signs.
+    None when the family, the square-free quotient, or the brackets are not
+    certified, and at t = t*, where a root is double.
+
+    Each branch of R holds at most one root, a simple one: for w = (1,1),
+    (0, 1) and (1, oo) hold one each for t > t* and none below; for
+    w1 > w2, (w2/w1, oo) holds one, and (0, w2/w1) two or none.
+    """
+    p, l1, l2, w1, w2 = params.p, params.l1, params.l2, params.w1, params.w2
+    wronskian = _branch_wronskian(p, w1, w2)
+    if wronskian is None or not certify_squarefree(quotient):
+        return None
+    forced = Fraction(w2, w1)
+    signs = SparseQuotient(IntPolynomial(_raw_coefficients(p, l1, l2, w1, w2)), quotient, forced)
+    top = (forced, cauchy_root_bound(quotient))
+    if w1 == w2:
+        t, t_star = Fraction(l2, l1), wz_threshold(p, 1)
+        if t == t_star:
+            return None
+        brackets = [(Fraction(0), forced), top] if t > t_star else []
+    else:
+        below = _roots_below(quotient, signs, wronskian, forced)
+        if below is None:
+            return None
+        brackets = below + [top]
+    if any(signs.sign(lo) * signs.sign(hi) >= 0 for lo, hi in brackets):
+        return None
+    return isolate_bracketed_roots(quotient, brackets, signs, precision, [forced]), signs
 
 
 def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
@@ -367,17 +464,23 @@ def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
     ``params`` is a :class:`JoinParams`, or ``(params, quotient, k)`` when the
     caller has already built the ray polynomial and deflated it with
     :func:`deflate_forbidden`.  The counts of the report follow from its rays.
+    From p = 12 on, the roots are bracketed on the branches of R and located
+    by signs of the sparse ray polynomial; otherwise, or when a certificate
+    of that path fails, the quotient's Sturm chain counts them.  Both give
+    the same records.
     """
     if isinstance(params, JoinParams):
         quotient, k = deflate_forbidden(csc_polynomial(params))
     else:
         params, quotient, k = params
     forced = Fraction(params.w2, params.w1)
-    records = isolate_positive_roots(quotient, precision, [forced])
+    found = _branch_records(params, quotient, precision) \
+        if params.p >= _BRANCH_MIN_P and quotient.degree >= 1 else None
+    records, signs = found or (isolate_positive_roots(quotient, precision, [forced]), None)
     rays = [Ray(rec, "quasi-regular" if rec.is_rational else "irregular") for rec in records]
     paired = params.w1 == params.w2
     if paired:
-        _check_reciprocal_pairs(quotient, records)
+        _check_reciprocal_pairs(quotient, records, signs)
         # the records balance around b = 1, so the regular ray sits in the middle
         rays.insert(len(rays) // 2, Ray(RootRecord(forced, k, True), "regular"))
     reduced = (len(rays) + 1) // 2 if paired else len(rays)

@@ -14,7 +14,7 @@ Roots are isolated by Sturm-chain bisection of (0, B], B a Cauchy bound;
 one remainder sequence gives both the chain and the square-free test, and
 the last chain built is kept for root counting.  No integer is factored: a
 rational root n/d has d | lc, so it reduces to a root modulo every prime
-l not dividing lc.  When some l <= 31 shows there is none, no root is
+l not dividing lc.  When some l < 100 shows there is none, no root is
 rational; otherwise a cell no wider than 1/|lc| holds at most one candidate
 and one exact evaluation decides.  Rational roots are then divided out and
 the quotient isolated again, so no bisection point is a root and every
@@ -22,6 +22,13 @@ reported interval has non-root rational endpoints.  Cells are refined by
 bisection or, when deep, by Newton steps certified by exact signs; both
 reach the same dyadic cell.  Reported intervals are finished in order:
 width and other roots, then adjacent closures pair by pair, then exclusions.
+
+:func:`isolate_bracketed_roots` runs the same stages without a remainder
+sequence, for a square-free polynomial whose roots the caller has
+bracketed one per interval: cells are counted from signs at bracket
+points, and signs come from a :class:`SparseQuotient`, which evaluates a
+sparse f for its quotient by a power of a linear factor.
+:func:`certify_squarefree` checks gcd(f, f') = 1 modulo a prime.
 
 A Taylor shift by 1 and Descartes' rule of signs on Moebius-mapped
 intervals certify, without a remainder sequence, that an interval holds no
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 __all__ = [
@@ -61,6 +68,9 @@ __all__ = [
     "rational_roots",
     "refine_interval",
     "isolate_positive_roots",
+    "SparseQuotient",
+    "certify_squarefree",
+    "isolate_bracketed_roots",
     "cubic_discriminant",
     "format_poly",
 ]
@@ -183,6 +193,81 @@ def poly_eval(poly: IntPolynomial, q) -> Fraction:
 def _sign_at(coeffs: tuple[int, ...], q: Fraction) -> int:
     s = _scaled_value(coeffs, q.numerator, q.denominator)
     return (s > 0) - (s < 0)
+
+
+class _Signs:
+    """Signs and Newton data of a polynomial q with integer coefficients.
+
+    ``value(x, y)`` is an integer with the sign of q(x/y), for y > 0, and
+    ``newton(x, y)`` a pair (y**n * g(x/y), y**(n-1) * g'(x/y)) for some g
+    of degree n with the positive roots of q, all simple where q's are.
+    """
+
+    def sign(self, x: Fraction) -> int:
+        """The sign of q at the rational x."""
+        v = self.value(x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
+
+
+class _Horner(_Signs):
+    """Signs and Newton data of a dense polynomial, by Horner's rule."""
+
+    def __init__(self, cs: tuple[int, ...]) -> None:
+        self.cs = cs
+        self.slopes = tuple(i * c for i, c in enumerate(cs))[1:]
+
+    def value(self, num: int, den: int) -> int:
+        return _scaled_value(self.cs, num, den)
+
+    def newton(self, num: int, den: int) -> tuple[int, int]:
+        return _scaled_value(self.cs, num, den), _scaled_value(self.slopes, num, den)
+
+
+def _sparse_value(terms, n: int, x: int, y: int) -> int:
+    """y**n * f(x/y) for the nonzero terms (i, c) of f, ascending in i, by
+    Horner's rule over the gaps between exponents: a gap of 1 costs a
+    product with x and y, not with whole powers, and equal gaps share one."""
+    top, acc = terms[-1]
+    y_power, last, steps = 1, top, {}
+    for i, c in reversed(terms[:-1]):
+        gap = last - i
+        if gap not in steps:
+            steps[gap] = x ** gap, y ** gap
+        x_step, y_step = steps[gap]
+        y_power *= y_step
+        acc = acc * x_step + c * y_power
+        last = i
+    return acc * x ** last * y ** (n - top)
+
+
+class SparseQuotient(_Signs):
+    """Signs of q = f / (d*x - n)**k, for a root n/d of f of multiplicity k,
+    read off the nonzero terms of f: a few powers instead of deg(f) Horner
+    steps when f is sparse and deg(f) large.
+
+    ``value(x, y)`` is y**deg(f) * f(x/y) times sign(d*x - n*y)**k, or
+    y**deg(q) * q(x/y) at x/y = n/d; ``newton`` takes g = f.
+    """
+
+    def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
+        root = Fraction(root)
+        self.quotient = quotient
+        self.terms = [(i, c) for i, c in enumerate(f.coeffs) if c]
+        self.slopes = [(i - 1, i * c) for i, c in self.terms if i]
+        self.degree = f.degree
+        self.odd = (f.degree - quotient.degree) % 2
+        self.num, self.den = root.numerator, root.denominator
+
+    def value(self, x: int, y: int) -> int:
+        side = self.den * x - self.num * y
+        if not side:
+            return _scaled_value(self.quotient.coeffs, x, y)
+        v = _sparse_value(self.terms, self.degree, x, y)
+        return -v if self.odd and side < 0 else v
+
+    def newton(self, x: int, y: int) -> tuple[int, int]:
+        return (_sparse_value(self.terms, self.degree, x, y),
+                _sparse_value(self.slopes, self.degree - 1, x, y))
 
 
 def poly_divrem(num: IntPolynomial, den: IntPolynomial):
@@ -509,11 +594,15 @@ class RootRecord:
         return self.value if self.is_rational else self.value.lo
 
 
-def _isolate_cells(chain, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fraction, Fraction]]:
-    """Cells (a, b] of the bisection of (lo, hi], ascending: for each root of
-    chain[0] not in known, the first cell holding no other such root."""
+def _isolate_cells(above, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fraction, Fraction]]:
+    """Cells (a, b] of the bisection of (lo, hi], ascending: for each root not
+    in known, the first cell holding no other such root.
+
+    ``above(x)`` is, up to a constant, the number of roots above x: a Sturm
+    variation count, or the count over brackets of :func:`_bracket_above`.
+    """
     cells = []
-    work = [(lo, hi, _variation_count(chain, lo), _variation_count(chain, hi))]
+    work = [(lo, hi, above(lo), above(hi))]
     while work:
         a, b, va, vb = work.pop()
         n = va - vb - sum(a < r <= b for r in known)
@@ -521,10 +610,20 @@ def _isolate_cells(chain, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fr
             cells.append((a, b))
         elif n > 1:
             mid = (a + b) / 2
-            vm = _variation_count(chain, mid)
+            vm = above(mid)
             work.append((mid, b, vm, vb))
             work.append((a, mid, va, vm))
     return cells
+
+
+def _bracket_above(brackets, signs):
+    """The number of roots above x, for one root in each bracket (lo, hi)
+    whose ends have opposite signs (ValueError otherwise): a root lies above
+    a point of its bracket exactly when the point has the sign of lo."""
+    ends = [(lo, hi, signs.sign(lo)) for lo, hi in brackets]
+    if any(s * signs.sign(hi) >= 0 for _, hi, s in ends):
+        raise ValueError("the signs at the ends of a bracket must differ")
+    return lambda x: sum(x <= lo or x < hi and signs.sign(x) == s for lo, hi, s in ends)
 
 
 # Newton refinement takes four evaluations per step (value and derivative at
@@ -536,16 +635,16 @@ _NEWTON_WARMUP = 4
 _NEWTON_LEVELS = 49
 
 
-def _bisect_levels(cs, a: int, den: int, width: int, s_hi: int, levels: int):
+def _bisect_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
     """Descend by bisection from the cell (a, a + width] / den."""
     for _ in range(levels):
         mid = 2 * a + width
         den *= 2
-        a = mid if _scaled_value(cs, mid, den) * s_hi < 0 else 2 * a
+        a = mid if signs.value(mid, den) * s_hi < 0 else 2 * a
     return a, den
 
 
-def _newton_levels(cs, a: int, den: int, width: int, s_hi: int, levels: int):
+def _newton_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
     """Descend from the cell (a, a + width] / den by certified Newton steps.
 
     A step from the right end jumps ``gain`` levels and is kept only if the
@@ -553,22 +652,21 @@ def _newton_levels(cs, a: int, den: int, width: int, s_hi: int, levels: int):
     doubles after a kept step, as the error squares, and halves after a
     failed one, which is replaced by one bisection.
     """
-    dcs = tuple(i * c for i, c in enumerate(cs))[1:]
     done = gain = _NEWTON_WARMUP
-    a, den = _bisect_levels(cs, a, den, width, s_hi, done)
+    a, den = _bisect_levels(signs, a, den, width, s_hi, done)
     while done < levels:
         step = min(gain, levels - done)
         base, den2, last = a << step, den << step, (1 << step) - 1
         x = a + width
-        v, d = _scaled_value(cs, x, den), _scaled_value(dcs, x, den)
+        v, d = signs.newton(x, den)
         # the Newton point x/den - v/(d*den), located on the finer grid
         j = last if not d else min(max((((x * d - v) << step) // d - base) // width, 0), last)
         # a grid point lies left of the root exactly when its value * s_hi < 0
-        if (j == 0 or _scaled_value(cs, base + j * width, den2) * s_hi < 0) and \
-                (j == last or _scaled_value(cs, base + (j + 1) * width, den2) * s_hi >= 0):
+        if (j == 0 or signs.value(base + j * width, den2) * s_hi < 0) and \
+                (j == last or signs.value(base + (j + 1) * width, den2) * s_hi >= 0):
             a, den, done, gain = base + j * width, den2, done + step, 2 * gain
         else:
-            a, den = _bisect_levels(cs, a, den, width, s_hi, 1)
+            a, den = _bisect_levels(signs, a, den, width, s_hi, 1)
             done, gain = done + 1, max(1, gain // 2)
     return a, den
 
@@ -578,63 +676,104 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     """Shrink the isolating interval (lo, hi] of one root of poly.
 
     (lo, hi] must hold exactly one root of poly, of odd multiplicity; hi
-    and the points of exclude must not be roots (ValueError otherwise).  The
-    result is the interval bisection reaches: the cell
+    and the points of exclude must not be roots, and lo, unless it is a
+    root, must differ in sign from hi (ValueError otherwise).  The result is
+    the interval bisection reaches: the cell
     (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
     the least t at which the width is at most max_width and the closure holds
     no point of exclude.  Deep refinements reach it by certified Newton
     steps, shallow ones by bisection, whichever needs fewer evaluations.
     """
-    cs = poly.coeffs
+    return _refine(_Horner(poly.coeffs), lo, hi, max_width, exclude)
+
+
+def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[Fraction, Fraction]:
+    """:func:`refine_interval` with the signs and Newton data of ``signs``."""
     max_width = Fraction(max_width)
     den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     width = hi.numerator * (den // hi.denominator) - a
     # every cell below is (a, a + width] / den, den doubling per level
-    s_hi = _sign_at(cs, hi)
+    s_hi = signs.sign(hi)
     if not s_hi:
         raise ValueError(f"the interval end {hi} is a root")
-    if any(lo < r <= hi and not _sign_at(cs, Fraction(r)) for r in exclude):
+    if signs.sign(lo) == s_hi:
+        raise ValueError(f"no sign change on ({lo}, {hi}]: no root of odd multiplicity")
+    if any(lo < r <= hi and not signs.sign(Fraction(r)) for r in exclude):
         raise ValueError("a point of exclude is a root")
     ratio = -(-width * max_width.denominator // (max_width.numerator * den))
     levels = (ratio - 1).bit_length() if ratio > 1 else 0
     descend = _newton_levels if levels >= _NEWTON_LEVELS else _bisect_levels
-    a, den = descend(cs, a, den, width, s_hi, levels)
+    a, den = descend(signs, a, den, width, s_hi, levels)
     points = [(Fraction(r).numerator, Fraction(r).denominator) for r in exclude]
     while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):
-        a, den = _bisect_levels(cs, a, den, width, s_hi, 1)
+        a, den = _bisect_levels(signs, a, den, width, s_hi, 1)
     return Fraction(a, den), Fraction(a + width, den)
 
 
+# The primes that may certify that no root is rational.
+_CERTIFYING_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                      53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
 def _no_rational_root(cs: tuple[int, ...]) -> bool:
-    """Whether a prime l <= 31 not dividing lc certifies that the integer
+    """Whether a prime l < 100 not dividing lc certifies that the integer
     polynomial cs has no rational root: it has no root mod l, while a root
     n/d, d | lc, would reduce to the root n * d**-1 mod l."""
-    for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for ell in _CERTIFYING_PRIMES:
         red = tuple(c % ell for c in cs)
         if red[-1] and all(_scaled_value(red, x, 1) % ell for x in range(ell)):
             return True
     return False
 
 
-def _identify(sf: IntPolynomial, lo: Fraction, hi: Fraction, max_width: Fraction):
+# Primes for the square-free certificate, below 2**15 so that the products
+# in the remainder steps stay small integers.
+_SQUAREFREE_PRIMES = (32749, 32719, 32717)
+
+
+def certify_squarefree(poly: IntPolynomial) -> bool:
+    """Whether a prime l not dividing lc shows that poly is square-free:
+    gcd(poly, poly') = 1 mod l.  A square factor g**2 of poly would leave
+    g mod l, of the same positive degree, in that gcd.  False means unknown."""
+    for ell in _SQUAREFREE_PRIMES if poly.degree >= 1 else ():
+        a = [c % ell for c in poly.coeffs]
+        b = [i * c % ell for i, c in enumerate(a)][1:]
+        if not a[-1]:
+            continue
+        # Euclid's algorithm over Z/ell; it ends at a constant b, or at b = 0
+        # after the gcd of positive degree
+        while len(b) > 1:
+            inv = pow(b[-1], -1, ell)
+            while len(a) >= len(b):
+                f = a[-1] * inv % ell
+                shift = len(a) - len(b)
+                a[shift:] = [(u - f * v) % ell for u, v in zip(a[shift:], b)]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        if b:
+            return True
+    return False
+
+
+def _identify(sf: IntPolynomial, signs, lo: Fraction, hi: Fraction, max_width: Fraction):
     """The root of the square-free sf in its isolating cell (lo, hi]: the
     exact value if it is rational, else a subcell that refines further to
-    its cell of width max_width.
+    its cell of width max_width.  ``signs`` are those of sf.
 
     A rational root n/d has d | lc.  Once the cell is no wider than 1/|lc|,
     (|lc|*lo, |lc|*hi] holds at most one integer m, and one exact evaluation
     at m/|lc| decides.
     """
-    cs = sf.coeffs
-    lead = abs(cs[-1])
-    if _sign_at(cs, hi) == 0:
+    lead = abs(sf.coeffs[-1])
+    if signs.sign(hi) == 0:
         return hi
-    lo, hi = cell = refine_interval(sf, lo, hi, max(max_width, Fraction(1, lead)))
-    if max_width * lead > 1 and _sign_at(cs, hi) != 0:
-        lo, hi = refine_interval(sf, lo, hi, Fraction(1, lead))
+    lo, hi = cell = _refine(signs, lo, hi, max(max_width, Fraction(1, lead)))
+    if max_width * lead > 1 and signs.sign(hi) != 0:
+        lo, hi = _refine(signs, lo, hi, Fraction(1, lead))
     candidate = Fraction(hi.numerator * lead // hi.denominator, lead)
-    if candidate > lo and _sign_at(cs, candidate) == 0:
+    if candidate > lo and signs.sign(candidate) == 0:
         return candidate
     return cell
 
@@ -683,12 +822,20 @@ def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
         sf = IntPolynomial(chain[0])
         bound = cauchy_root_bound(sf)
         lead_width = Fraction(1, abs(sf.coeffs[-1]))
-        for lo, hi in _isolate_cells(chain, -bound, bound):
-            root = _identify(sf, lo, hi, lead_width)
+        signs = _Horner(sf.coeffs)
+        for lo, hi in _isolate_cells(partial(_variation_count, chain), -bound, bound):
+            root = _identify(sf, signs, lo, hi, lead_width)
             if isinstance(root, Fraction):
                 out.append((root, _multiplicity(factors, root)))
     out.sort(key=lambda t: t[0])
     return out
+
+
+def _check_isolation_input(poly: IntPolynomial, precision: int) -> None:
+    if poly.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    if not 1 <= precision <= 1000:
+        raise ValueError("precision must be between 1 and 1000")
 
 
 def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
@@ -701,45 +848,72 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
     then a closure clear of each point of exclude, which must not be a root.
     Multiplicities are read off the Yun decomposition.
     """
-    if poly.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if not 1 <= precision <= 1000:
-        raise ValueError("precision must be between 1 and 1000")
+    _check_isolation_input(poly, precision)
     if poly.degree == 0:
         return []
     k, chain, factors = _squarefree_setup(poly)
+    sf = IntPolynomial(chain[0])
+    return _finish_roots(sf, partial(_variation_count, chain), _Horner(sf.coeffs),
+                         factors, k, precision, exclude)
+
+
+def isolate_bracketed_roots(poly: IntPolynomial, brackets, signs, precision: int = 12,
+                            exclude=()) -> list[RootRecord]:
+    """The records of ``isolate_positive_roots(poly, precision, exclude)``,
+    found without a remainder sequence.
+
+    poly must be square-free (:func:`certify_squarefree`) and nonzero at 0.
+    ``brackets`` are disjoint intervals (lo, hi), 0 <= lo < hi, ascending,
+    whose ends differ in sign (ValueError otherwise); each holds exactly one
+    root, and together they hold every positive root, which the caller
+    certifies.  ``signs`` gives the signs and Newton data of poly, as
+    :class:`SparseQuotient` does.  Cells and refinements are the same; only
+    root counts come from the brackets and signs from ``signs``.
+    """
+    _check_isolation_input(poly, precision)
+    sf = primitive_part(poly)
+    return _finish_roots(sf, _bracket_above(brackets, signs), signs, [(sf, 1)], 0,
+                         precision, exclude)
+
+
+def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: int,
+                  exclude) -> list[RootRecord]:
+    """Records of the positive roots of the square-free part sf of a
+    polynomial x**k * p0 with the Yun factors of p0; ``above`` counts roots
+    of sf as :func:`_isolate_cells` needs and ``signs`` gives sf's signs."""
     max_width = Fraction(1, 10 ** precision)
 
-    # The first pass identifies every positive root of the square-free part
-    # sf; identification refines past max_width, so it is skipped when a
-    # prime shows that no root is rational.
-    sf = irr = IntPolynomial(chain[0])
-    cells = _isolate_cells(chain, Fraction(0), cauchy_root_bound(sf)) if sf.degree >= 1 else []
+    # The first pass identifies every positive root of sf; identification
+    # refines past max_width, so it is skipped when a prime shows that no
+    # root is rational.
+    irr = sf
+    cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(sf)) if sf.degree >= 1 else []
     if not (cells and abs(sf.coeffs[-1]) > max_width.denominator
             and _no_rational_root(sf.coeffs)):
-        cells = [_identify(sf, lo, hi, max_width) for lo, hi in cells]
+        cells = [_identify(sf, signs, lo, hi, max_width) for lo, hi in cells]
     rationals = [r for r in cells if isinstance(r, Fraction)]
     # The second pass divides the rationals out and isolates the quotient irr
     # again from its own Cauchy bound, so that no bisection point is a root.
     if rationals:
         for r in rationals:
             irr = deflate_linear(irr, r)[0]
-        cells = _isolate_cells(chain, Fraction(0), cauchy_root_bound(irr), rationals) \
+        signs = _Horner(irr.coeffs)
+        cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(irr), rationals) \
             if irr.degree >= 1 else []
     # closures must also avoid a root at 0, which is not a root of irr
     avoid = rationals + [Fraction(0)] if k else rationals
-    intervals = [refine_interval(irr, lo, hi, max_width, avoid) for lo, hi in cells]
+    intervals = [_refine(signs, lo, hi, max_width, avoid) for lo, hi in cells]
 
     # Separate the closures of adjacent cells, which may share an endpoint,
     # by halving both.  One level leaves a cell touching at most one
     # neighbour, so each pair takes the same levels in any visiting order.
     for i in range(len(intervals) - 1):
         while intervals[i][1] >= intervals[i + 1][0]:
-            intervals[i:i + 2] = [refine_interval(irr, lo, hi, (hi - lo) / 2)
+            intervals[i:i + 2] = [_refine(signs, lo, hi, (hi - lo) / 2)
                                   for lo, hi in intervals[i:i + 2]]
     # Clearing exclude must come last: a cell refined before the separation
     # changes how far its touching neighbour is halved, and so the reports.
-    intervals = [refine_interval(irr, lo, hi, hi - lo, exclude)
+    intervals = [_refine(signs, lo, hi, hi - lo, exclude)
                  if any(lo <= r <= hi for r in exclude) else (lo, hi) for lo, hi in intervals]
     records = [RootRecord(r, _multiplicity(factors, r), True) for r in rationals]
     records.extend(RootRecord(RationalInterval(lo, hi), _multiplicity(factors, lo, hi), False)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -492,6 +493,18 @@ def test_high_degree_reports_match_pinned_bytes(capsys):
         code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+def test_degree_804_query_stays_fast(capsys):
+    # the family's structure certificate is not cached yet
+    cscrays._branch_wronskian.cache_clear()
+    flags = "-p 400 -l1 1 -l2 5 -w 3,2"
+    digest = dict(PINNED_CSC_HIGH_DEGREE)[flags]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["csc", *flags.split(), "--json"])
+    assert time.perf_counter() - start < 5
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
 # sha256 of `sweep csc ...` stdout, computed with one csc_rays call per row:

@@ -254,14 +254,75 @@ def test_rays_homogeneous_pairing():
 
 
 def test_homogeneous_rays_build_one_remainder_sequence():
-    # isolation builds the Sturm chain; the pairing's root count reuses it
-    params = JoinParams(40, 1, 3, 1, 1)
+    # below the branch path's degree, isolation builds the Sturm chain; the
+    # pairing's root count reuses it
+    params = JoinParams(cscrays._BRANCH_MIN_P - 1, 1, 3, 1, 1)
     assert params.l2 > wz_threshold(params.p, params.l1)
     _sturm_chain.cache_clear()
     report = csc_rays(params)
     assert report.reduced_count == 2 and report.rays[0].ray_class == "irregular"
     info = _sturm_chain.cache_info()
     assert info.misses == 1 and info.hits == 1
+
+
+@pytest.mark.parametrize("tup", [(82, 1, 5, 3, 2), (88, 1, 4, 1, 1)])
+def test_high_degree_rays_build_no_remainder_sequence(tup):
+    # the rays are bracketed on the branches of R, and the pairing of
+    # w = (1,1) is checked by signs, so no Sturm chain is built
+    _sturm_chain.cache_clear()
+    report = csc_rays(JoinParams(*tup))
+    assert report.unreduced_count == 3
+    info = _sturm_chain.cache_info()
+    assert info.misses == 0 and info.hits == 0
+
+
+BRANCH_WEIGHTS = [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (5, 3)]
+# a 14-digit prime, so that l2/l1 can come within 10**-12 of t*
+NEAR_L1 = 10_000_000_000_037
+
+
+@st.composite
+def _branch_degree_tuples(draw):
+    """(params, precision) from the branch path's degrees up to p = 40: small
+    (l1, l2) on either side of t*, l2/l1 within 10**-12 of t* or equal to it,
+    or a rational root r != w2/w1, for which l2/l1 = R(r) (p <= 24 there: the
+    Sturm path takes about a second at p = 40 on such large l1 and l2)."""
+    kind = draw(st.sampled_from(["small", "near", "rational"]))
+    p = draw(st.integers(cscrays._BRANCH_MIN_P, 24 if kind == "rational" else 40))
+    w1, w2 = draw(st.sampled_from(BRANCH_WEIGHTS))
+    if kind == "small":
+        l1, l2 = draw(st.integers(1, 30)), draw(st.integers(1, 60))
+    elif kind == "near":
+        threshold = ray_threshold(p, w1, w2)
+        lo, hi = (threshold, threshold) if w1 == w2 else (threshold.lo, threshold.hi)
+        if w1 == w2 and draw(st.booleans()):
+            l1, l2 = lo.denominator, lo.numerator
+        else:
+            l1 = NEAR_L1
+            l2 = draw(st.sampled_from([int(lo * l1) - 1, int(lo * l1), int(hi * l1) + 1,
+                                       int(hi * l1) + 2]))
+    else:
+        r = draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 4), F(2), F(3)]))
+        assume(r != F(w2, w1))
+        t = -poly_eval(intpoly(_raw_coefficients(p, 1, 0, w1, w2)), r) \
+            / poly_eval(intpoly(_raw_coefficients(p, 0, 1, w1, w2)), r)
+        assume(t > 0)
+        l1, l2 = t.denominator, t.numerator
+    try:
+        params = JoinParams(p, l1, l2, w1, w2)
+    except ParameterError:
+        assume(False)
+    return params, draw(st.integers(1, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_branch_degree_tuples())
+def test_branch_path_reports_equal_the_sturm_path(case):
+    params, precision = case
+    report = csc_rays(params, precision)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cscrays, "_BRANCH_MIN_P", params.p + 1)
+        assert repr(report) == repr(csc_rays(params, precision))
 
 
 def test_rays_quasiregular_family_case():
@@ -421,6 +482,32 @@ def test_pairing_certificate_rejects_broken_records(monkeypatch, records, messag
                         lambda poly, precision, exclude: records)
     with pytest.raises(InternalInvariantError, match=message):
         csc_rays(JoinParams(1, 1, 6, 1, 1))
+
+
+def test_branch_path_pairing_rejects_a_rootless_partner(monkeypatch):
+    # at (40,1,3,1,1) and precision 2 the low ray's interval inverts to about
+    # (3.903, 4.029) and the partner root lies above 4189105/1048576; a partner
+    # interval below that overlaps the inverse without a sign change
+    records = [_interval(F(260245, 1048576), F(8395, 32768)),
+               _interval(F(32768, 8395), F(4189105, 1048576))]
+    monkeypatch.setattr(cscrays, "isolate_bracketed_roots", lambda *args: records)
+    with pytest.raises(InternalInvariantError, match="fails to isolate"):
+        csc_rays(JoinParams(40, 1, 3, 1, 1), 2)
+
+
+@pytest.mark.parametrize("tup", [(40, 1, 3, 1, 1), (40, 1, 5, 3, 2)])
+@pytest.mark.parametrize("patch", [("certify_squarefree", lambda poly: False),
+                                   ("_branch_wronskian", lambda p, w1, w2: None),
+                                   ("_SEPARATOR_LEVELS", 0)],
+                         ids=["squarefree", "structure", "separator"])
+def test_branch_path_falls_back_when_a_certificate_fails(monkeypatch, tup, patch):
+    report = repr(csc_rays(JoinParams(*tup)))
+    monkeypatch.setattr(cscrays, *patch)
+    _sturm_chain.cache_clear()
+    assert repr(csc_rays(JoinParams(*tup))) == report
+    # the Sturm path ran, except that no separator is sought for w = (1,1)
+    separator_only = patch[0] == "_SEPARATOR_LEVELS" and tup[3] == tup[4]
+    assert _sturm_chain.cache_info().misses == (0 if separator_only else 1)
 
 
 @pytest.mark.parametrize("power", [1, 2], ids=["simple-roots", "double-roots"])

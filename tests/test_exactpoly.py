@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sasakijoin.exactpoly import (
     IntPolynomial,
+    SparseQuotient,
     _no_rational_root,
     _squarefree_setup,
     cauchy_root_bound,
+    certify_squarefree,
     cubic_discriminant,
     descartes_count,
     intpoly,
+    isolate_bracketed_roots,
     isolate_positive_roots,
     poly_derivative,
     poly_divrem,
@@ -29,7 +32,7 @@ from sasakijoin.exactpoly import (
     sturm_count,
     taylor_shift,
 )
-from sasakijoin.cscrays import csc_polynomial
+from sasakijoin.cscrays import csc_polynomial, deflate_forbidden
 from sasakijoin.joinspace import JoinParams
 
 # the p=1 cubic cofactor for (l1, l2, w) = (1, 19, (3,2)) and its neighbour
@@ -614,14 +617,60 @@ def test_refinement_rejects_an_excluded_root():
         refine_interval(intpoly([-1, 0, 1]), F(1, 2), F(3, 2), F(1, 10), [F(1)])
 
 
+def test_refinement_rejects_an_interval_without_a_sign_change():
+    # (x^2 - 2)^2 has the double root sqrt(2) in (1, 2] and is positive at both
+    # ends, so signs cannot steer bisection towards it
+    with pytest.raises(ValueError, match="no sign change"):
+        refine_interval(intpoly([4, 0, -4, 0, 1]), F(1), F(2), F(1, 10))
+
+
+# ----------------------------------------------------------------------
+# isolation from brackets, without a remainder sequence
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 12), min_size=1, max_size=6), st.integers(0, 12),
+       st.integers(1, 4), st.integers(1, 30), st.data())
+def test_bracketed_isolation_matches_the_sturm_path(units, forced_unit, k, precision, data):
+    # one root in each chosen (u, u + 1): sqrt(u^2 + 1), or u + 1/3 where a
+    # drawn flag says rational; f multiplies in (2x - 2v - 1)^k, v = forced_unit
+    rational = {u for u in units if data.draw(st.booleans())}
+    quotient = intpoly([1])
+    for u in units:
+        factor = [-(3 * u + 1), 3] if u in rational else [-(u * u + 1), 0, 1]
+        quotient = poly_mul(quotient, intpoly(factor))
+    forced = F(2 * forced_unit + 1, 2)
+    f = poly_mul(quotient, intpoly(oracles.power([-(2 * forced_unit + 1), 2], k)))
+    brackets = [(F(u), F(u + 1)) for u in sorted(units)]
+    signs = SparseQuotient(f, quotient, forced)
+    assert certify_squarefree(quotient)
+    assert isolate_bracketed_roots(quotient, brackets, signs, precision, [forced]) \
+        == isolate_positive_roots(quotient, precision, [forced])
+
+
+def test_bracketed_isolation_rejects_a_bracket_without_a_sign_change():
+    # x^2 - 1 vanishes at the end 1 of the bracket (0, 1)
+    quotient = intpoly([-1, 0, 1])
+    signs = SparseQuotient(poly_mul(quotient, intpoly([-1, 2])), quotient, F(1, 2))
+    with pytest.raises(ValueError, match="ends of a bracket"):
+        isolate_bracketed_roots(quotient, [(F(0), F(1))], signs)
+
+
+def test_squarefree_certificate():
+    assert certify_squarefree(intpoly([-2, 0, 1]))
+    assert not certify_squarefree(intpoly([4, 0, -4, 0, 1]))     # (x^2 - 2)^2
+    assert not certify_squarefree(intpoly([5]))
+
+
 # ----------------------------------------------------------------------
 # the certificate that no root is rational
 
 # denominators above 31, and products of the primes the certificate tries
-# (the last one is divisible by all of them, so none can be used)
+# (the last two are divisible by every prime up to 31 and up to 97, so the
+# last leaves none usable)
 CERT_DENOMINATORS = st.one_of(
     st.sampled_from([37, 97, 1_000_003, 2_147_483_647, 2 ** 10 * 31,
-                     2 * 3 * 5 * 7 * 11 * 13, 200_560_490_130]),
+                     2 * 3 * 5 * 7 * 11 * 13, 200_560_490_130,
+                     2_305_567_963_945_518_424_753_102_147_331_756_070]),
     st.integers(1, 10 ** 6))
 SMALL_COFACTOR = st.lists(st.integers(-30, 30), min_size=1, max_size=8).filter(lambda cs: cs[-1])
 
@@ -645,3 +694,18 @@ def test_certificate_agrees_with_a_divisor_scan(cofactor, linear):
     if _no_rational_root(poly.coeffs):
         assert not has_rational
     assert bool(rational_roots(poly)) == has_rational
+
+
+def test_certificate_reaches_primes_past_31():
+    # the degree-801 ray quotient of (400,1,5,3,2) has a root modulo every
+    # prime up to 37 that does not divide lc (3 does); 41 is the first without
+    cs = primitive_part(deflate_forbidden(csc_polynomial(JoinParams(400, 1, 5, 3, 2)))[0]).coeffs
+
+    def certifies(ell):
+        red = [c % ell for c in cs]
+        return bool(red[-1]) and all(oracles.horner(red, x) % ell for x in range(ell))
+
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert [ell for ell in primes if certifies(ell)] == [41]
+    assert _no_rational_root(cs)
+
