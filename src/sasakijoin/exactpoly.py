@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import gcd
 
 __all__ = [
@@ -214,10 +214,11 @@ class _Horner(_Signs):
 
     def __init__(self, cs: tuple[int, ...]) -> None:
         self.cs = cs
-        self.slopes = tuple(i * c for i, c in enumerate(cs))[1:]
+        self.value = partial(_scaled_value, cs)
 
-    def value(self, num: int, den: int) -> int:
-        return _scaled_value(self.cs, num, den)
+    @cached_property
+    def slopes(self) -> tuple[int, ...]:
+        return tuple(i * c for i, c in enumerate(self.cs))[1:]
 
     def newton(self, num: int, den: int) -> tuple[int, int]:
         return _scaled_value(self.cs, num, den), _scaled_value(self.slopes, num, den)
@@ -684,11 +685,15 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     no point of exclude.  Deep refinements reach it by certified Newton
     steps, shallow ones by bisection, whichever needs fewer evaluations.
     """
-    return _refine(_Horner(poly.coeffs), lo, hi, max_width, exclude)
+    signs = _Horner(poly.coeffs)
+    if signs.sign(lo) == signs.sign(hi) != 0:
+        raise ValueError(f"no sign change on ({lo}, {hi}]: no root of odd multiplicity")
+    return _refine(signs, lo, hi, max_width, exclude)
 
 
 def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[Fraction, Fraction]:
-    """:func:`refine_interval` with the signs and Newton data of ``signs``."""
+    """:func:`refine_interval` with the signs and Newton data of ``signs``,
+    for the isolating cells of this module, whose ends differ in sign."""
     max_width = Fraction(max_width)
     den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
@@ -697,8 +702,6 @@ def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[F
     s_hi = signs.sign(hi)
     if not s_hi:
         raise ValueError(f"the interval end {hi} is a root")
-    if signs.sign(lo) == s_hi:
-        raise ValueError(f"no sign change on ({lo}, {hi}]: no root of odd multiplicity")
     if any(lo < r <= hi and not signs.sign(Fraction(r)) for r in exclude):
         raise ValueError("a point of exclude is a root")
     ratio = -(-width * max_width.denominator // (max_width.numerator * den))
