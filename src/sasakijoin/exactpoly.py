@@ -638,10 +638,11 @@ _NEWTON_LEVELS = 49
 
 def _bisect_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
     """Descend by bisection from the cell (a, a + width] / den."""
+    value = signs.value
     for _ in range(levels):
         mid = 2 * a + width
         den *= 2
-        a = mid if signs.value(mid, den) * s_hi < 0 else 2 * a
+        a = mid if value(mid, den) * s_hi < 0 else 2 * a
     return a, den
 
 
