@@ -20,15 +20,16 @@ reciprocal pairs {b, 1/b}; each pair is one ray of the reduced cone and is
 counted once in ``reduced_count``.  For w1 > w2 no identification happens
 and the unreduced and reduced counts agree.
 
-Every coefficient of the ray polynomial is linear in (l1, l2).  Once per
-family (p, w1, w2), :func:`ray_threshold` certifies the value t* of l2/l1
-at which the ray count jumps, from 1 to 3 (1 to 2 reduced for w = (1,1)),
-and :func:`threshold_ray_counts` reads a tuple's counts off it; sweeps and
-:func:`min_l2_multiple_csc` call :func:`csc_rays` only for tuples whose
-l2/l1 is not separated from t*.  The same certificate lets :func:`csc_rays`
-skip the Sturm chain at high degree: each branch of R = -B/A holds at most
-one root, so the roots are bracketed by signs of the sparse ray polynomial
-and isolated, with byte-identical reports, by
+Every coefficient of the ray polynomial is linear in (l1, l2), so
+f = l2*A + l1*B.  The structure of R = -B/A is certified once per family
+(p, w1, w2) and cached.  From it :func:`ray_threshold` reads the value t*
+of l2/l1 at which the ray count jumps, from 1 to 3 (1 to 2 reduced for
+w = (1,1)), and :func:`threshold_ray_counts` reads a tuple's counts off t*;
+sweeps and :func:`min_l2_multiple_csc` call :func:`csc_rays` only for
+tuples whose l2/l1 is not separated from t*.  The same entry lets
+:func:`csc_rays` skip the Sturm chain at high degree: each branch of R
+holds at most one root, so the roots are bracketed by signs of the sparse
+ray polynomial and isolated, with byte-identical reports, by
 :func:`~sasakijoin.exactpoly.isolate_bracketed_roots`.
 
 One caveat applies to every report: a root certifies constant scalar
@@ -230,14 +231,17 @@ def ray_threshold(p: int, w1: int, w2: int) -> Fraction | RationalInterval:
     big_a, big_b, wronskian = _certified_structure(p, w1, w2)
     if w1 == w2:
         return wz_threshold(p, 1)
-    return _critical_value(p, w1, w2, big_a, big_b, wronskian.quotient)
+    return _critical_value(p, w1, w2, big_a, big_b, wronskian)
 
 
+@lru_cache(maxsize=32)
 def _certified_structure(p: int, w1: int, w2: int):
     """(A, B, W) for the family, once the checks of :func:`ray_threshold`
     hold: f = l2*A + l1*B, and W is the Wronskian A'B - AB' deflated by
     (w1*x - w2), as a :class:`SparseQuotient` of the 13-term A'B - AB'.
-    Raises :class:`InternalInvariantError` otherwise."""
+    Raises :class:`InternalInvariantError` otherwise.  Cached per family
+    (failures are not), for :func:`ray_threshold` and the branch path of
+    :func:`csc_rays` alike."""
     JoinParams(p, 1, 1, w1, w2)
     big_a = intpoly(_raw_coefficients(p, 0, 1, w1, w2))
     big_b = intpoly(_raw_coefficients(p, 1, 0, w1, w2))
@@ -270,11 +274,12 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
     """An interval of width THRESHOLD_WIDTH around R(c*), where c* is the one
     critical point of R = -B/A in (0, w2/w1) and the minimum of R there.
 
-    The cell (lo, hi) of c* is bisected on the sign of the Wronskian.  R at a
-    cell end inside (0, w2/w1) exceeds t*.  Below that value by the width, at
-    t = n/d, f_t = n*A + d*B = A*(t - R) is negative at that end; once a
-    Descartes count shows it has no root in the cell, it is negative at c*
-    too, so t < t*.
+    The cell (lo, hi) of c* is bisected on the signs of the sparse
+    Wronskian of :func:`_certified_structure`.  R at a cell end inside
+    (0, w2/w1) exceeds t*.  Below that value by the width, at t = n/d,
+    f_t = n*A + d*B = A*(t - R) is negative at that end; once a Descartes
+    count shows it has no root in the cell, it is negative at c* too, so
+    t < t*.
     """
     forced = Fraction(w2, w1)
 
@@ -282,17 +287,14 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
         return -poly_eval(big_b, x) / poly_eval(big_a, x)
 
     lo, hi = Fraction(0), forced
-    s_hi = poly_eval(wronskian, hi) > 0
+    s_hi = wronskian.sign(hi)
     for _ in range(_THRESHOLD_LEVELS):
         mid = (lo + hi) / 2
-        value = poly_eval(wronskian, mid)
-        if not value:       # c* = mid, so t* = R(mid) exactly
+        w = wronskian.sign(mid)
+        if not w:           # c* = mid, so t* = R(mid) exactly
             t_star = ratio(mid)
             return RationalInterval(t_star - THRESHOLD_WIDTH / 2, t_star + THRESHOLD_WIDTH / 2)
-        if (value > 0) == s_hi:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if w == s_hi else (mid, hi)
         top = min(ratio(x) for x in (lo, hi) if 0 < x < forced)
         bottom = top - THRESHOLD_WIDTH
         f_bottom = IntPolynomial(_raw_coefficients(p, bottom.denominator, bottom.numerator,
@@ -414,39 +416,29 @@ def _roots_below(quotient: IntPolynomial, signs: SparseQuotient,
     return None
 
 
-@lru_cache(maxsize=32)
-def _branch_wronskian(p: int, w1: int, w2: int) -> SparseQuotient | None:
-    """The Wronskian of :func:`_certified_structure`, certified once per
-    family for the branch path; None when the structure is not certified."""
-    try:
-        return _certified_structure(p, w1, w2)[2]
-    except InternalInvariantError:
-        return None
-
-
 def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int):
     """(records, signs): the records ``isolate_positive_roots(quotient,
     precision, [w2/w1])`` gives, found from the certified branch structure
     of R without a remainder sequence, and the quotient's sparse signs.
     None when the family, the square-free quotient, or the brackets are not
-    certified, and at t = t*, where a root is double.
+    certified.
 
     Each branch of R holds at most one root, a simple one: for w = (1,1),
-    (0, 1) and (1, oo) hold one each for t > t* and none below; for
-    w1 > w2, (w2/w1, oo) holds one, and (0, w2/w1) two or none.
+    (0, 1) and (1, oo) hold one each for t > t* and none at or below t*;
+    for w1 > w2, (w2/w1, oo) holds one, and (0, w2/w1) two or none.
     """
     p, l1, l2, w1, w2 = params.p, params.l1, params.l2, params.w1, params.w2
-    wronskian = _branch_wronskian(p, w1, w2)
-    if wronskian is None or not certify_squarefree(quotient):
+    try:
+        wronskian = _certified_structure(p, w1, w2)[2]
+    except InternalInvariantError:
+        return None
+    if not certify_squarefree(quotient):
         return None
     forced = Fraction(w2, w1)
     signs = SparseQuotient(IntPolynomial(_raw_coefficients(p, l1, l2, w1, w2)), quotient, forced)
     top = (forced, cauchy_root_bound(quotient))
     if w1 == w2:
-        t, t_star = Fraction(l2, l1), wz_threshold(p, 1)
-        if t == t_star:
-            return None
-        brackets = [(Fraction(0), forced), top] if t > t_star else []
+        brackets = [(Fraction(0), forced), top] if Fraction(l2, l1) > wz_threshold(p, 1) else []
     else:
         below = _roots_below(quotient, signs, wronskian, forced)
         if below is None:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import gcd
+from math import ceil, gcd
 
 __all__ = [
     "IntPolynomial",
@@ -467,8 +467,9 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
     if poly.degree == 0:
         return 0
     if a is None or b is None:
-        # past every root and the other endpoint the count is the one at infinity
-        far = cauchy_root_bound(poly) + abs(a or 0) + abs(b or 0)
+        # past every root and the other endpoint the count is the one at
+        # infinity; the chain is cheapest to evaluate at a power of two
+        far = 1 << ceil(cauchy_root_bound(poly) + abs(a or 0) + abs(b or 0)).bit_length()
         a, b = (-far if a is None else a), (far if b is None else b)
     chain = _sturm_chain(primitive_part(poly))
     return _variation_count(chain, a) - _variation_count(chain, b)

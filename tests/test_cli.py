@@ -497,7 +497,7 @@ def test_high_degree_reports_match_pinned_bytes(capsys):
 
 def test_degree_804_query_stays_fast(capsys):
     # the family's structure certificate is not cached yet
-    cscrays._branch_wronskian.cache_clear()
+    cscrays._certified_structure.cache_clear()
     flags = "-p 400 -l1 1 -l2 5 -w 3,2"
     digest = dict(PINNED_CSC_HIGH_DEGREE)[flags]
     start = time.perf_counter()

@@ -277,6 +277,20 @@ def test_high_degree_rays_build_no_remainder_sequence(tup):
     assert info.misses == 0 and info.hits == 0
 
 
+@pytest.mark.parametrize("tup", [(12, 26, 9, 1, 1), (40, 820, 83, 1, 1), (120, 2420, 81, 1, 1)])
+def test_rows_at_the_wang_ziller_threshold_build_no_remainder_sequence(monkeypatch, tup):
+    # at t = t* the reciprocal pair merges into the regular ray (k = 6), and
+    # the certified structure of R leaves the quotient no positive root
+    params = JoinParams(*tup)
+    assert wz_threshold(params.p, params.l1) == params.l2
+    _sturm_chain.cache_clear()
+    report = csc_rays(params)
+    assert _sturm_chain.cache_info().misses == 0
+    assert report.unreduced_count == 1 and report.rays[0].record.multiplicity == 6
+    monkeypatch.setattr(cscrays, "_BRANCH_MIN_P", params.p + 1)
+    assert repr(csc_rays(params)) == repr(report)
+
+
 BRANCH_WEIGHTS = [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (5, 3)]
 # a 14-digit prime, so that l2/l1 can come within 10**-12 of t*
 NEAR_L1 = 10_000_000_000_037
@@ -405,6 +419,13 @@ def test_min_l2_examples():
         min_l2_multiple_csc(1, 1, 2, 3, 10)
 
 
+def test_min_l2_certifies_its_family_once():
+    # l2 = 9 gives t = t* = 9/26 exactly, so csc_rays takes that row on the
+    # branch path, which reads the certificate ray_threshold cached
+    assert min_l2_multiple_csc(12, 26, 1, 1, 12) == 11
+    assert cscrays._certified_structure.cache_info().misses == 1
+
+
 def test_min_l2_rejects_with_the_join_constraint():
     for args, constraint in (((0, 1, 3, 2), "p >= 1"), ((1, 0, 3, 2), "l1 >= 1"),
                              ((1, 1, 2, 3), "w1 >= w2"), ((1, 1, 4, 2), "gcd(w1,w2) = 1")):
@@ -496,9 +517,13 @@ def test_branch_path_pairing_rejects_a_rootless_partner(monkeypatch):
         csc_rays(JoinParams(40, 1, 3, 1, 1), 2)
 
 
+def _uncertified(p, w1, w2):
+    raise InternalInvariantError(f"the family ({p}, {w1}, {w2}) is not certified")
+
+
 @pytest.mark.parametrize("tup", [(40, 1, 3, 1, 1), (40, 1, 5, 3, 2)])
 @pytest.mark.parametrize("patch", [("certify_squarefree", lambda poly: False),
-                                   ("_branch_wronskian", lambda p, w1, w2: None),
+                                   ("_certified_structure", _uncertified),
                                    ("_SEPARATOR_LEVELS", 0)],
                          ids=["squarefree", "structure", "separator"])
 def test_branch_path_falls_back_when_a_certificate_fails(monkeypatch, tup, patch):
