@@ -588,6 +588,16 @@ def test_criterion_8_holds_for_every_l1_and_l2():
         assert descartes_count(f, 0, F(w2, w1)) == 0, (p, w1, w2)
 
 
+def test_mixed_families_are_certified_at_higher_degree():
+    # p = 1..12 is covered by the criterion-8 scan above
+    families = [(p, w1, w2) for p in (20, 30, 40) for w1 in range(2, 21)
+                for w2 in range(1, w1) if gcd(w1, w2) == 1]
+    families += [(p, w1, w1 - 1) for w1 in (101, 1000) for p in (12, 60)]
+    assert len(families) == 385
+    for family in families:
+        cscrays._certified_structure(*family)
+
+
 def test_wang_ziller_law_for_every_p_up_to_30():
     # R = -B/A has no critical point in (0, oo) but b = 1 when the deflated
     # Wronskian has no sign variation; then t* = R(1)
