@@ -12,6 +12,11 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rfE --durations=1
     --continue-on-collection-errors | tee "$log"
 status=${PIPESTATUS[0]}
 failed=$(grep -E '^(FAILED|ERROR) ' "$log" | cut -d' ' -f2)
+# pytest's last line ("N passed ... in X s"), the tier-1 wall time, goes
+# beside the source-size table when run as a GitHub Actions step
+if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+    grep -E ' in [0-9.]+s' "$log" | tail -n 1 >> "$GITHUB_STEP_SUMMARY"
+fi
 
 if [ "$status" -ne 1 ] || [ "$failed" != "$expected" ]; then
     echo "tier-1: expected exit 1 with only $expected failing;" \

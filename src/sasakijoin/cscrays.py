@@ -61,6 +61,7 @@ from .exactpoly import (
     poly_eval,
     poly_mul,
     poly_sub,
+    split_counts,
     sturm_count,
 )
 from .joinspace import JoinParams, ParameterError
@@ -215,9 +216,10 @@ def ray_threshold(p: int, w1: int, w2: int) -> Fraction | RationalInterval:
     f = l2*A + l1*B, and a CSC value b != w2/w1 solves R(b) = t for
     t = l2/l1 and R = -B/A.  The count changes only at critical values of R:
     roots of the Wronskian A'B - AB', deflated by (w1*b - w2).  This checks,
-    by exact signs and Descartes counts, that w2/w1 is a root of A and B of
-    the forced multiplicities, that A has no other positive root, that R
-    tends to +oo at 0 and at oo, and that R has
+    by exact signs, Descartes counts on (0, oo) and prefix-sum counts on
+    either side of w2/w1 (:func:`split_counts`), that w2/w1 is a root of A
+    and B of the forced multiplicities, that A has no other positive root,
+    that R tends to +oo at 0 and at oo, and that R has
     - for w = (1,1), no critical point but b = 1, where it is finite, so a
       reciprocal pair of rays joins the regular one exactly when
       t > t* = R(1) = wz_threshold(p, 1), which is returned;
@@ -239,9 +241,9 @@ def _certified_structure(p: int, w1: int, w2: int):
     """(A, B, W) for the family, once the checks of :func:`ray_threshold`
     hold: f = l2*A + l1*B, and W is the Wronskian A'B - AB' deflated by
     (w1*x - w2), as a :class:`SparseQuotient` of the 13-term A'B - AB'.
-    Raises :class:`InternalInvariantError` otherwise.  Cached per family
-    (failures are not), for :func:`ray_threshold` and the branch path of
-    :func:`csc_rays` alike."""
+    Raises :class:`InternalInvariantError` otherwise.  No count shifts W:
+    each costs O(n) additions.  Cached per family (failures are not), for
+    :func:`ray_threshold` and the branch path of :func:`csc_rays` alike."""
     JoinParams(p, 1, 1, w1, w2)
     big_a = intpoly(_raw_coefficients(p, 0, 1, w1, w2))
     big_b = intpoly(_raw_coefficients(p, 1, 0, w1, w2))
@@ -262,8 +264,7 @@ def _certified_structure(p: int, w1: int, w2: int):
     else:
         # R = -b_rest/((w1*x - w2)*a_rest): +oo just below w2/w1, -oo just above
         certified = (certified and poly_eval(a_rest, forced) * poly_eval(b_rest, forced) > 0
-                     and descartes_count(wronskian, 0, forced) == 1
-                     and descartes_count(wronskian, forced) == 0)
+                     and split_counts(wronskian, forced) == (1, 0))
     if not certified:
         raise InternalInvariantError(
             f"the ray count structure of the family ({p}, {w1}, {w2}) is not certified")
@@ -376,9 +377,10 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
                     "inverted isolating interval fails to isolate the partner root")
 
 
-# From this p on, csc_rays finds the roots on the branches of R.  Measured
-# against the Sturm chain of the dense quotient, the branch path breaks even
-# near p = 10 in both weight shapes when the family is not yet certified.
+# From this p on, csc_rays finds the roots on the branches of R.  Against the
+# Sturm chain of the dense quotient, with the family not yet certified, it
+# breaks even near p = 7 for w = (1,1) and p = 8 for w = (3,2) (best of 5,
+# mean of 12 values of l2).  12 keeps every query up to p = 11 on the chain.
 _BRANCH_MIN_P = 12
 # Bisection levels on c* in which a point between the two roots below w2/w1
 # is sought, or a Descartes count shows there are none.  A separator shows

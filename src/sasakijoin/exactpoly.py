@@ -32,7 +32,8 @@ sparse f for its quotient by a power of a linear factor.
 
 A Taylor shift by 1 and Descartes' rule of signs on Moebius-mapped
 intervals certify, without a remainder sequence, that an interval holds no
-root or exactly one simple root.
+root or exactly one simple root.  :func:`split_counts` bounds the roots on
+both sides of a point from prefix sums instead, with no Taylor shift.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 from math import ceil, gcd
+from operator import mul, ne
 
 __all__ = [
     "IntPolynomial",
@@ -63,6 +66,7 @@ __all__ = [
     "sign_variations",
     "taylor_shift",
     "descartes_count",
+    "split_counts",
     "cauchy_root_bound",
     "deflate_linear",
     "rational_roots",
@@ -308,10 +312,7 @@ def poly_exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
 
 def content(poly: IntPolynomial) -> int:
     """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in poly.coeffs:
-        g = gcd(g, c)
-    return g
+    return gcd(*poly.coeffs)
 
 
 def primitive_part(poly: IntPolynomial) -> IntPolynomial:
@@ -325,9 +326,7 @@ def primitive_part(poly: IntPolynomial) -> IntPolynomial:
 def _normalized(poly: IntPolynomial) -> IntPolynomial:
     """Primitive part with positive leading coefficient."""
     p = primitive_part(poly)
-    if p.coeffs and p.coeffs[-1] < 0:
-        p = poly_neg(p)
-    return p
+    return poly_neg(p) if p.coeffs and p.coeffs[-1] < 0 else p
 
 
 def _neg_rem_like(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -354,9 +353,7 @@ def _neg_rem_like(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return ()
     if lb > 0 or steps % 2 == 0:
         r = [-c for c in r]
-    g = 0
-    for c in r:
-        g = gcd(g, c)
+    g = gcd(*r)
     return tuple(c // g for c in r)
 
 
@@ -438,16 +435,8 @@ def _sturm_chain(poly: IntPolynomial) -> tuple[tuple[int, ...], ...]:
 
 def sign_variations(coeffs) -> int:
     """Sign changes in a coefficient sequence, zeros skipped (Descartes)."""
-    prev = 0
-    n = 0
-    for c in coeffs:
-        s = (c > 0) - (c < 0)
-        if s == 0:
-            continue
-        if prev and s != prev:
-            n += 1
-        prev = s
-    return n
+    signs = [c > 0 for c in coeffs if c]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def sturm_count(poly: IntPolynomial, lo, hi) -> int:
@@ -485,9 +474,11 @@ def _taylor_shift(cs) -> list[int]:
 
 
 def _scaled(cs, s: Fraction) -> list[int]:
-    """Coefficients of den**n * f(s*x) for the rational s = num/den > 0."""
-    n = len(cs) - 1
-    return [c * s.numerator ** i * s.denominator ** (n - i) for i, c in enumerate(cs)]
+    """Coefficients of den**n * f(s*x) for the rational s = num/den > 0,
+    by running powers of num upwards and of den downwards."""
+    ups = accumulate([s.numerator] * (len(cs) - 1), mul, initial=1)
+    downs = list(accumulate([s.denominator] * (len(cs) - 1), mul, initial=1))
+    return [c * u * d for c, u, d in zip(cs, ups, reversed(downs))]
 
 
 def taylor_shift(poly: IntPolynomial) -> IntPolynomial:
@@ -517,6 +508,43 @@ def descartes_count(poly: IntPolynomial, lo, hi=None) -> int:
     cs = _scaled(cs, (hi - lo) / lo if lo else Fraction(hi))  # poly(lo + (hi-lo)*x)
     # x -> 1/x then x -> x + 1 carries (0, 1) onto (0, oo)
     return sign_variations(_taylor_shift(cs[::-1]))
+
+
+def split_counts(poly: IntPolynomial, point) -> tuple[int | None, int | None]:
+    """Bounds on the roots of poly in (0, point) and in (point, oo), for a
+    rational point > 0 that is not a root, or None where none was found.
+
+    Each bound has the parity of the roots counted with multiplicity, as a
+    :func:`descartes_count` has, at n additions a level, not a Taylor shift.
+    For V(y) = den**n * poly(point*y), Descartes' rule for power series
+    (Laguerre; Polya and Szego II, Part V) bounds the roots of V in (0, 1)
+    by the sign variations of V(y)/(1 - y)**s, whose coefficients are the
+    s-fold prefix sums of V's; the reversed coefficients bound (1, oo).
+    """
+    if poly.is_zero:
+        raise ValueError("root counting needs a nonzero polynomial")
+    point = Fraction(point)
+    if point <= 0:
+        raise ValueError("point > 0 required")
+    cs = _scaled(poly.coeffs, point)
+    total = sum(cs)
+    if not total:
+        raise ValueError(f"{point} is a root")
+    return _series_variations(cs, total), _series_variations(cs[::-1], total)
+
+
+def _series_variations(cs, total: int) -> int | None:
+    """Sign variations of cs(y)/(1 - y)**s for the largest s <= 3 whose tail
+    has settled, else None: past the last index level 1 stays at total and
+    level j adds level j-1, so once levels 1..s end with the sign of total
+    no entry changes sign.  6y**2 - 5 sums twice to [-5, -10, -9]: no bound."""
+    count = None
+    for _ in range(3):
+        cs = list(accumulate(cs))
+        if cs[-1] * total <= 0:
+            break
+        count = sign_variations(cs)
+    return count
 
 
 def cauchy_root_bound(poly: IntPolynomial) -> Fraction:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from sasakijoin import cscrays
+from sasakijoin import cscrays, exactpoly
 from sasakijoin.cscrays import (
     THRESHOLD_WIDTH,
     InternalInvariantError,
@@ -596,6 +596,22 @@ def test_mixed_families_are_certified_at_higher_degree():
     assert len(families) == 385
     for family in families:
         cscrays._certified_structure(*family)
+
+
+def test_mixed_certificate_runs_no_taylor_shift(monkeypatch):
+    calls = []
+    real = exactpoly._taylor_shift
+    monkeypatch.setattr(exactpoly, "_taylor_shift", lambda cs: calls.append(len(cs)) or real(cs))
+    for family in ((1000, 3, 2), (400, 13, 12)):
+        cscrays._certified_structure(*family)
+    assert calls == []
+
+
+@pytest.mark.parametrize("counts", [(0, 0), (2, 0), (3, 0), (1, 1), (1, 2), (None, 0), (1, None)])
+def test_mixed_certificate_needs_one_critical_point_below_and_none_above(monkeypatch, counts):
+    monkeypatch.setattr(cscrays, "split_counts", lambda *args: counts)
+    with pytest.raises(InternalInvariantError):
+        cscrays._certified_structure(12, 3, 2)
 
 
 def test_wang_ziller_law_for_every_p_up_to_30():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from sasakijoin.exactpoly import (
@@ -28,6 +28,7 @@ from sasakijoin.exactpoly import (
     rational_roots,
     refine_interval,
     sign_variations,
+    split_counts,
     squarefree_decompose,
     sturm_count,
     taylor_shift,
@@ -237,6 +238,74 @@ def test_descartes_count_bounds_the_roots_with_their_parity():
             roots += mult * inside
         count = descartes_count(p, lo, hi)
         assert count >= roots and (count - roots) % 2 == 0, (p, lo, hi)
+
+
+def _roots_with_multiplicity(poly, lo, hi):
+    return sum(mult * sturm_count(fac, lo, hi) for fac, mult in squarefree_decompose(poly))
+
+
+UNIT_SCALES = st.fractions(F(1, 50), F(49, 50), max_denominator=50)
+
+
+@st.composite
+def _split_cases(draw):
+    """(poly, point): simple rational roots on both sides of the point,
+    quadratic factors with real or complex roots centred near it."""
+    point = draw(st.fractions(F(1, 20), 20, max_denominator=20).filter(bool))
+    roots = [point * t for t in draw(st.lists(UNIT_SCALES, max_size=4, unique=True))]
+    roots += [point / t for t in draw(st.lists(UNIT_SCALES, max_size=4, unique=True))]
+    coeffs = [1]
+    for r in roots:
+        coeffs = oracles.multiply(coeffs, [-r.numerator, r.denominator])
+    for _ in range(draw(st.integers(0, 3))):
+        # (x - c)^2 - e: a real pair c +- sqrt(e) for e > 0, else a complex one
+        c = point * draw(st.fractions(F(1, 2), F(3, 2), max_denominator=30))
+        e = point ** 2 * draw(st.fractions(F(-1, 4), F(1, 4), max_denominator=30).filter(bool))
+        cd, ed = c.denominator, e.denominator
+        quad = [ed * c.numerator ** 2 - e.numerator * cd ** 2, -2 * ed * cd * c.numerator,
+                ed * cd ** 2]
+        coeffs = oracles.multiply(coeffs, quad)
+    poly = intpoly(coeffs)
+    assume(poly_eval(poly, point) != 0)
+    return poly, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_cases())
+def test_split_counts_bound_the_roots_with_their_parity(case):
+    poly, point = case
+    for count, (lo, hi) in zip(split_counts(poly, point), ((0, point), (point, None))):
+        if count is None:
+            continue
+        roots = _roots_with_multiplicity(poly, lo, hi)
+        assert count >= roots and (count - roots) % 2 == 0, (poly, point, lo)
+        if count <= 1:
+            assert count == roots
+
+
+def test_split_counts_examples():
+    cubic = intpoly([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
+    assert split_counts(cubic, F(3, 2)) == (1, 2)
+    assert split_counts(cubic, F(5, 2)) == (2, 1)
+    assert split_counts(cubic, 4) == (3, 0)
+    assert split_counts(intpoly([1, 0, 1]), 1) == (0, 0)
+
+
+def test_split_counts_need_a_settled_tail():
+    # 6y^2 - 5 sums twice to [-5, -10, -9], without a sign variation, yet
+    # has the root sqrt(5/6) in (0, 1); scaled to any point it still does
+    for point in (F(1), F(2), F(1, 3), F(7, 5)):
+        n, d = point.numerator, point.denominator
+        assert split_counts(intpoly([-5 * n * n, 0, 6 * d * d]), point) == (1, 0), point
+
+
+def test_split_counts_reject_a_root_and_a_point_not_positive():
+    cubic = intpoly([-6, 11, -6, 1])
+    for point in (1, 2, 3, 0, -1):
+        with pytest.raises(ValueError):
+            split_counts(cubic, point)
+    with pytest.raises(ValueError):
+        split_counts(intpoly([]), 1)
 
 
 # ----------------------------------------------------------------------
