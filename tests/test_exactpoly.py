@@ -251,7 +251,7 @@ UNIT_SCALES = st.fractions(F(1, 50), F(49, 50), max_denominator=50)
 def _split_cases(draw):
     """(poly, point): simple rational roots on both sides of the point,
     quadratic factors with real or complex roots centred near it."""
-    point = draw(st.fractions(F(1, 20), 20, max_denominator=20).filter(bool))
+    point = draw(st.fractions(F(1, 20), 20, max_denominator=20))
     roots = [point * t for t in draw(st.lists(UNIT_SCALES, max_size=4, unique=True))]
     roots += [point / t for t in draw(st.lists(UNIT_SCALES, max_size=4, unique=True))]
     coeffs = [1]
