@@ -602,6 +602,26 @@ def test_sweep_reports_match_pinned_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
+# sha256 of the large sweep reports the `cli` benchmark prints, computed
+# with json.dumps(report, sort_keys=True, indent=2): 100,000 diffeo values
+# (4.2 MB) and the two 3,000-row csc shapes
+PINNED_SWEEP_JSON = [
+    ("diffeo -l1 7 --l2 1..100000 --json",
+     "f890c065d4c781898c7c14dddb01996f094d874cd65a2283743119ea29134919"),
+    ("csc -p 2 -l1 3 -w 1,1 --l2 100..3099 --json",
+     "19f29f25c82cf12f7047f74cf69a433879951431a1c3d01da704348120f071d5"),
+    ("csc -p 2 -l1 1 -w 3,2 --l2 250..3249 --json",
+     "3f59a48c9fc7d43116072efd4d21dccf8ce5f115cfb216ce6a66226c691e63c6"),
+]
+
+
+def test_large_sweep_reports_match_pinned_bytes(capsys):
+    for flags, digest in PINNED_SWEEP_JSON:
+        code, out, err = run_cli(capsys, ["sweep", *flags.split()])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
 def _count_csc_rays(monkeypatch):
     calls = []
     real = cli.csc_rays
