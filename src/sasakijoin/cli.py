@@ -14,6 +14,7 @@ default), or CSV (--csv).  Rational numbers serialize as exact "num/den"
 strings; isolating intervals as {lo, hi, approx} where approx is a decimal
 rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
+JSON is ``json.dumps(report, sort_keys=True, indent=2)``, built by ``_json``.
 
 Each subcommand (each target, for ``sweep``) is one entry of ``_COMMANDS``:
 a payload builder, a table renderer and a CSV row maker, defined side by
@@ -24,10 +25,10 @@ The renderer runs only under --table, and the warnings follow its lines.
 CSV writes the payload as key/value rows, except that the sweeps write one
 row per value of l2.
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant violation or
-any other internal failure.  The environment variable SASAKI_JOBS, when
-set, overrides --jobs; the worker count is clamped to the CPU count and to
-the number of sweep rows, with a note on stderr.
+Exit codes: 0 success, 1 invalid input, 2 internal invariant violation, any
+other internal failure, or stdout closed early.  The environment variable
+SASAKI_JOBS, when set, overrides --jobs; the worker count is clamped to the
+CPU count and to the number of sweep rows, with a note on stderr.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import (
     ks_diffeomorphic,
@@ -74,6 +75,14 @@ from .joinspace import (
 SCHEMA_VERSION = "1"
 
 __all__ = ["main", "entry", "SCHEMA_VERSION", "frac_str", "decimal_str"]
+
+
+def __getattr__(name):
+    # concurrent.futures imports multiprocessing, about 19 ms of a cold start
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +137,25 @@ def _params_payload(params: JoinParams) -> dict:
 def _params_line(params: dict) -> str:
     return (f"join parameters: p={params['p']} l1={params['l1']} "
             f"l2={params['l2']} w=({params['w'][0]},{params['w'][1]})")
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, by joins, for report types."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = (f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = (map(int.__repr__, obj) if all(type(x) is int for x in obj)
+                 else (_json(x, inner) for x in obj))
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if obj else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _key_value_rows(payload: dict) -> list[list]:
@@ -436,7 +464,7 @@ def _sweep_csc(args):
         jobs = usable
     if jobs > 1:
         chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_csc_sweep_row, tasks, chunksize=chunk))
     else:
         rows = [_csc_sweep_row(task) for task in tasks]
@@ -554,19 +582,26 @@ def main(argv=None) -> int:
         print(f"internal error: {message}", file=sys.stderr)
         return 2
 
-    if args.fmt == "json":
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "request": {"subcommand": args.subcommand, "format": args.fmt,
-                        "precision": args.precision, **request},
-            "payload": payload,
-            "warnings": warnings,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-    elif args.fmt == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows(payload))
-    else:
-        print("\n".join(render(payload, view) + [f"warning: {w}" for w in warnings]))
+    try:
+        if args.fmt == "json":
+            report = {
+                "schema_version": SCHEMA_VERSION,
+                "request": {"subcommand": args.subcommand, "format": args.fmt,
+                            "precision": args.precision, **request},
+                "payload": payload,
+                "warnings": warnings,
+            }
+            print(_json(report))
+        elif args.fmt == "csv":
+            csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows(payload))
+        else:
+            print("\n".join(render(payload, view) + [f"warning: {w}" for w in warnings]))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # devnull takes what is still buffered, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return 2
     return 0
 
 

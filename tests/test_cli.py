@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sasakijoin import cli, cscrays
 from sasakijoin.cscrays import InternalInvariantError
@@ -303,6 +304,58 @@ def test_decimal_rendering_is_exact_integer_arithmetic():
     assert cli.decimal_str(Fraction(-1, 8), 3) == "-0.125"
     assert cli.decimal_str(Fraction(5, 1), 2) == "5.00"
     assert cli.decimal_str(Fraction(1, 2), 0) == "1"
+
+
+# ----------------------------------------------------------------------
+# JSON rendering, the process pool import, a closed stdout
+
+_JSON_TEXT = st.text(st.sampled_from('az"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\u20ac\U0001f600'),
+                     max_size=5) | st.text(max_size=5)
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+                | _JSON_TEXT | st.just([]) | st.just(()) | st.just({}))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+                   | st.lists(st.integers(-2 ** 70, 2 ** 70) | st.booleans(), max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+def test_json_rendering_equals_json_dumps(tree):
+    assert cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_json_rendering_fails_where_json_dumps_fails():
+    huge = 10 ** 5000    # beyond the 4,300-digit limit of int -> str
+    for bad in (huge, [1, huge], {"a": [True, huge]}, {"q": Fraction(1, 3)}, [None, {1j}]):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(expected.type):
+            cli._json(bad)
+
+
+def test_importing_cli_leaves_the_process_pool_unimported():
+    code = ("import sys\n"
+            "from sasakijoin import cli\n"
+            "assert 'concurrent.futures' not in sys.modules, 'imported early'\n"
+            "import concurrent.futures\n"
+            "assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_exits_two_on_one_line():
+    argv = [sys.executable, "-m", "sasakijoin", "sweep", "diffeo", "-l1", "7",
+            "--l2", "1..100000", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()     # like `| head -c 1`, long before the 4.2 MB are written
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode() == "error: stdout closed before the report was written\n"
 
 
 # ----------------------------------------------------------------------
