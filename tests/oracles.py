@@ -248,3 +248,84 @@ def signscan_positive_roots(coeffs, width=Fraction(1, 10 ** 9)):
         else:
             out.append(("bracket", lo, hi))
     return out
+
+
+
+def sign_variations(icoeffs):
+    signs = [c > 0 for c in icoeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def int_multiply(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def divide_linear(icoeffs, w1, w2):
+    """The integer quotient of p by (w1*x - w2), top down, or None when
+    that factor does not divide p (by Gauss's lemma the quotient of an
+    integer polynomial by a primitive factor is integral)."""
+    quotient, carry = [], 0
+    for c in reversed(icoeffs[1:]):
+        carry, rest = divmod(c + w2 * carry, w1)
+        if rest:
+            return None
+        quotient.append(carry)
+    return quotient[::-1] if icoeffs[0] == -w2 * carry else None
+
+
+def moebius_variations(icoeffs, lo, hi):
+    """Sign variations of (1+x)**n * p((lo*x + hi)/(1+x)) for the integer
+    coefficients of p: the positive roots of that polynomial are the images
+    of p's roots in (lo, hi), so by Descartes' rule 0 proves there is none.
+    Built by homogeneous Horner on u = m*(hi + lo*x) and v = m*(1 + x)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    m = lo.denominator * hi.denominator
+    u, v = [int(hi * m), int(lo * m)], [m, m]
+    acc, v_power = [icoeffs[-1]], [1]
+    for c in reversed(icoeffs[:-1]):
+        v_power = int_multiply(v_power, v)
+        acc = [s + c * t for s, t in zip(int_multiply(acc, u), v_power)]
+    return sign_variations(acc)
+
+
+def critical_value_every_level(a_coeffs, b_coeffs, w1, w2, width, levels=200):
+    """(lo, hi) of the given width around t* = R(c*), for R = -B/A with one
+    critical point c* in (0, w2/w1), where R is least: the three-ray
+    threshold of a mixed-weight family, f = l2*A + l1*B, for the integer
+    coefficients of A and B.
+
+    c* is bisected on the sign of the Wronskian A'B - AB' with every factor
+    (w1*x - w2) divided out, and at every level the cell is tested: with top
+    the lesser value of R at an end of the cell inside (0, w2/w1), and
+    bottom = top - width, (bottom, top) is returned once bottom*A + B has no
+    root in the cell by a Descartes count.  None after ``levels`` levels."""
+    forced = Fraction(w2, w1)
+    slope_a = [i * c for i, c in enumerate(a_coeffs)][1:]
+    slope_b = [i * c for i, c in enumerate(b_coeffs)][1:]
+    wronskian = [s - t for s, t in zip(int_multiply(slope_a, b_coeffs),
+                                       int_multiply(a_coeffs, slope_b))]
+    while (quotient := divide_linear(wronskian, w1, w2)) is not None:
+        wronskian = quotient
+
+    def ratio(x):
+        return -horner(b_coeffs, x) / horner(a_coeffs, x)
+
+    lo, hi = Fraction(0), forced
+    s_hi = sign_at(wronskian, hi)
+    for _ in range(levels):
+        mid = (lo + hi) / 2
+        w = sign_at(wronskian, mid)
+        if not w:
+            return ratio(mid) - width / 2, ratio(mid) + width / 2
+        lo, hi = (lo, mid) if w == s_hi else (mid, hi)
+        top = min(ratio(x) for x in (lo, hi) if 0 < x < forced)
+        bottom = top - width
+        f_bottom = [bottom.numerator * a + bottom.denominator * b
+                    for a, b in zip(a_coeffs, b_coeffs)]
+        if moebius_variations(f_bottom, lo, hi) == 0:
+            return bottom, top
+    return None

@@ -735,6 +735,28 @@ def test_threshold_intervals_match_pinned_values():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, family
 
 
+def _assert_threshold_overlaps_the_every_level_oracle(p, w1, w2):
+    threshold = ray_threshold(p, w1, w2)
+    lo, hi = oracles.critical_value_every_level(
+        _raw_coefficients(p, 0, 1, w1, w2), _raw_coefficients(p, 1, 0, w1, w2),
+        w1, w2, THRESHOLD_WIDTH)
+    assert threshold.width == hi - lo == THRESHOLD_WIDTH, (p, w1, w2)
+    assert max(threshold.lo, lo) < min(threshold.hi, hi), (p, w1, w2)
+
+
+def test_threshold_intervals_overlap_the_every_level_oracle():
+    for family, _ in PINNED_THRESHOLDS:
+        _assert_threshold_overlaps_the_every_level_oracle(*family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(2, 30), st.data())
+def test_threshold_overlaps_the_every_level_oracle_on_samples(p, w1, data):
+    w2 = data.draw(st.integers(1, w1 - 1))
+    assume(gcd(w1, w2) == 1)
+    _assert_threshold_overlaps_the_every_level_oracle(p, w1, w2)
+
+
 def test_threshold_validates_the_family():
     with pytest.raises(ParameterError):
         ray_threshold(0, 3, 2)
