@@ -24,13 +24,15 @@ Every coefficient of the ray polynomial is linear in (l1, l2), so
 f = l2*A + l1*B.  The structure of R = -B/A is certified once per family
 (p, w1, w2) and cached.  From it :func:`ray_threshold` reads the value t*
 of l2/l1 at which the ray count jumps, from 1 to 3 (1 to 2 reduced for
-w = (1,1)), and :func:`threshold_ray_counts` reads a tuple's counts off t*;
+w = (1,1); for w1 > w2, t* = R(c*) at the critical point c* of R below
+w2/w1), and :func:`threshold_ray_counts` reads a tuple's counts off t*;
 sweeps and :func:`min_l2_multiple_csc` call :func:`csc_rays` only for
 tuples whose l2/l1 is not separated from t*.  The same entry lets
 :func:`csc_rays` skip the Sturm chain at high degree: each branch of R
 holds at most one root, so the roots are bracketed by signs of the sparse
 ray polynomial and isolated, with byte-identical reports, by
-:func:`~sasakijoin.exactpoly.isolate_bracketed_roots`.
+:func:`~sasakijoin.exactpoly.isolate_bracketed_roots`.  Threshold and
+brackets share one walk on c*, :func:`_critical_cells`, and its count rule.
 
 One caveat applies to every report: a root certifies constant scalar
 curvature for the admissible extremal representative of its ray.  Without
@@ -271,37 +273,49 @@ def _certified_structure(p: int, w1: int, w2: int):
     return big_a, big_b, SparseQuotient(full, wronskian, forced)
 
 
+def _critical_cells(wronskian: SparseQuotient, forced: Fraction, levels: int):
+    """Bisect the cell of c*, the one root of W in (0, w2/w1), on the signs
+    of W for at most ``levels`` levels, yielding (lo, hi, mid, counted) for
+    each: the new cell, its new end, and whether a Descartes count is due.
+    Only levels 4, 8, 16, ... are counted: a count costs tens of levels and
+    fails until the cell is small beside the complex pair it must exclude
+    (two-circle theorem, Krandick & Mehlhorn 2006).  At mid = c* it yields
+    the cell (c*, c*) and stops."""
+    lo, hi, s_hi = Fraction(0), forced, wronskian.sign(forced)
+    for level in range(1, levels + 1):
+        mid = (lo + hi) / 2
+        w = wronskian.sign(mid)
+        lo, hi = (mid, mid) if not w else (lo, mid) if w == s_hi else (mid, hi)
+        yield lo, hi, mid, level >= 4 and not level & (level - 1)
+        if lo == hi:
+            return
+
+
 def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
     """An interval of width THRESHOLD_WIDTH around R(c*), where c* is the one
     critical point of R = -B/A in (0, w2/w1) and the minimum of R there.
 
-    The cell (lo, hi) of c* is bisected on the signs of the sparse
-    Wronskian of :func:`_certified_structure`.  R at a cell end inside
-    (0, w2/w1) exceeds t*.  Below that value by the width, at t = n/d,
-    f_t = n*A + d*B = A*(t - R) is negative at that end; once a Descartes
-    count shows it has no root in the cell, it is negative at c* too, so
-    t < t*.
+    R at an end of a cell of c* (:func:`_critical_cells`) inside (0, w2/w1)
+    exceeds t*.  Below that value by the width, at t = n/d, f_t = n*A + d*B
+    = A*(t - R) is negative at that end; once a Descartes count at a counted
+    level shows it has no root in the cell, it is negative at c* too: t < t*.
     """
     forced = Fraction(w2, w1)
 
     def ratio(x: Fraction) -> Fraction:
         return -poly_eval(big_b, x) / poly_eval(big_a, x)
 
-    lo, hi = Fraction(0), forced
-    s_hi = wronskian.sign(hi)
-    for _ in range(_THRESHOLD_LEVELS):
-        mid = (lo + hi) / 2
-        w = wronskian.sign(mid)
-        if not w:           # c* = mid, so t* = R(mid) exactly
-            t_star = ratio(mid)
+    for lo, hi, _, counted in _critical_cells(wronskian, forced, _THRESHOLD_LEVELS):
+        if lo == hi:        # c* = lo, so t* = R(lo) exactly
+            t_star = ratio(lo)
             return RationalInterval(t_star - THRESHOLD_WIDTH / 2, t_star + THRESHOLD_WIDTH / 2)
-        lo, hi = (lo, mid) if w == s_hi else (mid, hi)
-        top = min(ratio(x) for x in (lo, hi) if 0 < x < forced)
-        bottom = top - THRESHOLD_WIDTH
-        f_bottom = IntPolynomial(_raw_coefficients(p, bottom.denominator, bottom.numerator,
-                                                   w1, w2))
-        if descartes_count(f_bottom, lo, hi) == 0:
-            return RationalInterval(bottom, top)
+        if counted:
+            top = min(ratio(x) for x in (lo, hi) if 0 < x < forced)
+            bottom = top - THRESHOLD_WIDTH
+            f_bottom = IntPolynomial(_raw_coefficients(p, bottom.denominator, bottom.numerator,
+                                                       w1, w2))
+            if descartes_count(f_bottom, lo, hi) == 0:
+                return RationalInterval(bottom, top)
     raise InternalInvariantError(
         f"the three-ray threshold of ({p}, {w1}, {w2}) was not separated "
         f"in {_THRESHOLD_LEVELS} levels")
@@ -383,9 +397,8 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
 # mean of 12 values of l2).  12 keeps every query up to p = 11 on the chain.
 _BRANCH_MIN_P = 12
 # Bisection levels on c* in which a point between the two roots below w2/w1
-# is sought, or a Descartes count shows there are none.  A separator shows
-# up within 3 levels on most ray polynomials; a count costs as much as tens
-# of levels, so counts run at levels 4, 8, 16, 32 and 64 only.
+# is sought, or a count at the levels _critical_cells counts shows there are
+# none.  A separator shows up within 3 levels on most ray polynomials.
 _SEPARATOR_LEVELS = 64
 
 
@@ -396,25 +409,18 @@ def _roots_below(quotient: IntPolynomial, signs: SparseQuotient,
 
     R = -B/A falls from +oo to its least value t* = R(c*) and rises to +oo
     again, so at t = l2/l1 the quotient has the sign it has at 0 wherever
-    R > t.  c* is bisected on the sign of W.  A point where the quotient has
-    the other sign separates the two roots: brackets (0, s) and (s, w2/w1).
-    Otherwise R > t at both ends of the cell of c*, and so outside it; a
-    Descartes count of 0 on the cell leaves no root (t < t*).
+    R > t.  On the cells of c* (:func:`_critical_cells`), a new end where the
+    quotient has the other sign separates the two roots: brackets (0, s) and
+    (s, w2/w1).  Otherwise R > t at both ends of the cell of c*, and so
+    outside it; a Descartes count of 0 at a counted level leaves no root.
     """
     outer = signs.sign(Fraction(0))
-    s_hi = wronskian.sign(forced)
-    lo, hi = Fraction(0), forced
-    for level in range(1, _SEPARATOR_LEVELS + 1):
-        mid = (lo + hi) / 2
+    for lo, hi, mid, counted in _critical_cells(wronskian, forced, _SEPARATOR_LEVELS):
         s = signs.sign(mid)
         if s != outer:
             return [(Fraction(0), mid), (mid, forced)] if s else None
-        w = wronskian.sign(mid)
-        if not w:
-            return []       # mid = c*, where R is least, and R(c*) > t
-        lo, hi = (lo, mid) if w == s_hi else (mid, hi)
-        if level >= 4 and not level & (level - 1) and descartes_count(quotient, lo, hi) == 0:
-            return []
+        if lo == hi or counted and descartes_count(quotient, lo, hi) == 0:
+            return []       # at lo == hi = c*, R is least, and R(c*) > t
     return None
 
 

@@ -250,8 +250,8 @@ class SparseQuotient(_Signs):
     read off the nonzero terms of f: a few powers instead of deg(f) Horner
     steps when f is sparse and deg(f) large.
 
-    ``value(x, y)`` is y**deg(f) * f(x/y) times sign(d*x - n*y)**k, or
-    y**deg(q) * q(x/y) at x/y = n/d; ``newton`` takes g = f.
+    ``value(x, y)`` is y**deg(f) * f(x/y) times sign(d*x - n*y)**k, or at
+    n/d the cached d**deg(q) * q(n/d), of the same sign; ``newton`` takes g = f.
     """
 
     def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
@@ -266,9 +266,13 @@ class SparseQuotient(_Signs):
     def value(self, x: int, y: int) -> int:
         side = self.den * x - self.num * y
         if not side:
-            return _scaled_value(self.quotient.coeffs, x, y)
+            return self.at_root
         v = _sparse_value(self.terms, self.degree, x, y)
         return -v if self.odd and side < 0 else v
+
+    @cached_property
+    def at_root(self) -> int:
+        return _scaled_value(self.quotient.coeffs, self.num, self.den)
 
     def newton(self, x: int, y: int) -> tuple[int, int]:
         return (_sparse_value(self.terms, self.degree, x, y),

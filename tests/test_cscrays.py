@@ -757,6 +757,99 @@ def test_threshold_overlaps_the_every_level_oracle_on_samples(p, w1, data):
     _assert_threshold_overlaps_the_every_level_oracle(p, w1, w2)
 
 
+def _count_levels(monkeypatch, w1, w2):
+    """Spy on the Descartes counts on bounded cells, each read as the level
+    of the bisection of (0, w2/w1) that made it."""
+    levels = []
+    real = descartes_count
+
+    def spy(poly, lo, hi=None):
+        if hi is not None:
+            levels.append((F(w2, w1) / (hi - lo)).numerator.bit_length() - 1)
+        return real(poly, lo, hi)
+
+    monkeypatch.setattr(cscrays, "descartes_count", spy)
+    return levels
+
+
+@pytest.mark.parametrize("family", [(2, 3, 2), (20, 7, 5), (90, 3, 2)])
+def test_threshold_counts_only_at_levels_four_eight_sixteen(monkeypatch, family):
+    cscrays._certified_structure(*family)
+    levels = _count_levels(monkeypatch, *family[1:])
+    ray_threshold(*family)
+    assert 1 <= len(levels) <= 4
+    assert levels == [4 << i for i in range(len(levels))], levels
+
+
+@pytest.mark.parametrize("tup, expected", [((40, 106, 25, 2, 1), [4]),
+                                           ((20, 10001, 16913, 7, 5), [4, 8]),
+                                           ((12, 1000004, 1247177, 3, 2), [4, 8, 16])])
+def test_branch_path_counts_below_the_forced_root_at_the_same_levels(monkeypatch, tup, expected):
+    # l2/l1 just below t*: no separator, so the cell of c* is counted until
+    # the count shows no root in it
+    cscrays._certified_structure(*tup[:1], *tup[3:])
+    levels = _count_levels(monkeypatch, *tup[3:])
+    assert csc_rays(JoinParams(*tup)).unreduced_count == 1
+    assert levels == expected
+
+
+class _StubSigns:
+    """A sign source with the signs of x - root, or given values at points."""
+
+    def __init__(self, root=None, signs=None, default=-1):
+        self.root, self.signs, self.default = root, signs or {}, default
+
+    def sign(self, x):
+        if self.root is not None:
+            return (x > self.root) - (x < self.root)
+        return self.signs.get(x, self.default)
+
+
+def test_critical_walk_stops_at_an_exact_critical_point(monkeypatch):
+    # c* = 5/24 = (5/16)*(2/3) is the midpoint of the fourth level, a counted one
+    forced, c_star = F(2, 3), F(5, 24)
+    wronskian = _StubSigns(root=c_star)
+    cells = list(cscrays._critical_cells(wronskian, forced, 200))
+    assert len(cells) == 4 and cells[-1][:3] == (c_star, c_star, c_star)
+    assert [cell[2] for cell in cells] == [F(1, 3), F(1, 6), F(1, 4), c_star]
+    # neither consumer counts an empty cell
+    levels = _count_levels(monkeypatch, 3, 2)
+    big_a, big_b, _ = cscrays._certified_structure(2, 3, 2)
+    t_star = -poly_eval(big_b, c_star) / poly_eval(big_a, c_star)
+    threshold = cscrays._critical_value(2, 3, 2, big_a, big_b, wronskian)
+    assert (threshold.lo, threshold.hi) == (t_star - THRESHOLD_WIDTH / 2,
+                                            t_star + THRESHOLD_WIDTH / 2)
+    quotient = deflate_forbidden(csc_polynomial(JoinParams(2, 1, 5, 3, 2)))[0]
+    assert cscrays._roots_below(quotient, _StubSigns(), wronskian, forced) == []
+    separated = _StubSigns(signs={c_star: 1})
+    assert cscrays._roots_below(quotient, separated, wronskian, forced) == [(0, c_star),
+                                                                            (c_star, forced)]
+    assert cscrays._roots_below(quotient, _StubSigns(signs={c_star: 0}), wronskian, forced) is None
+    assert levels == []
+
+
+@pytest.mark.parametrize("tup", [(82, 1, 5, 3, 2), (81, 1, 3, 1, 1)])
+def test_branch_path_evaluates_densely_once_at_the_forced_root(monkeypatch, tup):
+    # the quotient once per call, and the Wronskian once per family
+    params = JoinParams(*tup)
+    quotient = deflate_forbidden(csc_polynomial(params))[0]
+    wronskian = cscrays._certified_structure(params.p, params.w1, params.w2)[2].quotient
+    seen = []
+    real = exactpoly._scaled_value
+
+    def spy(coeffs, x, y):
+        if x * params.w1 == y * params.w2:
+            seen.append(coeffs)
+        return real(coeffs, x, y)
+
+    monkeypatch.setattr(exactpoly, "_scaled_value", spy)
+    for calls in (1, 2):
+        report = csc_rays(params)
+        assert seen.count(quotient.coeffs) == calls
+        assert seen.count(wronskian.coeffs) == (params.w1 != params.w2)
+    assert report.unreduced_count == 3
+
+
 def test_threshold_validates_the_family():
     with pytest.raises(ParameterError):
         ray_threshold(0, 3, 2)
