@@ -651,80 +651,80 @@ def test_threshold_at_p1_matches_the_cubic_discriminant():
 
 
 # sha256 of f"{lo} {hi}" for the interval ray_threshold(p, w1, w2) certifies
-# around t*; the exact Fractions at p = 40 run to about 1,000 digits each
+# around t*; the exact Fractions at p = 40 run to about 1,500 digits each
 PINNED_THRESHOLDS = [
     # p = 1
-    ((1, 2, 1), "81cacce2e4ec9e40e8a00644caf41771fffa2c4c5e4d421b0053df8303b6bad3"),
-    ((1, 3, 1), "50b0f30a4931783d28c278e08b1c5fd80048d5d7fd530338037cc0ce699ff74e"),
-    ((1, 3, 2), "4468e210df7ab86ef3bc979da836ce4a0d9516795b95089a8020d10164b67a11"),
-    ((1, 4, 3), "9fe53e3a105c90a4ae89d8d15c4180f45f29785a1aeb18660cd49b09c8d718af"),
-    ((1, 5, 2), "581de75b03c6b56042fd9c14f358e87588421de6b59a0db225582b7ff5a2fd71"),
-    ((1, 5, 3), "6969e44491b073edbe33b3a1d1c81316cc2adf6214b23e1d19aa4be48290926b"),
-    ((1, 7, 5), "a37735c949f30c682d78a482d575a13dc42f4fa859236df643df7ed060bbda69"),
-    ((1, 13, 12), "8915d3d10a5f483547efdfbc455a47d8ca0f7ff61dc7f47d641d606b92a3f1ae"),
+    ((1, 2, 1), "e5be2126be8bba172c76417d247455e5a3743c8e249b71299b6080a5daf30caf"),
+    ((1, 3, 1), "53c335601366e1f6d030273b56d0634bdbca48274b14769d603572efaeedd6dc"),
+    ((1, 3, 2), "ab1da7eae85652dc8821792789dcd4551500ddd91eff7e56583ea2bf25a68971"),
+    ((1, 4, 3), "94fd33ea5e09a187d81c0b5dbaff1c94632695558b6104c3c3115f21da105917"),
+    ((1, 5, 2), "c3357e517dbc1616015d32140d481b180159ee5e1500c567f97b069ecd59659a"),
+    ((1, 5, 3), "258da1661a9ded1fa7ed8511557fb7dfdc9d52234405192844b28dbc38d77240"),
+    ((1, 7, 5), "811be6612ff09a96e173d3b0109644a4a7176bfc77be1b67476ba2cce6a8f63a"),
+    ((1, 13, 12), "1b0fa3572a31186a832a6c454d7f83044784626bbbc0e98cbd2287ec3768d26a"),
     # p = 2
-    ((2, 2, 1), "4e462255b6e4bb55178ccfb4361bd2eb5e8215dd32f5279cfa3a358e1b633e61"),
-    ((2, 3, 1), "c527455364d3b2e11937677f5f0cd3ccba7fa5ce3356bcfeeb3149232ec22919"),
-    ((2, 3, 2), "5bde1bcf5a8e99e927a33213515d33081bdbce6198bb8a715be36674a82dfa00"),
-    ((2, 4, 3), "69c2bd830c2b1584263ce436ea5464796f89d07e732c54f5176e268bd1b94b18"),
-    ((2, 5, 2), "8312b32300d14c85f6a7b70bcde122858188a006c7e7432d3f8ef60c1e60e467"),
-    ((2, 5, 3), "7b4b7da0dc0af22c28ab9972fb345252de647f34e6b827fc7382e7ac91b36bb6"),
-    ((2, 7, 5), "869f76693bc4a49f1880ef1afd9504e66ea0c60f7d6fa991f6bbee06f29c3789"),
-    ((2, 13, 12), "83b151c9c0f940ca6e833998e001149868a6ff3a5789bd4c5ee6dca976af5e09"),
+    ((2, 2, 1), "3e58e9493a8836d2fc675ffd7ef6b87c9018075e60dd3e43b2e741a8eb36f0b5"),
+    ((2, 3, 1), "82051b794ea1b7c58625c13058d17df554253a49d4137f4f35f9fc05aa710097"),
+    ((2, 3, 2), "42d2d5f81348428fe61c1f132412516d5d2f16ae75e50148c531af381997181c"),
+    ((2, 4, 3), "e2a5d89a280aa60ab800544fb88a23447660eec3af3b37a775cf990f60fb7ea3"),
+    ((2, 5, 2), "d06b42448a89699c296fa78300309c9615e4d02bef5c1f588185143ca8b16a9b"),
+    ((2, 5, 3), "7b3e3c925010a823a83f9bb09a4a911878bd2df60619bad3e6f2549dc178ca58"),
+    ((2, 7, 5), "166c1e086cbcf54fd59ce2dd75ef7c64c5ce1a4474e02f789a1f9ae8aa245eeb"),
+    ((2, 13, 12), "b48a9633461989fa310a08e4b89767a0b669a93e8e020226e34aa1fa6e704f2b"),
     # p = 3
-    ((3, 2, 1), "08683244e0667f5021f946eb09d48cf2d24ca137895e76f10338ba955b0b1fb4"),
-    ((3, 3, 1), "1e5ce50753967197af5467afb0eac7b24f6f116810b4e70a0ea608f44b1d2cbe"),
-    ((3, 3, 2), "ab39fce024f801ea3d5a1db24bb62873b6ac81f00bd4df554dde78ecddb57e0f"),
-    ((3, 4, 3), "a11b0c407bf3ac61a16cc4ec7a0d6aca4bbde236f17118f11b5565a3411e10ec"),
-    ((3, 5, 2), "d1c4300fd3205f7f86f6d7a0b34d82d85cfd3d5d6a3ebc5227bf9d27f45fc498"),
-    ((3, 5, 3), "b204f3968849da34b22aeafe757d8384cd7e4789858cb2c7e8cbbb431d706d64"),
-    ((3, 7, 5), "f07e5e0be57e9b666df630d23a3c199b2483f5055384a2abb730c735142180c4"),
-    ((3, 13, 12), "1ae46e576fd7e4311bab447132cad8a59f1a055b4e1c634c9aa4ad56d0ed6b6e"),
+    ((3, 2, 1), "bba6bdc40fdf694b3673a0eddcd1ef66f9cedf8ea9db87696c9e2c1b834e230b"),
+    ((3, 3, 1), "1f35cf5b4dc0ebd2cdebe8ab9938082814be8f5e6a7c12a25d23c2d91836c87b"),
+    ((3, 3, 2), "7b11ccc3e79cec643c35ec67a8fb1335b23922c89cf390c55de92c48d77dfc50"),
+    ((3, 4, 3), "f8dceba8a25e3cbaf44a5c38d124369c71d58312482334058088529b2843a1c7"),
+    ((3, 5, 2), "7e6f8aceb93767a113d9e31a2aaa1ffc61b7be54a607698de87bac54859f4827"),
+    ((3, 5, 3), "ba47d41313abffe3952047abbc7b1a35a093ad7cc02bbdef95d26a334427538b"),
+    ((3, 7, 5), "9772bc1b91cc0917e1f6ced3f48c151492d98e76cff0bdc229e8b73c2818134f"),
+    ((3, 13, 12), "f7e65e1bc568e909b03c5f9f403aa0d5c342db400d0f80d8e228fc6abdc211ee"),
     # p = 5
-    ((5, 2, 1), "79314a839f869f5125aff39c0812fbb8c8be953f2705ed5cbd9e17a9e7539cca"),
-    ((5, 3, 1), "a5bc30ae707b033b0a02b7f1e8485b73475f28b214667cbbc9f1715d8c966212"),
-    ((5, 3, 2), "474713bf3dd8e3b153533ac435b351276aa487ac040c7f557109cdec0ce07d24"),
-    ((5, 4, 3), "06c07b3cc2229ecf9bd618ca05df1cfb6299b38bc56c9e39cb764a3c2dc1ae23"),
-    ((5, 5, 2), "1817cbcf42209efc533aea922d2f86276e1367f964f86e8f4f385ea1118576c2"),
-    ((5, 5, 3), "c07f346038a0d169f3bb16f50ee43fc5ea929fe8a3030e25bce64afe954c4859"),
-    ((5, 7, 5), "e1ad055a980ca48d38e3bd1f6162d6116c14416a8087c26435d5d6ebe23ea652"),
-    ((5, 13, 12), "6478927a026de3e31c4c71426676b7500e4aa63ea0c9002c32e7ccc11b3bf9fb"),
+    ((5, 2, 1), "da430fafd81ecbc40a7127aa4f6bc34c84759f424dc8cdca050f14ff848fe9e5"),
+    ((5, 3, 1), "9f981c0e39e7e0f51556253dc1e8b787a5213493cc0e13c901f69b9bdd3e8698"),
+    ((5, 3, 2), "031b135d6919481ccbd1aba3d93042a9f10c275b7d84fdbb5ef55a5cacc097c0"),
+    ((5, 4, 3), "028063c3456c9d85c3a63097d6a3d27225cce65f957e1e3f510f287f076f4ce2"),
+    ((5, 5, 2), "fef52b12c43266c6d18f82872e23dd959f701292a7cb421ff6f5d2bd8658a19b"),
+    ((5, 5, 3), "26dedf295917e93f244366070060ddc9a989e38fc95882c3f69f7d432aac72d1"),
+    ((5, 7, 5), "476a93be2be6200cbe9a2fe6888b4b17e46afc28d0a20c90094cb04224cdb9f3"),
+    ((5, 13, 12), "bac3db24e575f55294065cd4271cb66a900bac850312fa14d543ae813e07c1da"),
     # p = 8
-    ((8, 2, 1), "0f86fc46091068c09738ac6c987d0f25e427acb0dc8e00d9649635246cd37fe1"),
-    ((8, 3, 1), "6fc12977706f8b24ea198742b2f4c55c70ced5527e69e7e8e28eeec3ebf8a759"),
-    ((8, 3, 2), "1dda825fd6484f1eb23b259458431e5df2e2ba9346bf432c1abcb520d3a32d0b"),
-    ((8, 4, 3), "5970b635de30b87287b69f5fd21eea4660a3fe41822a758c22a97bf93d2c5a94"),
-    ((8, 5, 2), "1236027db5d2e993d67d412801f2d68b8eecd28b1639e10a19afad6c6ec84bad"),
-    ((8, 5, 3), "9f85015c0510512ada4dd75ed03ce03c2163186edb93614caccde41d8dac4abb"),
-    ((8, 7, 5), "82867637dc1896e904b195928088ad84689c42221e40ec2b3c1b10112751bc44"),
-    ((8, 13, 12), "1163be90e11486344d4501af01a181b13033daf740ff122a2f95a7a5f17de895"),
+    ((8, 2, 1), "31bedd8be8b0babe9defeec26d51cbf428d52cf63a2c98150f17392e3e7e9308"),
+    ((8, 3, 1), "510f1afef180e7e37a54607bbbe202d70edf15e330561c6213eac90c00d203e6"),
+    ((8, 3, 2), "9a89ac11da573eba28d8c55e9dbb61f9d08f6f217fe30925cc0821eacb08adde"),
+    ((8, 4, 3), "6a3766e9f04a94bdb88efdd6ecf70a95dacae824705e985e902a709f07f21cd8"),
+    ((8, 5, 2), "637953238651fc9a6642253fcb9c0d7a8aafdc194a53c0ca1d9699a5b33ecac5"),
+    ((8, 5, 3), "4f73c81748a0f5ed541957113b17fe3d65c9b3b346bcae86919d964ef8e8b064"),
+    ((8, 7, 5), "2ee540281cda72adb284158b130bdd2a22dd15b4c30b888b3c4563b269814ca0"),
+    ((8, 13, 12), "a40188fa35141e1a03949dfaa8278fd8d47a51a3038d6ada8aff1ae70c85646b"),
     # p = 12
-    ((12, 2, 1), "29e7dea619ff2c54da3ac005f599f35065c816f89224115acf456dc4b946e71e"),
-    ((12, 3, 1), "6d1eedfc197086319b116d14873ec54a37607b0803f97db00f6444fb25c2936e"),
-    ((12, 3, 2), "b06d5063f2642201cf1d7666153b202edb85a935ed3465eb17e5c183a01f4cde"),
-    ((12, 4, 3), "f58f7c90e269c7823f3406ea816f3cc42d67f6837e7710b2a651637df58cba8f"),
-    ((12, 5, 2), "bd6efbf88f37866ae0c1d70413d6a2a8940b780406f4ae77b385834514dfa489"),
-    ((12, 5, 3), "6e6e6037153830d621e918821019c0491a181b8761c83580f7a0c4b60d80fcda"),
-    ((12, 7, 5), "a56280fa1a4a9f448961c34018697f30cf1f4bb7461c68c5218cbf3a765fce14"),
-    ((12, 13, 12), "92c6ac3409a0cd74d1d6faeca206072140eecfd3c21b678346718919debe2373"),
+    ((12, 2, 1), "2cdc36b29cfb36028b225f0cbada160357741a521c3b29bd432d64c90829b706"),
+    ((12, 3, 1), "97e5513f59e6c3c8f4c01450d943fa332727b6860fdfce1687befc0065c7fa61"),
+    ((12, 3, 2), "520079f69d520a51cae343d7768b3e58c121937dd2c372ef948844f9006205a0"),
+    ((12, 4, 3), "7098a25f336421df281086a1c89d25b3d1d60c3c2faf8c5d3e7c766f1ff9141e"),
+    ((12, 5, 2), "2092ef4bcd05436255b3ec6b47cf757430009c557080a76fa04c65470ae0ee3f"),
+    ((12, 5, 3), "3f8a2b4694ad4ee0762dbe5e8413353c2f1b072835bd6d1c778196920ab5193b"),
+    ((12, 7, 5), "a980933199dbb8c26fd7f424838e6676bbb1c8a9549746de02490785036daa72"),
+    ((12, 13, 12), "77c15140fe84556d6312cbec93c09fe022be2312dacda39d6f85b65a66b9cb4a"),
     # p = 20
-    ((20, 2, 1), "8cb347e175a841743ac6fef5cc7ffde45728645a118918376a4846a8b21ae42b"),
-    ((20, 3, 1), "75643438e58848f31f4457207548a636c8181999f5ffa406c53e0f584f10c7d5"),
-    ((20, 3, 2), "6f36280ddaaf3d0a62d350fd0f4e14ca88149847f203c8597e394b370ddcc603"),
-    ((20, 4, 3), "4255122a3f204bbbb28374157c41d7b08a7f1efcfdf336a490f3af56b508da0a"),
-    ((20, 5, 2), "dc18292144e2b9802d2410faa3dab5d9199ad5f74d48bb17b27ab7f819271b0c"),
-    ((20, 5, 3), "5b25da1cb37250e2e6e09ffccc36ac845be56ff1f1056fdf9c31ab5c6e336ad6"),
-    ((20, 7, 5), "697239204ecf90e680344b8e4fce2cbe1bd3c23ed96d5532567b9ad6bc62e066"),
-    ((20, 13, 12), "773672f8df1503d0690ac815b1a416b69e9b6db957e8436f372af2e8b0a70946"),
+    ((20, 2, 1), "7eb3b827ddf9574268092cc8d7cd20fed87942e3ff17b82c9912f16c4e7fb346"),
+    ((20, 3, 1), "0516f3ee4d383351fc69bb9d6bfe41c5c8cce353eecbda0bff7f1e8e2eecf59d"),
+    ((20, 3, 2), "dcbbde376d8d8b5f2a54426a18c542f82d4fb4f0a0b644ed40a1db933d7b23f5"),
+    ((20, 4, 3), "f330406f0a30947f1bbe34db90d8a6a615c0eee9bd7c6fb36dd6da270c4ff89e"),
+    ((20, 5, 2), "6cc5e31df6fed917be7e1756998970c1e45896308c4ac956d655dbd5d4bed620"),
+    ((20, 5, 3), "ea0fe4eb9e1bfcd75470627f510122ddcb38850b8afb09116d94361dcef86512"),
+    ((20, 7, 5), "4289269deba26ddddfb3f4be49794207083096106b4ca9dedfc1132ec0df5f55"),
+    ((20, 13, 12), "2794520470a7756fb63ff1c569fd8f8a9dce4ee0d0f51e25b5f1cff8b7d0f31f"),
     # p = 40
-    ((40, 2, 1), "10830bef0fc891d67e4146094dbd90d22f8d69d832d9ac476ef5cc78b1acc2a4"),
-    ((40, 3, 1), "0dea05585c1aaff44927ef99788862a998744d7d080b756ba2ebbbb41a5fa71e"),
-    ((40, 3, 2), "90ce5ce3109fd61845edec562b1c4d6e39f06a456b8e1932fff27d67394469d5"),
-    ((40, 4, 3), "6af6df883159e2e89b7afd41f289c27d11ed504707f39e67359ceae43e0fed93"),
-    ((40, 5, 2), "2ddd57f814b18e399fbdb5e2b02837a77085ee6a0987710eace7cad4f76c0fbe"),
-    ((40, 5, 3), "1473bd88614f8c184a41d5a2fd7ce1109b0b40e55e7f0271b64f9a751d908a5e"),
-    ((40, 7, 5), "d22994dd6bb3d6b642a7cc3e9f3c3b30da0550c78c73ae9c8c9332048b413fd2"),
-    ((40, 13, 12), "65292a404da598d95f89e67d27d300fc2ef5d48bdd01b02cc20e967e3f3a41fd"),
+    ((40, 2, 1), "bd3f3805bfc65b299d0843d7bc78831a009cdfade22876fef5cfcbc9bd247d1b"),
+    ((40, 3, 1), "6e1d66b58db0f9ad38c07b5f39a76ba74ef830a5164688d88c8f7be52646a91d"),
+    ((40, 3, 2), "d0bcfdeef04315ef52e5cf76d8008527cdb6ee7c4ea095980d30a945be4ca686"),
+    ((40, 4, 3), "c497b8540d6f185b2d5aa83338f14437ce2610e13d4c15232a7caa4a438db1bd"),
+    ((40, 5, 2), "f55b0b1b568fd15a9a4f0388de32976990d021afad0d66d98848eb66fc7a369e"),
+    ((40, 5, 3), "a91b68349820e4fa7ecb0e7015baddc2153aa11c8ae700956c112e3490a10bf3"),
+    ((40, 7, 5), "d3ea41afd6433b1992b2b12e04b214e423da558064e6ea98989836bb3292b142"),
+    ((40, 13, 12), "4eddba682fe7b2fc3813249e696b76b4f2076ce8d5525638d95c05e89262ba10"),
 ]
 
 
