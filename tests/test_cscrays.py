@@ -828,6 +828,23 @@ def test_critical_walk_stops_at_an_exact_critical_point(monkeypatch):
     assert levels == []
 
 
+def test_family_with_an_exact_critical_point(monkeypatch):
+    # for (1, 11, 8), c* = 4/11 is the first midpoint and t* = R(c*) = 68
+    forced, c_star = F(8, 11), F(4, 11)
+    levels = _count_levels(monkeypatch, 11, 8)
+    threshold = ray_threshold(1, 11, 8)
+    assert threshold.midpoint == 68 and threshold.width == THRESHOLD_WIDTH
+    wronskian = cscrays._certified_structure(1, 11, 8)[2]
+    assert list(cscrays._critical_cells(wronskian, forced, 200))[0][:2] == (c_star, c_star)
+    for l2, below in ((67, []), (69, [(0, c_star), (c_star, forced)])):
+        params = JoinParams(1, 1, l2, 11, 8)
+        quotient = deflate_forbidden(csc_polynomial(params))[0]
+        signs = exactpoly.SparseQuotient(csc_polynomial(params).poly, quotient, forced)
+        assert cscrays._roots_below(quotient, signs, wronskian, forced) == below
+        assert csc_rays(params).unreduced_count == 1 + len(below)
+    assert levels == []
+
+
 @pytest.mark.parametrize("tup", [(82, 1, 5, 3, 2), (81, 1, 3, 1, 1)])
 def test_branch_path_evaluates_densely_once_at_the_forced_root(monkeypatch, tup):
     # the quotient once per call, and the Wronskian once per family
