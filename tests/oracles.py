@@ -3,10 +3,12 @@
 Everything here is deliberately written from scratch on plain Fraction
 lists, sharing no code path with the package under test: Horner evaluation,
 naive polynomial algebra, a monic Euclidean gcd for square-free reduction,
-a fine-grid sign-scan + bisection root finder, and a rational-root
-candidate enumeration.  Simple wins; only the sign-scan evaluates on
-integers (the polynomial scaled to integer coefficients, each point
-num/den cleared by den**degree), since signs are all it reads.
+a fine-grid sign-scan + bisection root finder, a rational-root candidate
+enumeration, and the three-ray threshold searched with a Descartes count at
+every bisection level.  Simple wins; only the sign-scan and the threshold's
+Wronskian signs and counts work on integers (the polynomial scaled to
+integer coefficients, each point num/den cleared by den**degree), since
+signs are all they read.
 """
 
 from fractions import Fraction

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction as F
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -793,22 +794,11 @@ def test_branch_path_counts_below_the_forced_root_at_the_same_levels(monkeypatch
     assert levels == expected
 
 
-class _StubSigns:
-    """A sign source with the signs of x - root, or given values at points."""
-
-    def __init__(self, root=None, signs=None, default=-1):
-        self.root, self.signs, self.default = root, signs or {}, default
-
-    def sign(self, x):
-        if self.root is not None:
-            return (x > self.root) - (x < self.root)
-        return self.signs.get(x, self.default)
-
-
 def test_critical_walk_stops_at_an_exact_critical_point(monkeypatch):
     # c* = 5/24 = (5/16)*(2/3) is the midpoint of the fourth level, a counted one
     forced, c_star = F(2, 3), F(5, 24)
-    wronskian = _StubSigns(root=c_star)
+    # stub sign sources: W vanishes at c*, and the quotient's sign is set below
+    wronskian = SimpleNamespace(sign=lambda x: (x > c_star) - (x < c_star))
     cells = list(cscrays._critical_cells(wronskian, forced, 200))
     assert len(cells) == 4 and cells[-1][:3] == (c_star, c_star, c_star)
     assert [cell[2] for cell in cells] == [F(1, 3), F(1, 6), F(1, 4), c_star]
@@ -820,11 +810,10 @@ def test_critical_walk_stops_at_an_exact_critical_point(monkeypatch):
     assert (threshold.lo, threshold.hi) == (t_star - THRESHOLD_WIDTH / 2,
                                             t_star + THRESHOLD_WIDTH / 2)
     quotient = deflate_forbidden(csc_polynomial(JoinParams(2, 1, 5, 3, 2)))[0]
-    assert cscrays._roots_below(quotient, _StubSigns(), wronskian, forced) == []
-    separated = _StubSigns(signs={c_star: 1})
-    assert cscrays._roots_below(quotient, separated, wronskian, forced) == [(0, c_star),
-                                                                            (c_star, forced)]
-    assert cscrays._roots_below(quotient, _StubSigns(signs={c_star: 0}), wronskian, forced) is None
+    # the quotient's sign at c* against its sign at 0 decides the outcome
+    for at_c_star, below in ((-1, []), (1, [(0, c_star), (c_star, forced)]), (0, None)):
+        signs = SimpleNamespace(sign=lambda x: at_c_star if x == c_star else -1)
+        assert cscrays._roots_below(quotient, signs, wronskian, forced) == below
     assert levels == []
 
 
