@@ -199,12 +199,21 @@ def _sign_at(coeffs: tuple[int, ...], q: Fraction) -> int:
     return (s > 0) - (s < 0)
 
 
+# Newton refinement takes four evaluations per step (value and derivative at
+# the start, signs at the new cell ends) plus about 32 for the warm-up and the
+# steps that fail before its error squares.  Measured on dense ray polynomials,
+# from _NEWTON_LEVELS levels on that is fewer than bisection's one per level.
+_NEWTON_WARMUP = 4
+_NEWTON_LEVELS = 49
+
+
 class _Signs:
     """Signs and Newton data of a polynomial q with integer coefficients.
 
     ``value(x, y)`` is an integer with the sign of q(x/y), for y > 0, and
     ``newton(x, y)`` a pair (y**n * g(x/y), y**(n-1) * g'(x/y)) for some g
     of degree n with the positive roots of q, all simple where q's are.
+    :func:`_refine` descends by Newton steps from ``newton_levels`` levels on.
     """
 
     def sign(self, x: Fraction) -> int:
@@ -215,6 +224,8 @@ class _Signs:
 
 class _Horner(_Signs):
     """Signs and Newton data of a dense polynomial, by Horner's rule."""
+
+    newton_levels = _NEWTON_LEVELS
 
     def __init__(self, cs: tuple[int, ...]) -> None:
         self.cs = cs
@@ -253,6 +264,9 @@ class SparseQuotient(_Signs):
     ``value(x, y)`` is y**deg(f) * f(x/y) times sign(d*x - n*y)**k, or at
     n/d the cached d**deg(q) * q(n/d), of the same sign; ``newton`` takes g = f.
     """
+
+    # measured on ray polynomials, p = 70-400: values cost more at finer points
+    newton_levels = 32
 
     def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
         root = Fraction(root)
@@ -660,15 +674,6 @@ def _bracket_above(brackets, signs):
     return lambda x: sum(x <= lo or x < hi and signs.sign(x) == s for lo, hi, s in ends)
 
 
-# Newton refinement takes four evaluations per step (value and derivative at
-# the start, signs at the new cell ends) plus about 32, measured on ray
-# polynomials, for the warm-up and the steps that fail before its error starts
-# to square.  From _NEWTON_LEVELS levels on that is fewer than bisection's one
-# evaluation per level.
-_NEWTON_WARMUP = 4
-_NEWTON_LEVELS = 49
-
-
 def _bisect_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
     """Descend by bisection from the cell (a, a + width] / den."""
     value = signs.value
@@ -687,7 +692,7 @@ def _newton_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
     doubles after a kept step, as the error squares, and halves after a
     failed one, which is replaced by one bisection.
     """
-    done = gain = _NEWTON_WARMUP
+    done = gain = min(_NEWTON_WARMUP, levels)
     a, den = _bisect_levels(signs, a, den, width, s_hi, done)
     while done < levels:
         step = min(gain, levels - done)
@@ -716,8 +721,8 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     the interval bisection reaches: the cell
     (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
     the least t at which the width is at most max_width and the closure holds
-    no point of exclude.  Deep refinements reach it by certified Newton
-    steps, shallow ones by bisection, whichever needs fewer evaluations.
+    no point of exclude.  Refinements of _NEWTON_LEVELS levels or more, the
+    crossover of dense Horner evaluation, reach it by certified Newton steps.
     """
     signs = _Horner(poly.coeffs)
     if signs.sign(lo) == signs.sign(hi) != 0:
@@ -726,8 +731,8 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
 
 
 def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[Fraction, Fraction]:
-    """:func:`refine_interval` with the signs and Newton data of ``signs``,
-    for the isolating cells of this module, whose ends differ in sign."""
+    """:func:`refine_interval` for the isolating cells of this module, whose
+    ends differ in sign, with the signs, Newton data and crossover of ``signs``."""
     max_width = Fraction(max_width)
     den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
@@ -740,7 +745,7 @@ def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[F
         raise ValueError("a point of exclude is a root")
     ratio = -(-width * max_width.denominator // (max_width.numerator * den))
     levels = (ratio - 1).bit_length() if ratio > 1 else 0
-    descend = _newton_levels if levels >= _NEWTON_LEVELS else _bisect_levels
+    descend = _newton_levels if levels >= signs.newton_levels else _bisect_levels
     a, den = descend(signs, a, den, width, s_hi, levels)
     points = [(Fraction(r).numerator, Fraction(r).denominator) for r in exclude]
     while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):

@@ -919,3 +919,51 @@ def test_threshold_counts_match_csc_rays(case):
     if counts is None:
         counts = report.unreduced_count, report.reduced_count
     assert counts == (report.unreduced_count, report.reduced_count)
+
+
+# the degree ops of the stress benchmark at seed 1, and the tuples of
+# test_cli.PINNED_CSC_HIGH_DEGREE
+STRESS_DEGREE_TUPLES = [(81, 1, 3, 1, 1), (82, 1, 5, 3, 2), (86, 1, 1, 1, 1), (88, 1, 1, 2, 1),
+                        (70, 1, 3, 1, 1), (78, 1, 4, 3, 1), (76, 1, 2, 1, 1), (73, 1, 1, 2, 1)]
+HIGH_DEGREE_TUPLES = [(120, 1, 5, 1, 1), (120, 2, 7, 3, 2), (200, 1, 4, 1, 1), (200, 1, 5, 3, 2),
+                      (400, 1, 5, 3, 2), (400, 1, 5, 1, 1)]
+
+
+# Bisection alone descends one sparse evaluation a level, each costlier than
+# the last: at precision 200 it takes 1-19 s a tuple, so the deep precisions
+# run on fewer tuples.
+@pytest.mark.parametrize("precision, tuples", [
+    (1, STRESS_DEGREE_TUPLES + HIGH_DEGREE_TUPLES),
+    (12, STRESS_DEGREE_TUPLES + HIGH_DEGREE_TUPLES),
+    (50, STRESS_DEGREE_TUPLES + HIGH_DEGREE_TUPLES[:2]),
+    (200, [(86, 1, 1, 1, 1), (73, 1, 1, 2, 1)]),
+], ids=["p1", "p12", "p50", "p200"])
+def test_sparse_refinement_schedules_give_the_same_reports(monkeypatch, precision, tuples):
+    # Newton steps from every level count, and bisection at every one
+    for tup in tuples:
+        reports = []
+        for crossover in (0, 10 ** 6):
+            monkeypatch.setattr(exactpoly.SparseQuotient, "newton_levels", crossover)
+            reports.append(repr(csc_rays(JoinParams(*tup), precision)))
+        assert reports[0] == reports[1], tup
+
+
+def test_branch_path_reaches_its_intervals_by_newton_steps(monkeypatch):
+    # the cells of the sparse ray polynomial at precision 12 are about 40
+    # levels deep, past the sparse crossover and short of the dense one
+    params = JoinParams(88, 1, 4, 1, 1)
+    report = csc_rays(params, 12)
+    descents = []
+    real = exactpoly._newton_levels
+
+    def spy(signs, a, den, width, s_hi, levels):
+        cell = real(signs, a, den, width, s_hi, levels)
+        descents.append((type(signs), F(cell[0], cell[1])))
+        return cell
+
+    monkeypatch.setattr(exactpoly, "_newton_levels", spy)
+    warm = csc_rays(params, 12)
+    assert repr(warm) == repr(report)
+    ends = {ray.record.value.lo for ray in warm.rays if not ray.record.is_rational}
+    assert len(ends) == 2
+    assert ends <= {lo for kind, lo in descents if kind is exactpoly.SparseQuotient}
