@@ -428,17 +428,20 @@ def _sweep_request(args) -> dict:
     return {key: value for key, value in echo.items() if value is not None}
 
 
-def _csc_sweep_row(task) -> dict:
-    p, l1, w1, w2, l2, threshold = task
+def _threshold_row(task) -> dict | None:
+    """The sweep row of one l2 read off the threshold; None if it leaves l2 open."""
     try:
-        params = JoinParams(p, l1, l2, w1, w2)
+        counts = threshold_ray_counts(JoinParams(*task[:5]), task[5])
     except ParameterError as exc:
-        return {"l2": l2, "valid": False, "constraint": exc.constraint}
-    counts = threshold_ray_counts(params, threshold)
-    if counts is None:
-        report = csc_rays(params)
-        counts = report.unreduced_count, report.reduced_count
-    return {"l2": l2, "valid": True, "unreduced": counts[0], "reduced": counts[1]}
+        return {"l2": task[2], "valid": False, "constraint": exc.constraint}
+    return counts and {"l2": task[2], "valid": True, "unreduced": counts[0], "reduced": counts[1]}
+
+
+def _rays_row(task) -> dict:
+    """The sweep row of one l2 that the threshold leaves open, by csc_rays."""
+    report = csc_rays(JoinParams(*task[:5]))
+    return {"l2": task[2], "valid": True, "unreduced": report.unreduced_count,
+            "reduced": report.reduced_count}
 
 
 def _sweep_csc(args):
@@ -456,18 +459,20 @@ def _sweep_csc(args):
         threshold = ray_threshold(args.p, w1, w2)
     except InternalInvariantError:
         threshold = None    # every row asks csc_rays
-    tasks = [(args.p, args.l1, w1, w2, l2, threshold) for l2 in l2_values]
+    tasks = [(args.p, args.l1, l2, w1, w2, threshold) for l2 in l2_values]
     jobs = args.jobs
     usable = min(os.cpu_count() or 1, len(tasks))
     if jobs > usable:
         print(f"note: jobs {jobs} clamped to {usable}", file=sys.stderr)
         jobs = usable
+    rows = [_threshold_row(task) for task in tasks]
+    open_tasks = [task for task, row in zip(tasks, rows) if row is None]
     if jobs > 1:
-        chunk = max(1, len(tasks) // (4 * jobs))
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_csc_sweep_row, tasks, chunksize=chunk))
+            found = iter(list(pool.map(_rays_row, open_tasks)))
     else:
-        rows = [_csc_sweep_row(task) for task in tasks]
+        found = map(_rays_row, open_tasks)
+    rows = [row or next(found) for row in rows]
     maximal = maximal_ray_count(w1, w2)
     threshold = next((row["l2"] for row in rows
                       if row["valid"] and row["reduced"] == maximal), None)

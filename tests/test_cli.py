@@ -413,6 +413,32 @@ def test_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch):
     assert RecordingPool.created == [3, 3, 2]
 
 
+class SpyPool(RecordingPool):
+    """A RecordingPool that also records the tasks it maps."""
+
+    mapped: list = []
+
+    def map(self, fn, tasks, chunksize=1):
+        tasks = list(tasks)
+        SpyPool.mapped.extend(tasks)
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("flags, sent", [("-w 1,1 --l2 1..12", [5]),
+                                         ("-w 3,2 --l2 1..30", [])])
+def test_pool_gets_only_the_rows_the_threshold_leaves_open(capsys, monkeypatch, flags, sent):
+    # t* = 5 for (1, 1, 1), so l2 = 5 sits exactly at it; (1, 3, 2) separates every l2
+    base = ["sweep", "csc", "-p", "1", "-l1", "1", *flags.split(), "--json"]
+    _, expected, _ = run_cli(capsys, base)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    RecordingPool.created, SpyPool.mapped = [], []
+    code, out, _ = run_cli(capsys, base + ["--jobs", "2"])
+    assert code == 0 and out == expected
+    assert RecordingPool.created == [2]
+    assert [task[2] for task in SpyPool.mapped] == sent
+
+
 # sha256 of `csc ... --json` stdout, computed with the divisor-search kernel
 # (degree 174-184 and 1000-digit queries, and a 17-digit prime l1)
 PINNED_CSC = [
