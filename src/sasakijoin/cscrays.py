@@ -392,9 +392,9 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
 
 
 # From this p on, csc_rays finds the roots on the branches of R.  Against the
-# Sturm chain of the dense quotient, with the family not yet certified, it
-# breaks even near p = 7 for w = (1,1) and p = 8 for w = (3,2) (best of 5,
-# mean of 12 values of l2).  12 keeps every query up to p = 11 on the chain.
+# Sturm chain it breaks even near p = 5 for w = (1,1) and p = 9 for w = (3,2)
+# with the family not yet certified, p = 5 and 8 with it cached (best of 7,
+# mean over l2 = 1..12).  12 keeps every query up to p = 11 on the chain.
 _BRANCH_MIN_P = 12
 # Bisection levels on c* in which a point between the two roots below w2/w1
 # is sought, or a count at the levels _critical_cells counts shows there are
