@@ -28,7 +28,8 @@ sequence, for a square-free polynomial whose roots the caller has
 bracketed one per interval: cells are counted from signs at bracket
 points, and signs come from a :class:`SparseQuotient`, which evaluates a
 sparse f for its quotient by a power of a linear factor.
-:func:`certify_squarefree` checks gcd(f, f') = 1 modulo a prime.
+:func:`certify_squarefree` checks gcd(f, f') = 1 modulo a prime, by
+Euclid's algorithm on residues packed into one integer.
 
 A Taylor shift by 1 and Descartes' rule of signs on Moebius-mapped
 intervals certify, without a remainder sequence, that an interval holds no
@@ -44,6 +45,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 from math import ceil, gcd
 from operator import mul, ne
+from struct import pack
 
 __all__ = [
     "IntPolynomial",
@@ -769,31 +771,42 @@ def _no_rational_root(cs: tuple[int, ...]) -> bool:
     return False
 
 
-# Primes for the square-free certificate, below 2**15 so that the products
-# in the remainder steps stay small integers.
+# Primes for the square-free certificate, which reduces its 64-bit slots of
+# residues mod l at least every _SQUAREFREE_STEPS products of two residues.  As
+# l < 2**15, a slot stays below 512 * l**2 < 2**24 * l: its Barrett quotient
+# (slot * m) >> 40, m = 2**40 // l, fits 24 bits and is exact or one less, slot
+# * m < 2**64, and bit 63 of slot + 2**63 - l then marks a slot still >= l.
 _SQUAREFREE_PRIMES = (32749, 32719, 32717)
+_SQUAREFREE_STEPS = 512
+_SLOT = 2 ** 64 - 1
 
 
 def certify_squarefree(poly: IntPolynomial) -> bool:
     """Whether a prime l not dividing lc shows that poly is square-free:
     gcd(poly, poly') = 1 mod l.  A square factor g**2 of poly would leave
-    g mod l, of the same positive degree, in that gcd.  False means unknown."""
-    for ell in _SQUAREFREE_PRIMES if poly.degree >= 1 else ():
-        a = [c % ell for c in poly.coeffs]
-        b = [i * c % ell for i, c in enumerate(a)][1:]
-        if not a[-1]:
-            continue
-        # Euclid's algorithm over Z/ell; it ends at a constant b, or at b = 0
-        # after the gcd of positive degree
-        while len(b) > 1:
-            inv = pow(b[-1], -1, ell)
-            while len(a) >= len(b):
-                f = a[-1] * inv % ell
-                shift = len(a) - len(b)
-                a[shift:] = [(u - f * v) % ell for u, v in zip(a[shift:], b)]
-                while a and not a[-1]:
-                    a.pop()
-            a, b = b, a
+    g mod l, of the same positive degree, in that gcd.  False means unknown.
+    Euclid runs on one int per polynomial, a slot per residue and the
+    leading one lowest: a step is a multiply, an add and a shift."""
+    for ell in (l for l in _SQUAREFREE_PRIMES if poly.degree >= 1 and poly.coeffs[-1] % l):
+        res = [c % ell for c in poly.coeffs]
+        a, b = (int.from_bytes(pack(f">{len(r)}Q", *r), "big")
+                for r in (res, [i * c % ell for i, c in enumerate(res)][1:]))
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(res), "little")
+        m, low24, top = (1 << 40) // ell, ones * 0xFFFFFF, ones * ((1 << 63) - ell)
+        da, db = len(res) - 1, len(res) - 2
+        while b and db:     # until b is 0 after the gcd a, or a constant
+            if not b & _SLOT:
+                b, db = b >> 64, db - 1
+                continue
+            neg_inv = ell - pow(b & _SLOT, -1, ell)
+            for left in range(da - db + 1, 0, -_SQUAREFREE_STEPS):
+                for _ in range(min(left, _SQUAREFREE_STEPS)):
+                    if lead := (a & _SLOT) % ell:
+                        a += lead * neg_inv % ell * b
+                    a >>= 64
+                a -= ((a * m >> 40) & low24) * ell
+                a -= ((a + top >> 63) & ones) * ell
+            a, b, da, db = b, a, db, db - 1
         if b:
             return True
     return False

@@ -4,8 +4,9 @@ Everything here is deliberately written from scratch on plain Fraction
 lists, sharing no code path with the package under test: Horner evaluation,
 naive polynomial algebra, a monic Euclidean gcd for square-free reduction,
 a fine-grid sign-scan + bisection root finder, a rational-root candidate
-enumeration, and the three-ray threshold searched with a Descartes count at
-every bisection level.  Simple wins; only the sign-scan and the threshold's
+enumeration, the three-ray threshold searched with a Descartes count at
+every bisection level, and the square-free certificate as Euclid's
+algorithm on lists of residues modulo a prime.  Simple wins; only the sign-scan and the threshold's
 Wronskian signs and counts work on integers (the polynomial scaled to
 integer coefficients, each point num/den cleared by den**degree), since
 signs are all they read.
@@ -331,3 +332,32 @@ def critical_value_every_level(a_coeffs, b_coeffs, w1, w2, width, levels=200):
         if moebius_variations(f_bottom, lo, hi) == 0:
             return bottom, top
     return None
+
+
+# the primes of the square-free certificate, restated
+SQUAREFREE_PRIMES = (32749, 32719, 32717)
+
+
+def squarefree_mod_primes(coeffs, primes=SQUAREFREE_PRIMES):
+    """Whether a prime l not dividing lc gives gcd(f, f') = 1 mod l for the
+    integer coefficients ``coeffs`` (no trailing zero); False means unknown.
+    Euclid's algorithm over Z/l on lists of residues, one element at a time."""
+    for ell in primes if len(coeffs) >= 2 else ():
+        a = [c % ell for c in coeffs]
+        b = [i * c % ell for i, c in enumerate(a)][1:]
+        if not a[-1]:
+            continue
+        # Euclid's algorithm over Z/ell; it ends at a constant b, or at b = 0
+        # after the gcd of positive degree
+        while len(b) > 1:
+            inv = pow(b[-1], -1, ell)
+            while len(a) >= len(b):
+                f = a[-1] * inv % ell
+                shift = len(a) - len(b)
+                a[shift:] = [(u - f * v) % ell for u, v in zip(a[shift:], b)]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        if b:
+            return True
+    return False

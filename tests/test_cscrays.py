@@ -31,6 +31,7 @@ from sasakijoin.exactpoly import (
     RationalInterval,
     RootRecord,
     _sturm_chain,
+    certify_squarefree,
     cubic_discriminant,
     deflate_linear,
     descartes_count,
@@ -535,6 +536,24 @@ def test_branch_path_falls_back_when_a_certificate_fails(monkeypatch, tup, patch
     # the Sturm path ran, except that no separator is sought for w = (1,1)
     separator_only = patch[0] == "_SEPARATOR_LEVELS" and tup[3] == tup[4]
     assert _sturm_chain.cache_info().misses == (0 if separator_only else 1)
+
+
+def test_branch_path_falls_back_on_a_repeated_negative_root():
+    # the quotient of (13,7,1,1,1) has the factor (x+1)^2, so no prime certifies
+    # it square-free and the tuple takes the Sturm path, unpatched
+    params = JoinParams(13, 7, 1, 1, 1)
+    quotient, _ = deflate_forbidden(csc_polynomial(params))
+    assert poly_eval(quotient, -1) == poly_eval(poly_derivative(quotient), -1) == 0
+    assert not certify_squarefree(quotient)
+    report = csc_rays(params)
+    _sturm_chain.cache_clear()
+    assert repr(csc_rays(params)) == repr(report) == (
+        "RayReport(rays=(Ray(record=RootRecord(value=Fraction(1, 1), multiplicity=4, "
+        "is_rational=True), ray_class='regular'),), unreduced_count=1, "
+        "reduced_count=1, weyl_paired=True)")
+    # the Sturm path ran: the quotient's remainder sequence ends at the gcd
+    # x + 1, so the chain of the square-free part is built after it
+    assert _sturm_chain.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("power", [1, 2], ids=["simple-roots", "double-roots"])

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from sasakijoin.exactpoly import (
+    _SQUAREFREE_PRIMES,
+    _SQUAREFREE_STEPS,
     IntPolynomial,
     SparseQuotient,
     _no_rational_root,
@@ -728,6 +730,84 @@ def test_squarefree_certificate():
     assert certify_squarefree(intpoly([-2, 0, 1]))
     assert not certify_squarefree(intpoly([4, 0, -4, 0, 1]))     # (x^2 - 2)^2
     assert not certify_squarefree(intpoly([5]))
+
+
+# a coefficient divisible by this is 0 modulo every prime of the certificate
+SQUAREFREE_MODULUS = 32749 * 32719 * 32717
+
+
+def test_squarefree_certificate_keeps_its_primes():
+    # another prime list could move a tuple between the isolation paths
+    assert _SQUAREFREE_PRIMES == oracles.SQUAREFREE_PRIMES
+
+
+def _coefficients(max_degree, bound=60):
+    return st.lists(st.integers(-bound, bound), min_size=1, max_size=max_degree + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coefficients(12), _coefficients(4), st.integers(1, 9),
+       st.sampled_from([1, -1, 7, 32749, -32749 * 32719, 32749 * 32719 * 5]),
+       st.booleans())
+def test_packed_squarefree_certificate_matches_the_list_euclid(h, g, g_lead, lead, square):
+    # h*g or h*g^2; a lead divisible by 32749 (and 32719) leaves the decision
+    # to a later prime
+    h, g = intpoly(h + [lead]), intpoly(g + [g_lead])
+    f = poly_mul(h, poly_mul(g, g) if square else g)
+    assert certify_squarefree(f) == oracles.squarefree_mod_primes(f.coeffs)
+    if square and g.degree >= 1:
+        assert not certify_squarefree(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40), st.integers(1, 10 ** 6))
+def test_squarefree_certificate_on_a_power_of_x_modulo_every_prime(multiples, lead):
+    # every coefficient below the leading one is 0 mod l: f = lead * x^n mod l,
+    # so gcd(f, f') is a power of x and nothing is certified from degree 2 on
+    assume(all(lead % ell for ell in _SQUAREFREE_PRIMES))
+    f = intpoly([SQUAREFREE_MODULUS * k for k in multiples] + [lead])
+    assert certify_squarefree(f) == oracles.squarefree_mod_primes(f.coeffs)
+    assert certify_squarefree(f) == (f.degree == 1)
+
+
+def _long_remainder(n, d, low, lead=1, square=True):
+    """lead*x^n + (x+1)^2*low(x) - lead*(-1)^n*(1 - n - n*x), deg low = d - 2,
+    which has the double root -1 (without the last term when not square).
+    Modulo l its remainder by its derivative has degree d, so the next
+    remainder takes n - d steps of Euclid on the derivative."""
+    coeffs = list(poly_mul(intpoly([1, 2, 1]), intpoly(low)).coeffs) + [0] * (n - d - 1)
+    if square:
+        coeffs[0] -= lead * (-1) ** n * (1 - n)
+        coeffs[1] += lead * (-1) ** n * n
+    return intpoly(coeffs + [lead])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(-2, 2), st.integers(4, 12), st.data())
+def test_squarefree_certificate_across_the_reduction_interval(times, offset, d, data):
+    # a remainder of n - d = times * _SQUAREFREE_STEPS + offset steps crosses
+    # the periodic reduction of the slots, or stops just short of it
+    n = times * _SQUAREFREE_STEPS + offset + d
+    low = data.draw(st.lists(st.integers(-30, 30), min_size=d - 2, max_size=d - 2)) + [1]
+    square = data.draw(st.booleans())
+    f = _long_remainder(n, d, low, square=square)
+    assert certify_squarefree(f) == oracles.squarefree_mod_primes(f.coeffs)
+    if square:
+        assert not certify_squarefree(f)
+
+
+def test_squarefree_certificate_at_degree_above_two_thousand():
+    # the p = 1000 ray quotient, certified, as by the list Euclid
+    quotient, _ = deflate_forbidden(csc_polynomial(JoinParams(1000, 1, 5, 3, 2)))
+    assert quotient.degree > 2000
+    assert certify_squarefree(quotient) and oracles.squarefree_mod_primes(quotient.coeffs)
+    # about 2,400 products reach each middle slot in one remainder, past the
+    # 2**24 * l that one Barrett quotient reduces: only the periodic reduction
+    # keeps the double root -1 found; the lead leaves l = 32717 to decide
+    rng = random.Random(16)
+    low = [rng.randint(-9, 9) for _ in range(2398)] + [1]
+    f = _long_remainder(4800, 2400, low, lead=32749 * 32719)
+    assert f.degree > 2000 and not certify_squarefree(f)
 
 
 # ----------------------------------------------------------------------
