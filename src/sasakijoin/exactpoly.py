@@ -771,11 +771,11 @@ def _no_rational_root(cs: tuple[int, ...]) -> bool:
     return False
 
 
-# Primes for the square-free certificate, which reduces its 64-bit slots of
-# residues mod l at least every _SQUAREFREE_STEPS products of two residues.  As
-# l < 2**15, a slot stays below 512 * l**2 < 2**24 * l: its Barrett quotient
-# (slot * m) >> 40, m = 2**40 // l, fits 24 bits and is exact or one less, slot
-# * m < 2**64, and bit 63 of slot + 2**63 - l then marks a slot still >= l.
+# Primes for the square-free certificate, below 2**15.  It reduces each 64-bit
+# slot of residues mod l at least every _SQUAREFREE_STEPS = 512 products of two
+# residues, so a slot stays below 512 * l**2 < 2**24 * l.  There, with m =
+# 2**40 // l, slot * m < 2**64, the Barrett quotient (slot * m) >> 40 fits 24
+# bits and is exact or one less, and bit 63 of slot + 2**63 - l marks slot >= l.
 _SQUAREFREE_PRIMES = (32749, 32719, 32717)
 _SQUAREFREE_STEPS = 512
 _SLOT = 2 ** 64 - 1
@@ -787,7 +787,7 @@ def certify_squarefree(poly: IntPolynomial) -> bool:
     g mod l, of the same positive degree, in that gcd.  False means unknown.
     Euclid runs on one int per polynomial, a slot per residue and the
     leading one lowest: a step is a multiply, an add and a shift."""
-    for ell in (l for l in _SQUAREFREE_PRIMES if poly.degree >= 1 and poly.coeffs[-1] % l):
+    for ell in (e for e in _SQUAREFREE_PRIMES if poly.degree >= 1 and poly.coeffs[-1] % e):
         res = [c % ell for c in poly.coeffs]
         a, b = (int.from_bytes(pack(f">{len(r)}Q", *r), "big")
                 for r in (res, [i * c % ell for i, c in enumerate(res)][1:]))
@@ -795,8 +795,8 @@ def certify_squarefree(poly: IntPolynomial) -> bool:
         m, low24, top = (1 << 40) // ell, ones * 0xFFFFFF, ones * ((1 << 63) - ell)
         da, db = len(res) - 1, len(res) - 2
         while b and db:     # until b is 0 after the gcd a, or a constant
-            if not b & _SLOT:
-                b, db = b >> 64, db - 1
+            if zeros := ((b & -b).bit_length() - 1) // 64:
+                b, db = b >> 64 * zeros, db - zeros     # leading slots of 0
                 continue
             neg_inv = ell - pow(b & _SLOT, -1, ell)
             for left in range(da - db + 1, 0, -_SQUAREFREE_STEPS):
@@ -804,8 +804,8 @@ def certify_squarefree(poly: IntPolynomial) -> bool:
                     if lead := (a & _SLOT) % ell:
                         a += lead * neg_inv % ell * b
                     a >>= 64
-                a -= ((a * m >> 40) & low24) * ell
-                a -= ((a + top >> 63) & ones) * ell
+                a -= (((a * m) >> 40) & low24) * ell
+                a -= (((a + top) >> 63) & ones) * ell
             a, b, da, db = b, a, db, db - 1
         if b:
             return True

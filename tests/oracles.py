@@ -6,10 +6,11 @@ naive polynomial algebra, a monic Euclidean gcd for square-free reduction,
 a fine-grid sign-scan + bisection root finder, a rational-root candidate
 enumeration, the three-ray threshold searched with a Descartes count at
 every bisection level, and the square-free certificate as Euclid's
-algorithm on lists of residues modulo a prime.  Simple wins; only the sign-scan and the threshold's
-Wronskian signs and counts work on integers (the polynomial scaled to
-integer coefficients, each point num/den cleared by den**degree), since
-signs are all they read.
+algorithm on lists of residues modulo a prime.  Simple wins; only the
+sign-scan, the threshold's Wronskian signs and counts, and the residues
+work on integers (the polynomial scaled to integer coefficients, each point
+num/den cleared by den**degree), since signs and residues are all they
+read.
 """
 
 from fractions import Fraction
