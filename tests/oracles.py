@@ -339,11 +339,11 @@ def critical_value_every_level(a_coeffs, b_coeffs, w1, w2, width, levels=200):
 SQUAREFREE_PRIMES = (32749, 32719, 32717)
 
 
-def squarefree_mod_primes(coeffs, primes=SQUAREFREE_PRIMES):
+def squarefree_mod_primes(coeffs):
     """Whether a prime l not dividing lc gives gcd(f, f') = 1 mod l for the
     integer coefficients ``coeffs`` (no trailing zero); False means unknown.
     Euclid's algorithm over Z/l on lists of residues, one element at a time."""
-    for ell in primes if len(coeffs) >= 2 else ():
+    for ell in SQUAREFREE_PRIMES if len(coeffs) >= 2 else ():
         a = [c % ell for c in coeffs]
         b = [i * c % ell for i, c in enumerate(a)][1:]
         if not a[-1]:
