@@ -95,17 +95,15 @@ def frac_str(q) -> str:
 
 
 def decimal_str(q, digits: int) -> str:
-    """Decimal rendering with ``digits`` fractional digits, round half up.
+    """Decimal rendering with ``digits`` fractional digits, round half up
+    (towards +oo), with no sign on a value that rounds to zero.
 
     Display-only; every decision in the library is made on exact values.
     """
     q = Fraction(q)
-    sign = "-" if q < 0 else ""
-    n, d = abs(q.numerator), q.denominator
-    scaled, rem = divmod(n * 10 ** digits, d)
-    if 2 * rem >= d:
-        scaled += 1
-    whole, frac = divmod(scaled, 10 ** digits)
+    scaled = (2 * q.numerator * 10 ** digits + q.denominator) // (2 * q.denominator)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10 ** digits)
     if digits == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{digits}d}"

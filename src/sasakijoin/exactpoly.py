@@ -1,7 +1,7 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
 Evaluation, formal derivatives, division, Yun square-free decomposition,
-Sturm chains, and certified isolation, refinement and identification of
+Sturm chains, rational roots, and certified isolation and refinement of
 real roots.  Every decision made here (root counting, rationality, interval
 certification) uses exact integer or rational arithmetic; floating point
 never enters a decision path.  Decimal output is the caller's problem.
@@ -12,16 +12,17 @@ is the empty tuple.  Build values with :func:`intpoly`.
 
 Roots are isolated by Sturm-chain bisection of (0, B], B a Cauchy bound;
 one remainder sequence gives both the chain and the square-free test, and
-the last chain built is kept for root counting.  No integer is factored: a
-rational root n/d has d | lc, so it reduces to a root modulo every prime
-l not dividing lc.  When some l < 100 shows there is none, no root is
-rational; otherwise a cell no wider than 1/|lc| holds at most one candidate
-and one exact evaluation decides.  Rational roots are then divided out and
-the quotient isolated again, so no bisection point is a root and every
-reported interval has non-root rational endpoints.  Cells are refined by
-bisection or, when deep, by Newton steps certified by exact signs; both
-reach the same dyadic cell.  Reported intervals are finished in order:
-width and other roots, then adjacent closures pair by pair, then exclusions.
+the last chain built is kept for root counting.  No integer is factored:
+rational roots are found first, by p-adic lifting (Loos 1983).  A rational
+root n/d has d | lc, so it reduces to a root modulo every prime l not
+dividing lc.  The first l at which there is none proves no root rational;
+at the first l whose roots are all simple, each lifts to the numerator of
+one candidate, and exact division decides it.  Rational roots are divided
+out before isolation, so no bisection point is a root and every reported
+interval has non-root rational endpoints.  Cells are refined by bisection
+or, when deep, by Newton steps certified by exact signs; both reach the
+same dyadic cell.  Reported intervals are finished in order: width and
+other roots, then adjacent closures pair by pair, then exclusions.
 
 :func:`isolate_bracketed_roots` runs the same stages without a remainder
 sequence, for a square-free polynomial whose roots the caller has
@@ -42,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate
-from math import ceil, gcd
+from itertools import accumulate, count
+from math import ceil, gcd, isqrt
 from operator import mul, ne
 from struct import pack
 
@@ -459,6 +460,13 @@ def sign_variations(coeffs) -> int:
     return sum(map(ne, signs, signs[1:]))
 
 
+def _exact(*points) -> list:
+    """The points as Fractions, None kept; floats are rejected as inexact."""
+    if any(isinstance(v, float) for v in points):
+        raise TypeError("points must be exact rationals, not floats")
+    return [None if v is None else Fraction(v) for v in points]
+
+
 def sturm_count(poly: IntPolynomial, lo, hi) -> int:
     """Number of distinct real roots in the interval (lo, hi].
 
@@ -468,9 +476,7 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
     """
     if poly.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    if isinstance(lo, float) or isinstance(hi, float):
-        raise TypeError("endpoints must be exact rationals, not floats")
-    a, b = (None if v is None else Fraction(v) for v in (lo, hi))
+    a, b = _exact(lo, hi)
     if a is not None and b is not None and not a < b:
         raise ValueError("lo < hi required")
     if poly.degree == 0:
@@ -513,11 +519,11 @@ def descartes_count(poly: IntPolynomial, lo, hi=None) -> int:
     By Descartes' rule this bounds the number of roots in (lo, hi), counted
     with multiplicity, and has the same parity: 0 proves there is none and
     1 that there is exactly one, a simple one.  hi = None means an unbounded
-    interval; 0 <= lo < hi is required.
+    interval; 0 <= lo < hi is required, and floats are rejected.
     """
     if poly.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    lo = Fraction(lo)
+    lo, hi = _exact(lo, hi)
     if lo < 0 or hi is not None and not lo < hi:
         raise ValueError("0 <= lo < hi required")
     cs = poly.coeffs
@@ -525,14 +531,15 @@ def descartes_count(poly: IntPolynomial, lo, hi=None) -> int:
         cs = _taylor_shift(_scaled(cs, lo))         # poly(lo*(1 + x))
     if hi is None:
         return sign_variations(cs)
-    cs = _scaled(cs, (hi - lo) / lo if lo else Fraction(hi))  # poly(lo + (hi-lo)*x)
+    cs = _scaled(cs, (hi - lo) / lo if lo else hi)  # poly(lo + (hi-lo)*x)
     # x -> 1/x then x -> x + 1 carries (0, 1) onto (0, oo)
     return sign_variations(_taylor_shift(cs[::-1]))
 
 
 def split_counts(poly: IntPolynomial, point) -> tuple[int | None, int | None]:
     """Bounds on the roots of poly in (0, point) and in (point, oo), for a
-    rational point > 0 that is not a root, or None where none was found.
+    rational point > 0 that is not a root (a float is rejected), or None
+    where none was found.
 
     Each bound has the parity of the roots counted with multiplicity, as a
     :func:`descartes_count` has, at n additions a level, not a Taylor shift.
@@ -543,7 +550,7 @@ def split_counts(poly: IntPolynomial, point) -> tuple[int | None, int | None]:
     """
     if poly.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    point = Fraction(point)
+    point, = _exact(point)
     if point <= 0:
         raise ValueError("point > 0 required")
     cs = _scaled(poly.coeffs, point)
@@ -604,7 +611,7 @@ def deflate_linear(poly: IntPolynomial, root) -> tuple[IntPolynomial, int]:
 
 
 # ----------------------------------------------------------------------
-# isolation, refinement and identification of real roots
+# isolation and refinement of real roots, and rational roots
 
 @dataclass(frozen=True)
 class RationalInterval:
@@ -719,13 +726,14 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
 
     (lo, hi] must hold exactly one root of poly, of odd multiplicity; hi
     and the points of exclude must not be roots, and lo, unless it is a
-    root, must differ in sign from hi (ValueError otherwise).  The result is
-    the interval bisection reaches: the cell
+    root, must differ in sign from hi (ValueError otherwise).  Float ends are
+    rejected.  The result is the interval bisection reaches: the cell
     (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
     the least t at which the width is at most max_width and the closure holds
     no point of exclude.  Refinements of _NEWTON_LEVELS levels or more, the
     crossover of dense Horner evaluation, reach it by certified Newton steps.
     """
+    lo, hi = _exact(lo, hi)
     signs = _Horner(poly.coeffs)
     if signs.sign(lo) == signs.sign(hi) != 0:
         raise ValueError(f"no sign change on ({lo}, {hi}]: no root of odd multiplicity")
@@ -755,20 +763,49 @@ def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[F
     return Fraction(a, den), Fraction(a + width, den)
 
 
-# The primes that may certify that no root is rational.
-_CERTIFYING_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                      53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+def _mod_value(cs, x: int, mod: int) -> int:
+    """f(x) mod ``mod`` for the coefficients cs of f, by Horner's rule mod ``mod``."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % mod
+    return acc
 
 
-def _no_rational_root(cs: tuple[int, ...]) -> bool:
-    """Whether a prime l < 100 not dividing lc certifies that the integer
-    polynomial cs has no rational root: it has no root mod l, while a root
-    n/d, d | lc, would reduce to the root n * d**-1 mod l."""
-    for ell in _CERTIFYING_PRIMES:
-        red = tuple(c % ell for c in cs)
-        if red[-1] and all(_scaled_value(red, x, 1) % ell for x in range(ell)):
-            return True
-    return False
+def _rational_roots_of(poly: IntPolynomial) -> list[Fraction]:
+    """The rational roots, ascending, of a square-free integer polynomial f,
+    by p-adic lifting (Loos 1983).
+
+    A root n/d has d | lc, so modulo each prime l not dividing lc it reduces
+    to the root n * d**-1: where f has no root mod l, none is rational.  A
+    square-free f has only simple roots mod all but finitely many l.  At the
+    first such l, Newton steps lift each root r uniquely mod l**(2**i) until
+    the modulus passes 2*|lc|*B, B the Cauchy bound.  The symmetric residue m
+    of lc*r is then the one numerator with |m| < |lc|*B, and exact division
+    decides the candidate m/lc.
+    """
+    cs = poly.coeffs
+    if len(cs) < 2:
+        return []
+    slopes = poly_derivative(poly).coeffs
+    for ell in count(2):
+        if cs[-1] % ell and all(ell % q for q in range(2, isqrt(ell) + 1)):
+            roots = [x for x in range(ell) if not _mod_value(cs, x, ell)]
+            if all(_mod_value(slopes, x, ell) for x in roots):
+                break
+    bound = abs(cs[-1]) + max(map(abs, cs[:-1]))     # |lc| * B
+    out = []
+    for r in roots:
+        mod = ell
+        while mod <= 2 * bound:
+            # f'(r)**-1 mod the old modulus suffices, as f(r) is 0 there
+            inv = pow(_mod_value(slopes, r, mod), -1, mod)
+            mod *= mod
+            r = (r - _mod_value(cs, r, mod) * inv) % mod
+        m = cs[-1] * r % mod
+        m -= mod if 2 * m > mod else 0
+        if abs(m) < bound and deflate_linear(poly, Fraction(m, cs[-1]))[1]:
+            out.append(Fraction(m, cs[-1]))
+    return sorted(out)
 
 
 # Primes for the square-free certificate, below 2**15.  It reduces each 64-bit
@@ -812,27 +849,6 @@ def certify_squarefree(poly: IntPolynomial) -> bool:
     return False
 
 
-def _identify(sf: IntPolynomial, signs, lo: Fraction, hi: Fraction, max_width: Fraction):
-    """The root of the square-free sf in its isolating cell (lo, hi]: the
-    exact value if it is rational, else a subcell that refines further to
-    its cell of width max_width.  ``signs`` are those of sf.
-
-    A rational root n/d has d | lc.  Once the cell is no wider than 1/|lc|,
-    (|lc|*lo, |lc|*hi] holds at most one integer m, and one exact evaluation
-    at m/|lc| decides.
-    """
-    lead = abs(sf.coeffs[-1])
-    if signs.sign(hi) == 0:
-        return hi
-    lo, hi = cell = _refine(signs, lo, hi, max(max_width, Fraction(1, lead)))
-    if max_width * lead > 1 and signs.sign(hi) != 0:
-        lo, hi = _refine(signs, lo, hi, Fraction(1, lead))
-    candidate = Fraction(hi.numerator * lead // hi.denominator, lead)
-    if candidate > lo and signs.sign(candidate) == 0:
-        return candidate
-    return cell
-
-
 def _squarefree_setup(poly: IntPolynomial):
     """(k, chain, factors) for a nonzero poly = x**k * p0 up to a constant:
     the Sturm chain of the square-free part of p0 and the Yun factors of p0
@@ -865,25 +881,15 @@ def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
 def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     """All rational roots with exact multiplicities, ascending.
 
-    Each real root of the square-free part is isolated on (-B, B] and
-    identified in its cell, unless a prime certifies that none is rational;
-    multiplicities come from the Yun factors.
+    The roots of the square-free part are found by p-adic lifting, with no
+    root isolation; multiplicities come from the Yun factors.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     k, chain, factors = _squarefree_setup(poly)
-    out: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
-    if len(chain[0]) > 1 and not _no_rational_root(chain[0]):
-        sf = IntPolynomial(chain[0])
-        bound = cauchy_root_bound(sf)
-        lead_width = Fraction(1, abs(sf.coeffs[-1]))
-        signs = _Horner(sf.coeffs)
-        for lo, hi in _isolate_cells(partial(_variation_count, chain), -bound, bound):
-            root = _identify(sf, signs, lo, hi, lead_width)
-            if isinstance(root, Fraction):
-                out.append((root, _multiplicity(factors, root)))
-    out.sort(key=lambda t: t[0])
-    return out
+    out = [(Fraction(0), k)] if k else []
+    out += [(r, _multiplicity(factors, r)) for r in _rational_roots_of(IntPolynomial(chain[0]))]
+    return sorted(out)
 
 
 def _check_isolation_input(poly: IntPolynomial, precision: int) -> None:
@@ -937,24 +943,16 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
     polynomial x**k * p0 with the Yun factors of p0; ``above`` counts roots
     of sf as :func:`_isolate_cells` needs and ``signs`` gives sf's signs."""
     max_width = Fraction(1, 10 ** precision)
-
-    # The first pass identifies every positive root of sf; identification
-    # refines past max_width, so it is skipped when a prime shows that no
-    # root is rational.
+    # The rational roots are divided out and the quotient irr is isolated from
+    # its own Cauchy bound, so that no bisection point is a root.
+    rationals = [r for r in _rational_roots_of(sf) if r > 0]
     irr = sf
-    cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(sf)) if sf.degree >= 1 else []
-    if not (cells and abs(sf.coeffs[-1]) > max_width.denominator
-            and _no_rational_root(sf.coeffs)):
-        cells = [_identify(sf, signs, lo, hi, max_width) for lo, hi in cells]
-    rationals = [r for r in cells if isinstance(r, Fraction)]
-    # The second pass divides the rationals out and isolates the quotient irr
-    # again from its own Cauchy bound, so that no bisection point is a root.
     if rationals:
         for r in rationals:
             irr = deflate_linear(irr, r)[0]
         signs = _Horner(irr.coeffs)
-        cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(irr), rationals) \
-            if irr.degree >= 1 else []
+    cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(irr), rationals) \
+        if irr.degree >= 1 else []
     # closures must also avoid a root at 0, which is not a root of irr
     avoid = rationals + [Fraction(0)] if k else rationals
     intervals = [_refine(signs, lo, hi, max_width, avoid) for lo, hi in cells]

@@ -306,6 +306,16 @@ def test_decimal_rendering_is_exact_integer_arithmetic():
     assert cli.decimal_str(Fraction(1, 2), 0) == "1"
 
 
+def test_decimal_rendering_rounds_half_up_with_no_negative_zero():
+    from fractions import Fraction
+    assert cli.decimal_str(Fraction(-1, 1000), 2) == "0.00"
+    assert cli.decimal_str(Fraction(-1, 200), 2) == "0.00"
+    assert cli.decimal_str(Fraction(-1, 8), 2) == "-0.12"
+    assert cli.decimal_str(Fraction(1, 8), 2) == "0.13"
+    assert cli.decimal_str(Fraction(-3, 2), 0) == "-1"
+    assert cli.decimal_str(Fraction(-3, 500), 2) == "-0.01"
+
+
 # ----------------------------------------------------------------------
 # JSON rendering, the process pool import, a closed stdout
 

@@ -13,7 +13,7 @@ from sasakijoin.exactpoly import (
     SparseQuotient,
     _SQUAREFREE_PRIMES,
     _SQUAREFREE_STEPS,
-    _no_rational_root,
+    _rational_roots_of,
     _squarefree_setup,
     cauchy_root_bound,
     certify_squarefree,
@@ -35,7 +35,7 @@ from sasakijoin.exactpoly import (
     sturm_count,
     taylor_shift,
 )
-from sasakijoin.cscrays import csc_polynomial, deflate_forbidden
+from sasakijoin.cscrays import csc_polynomial, csc_rays, deflate_forbidden
 from sasakijoin.joinspace import JoinParams
 
 # the p=1 cubic cofactor for (l1, l2, w) = (1, 19, (3,2)) and its neighbour
@@ -362,6 +362,21 @@ def test_sturm_rejects_float_endpoints():
         sturm_count(G19, None, 2.0)
     with pytest.raises(TypeError):
         sturm_count(G19, float("-inf"), float("inf"))
+
+
+def test_counts_and_refinement_reject_float_points():
+    # a float end used to fail on .numerator; every count rejects it alike
+    quadratic = intpoly([-2, 0, 1])
+    with pytest.raises(TypeError, match="not floats"):
+        descartes_count(quadratic, 1, 2.5)
+    with pytest.raises(TypeError, match="not floats"):
+        descartes_count(quadratic, 1.0)
+    with pytest.raises(TypeError, match="not floats"):
+        split_counts(quadratic, 1.5)
+    with pytest.raises(TypeError, match="not floats"):
+        refine_interval(quadratic, 1, 2.5, F(1, 100))
+    assert descartes_count(quadratic, 1, F(5, 2)) == 1
+    assert refine_interval(quadratic, 1, 2, F(1, 100)) == (F(181, 128), F(91, 64))
 
 
 def test_cauchy_bound_dominates_roots():
@@ -811,11 +826,11 @@ def test_squarefree_certificate_at_degree_above_two_thousand():
 
 
 # ----------------------------------------------------------------------
-# the certificate that no root is rational
+# the rational-root search by p-adic lifting
 
-# denominators above 31, and products of the primes the certificate tries
-# (the last two are divisible by every prime up to 31 and up to 97, so the
-# last leaves none usable)
+# denominators above 31, and products of small primes, which the search
+# skips (the last two are divisible by every prime up to 31 and up to 97,
+# so the last sends the walk past 97)
 CERT_DENOMINATORS = st.one_of(
     st.sampled_from([37, 97, 1_000_003, 2_147_483_647, 2 ** 10 * 31,
                      2 * 3 * 5 * 7 * 11 * 13, 200_560_490_130,
@@ -824,37 +839,68 @@ CERT_DENOMINATORS = st.one_of(
 SMALL_COFACTOR = st.lists(st.integers(-30, 30), min_size=1, max_size=8).filter(lambda cs: cs[-1])
 
 
+def scanned_roots(coeffs):
+    """The rational roots of an integer polynomial, ascending, by evaluating
+    every candidate of the rational root theorem, and 0."""
+    return sorted(c for c in oracles.rational_candidates(coeffs) + [F(0)]
+                  if oracles.horner(coeffs, c) == 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(CERT_DENOMINATORS, st.integers(-10 ** 6, 10 ** 6), SMALL_COFACTOR)
-def test_certificate_never_denies_a_constructed_rational_root(d, n, cofactor):
+def test_search_finds_a_constructed_rational_root(d, n, cofactor):
     poly = poly_mul(intpoly((-n, d)), intpoly(cofactor))
-    assert not _no_rational_root(poly.coeffs)
+    expected = sorted({F(n, d), *scanned_roots(cofactor)})
+    assert [r for r, _ in rational_roots(poly)] == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(SMALL_COFACTOR, st.none() | st.tuples(st.integers(1, 12), st.integers(-12, 12)))
-def test_certificate_agrees_with_a_divisor_scan(cofactor, linear):
+def test_search_agrees_with_a_divisor_scan(cofactor, linear):
     poly = intpoly(cofactor)
     if linear:
         poly = poly_mul(poly, intpoly((-linear[1], linear[0])))
-    has_rational = poly.coeffs[0] == 0 or any(
-        oracles.horner(poly.coeffs, cand) == 0
-        for cand in oracles.rational_candidates(poly.coeffs))
-    if _no_rational_root(poly.coeffs):
-        assert not has_rational
-    assert bool(rational_roots(poly)) == has_rational
+    assert [r for r, _ in rational_roots(poly)] == scanned_roots(poly.coeffs)
 
 
-def test_certificate_reaches_primes_past_31():
-    # the degree-801 ray quotient of (400,1,5,3,2) has a root modulo every
-    # prime up to 37 that does not divide lc (3 does); 41 is the first without
-    cs = primitive_part(deflate_forbidden(csc_polynomial(JoinParams(400, 1, 5, 3, 2)))[0]).coeffs
+@pytest.mark.parametrize("linears", [
+    [(1, 1), (3, 1)],               # one double root mod 2
+    [(1, 1), (4, 1), (1, 2)],       # lc 2, and one double root mod 3
+    [(-5, 1), (1, 1), (7, 1)],      # one triple root mod 2 and mod 3
+    [(1, 1), (211, 1)],             # one double root mod 2, 3, 5 and 7
+    [(1, 3), (90091, 3)],           # lc 9, and one double root mod 2, 5, 7, 11, 13
+])
+def test_search_skips_primes_with_repeated_roots(linears):
+    poly = intpoly([1])
+    for n, d in linears:
+        poly = poly_mul(poly, intpoly((-n, d)))
+    assert rational_roots(poly) == [(F(n, d), 1) for n, d in sorted(linears, key=lambda t: F(*t))]
 
-    def certifies(ell):
-        red = [c % ell for c in cs]
-        return bool(red[-1]) and all(oracles.horner(red, x) % ell for x in range(ell))
 
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    assert [ell for ell in primes if certifies(ell)] == [41]
-    assert _no_rational_root(cs)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(-50, 50), st.sampled_from([2, 6, 30, 210, 2310]),
+       st.integers(-3, 3).filter(bool), SMALL_COFACTOR)
+def test_search_finds_roots_that_collide_modulo_small_primes(d, n, m, k, cofactor):
+    # n/d and n/d + m*k agree modulo every prime that divides m and not d
+    poly = poly_mul(poly_mul(intpoly((-n, d)), intpoly((-n - d * m * k, d))), intpoly(cofactor))
+    expected = sorted({F(n, d), F(n, d) + m * k, *scanned_roots(cofactor)})
+    assert [r for r, _ in rational_roots(poly)] == expected
 
+
+def test_no_rational_root_on_the_degree_801_ray_quotient():
+    # the quotient of (400,1,5,3,2) has a root modulo every prime up to 37
+    # that does not divide lc (3 does), so the search must lift, here the
+    # simple root 1 mod 5.  rational_roots would first build the Sturm chain,
+    # tens of seconds at this degree; the search needs only square-freeness
+    quotient, _ = deflate_forbidden(csc_polynomial(JoinParams(400, 1, 5, 3, 2)))
+    sf = primitive_part(quotient)
+    primes = (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert all(any(oracles.horner(sf.coeffs, x) % ell == 0 for x in range(ell)) for ell in primes)
+    assert certify_squarefree(quotient) and _rational_roots_of(sf) == []
+    report = csc_rays(JoinParams(400, 1, 5, 3, 2))
+    assert [(ray.record.value.lo, ray.record.value.hi) for ray in report.rays] == [
+        (F(2199023255549, 8796093022208), F(29686813949981, 118747255799808)),
+        (F(52776161310833, 79164837199872), F(79164241966319, 118747255799808)),
+        (F(554153860399043, 237494511599616), F(92358976733197, 39582418599936)),
+    ]
+    assert all(ray.ray_class == "irregular" for ray in report.rays)
