@@ -13,6 +13,8 @@ of a checkout:
 
 A survivor means a missing test: add the test, or remove the mutant with a
 note here on why it is equivalent.  New certificates add their mutants.
+Equivalent, so not listed: dropping the shift that rescales a cell end
+carried to a finer grid in ``_qir_levels``, as magnitudes only steer.
 (Mutation testing: DeMillo, Lipton & Sayward, IEEE Computer 1978.)
 """
 
@@ -27,6 +29,7 @@ from pathlib import Path
 
 SEARCH = ("tests/test_exactpoly.py", "-k", "search or rational_roots")
 SPLIT = ("tests/test_exactpoly.py", "-k", "split_counts")
+REFINE = ("tests/test_exactpoly.py", "-k", "isolation_invariants or bisection_cell")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -43,6 +46,13 @@ MUTANTS = [
      "        if cs[-1] * total <= 0:\n            break\n", "", SPLIT),
     ("split_counts counts the unreversed coefficients above the point", "exactpoly.py",
      "_series_variations(cs[::-1], total)", "_series_variations(cs, total)", SPLIT),
+    ("QIR keeps a window without the sign at its second end", "exactpoly.py",
+     "            if (vj * s_hi < 0) != (j < m):", "            if False:", REFINE),
+    ("QIR takes the window on the wrong side of m", "exactpoly.py",
+     "        j = m + 1 if vm * s_hi < 0 else m - 1\n",
+     "        j = m - 1 if vm * s_hi < 0 else m + 1\n", REFINE),
+    ("QIR steps the index of the kept window off by one", "exactpoly.py",
+     "base + min(m, j) * width", "base + max(m, j) * width", REFINE),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

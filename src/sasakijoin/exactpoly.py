@@ -20,9 +20,10 @@ at the first l whose roots are all simple, each lifts to the numerator of
 one candidate, and exact division decides it.  Rational roots are divided
 out before isolation, so no bisection point is a root and every reported
 interval has non-root rational endpoints.  Cells are refined by bisection
-or, when deep, by Newton steps certified by exact signs; both reach the
-same dyadic cell.  Reported intervals are finished in order: width and
-other roots, then adjacent closures pair by pair, then exclusions.
+or, when deep, by secant steps certified by exact signs (quadratic interval
+refinement); both reach the same dyadic cell.  Reported intervals are
+finished in order: width and other roots, then adjacent closures pair by
+pair, then exclusions.
 
 :func:`isolate_bracketed_roots` runs the same stages without a remainder
 sequence, for a square-free polynomial whose roots the caller has
@@ -202,21 +203,21 @@ def _sign_at(coeffs: tuple[int, ...], q: Fraction) -> int:
     return (s > 0) - (s < 0)
 
 
-# Newton refinement takes four evaluations per step (value and derivative at
-# the start, signs at the new cell ends) plus about 32 for the warm-up and the
-# steps that fail before its error squares.  Measured on dense ray polynomials,
-# from _NEWTON_LEVELS levels on that is fewer than bisection's one per level.
-_NEWTON_WARMUP = 4
-_NEWTON_LEVELS = 49
+# Quadratic interval refinement takes two exact signs a step, after
+# _QIR_WARMUP bisections whose values start its secant, and bisection one a
+# level.  A refinement of qir_levels levels or more, the crossover of its
+# sign source, takes the steps: timed against bisection on the cells of ray
+# polynomials, from there on they are no slower.
+_QIR_WARMUP = 4
 
 
 class _Signs:
-    """Signs and Newton data of a polynomial q with integer coefficients.
+    """Signs of a polynomial q with integer coefficients.
 
     ``value(x, y)`` is an integer with the sign of q(x/y), for y > 0, and
-    ``newton(x, y)`` a pair (y**n * g(x/y), y**(n-1) * g'(x/y)) for some g
-    of degree n with the positive roots of q, all simple where q's are.
-    :func:`_refine` descends by Newton steps from ``newton_levels`` levels on.
+    off finitely many points y**degree * g(x/y) for some g with the positive
+    roots of q.  :func:`_refine` decides by the signs alone, and steers its
+    secant steps by the magnitudes from ``qir_levels`` levels on.
     """
 
     def sign(self, x: Fraction) -> int:
@@ -226,20 +227,13 @@ class _Signs:
 
 
 class _Horner(_Signs):
-    """Signs and Newton data of a dense polynomial, by Horner's rule."""
+    """Signs and values of a dense polynomial, by Horner's rule."""
 
-    newton_levels = _NEWTON_LEVELS
+    qir_levels = 18
 
     def __init__(self, cs: tuple[int, ...]) -> None:
-        self.cs = cs
+        self.degree = len(cs) - 1
         self.value = partial(_scaled_value, cs)
-
-    @cached_property
-    def slopes(self) -> tuple[int, ...]:
-        return tuple(i * c for i, c in enumerate(self.cs))[1:]
-
-    def newton(self, num: int, den: int) -> tuple[int, int]:
-        return _scaled_value(self.cs, num, den), _scaled_value(self.slopes, num, den)
 
 
 def _sparse_value(terms, n: int, x: int, y: int) -> int:
@@ -265,17 +259,16 @@ class SparseQuotient(_Signs):
     steps when f is sparse and deg(f) large.
 
     ``value(x, y)`` is y**deg(f) * f(x/y) times sign(d*x - n*y)**k, or at
-    n/d the cached d**deg(q) * q(n/d), of the same sign; ``newton`` takes g = f.
+    n/d the cached d**deg(q) * q(n/d), of the same sign.
     """
 
-    # measured on ray polynomials, p = 70-400: values cost more at finer points
-    newton_levels = 32
+    # values at finer points cost more here, so the steps pay off sooner
+    qir_levels = 14
 
     def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
         root = Fraction(root)
         self.quotient = quotient
         self.terms = [(i, c) for i, c in enumerate(f.coeffs) if c]
-        self.slopes = [(i - 1, i * c) for i, c in self.terms if i]
         self.degree = f.degree
         self.odd = (f.degree - quotient.degree) % 2
         self.num, self.den = root.numerator, root.denominator
@@ -290,10 +283,6 @@ class SparseQuotient(_Signs):
     @cached_property
     def at_root(self) -> int:
         return _scaled_value(self.quotient.coeffs, self.num, self.den)
-
-    def newton(self, x: int, y: int) -> tuple[int, int]:
-        return (_sparse_value(self.terms, self.degree, x, y),
-                _sparse_value(self.slopes, self.degree - 1, x, y))
 
 
 def poly_divrem(num: IntPolynomial, den: IntPolynomial):
@@ -683,9 +672,10 @@ def _bracket_above(brackets, signs):
     return lambda x: sum(x <= lo or x < hi and signs.sign(x) == s for lo, hi, s in ends)
 
 
-def _bisect_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
-    """Descend by bisection from the cell (a, a + width] / den."""
-    value = signs.value
+def _bisect_levels(signs, a: int, den: int, width: int, vb: int, levels: int):
+    """Descend by bisection from the cell (a, a + width] / den, vb the value
+    at its right end."""
+    value, s_hi = signs.value, (vb > 0) - (vb < 0)
     for _ in range(levels):
         mid = 2 * a + width
         den *= 2
@@ -693,30 +683,33 @@ def _bisect_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
     return a, den
 
 
-def _newton_levels(signs, a: int, den: int, width: int, s_hi: int, levels: int):
-    """Descend from the cell (a, a + width] / den by certified Newton steps.
-
-    A step from the right end jumps ``gain`` levels and is kept only if the
-    exact signs at the ends of the new cell bracket the root.  The gain
-    doubles after a kept step, as the error squares, and halves after a
-    failed one, which is replaced by one bisection.
-    """
-    done = gain = min(_NEWTON_WARMUP, levels)
-    a, den = _bisect_levels(signs, a, den, width, s_hi, done)
+def _qir_levels(signs, a: int, den: int, width: int, vb: int, levels: int):
+    """:func:`_bisect_levels` by quadratic interval refinement (Abbott 2006).
+    A step of k levels rounds the secant's root to a point m of the 2**k
+    times finer grid and keeps the window (m - 1, m] or (m, m + 1] if the
+    signs at its ends bracket the root.  k doubles after a kept window and
+    halves after a missed one, which one bisection replaces.  Magnitudes
+    only steer; a cell end carried to a finer grid is rescaled by a shift."""
+    value, degree, s_hi = signs.value, signs.degree, (vb > 0) - (vb < 0)
+    va, done, step, missed = None, 0, 1, False    # va: None until evaluated, never 0
     while done < levels:
-        step = min(gain, levels - done)
-        base, den2, last = a << step, den << step, (1 << step) - 1
-        x = a + width
-        v, d = signs.newton(x, den)
-        # the Newton point x/den - v/(d*den), located on the finer grid
-        j = last if not d else min(max((((x * d - v) << step) // d - base) // width, 0), last)
+        k = 1 if missed or va is None or done < _QIR_WARMUP else min(step, levels - done)
+        n, base, fine = 1 << k, a << k, den << k
+        # the secant's root, rounded on the finer grid; the midpoint when k is 1
+        m = min(max(((va << k + 1) // (va - vb) + 1) >> 1, 1), n - 1) if k > 1 else 1
+        vm = value(base + m * width, fine)
         # a grid point lies left of the root exactly when its value * s_hi < 0
-        if (j == 0 or signs.value(base + j * width, den2) * s_hi < 0) and \
-                (j == last or signs.value(base + (j + 1) * width, den2) * s_hi >= 0):
-            a, den, done, gain = base + j * width, den2, done + step, 2 * gain
-        else:
-            a, den = _bisect_levels(signs, a, den, width, s_hi, 1)
-            done, gain = done + 1, max(1, gain // 2)
+        j = m + 1 if vm * s_hi < 0 else m - 1
+        if 0 < j < n:
+            vj = value(base + j * width, fine)
+            if (vj * s_hi < 0) != (j < m):      # missed: bisect next
+                step, missed = max(1, k // 2), True
+                continue
+        else:                                   # an end of the cell, whose side is known
+            vj = vb << degree * k if j else va and va << degree * k
+        a, den, done = base + min(m, j) * width, fine, done + k
+        va, vb = (vj, vm) if j < m else (vm, vj)
+        step, missed = step if missed else 2 * k, False
     return a, den
 
 
@@ -730,8 +723,8 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     rejected.  The result is the interval bisection reaches: the cell
     (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
     the least t at which the width is at most max_width and the closure holds
-    no point of exclude.  Refinements of _NEWTON_LEVELS levels or more, the
-    crossover of dense Horner evaluation, reach it by certified Newton steps.
+    no point of exclude.  Refinements of ``_Horner.qir_levels`` levels or
+    more, the crossover of dense Horner evaluation, reach it by secant steps.
     """
     lo, hi = _exact(lo, hi)
     signs = _Horner(poly.coeffs)
@@ -742,24 +735,24 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
 
 def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[Fraction, Fraction]:
     """:func:`refine_interval` for the isolating cells of this module, whose
-    ends differ in sign, with the signs, Newton data and crossover of ``signs``."""
+    ends differ in sign, with the signs, values and crossover of ``signs``."""
     max_width = Fraction(max_width)
     den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     width = hi.numerator * (den // hi.denominator) - a
     # every cell below is (a, a + width] / den, den doubling per level
-    s_hi = signs.sign(hi)
-    if not s_hi:
+    vb = signs.value(a + width, den)
+    if not vb:
         raise ValueError(f"the interval end {hi} is a root")
     if any(lo < r <= hi and not signs.sign(Fraction(r)) for r in exclude):
         raise ValueError("a point of exclude is a root")
     ratio = -(-width * max_width.denominator // (max_width.numerator * den))
     levels = (ratio - 1).bit_length() if ratio > 1 else 0
-    descend = _newton_levels if levels >= signs.newton_levels else _bisect_levels
-    a, den = descend(signs, a, den, width, s_hi, levels)
+    descend = _qir_levels if levels >= signs.qir_levels else _bisect_levels
+    a, den = descend(signs, a, den, width, vb, levels)
     points = [(Fraction(r).numerator, Fraction(r).denominator) for r in exclude]
     while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):
-        a, den = _bisect_levels(signs, a, den, width, s_hi, 1)
+        a, den = _bisect_levels(signs, a, den, width, vb, 1)
     return Fraction(a, den), Fraction(a + width, den)
 
 
@@ -849,6 +842,13 @@ def certify_squarefree(poly: IntPolynomial) -> bool:
     return False
 
 
+def _zero_root(poly: IntPolynomial) -> tuple[int, IntPolynomial]:
+    """(k, p0) for a nonzero poly = x**k * p0 up to a constant, p0 primitive."""
+    cs = primitive_part(poly).coeffs
+    k = next(i for i, c in enumerate(cs) if c)
+    return k, IntPolynomial(cs[k:])
+
+
 def _squarefree_setup(poly: IntPolynomial):
     """(k, chain, factors) for a nonzero poly = x**k * p0 up to a constant:
     the Sturm chain of the square-free part of p0 and the Yun factors of p0
@@ -857,9 +857,7 @@ def _squarefree_setup(poly: IntPolynomial):
     The chain is headed by p0 / gcd(p0, p0'), so Yun starts from the gcd
     that one exact division recovers.
     """
-    cs = primitive_part(poly).coeffs
-    k = next(i for i, c in enumerate(cs) if c)
-    p0 = IntPolynomial(cs[k:])
+    k, p0 = _zero_root(poly)
     chain = _sturm_chain(p0)
     if chain[0] == p0.coeffs:
         return k, chain, [(p0, 1)]
@@ -881,14 +879,15 @@ def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
 def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     """All rational roots with exact multiplicities, ascending.
 
-    The roots of the square-free part are found by p-adic lifting, with no
-    root isolation; multiplicities come from the Yun factors.
+    Each Yun factor of poly / x**k is searched by p-adic lifting; when
+    :func:`certify_squarefree` holds, it is its own one factor, with no chain.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    k, chain, factors = _squarefree_setup(poly)
+    k, p0 = _zero_root(poly)
+    factors = [(p0, 1)] if certify_squarefree(p0) else _squarefree_setup(poly)[2]
     out = [(Fraction(0), k)] if k else []
-    out += [(r, _multiplicity(factors, r)) for r in _rational_roots_of(IntPolynomial(chain[0]))]
+    out += [(r, m) for fac, m in factors for r in _rational_roots_of(fac)]
     return sorted(out)
 
 

@@ -958,29 +958,54 @@ HIGH_DEGREE_TUPLES = [(120, 1, 5, 1, 1), (120, 2, 7, 3, 2), (200, 1, 4, 1, 1), (
     (200, [(86, 1, 1, 1, 1), (73, 1, 1, 2, 1)]),
 ], ids=["p1", "p12", "p50", "p200"])
 def test_sparse_refinement_schedules_give_the_same_reports(monkeypatch, precision, tuples):
-    # Newton steps from every level count, and bisection at every one
+    # secant steps from every level count, and bisection at every one
     for tup in tuples:
         reports = []
         for crossover in (0, 10 ** 6):
-            monkeypatch.setattr(exactpoly.SparseQuotient, "newton_levels", crossover)
+            monkeypatch.setattr(exactpoly.SparseQuotient, "qir_levels", crossover)
             reports.append(repr(csc_rays(JoinParams(*tup), precision)))
         assert reports[0] == reports[1], tup
 
 
-def test_branch_path_reaches_its_intervals_by_newton_steps(monkeypatch):
+# census-like tuples (p 1-4, entries up to 20, each with an irrational ray),
+# and the precision ops of the stress benchmark at seeds 1 and 2
+CENSUS_LIKE_TUPLES = [(1, 11, 7, 17, 11), (1, 1, 1, 11, 9), (1, 1, 2, 5, 3), (1, 1, 8, 1, 1),
+                      (2, 17, 11, 15, 13), (2, 5, 19, 7, 2), (3, 20, 11, 7, 4), (3, 1, 4, 5, 3),
+                      (4, 3, 1, 18, 7), (4, 9, 5, 13, 8)]
+PRECISION_TUPLES = [(1, 1, 25, 2, 1), (2, 1, 25, 1, 1), (2, 1, 27, 1, 1), (1, 1, 24, 1, 1),
+                    (1, 1, 23, 3, 2), (1, 1, 25, 3, 2), (1, 1, 23, 3, 1), (1, 1, 26, 3, 1)]
+
+
+@pytest.mark.parametrize("precision, tuples", [
+    (12, CENSUS_LIKE_TUPLES),
+    (200, PRECISION_TUPLES),
+    (1000, PRECISION_TUPLES),
+], ids=["p12", "p200", "p1000"])
+def test_dense_refinement_schedules_give_the_same_reports(monkeypatch, precision, tuples):
+    # the Sturm path refines by dense Horner: secant steps from every level
+    # count, and bisection at every one
+    for tup in tuples:
+        reports = []
+        for crossover in (0, 10 ** 6):
+            monkeypatch.setattr(exactpoly._Horner, "qir_levels", crossover)
+            reports.append(repr(csc_rays(JoinParams(*tup), precision)))
+        assert reports[0] == reports[1], tup
+
+
+def test_branch_path_reaches_its_intervals_by_secant_steps(monkeypatch):
     # the cells of the sparse ray polynomial at precision 12 are about 40
-    # levels deep, past the sparse crossover and short of the dense one
+    # levels deep, past the crossovers of both sign sources
     params = JoinParams(88, 1, 4, 1, 1)
     report = csc_rays(params, 12)
     descents = []
-    real = exactpoly._newton_levels
+    real = exactpoly._qir_levels
 
     def spy(signs, a, den, width, s_hi, levels):
         cell = real(signs, a, den, width, s_hi, levels)
         descents.append((type(signs), F(cell[0], cell[1])))
         return cell
 
-    monkeypatch.setattr(exactpoly, "_newton_levels", spy)
+    monkeypatch.setattr(exactpoly, "_qir_levels", spy)
     warm = csc_rays(params, 12)
     assert repr(warm) == repr(report)
     ends = {ray.record.value.lo for ray in warm.rays if not ray.record.is_rational}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from sasakijoin import exactpoly
 from sasakijoin.exactpoly import (
     IntPolynomial,
     SparseQuotient,
@@ -424,6 +425,27 @@ def test_rational_roots_match_candidate_scan():
         assert found == brute
 
 
+def test_rational_roots_of_a_certified_squarefree_input_build_no_sturm_chain(monkeypatch):
+    # the degree-401 quotient of (200,1,5,3,2), times x^2 (3x - 2), is
+    # square-free off 0 by the certificate, so no remainder sequence is built;
+    # the quotient of (13,7,1,1,1) has the factor (x+1)^2 and takes Yun's
+    chains = []
+
+    def spy(poly):
+        chains.append(poly)
+        return real(poly)
+
+    real = exactpoly._sturm_chain
+    monkeypatch.setattr(exactpoly, "_sturm_chain", spy)
+    quotient, _ = deflate_forbidden(csc_polynomial(JoinParams(200, 1, 5, 3, 2)))
+    assert rational_roots(quotient) == []
+    assert rational_roots(poly_mul(quotient, intpoly([0, 0, -2, 3]))) == [(F(0), 2), (F(2, 3), 1)]
+    assert chains == []
+    quotient, _ = deflate_forbidden(csc_polynomial(JoinParams(13, 7, 1, 1, 1)))
+    assert rational_roots(quotient) == [(F(-1), 2)]
+    assert chains
+
+
 # ----------------------------------------------------------------------
 # isolation
 
@@ -670,14 +692,18 @@ def test_near_coincident_pairs(a, scale, k):
 
 
 def bisection_reference(coeffs, lo, hi, max_width):
-    s_hi = sign(oracles.horner(coeffs, hi))
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        if sign(oracles.horner(coeffs, mid)) * s_hi < 0:
-            lo = mid
+    # plain bisection of (a, b] / den, den doubling, on integer signs alone
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    s_hi = oracles.scaled_sign(coeffs, b, den)
+    while (b - a) * max_width.denominator > max_width.numerator * den:
+        a, b, den = 2 * a, 2 * b, 2 * den
+        mid = (a + b) // 2
+        if oracles.scaled_sign(coeffs, mid, den) * s_hi < 0:
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return F(a, den), F(b, den)
 
 
 @settings(max_examples=40, deadline=None)
@@ -689,6 +715,32 @@ def test_refinement_reaches_the_bisection_cell(n, k, digits):
     hi = F(isqrt(k) + 1, n)
     cell = refine_interval(intpoly(coeffs), F(0), hi, F(1, 10 ** digits))
     assert cell == bisection_reference(coeffs, F(0), hi, F(1, 10 ** digits))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10 ** 4), st.sampled_from([2, 3, 7, 10 ** 9 + 7]),
+       st.sampled_from([10 ** 6, 10 ** 12, 2 ** 60]),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), min_size=1, max_size=3,
+                unique_by=lambda t: t[0]),
+       st.lists(st.tuples(st.integers(2, 4), st.integers(1, 2)), max_size=3,
+                unique_by=lambda t: t[0]),
+       st.sampled_from([1, 10, 1000]), st.sampled_from([5, 40, 200, 1000]))
+def test_refinement_reaches_the_bisection_cell_among_clustered_roots(n, k, scale, below, above,
+                                                                     spread, digits):
+    # degree 3-8: the root sqrt(k)/n of n^2 x^2 - k lies in (g, g + 1]/scale,
+    # at the left of the cell (g, g + spread]/scale; rational roots
+    # (g - i)/scale and (g + spread - 1 + i)/scale crowd it, and a root at
+    # i = 0 below makes lo = g/scale a root, which bends the secant steps
+    assume(sum(m for _, m in below + above) <= 6)
+    g = isqrt(k * scale * scale // (n * n))
+    coeffs = (-k, 0, n * n)
+    for offset, mult in below:
+        coeffs = oracles.multiply(coeffs, oracles.power([offset - g, scale], mult))
+    for offset, mult in above:
+        coeffs = oracles.multiply(coeffs, oracles.power([-(g + spread - 1 + offset), scale], mult))
+    lo, hi = F(g, scale), F(g + spread, scale)
+    cell = refine_interval(intpoly(coeffs), lo, hi, F(1, 10 ** digits))
+    assert cell == bisection_reference(coeffs, lo, hi, F(1, 10 ** digits))
 
 
 def test_refinement_rejects_a_root_at_the_right_end():
