@@ -879,8 +879,8 @@ def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
 def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     """All rational roots with exact multiplicities, ascending.
 
-    Each Yun factor of poly / x**k is searched by p-adic lifting; when
-    :func:`certify_squarefree` holds, it is its own one factor, with no chain.
+    Each Yun factor of p0 = poly / x**k is searched by p-adic lifting; when
+    :func:`certify_squarefree` holds, p0 is the one factor and no chain is built.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
