@@ -29,7 +29,11 @@ from pathlib import Path
 
 SEARCH = ("tests/test_exactpoly.py", "-k", "search or rational_roots")
 SPLIT = ("tests/test_exactpoly.py", "-k", "split_counts")
-REFINE = ("tests/test_exactpoly.py", "-k", "isolation_invariants or bisection_cell")
+REFINE = ("tests/test_exactpoly.py", "-k",
+          "isolation_invariants or bisection_cell or adjacent_closures or excluded")
+# a descent one level short never separates touching closures, so the
+# isolation tests would hang until TIMEOUT_S; the bisection cells fail at once
+CELLS = ("tests/test_exactpoly.py", "-k", "bisection_cell")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -53,6 +57,15 @@ MUTANTS = [
      "        j = m - 1 if vm * s_hi < 0 else m + 1\n", REFINE),
     ("QIR steps the index of the kept window off by one", "exactpoly.py",
      "base + min(m, j) * width", "base + max(m, j) * width", REFINE),
+    ("refinement descends one level short of the width", "exactpoly.py",
+     "    levels = (ratio - 1).bit_length() if ratio > 1 else 0\n",
+     "    levels = (ratio - 1).bit_length() - 1 if ratio > 1 else 0\n", CELLS),
+    ("refinement skips clearing the points of exclude", "exactpoly.py",
+     "    while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):\n"
+     "        a, den = _qir_levels(signs, a, den, width, vb, 1)\n", "", REFINE),
+    ("adjacent closures that share an endpoint stay unseparated", "exactpoly.py",
+     "        while intervals[i][1] >= intervals[i + 1][0]:\n",
+     "        while intervals[i][1] > intervals[i + 1][0]:\n", REFINE),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

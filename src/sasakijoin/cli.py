@@ -28,7 +28,9 @@ row per value of l2.
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation, any
 other internal failure, or stdout closed early.  The environment variable
 SASAKI_JOBS, when set, overrides --jobs; the worker count is clamped to the
-CPU count and to the number of sweep rows, with a note on stderr.
+CPU count and to the number of sweep rows, with a note on stderr.  ``sweep
+csc`` starts a process pool only for two or more rows that the threshold
+leaves open, with at most one worker per open row.
 """
 
 from __future__ import annotations
@@ -465,6 +467,7 @@ def _sweep_csc(args):
         jobs = usable
     rows = [_threshold_row(task) for task in tasks]
     open_tasks = [task for task, row in zip(tasks, rows) if row is None]
+    jobs = min(jobs, len(open_tasks))
     if jobs > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             found = iter(list(pool.map(_rays_row, open_tasks)))

@@ -19,11 +19,10 @@ dividing lc.  The first l at which there is none proves no root rational;
 at the first l whose roots are all simple, each lifts to the numerator of
 one candidate, and exact division decides it.  Rational roots are divided
 out before isolation, so no bisection point is a root and every reported
-interval has non-root rational endpoints.  Cells are refined by bisection
-or, when deep, by secant steps certified by exact signs (quadratic interval
-refinement); both reach the same dyadic cell.  Reported intervals are
-finished in order: width and other roots, then adjacent closures pair by
-pair, then exclusions.
+interval has non-root rational endpoints.  Cells are refined by secant
+steps certified by exact signs (quadratic interval refinement), which reach
+the dyadic cell bisection would.  Reported intervals are finished in order:
+width and other roots, then adjacent closures pair by pair, then exclusions.
 
 :func:`isolate_bracketed_roots` runs the same stages without a remainder
 sequence, for a square-free polynomial whose roots the caller has
@@ -203,11 +202,8 @@ def _sign_at(coeffs: tuple[int, ...], q: Fraction) -> int:
     return (s > 0) - (s < 0)
 
 
-# Quadratic interval refinement takes two exact signs a step, after
-# _QIR_WARMUP bisections whose values start its secant, and bisection one a
-# level.  A refinement of qir_levels levels or more, the crossover of its
-# sign source, takes the steps: timed against bisection on the cells of ray
-# polynomials, from there on they are no slower.
+# Quadratic interval refinement starts with _QIR_WARMUP plain bisections, one
+# exact sign a level, whose values start its secant; a step then takes two.
 _QIR_WARMUP = 4
 
 
@@ -217,7 +213,7 @@ class _Signs:
     ``value(x, y)`` is an integer with the sign of q(x/y), for y > 0, and
     off finitely many points y**degree * g(x/y) for some g with the positive
     roots of q.  :func:`_refine` decides by the signs alone, and steers its
-    secant steps by the magnitudes from ``qir_levels`` levels on.
+    secant steps by the magnitudes.
     """
 
     def sign(self, x: Fraction) -> int:
@@ -228,8 +224,6 @@ class _Signs:
 
 class _Horner(_Signs):
     """Signs and values of a dense polynomial, by Horner's rule."""
-
-    qir_levels = 18
 
     def __init__(self, cs: tuple[int, ...]) -> None:
         self.degree = len(cs) - 1
@@ -261,9 +255,6 @@ class SparseQuotient(_Signs):
     ``value(x, y)`` is y**deg(f) * f(x/y) times sign(d*x - n*y)**k, or at
     n/d the cached d**deg(q) * q(n/d), of the same sign.
     """
-
-    # values at finer points cost more here, so the steps pay off sooner
-    qir_levels = 14
 
     def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
         root = Fraction(root)
@@ -672,24 +663,15 @@ def _bracket_above(brackets, signs):
     return lambda x: sum(x <= lo or x < hi and signs.sign(x) == s for lo, hi, s in ends)
 
 
-def _bisect_levels(signs, a: int, den: int, width: int, vb: int, levels: int):
-    """Descend by bisection from the cell (a, a + width] / den, vb the value
-    at its right end."""
-    value, s_hi = signs.value, (vb > 0) - (vb < 0)
-    for _ in range(levels):
-        mid = 2 * a + width
-        den *= 2
-        a = mid if value(mid, den) * s_hi < 0 else 2 * a
-    return a, den
-
-
 def _qir_levels(signs, a: int, den: int, width: int, vb: int, levels: int):
-    """:func:`_bisect_levels` by quadratic interval refinement (Abbott 2006).
-    A step of k levels rounds the secant's root to a point m of the 2**k
-    times finer grid and keeps the window (m - 1, m] or (m, m + 1] if the
-    signs at its ends bracket the root.  k doubles after a kept window and
-    halves after a missed one, which one bisection replaces.  Magnitudes
-    only steer; a cell end carried to a finer grid is rescaled by a shift."""
+    """Descend ``levels`` levels from the cell (a, a + width] / den, vb the
+    value at its right end, to the cell bisection reaches, by quadratic
+    interval refinement (Abbott 2006).  After _QIR_WARMUP bisections, a step
+    of k levels rounds the secant's root to a point m of the 2**k times
+    finer grid and keeps the window (m - 1, m] or (m, m + 1] if the signs at
+    its ends bracket the root.  k doubles after a kept window and halves
+    after a missed one, which one bisection replaces.  Magnitudes only
+    steer; a cell end carried to a finer grid is rescaled by a shift."""
     value, degree, s_hi = signs.value, signs.degree, (vb > 0) - (vb < 0)
     va, done, step, missed = None, 0, 1, False    # va: None until evaluated, never 0
     while done < levels:
@@ -720,23 +702,23 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
     (lo, hi] must hold exactly one root of poly, of odd multiplicity; hi
     and the points of exclude must not be roots, and lo, unless it is a
     root, must differ in sign from hi (ValueError otherwise).  Float ends are
-    rejected.  The result is the interval bisection reaches: the cell
+    rejected, and so are float points of exclude and a float max_width.  The
+    result is the interval bisection reaches: the cell
     (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
     the least t at which the width is at most max_width and the closure holds
-    no point of exclude.  Refinements of ``_Horner.qir_levels`` levels or
-    more, the crossover of dense Horner evaluation, reach it by secant steps.
+    no point of exclude.  Secant steps reach it (:func:`_qir_levels`).
     """
-    lo, hi = _exact(lo, hi)
+    lo, hi, max_width, *exclude = _exact(lo, hi, max_width, *exclude)
     signs = _Horner(poly.coeffs)
     if signs.sign(lo) == signs.sign(hi) != 0:
         raise ValueError(f"no sign change on ({lo}, {hi}]: no root of odd multiplicity")
     return _refine(signs, lo, hi, max_width, exclude)
 
 
-def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[Fraction, Fraction]:
-    """:func:`refine_interval` for the isolating cells of this module, whose
-    ends differ in sign, with the signs, values and crossover of ``signs``."""
-    max_width = Fraction(max_width)
+def _refine(signs, lo: Fraction, hi: Fraction, max_width: Fraction,
+            exclude=()) -> tuple[Fraction, Fraction]:
+    """:func:`refine_interval` on Fractions, for the isolating cells of this
+    module, whose ends differ in sign, with the signs and values of ``signs``."""
     den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     width = hi.numerator * (den // hi.denominator) - a
@@ -744,15 +726,14 @@ def _refine(signs, lo: Fraction, hi: Fraction, max_width, exclude=()) -> tuple[F
     vb = signs.value(a + width, den)
     if not vb:
         raise ValueError(f"the interval end {hi} is a root")
-    if any(lo < r <= hi and not signs.sign(Fraction(r)) for r in exclude):
+    if any(lo < r <= hi and not signs.sign(r) for r in exclude):
         raise ValueError("a point of exclude is a root")
     ratio = -(-width * max_width.denominator // (max_width.numerator * den))
     levels = (ratio - 1).bit_length() if ratio > 1 else 0
-    descend = _qir_levels if levels >= signs.qir_levels else _bisect_levels
-    a, den = descend(signs, a, den, width, vb, levels)
-    points = [(Fraction(r).numerator, Fraction(r).denominator) for r in exclude]
+    a, den = _qir_levels(signs, a, den, width, vb, levels)
+    points = [(r.numerator, r.denominator) for r in exclude]
     while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):
-        a, den = _bisect_levels(signs, a, den, width, vb, 1)
+        a, den = _qir_levels(signs, a, den, width, vb, 1)
     return Fraction(a, den), Fraction(a + width, den)
 
 
@@ -905,10 +886,11 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
     Rational roots are reported exactly.  Every other root gets an isolating
     interval, finished in order: width at most 10**-precision and a closure
     clear of all other roots; then adjacent closures separated pair by pair;
-    then a closure clear of each point of exclude, which must not be a root.
-    Multiplicities are read off the Yun decomposition.
+    then a closure clear of each point of exclude, which must not be a root
+    (nor a float).  Multiplicities are read off the Yun decomposition.
     """
     _check_isolation_input(poly, precision)
+    exclude = _exact(*exclude)
     if poly.degree == 0:
         return []
     k, chain, factors = _squarefree_setup(poly)
@@ -926,14 +908,16 @@ def isolate_bracketed_roots(poly: IntPolynomial, brackets, signs, precision: int
     ``brackets`` are disjoint intervals (lo, hi), 0 <= lo < hi, ascending,
     whose ends differ in sign (ValueError otherwise); each holds exactly one
     root, and together they hold every positive root, which the caller
-    certifies.  ``signs`` gives the signs and Newton data of poly, as
-    :class:`SparseQuotient` does.  Cells and refinements are the same; only
-    root counts come from the brackets and signs from ``signs``.
+    certifies.  Float bracket ends and points of exclude are rejected.
+    ``signs`` gives the signs and values of poly, as :class:`SparseQuotient`
+    does.  Cells and refinements are the same; only root counts come from
+    the brackets and signs from ``signs``.
     """
     _check_isolation_input(poly, precision)
+    brackets = [_exact(lo, hi) for lo, hi in brackets]
     sf = primitive_part(poly)
     return _finish_roots(sf, _bracket_above(brackets, signs), signs, [(sf, 1)], 0,
-                         precision, exclude)
+                         precision, _exact(*exclude))
 
 
 def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: int,

@@ -4,9 +4,10 @@ Everything here is deliberately written from scratch on plain Fraction
 lists, sharing no code path with the package under test: Horner evaluation,
 naive polynomial algebra, a monic Euclidean gcd for square-free reduction,
 a fine-grid sign-scan + bisection root finder, a rational-root candidate
-enumeration, the three-ray threshold searched with a Descartes count at
-every bisection level, and the square-free certificate as Euclid's
-algorithm on lists of residues modulo a prime.  Simple wins; only the
+enumeration, plain bisection of a refined cell, the three-ray threshold
+searched with a Descartes count at every bisection level, and the
+square-free certificate as Euclid's algorithm on lists of residues modulo a
+prime.  Simple wins; only the
 sign-scan, the threshold's Wronskian signs and counts, and the residues
 work on integers (the polynomial scaled to integer coefficients, each point
 num/den cleared by den**degree), since signs and residues are all they
@@ -177,6 +178,21 @@ def scaled_sign(icoeffs, num, den):
 def sign_at(icoeffs, q):
     q = Fraction(q)
     return scaled_sign(icoeffs, q.numerator, q.denominator)
+
+
+def bisection_reference(signs, a, den, width, vb, levels):
+    """Plain bisection of the cell (a, a + width] / den by ``levels``
+    levels, den doubling, where vb is the value at its right end: a midpoint
+    left of the root has the sign opposite to vb.  Reads only the signs of
+    ``signs.value(x, y)``, and takes the arguments of the package's descent
+    ``exactpoly._qir_levels``, so that it can stand in for it."""
+    s_hi = (vb > 0) - (vb < 0)
+    for _ in range(levels):
+        a, den = 2 * a, 2 * den
+        v = signs.value(a + width, den)
+        if (v > 0) - (v < 0) == -s_hi:
+            a += width
+    return a, den
 
 
 def signscan_positive_roots(coeffs, width=Fraction(1, 10 ** 9)):

@@ -403,9 +403,16 @@ class RecordingPool:
         return map(fn, tasks)
 
 
+def no_threshold(p, w1, w2):
+    raise InternalInvariantError("no certified threshold")
+
+
 def test_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch):
+    # with no threshold every valid row is open: l2 = 1, 5, 7, 11, ... for
+    # w = (3, 2), so 1..6 has two open rows and 1..2 one
     base = ["sweep", "csc", "-p", "1", "-l1", "1", "-w", "3,2", "--json"]
     _, expected, _ = run_cli(capsys, base + ["--l2", "1..30"])
+    monkeypatch.setattr(cli, "ray_threshold", no_threshold)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     RecordingPool.created = []
@@ -415,11 +422,14 @@ def test_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch):
     monkeypatch.setenv("SASAKI_JOBS", "5000")
     code, out, _ = run_cli(capsys, base + ["--l2", "1..30"])
     assert code == 0 and out == expected
+    code, _, err = run_cli(capsys, base + ["--l2", "1..6"])
+    assert code == 0 and "clamped to 3" in err
     code, _, err = run_cli(capsys, base + ["--l2", "1..2"])
     assert code == 0 and "clamped to 2" in err
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     code, _, err = run_cli(capsys, base + ["--l2", "1..30"])
     assert code == 0 and "clamped to 1" in err
+    # one worker per open row at most, and no pool for a single open row
     assert RecordingPool.created == [3, 3, 2]
 
 
@@ -437,16 +447,27 @@ class SpyPool(RecordingPool):
 @pytest.mark.parametrize("flags, sent", [("-w 1,1 --l2 1..12", [5]),
                                          ("-w 3,2 --l2 1..30", [])])
 def test_pool_gets_only_the_rows_the_threshold_leaves_open(capsys, monkeypatch, flags, sent):
-    # t* = 5 for (1, 1, 1), so l2 = 5 sits exactly at it; (1, 3, 2) separates every l2
+    # t* = 5 for (1, 1, 1), so l2 = 5 sits exactly at it; (1, 3, 2) separates every l2.
+    # sent: the open rows, which go to csc_rays
     base = ["sweep", "csc", "-p", "1", "-l1", "1", *flags.split(), "--json"]
     _, expected, _ = run_cli(capsys, base)
+    valid = [row["l2"] for row in json.loads(expected)["payload"]["rows"] if row["valid"]]
+    ran = []
+    monkeypatch.setattr(cli, "_rays_row", lambda task, real=cli._rays_row:
+                        ran.append(task[2]) or real(task))
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     RecordingPool.created, SpyPool.mapped = [], []
     code, out, _ = run_cli(capsys, base + ["--jobs", "2"])
     assert code == 0 and out == expected
+    # 0 or 1 open rows start no pool
+    assert RecordingPool.created == [] and ran == sent
+    # with no threshold every valid row is open, and the pool gets them all
+    monkeypatch.setattr(cli, "ray_threshold", no_threshold)
+    code, out, _ = run_cli(capsys, base + ["--jobs", "2"])
+    assert code == 0 and out == expected
     assert RecordingPool.created == [2]
-    assert [task[2] for task in SpyPool.mapped] == sent
+    assert [task[2] for task in SpyPool.mapped] == valid
 
 
 # sha256 of `csc ... --json` stdout, computed with the divisor-search kernel

@@ -948,6 +948,16 @@ HIGH_DEGREE_TUPLES = [(120, 1, 5, 1, 1), (120, 2, 7, 3, 2), (200, 1, 4, 1, 1), (
                       (400, 1, 5, 3, 2), (400, 1, 5, 1, 1)]
 
 
+def assert_bisection_gives_the_same_reports(monkeypatch, precision, tuples):
+    # the whole reports, with every descent by quadratic interval refinement
+    # and with plain bisection in its place
+    for tup in tuples:
+        report = repr(csc_rays(JoinParams(*tup), precision))
+        with monkeypatch.context() as patched:
+            patched.setattr(exactpoly, "_qir_levels", oracles.bisection_reference)
+            assert repr(csc_rays(JoinParams(*tup), precision)) == report, tup
+
+
 # Bisection alone descends one sparse evaluation a level, each costlier than
 # the last: at precision 200 it takes 1-19 s a tuple, so the deep precisions
 # run on fewer tuples.
@@ -958,13 +968,7 @@ HIGH_DEGREE_TUPLES = [(120, 1, 5, 1, 1), (120, 2, 7, 3, 2), (200, 1, 4, 1, 1), (
     (200, [(86, 1, 1, 1, 1), (73, 1, 1, 2, 1)]),
 ], ids=["p1", "p12", "p50", "p200"])
 def test_sparse_refinement_schedules_give_the_same_reports(monkeypatch, precision, tuples):
-    # secant steps from every level count, and bisection at every one
-    for tup in tuples:
-        reports = []
-        for crossover in (0, 10 ** 6):
-            monkeypatch.setattr(exactpoly.SparseQuotient, "qir_levels", crossover)
-            reports.append(repr(csc_rays(JoinParams(*tup), precision)))
-        assert reports[0] == reports[1], tup
+    assert_bisection_gives_the_same_reports(monkeypatch, precision, tuples)
 
 
 # census-like tuples (p 1-4, entries up to 20, each with an irrational ray),
@@ -982,19 +986,13 @@ PRECISION_TUPLES = [(1, 1, 25, 2, 1), (2, 1, 25, 1, 1), (2, 1, 27, 1, 1), (1, 1,
     (1000, PRECISION_TUPLES),
 ], ids=["p12", "p200", "p1000"])
 def test_dense_refinement_schedules_give_the_same_reports(monkeypatch, precision, tuples):
-    # the Sturm path refines by dense Horner: secant steps from every level
-    # count, and bisection at every one
-    for tup in tuples:
-        reports = []
-        for crossover in (0, 10 ** 6):
-            monkeypatch.setattr(exactpoly._Horner, "qir_levels", crossover)
-            reports.append(repr(csc_rays(JoinParams(*tup), precision)))
-        assert reports[0] == reports[1], tup
+    # the Sturm path refines by dense Horner
+    assert_bisection_gives_the_same_reports(monkeypatch, precision, tuples)
 
 
 def test_branch_path_reaches_its_intervals_by_secant_steps(monkeypatch):
-    # the cells of the sparse ray polynomial at precision 12 are about 40
-    # levels deep, past the crossovers of both sign sources
+    # the cells of the sparse ray polynomial at precision 12, about 40
+    # levels deep, are refined on its sparse signs
     params = JoinParams(88, 1, 4, 1, 1)
     report = csc_rays(params, 12)
     descents = []

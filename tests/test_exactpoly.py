@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from math import isqrt, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -366,18 +367,27 @@ def test_sturm_rejects_float_endpoints():
 
 
 def test_counts_and_refinement_reject_float_points():
-    # a float end used to fail on .numerator; every count rejects it alike
+    # a float end used to fail on .numerator, and a float exclude point or
+    # width was read as its binary fraction (1.4 is not 7/5); every count,
+    # refinement and isolation rejects them alike
     quadratic = intpoly([-2, 0, 1])
-    with pytest.raises(TypeError, match="not floats"):
-        descartes_count(quadratic, 1, 2.5)
-    with pytest.raises(TypeError, match="not floats"):
-        descartes_count(quadratic, 1.0)
-    with pytest.raises(TypeError, match="not floats"):
-        split_counts(quadratic, 1.5)
-    with pytest.raises(TypeError, match="not floats"):
-        refine_interval(quadratic, 1, 2.5, F(1, 100))
+    signs = SparseQuotient(poly_mul(quadratic, intpoly([-1, 1])), quadratic, 1)
+    for call in (lambda: descartes_count(quadratic, 1, 2.5),
+                 lambda: descartes_count(quadratic, 1.0),
+                 lambda: split_counts(quadratic, 1.5),
+                 lambda: refine_interval(quadratic, 1, 2.5, F(1, 100)),
+                 lambda: refine_interval(quadratic, 1, 2, 0.01),
+                 lambda: refine_interval(quadratic, 1, 2, F(1, 16), [1.4]),
+                 lambda: isolate_positive_roots(quadratic, 1, [1.4]),
+                 lambda: isolate_bracketed_roots(quadratic, [(1, 2.0)], signs, 1),
+                 lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [1.4])):
+        with pytest.raises(TypeError, match="not floats"):
+            call()
     assert descartes_count(quadratic, 1, F(5, 2)) == 1
     assert refine_interval(quadratic, 1, 2, F(1, 100)) == (F(181, 128), F(91, 64))
+    cleared = isolate_positive_roots(quadratic, 1, [F(7, 5)])
+    assert cleared == isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [F(7, 5)])
+    assert not cleared[0].value.lo <= F(7, 5) <= cleared[0].value.hi
 
 
 def test_cauchy_bound_dominates_roots():
@@ -691,30 +701,31 @@ def test_near_coincident_pairs(a, scale, k):
         assert (left.value if left.is_rational else left.value.hi) < right.position
 
 
-def bisection_reference(coeffs, lo, hi, max_width):
-    # plain bisection of (a, b] / den, den doubling, on integer signs alone
+def bisection_cell(coeffs, lo, hi, max_width):
+    # the cell of (lo, hi] = (a, a + width] / den that plain bisection reaches
+    # at the first level no wider than max_width, on integer signs alone
     den = lo.denominator * hi.denominator
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
-    s_hi = oracles.scaled_sign(coeffs, b, den)
-    while (b - a) * max_width.denominator > max_width.numerator * den:
-        a, b, den = 2 * a, 2 * b, 2 * den
-        mid = (a + b) // 2
-        if oracles.scaled_sign(coeffs, mid, den) * s_hi < 0:
-            a = mid
-        else:
-            b = mid
-    return F(a, den), F(b, den)
+    a = lo.numerator * hi.denominator
+    width = hi.numerator * lo.denominator - a
+    levels = 0
+    while width * max_width.denominator > max_width.numerator * (den << levels):
+        levels += 1
+    signs = SimpleNamespace(value=lambda x, y: oracles.scaled_sign(coeffs, x, y))
+    a, den = oracles.bisection_reference(signs, a, den, width, signs.value(a + width, den), levels)
+    return F(a, den), F(a + width, den)
 
 
+# digits 1 and 2 descend 4-10 levels, mostly inside the plain bisections
+# that start quadratic interval refinement
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 10 ** 6), st.sampled_from([2, 3, 7, 10 ** 9 + 7]),
-       st.sampled_from([5, 40, 200, 1000]))
+       st.sampled_from([1, 2, 5, 40, 200, 1000]))
 def test_refinement_reaches_the_bisection_cell(n, k, digits):
     # n^2 x^2 - k has the root sqrt(k)/n in (0, (isqrt(k) + 1)/n]
     coeffs = (-k, 0, n * n)
     hi = F(isqrt(k) + 1, n)
     cell = refine_interval(intpoly(coeffs), F(0), hi, F(1, 10 ** digits))
-    assert cell == bisection_reference(coeffs, F(0), hi, F(1, 10 ** digits))
+    assert cell == bisection_cell(coeffs, F(0), hi, F(1, 10 ** digits))
 
 
 @settings(max_examples=40, deadline=None)
@@ -724,7 +735,7 @@ def test_refinement_reaches_the_bisection_cell(n, k, digits):
                 unique_by=lambda t: t[0]),
        st.lists(st.tuples(st.integers(2, 4), st.integers(1, 2)), max_size=3,
                 unique_by=lambda t: t[0]),
-       st.sampled_from([1, 10, 1000]), st.sampled_from([5, 40, 200, 1000]))
+       st.sampled_from([1, 10, 1000]), st.sampled_from([1, 2, 5, 40, 200, 1000]))
 def test_refinement_reaches_the_bisection_cell_among_clustered_roots(n, k, scale, below, above,
                                                                      spread, digits):
     # degree 3-8: the root sqrt(k)/n of n^2 x^2 - k lies in (g, g + 1]/scale,
@@ -740,13 +751,21 @@ def test_refinement_reaches_the_bisection_cell_among_clustered_roots(n, k, scale
         coeffs = oracles.multiply(coeffs, oracles.power([-(g + spread - 1 + offset), scale], mult))
     lo, hi = F(g, scale), F(g + spread, scale)
     cell = refine_interval(intpoly(coeffs), lo, hi, F(1, 10 ** digits))
-    assert cell == bisection_reference(coeffs, lo, hi, F(1, 10 ** digits))
+    assert cell == bisection_cell(coeffs, lo, hi, F(1, 10 ** digits))
 
 
 def test_refinement_rejects_a_root_at_the_right_end():
     # x^2 - 1 has its root 1 at hi, where the sign that steers bisection is 0
     with pytest.raises(ValueError, match="end 1 is a root"):
         refine_interval(intpoly([-1, 0, 1]), F(1, 2), F(1), F(1, 10))
+
+
+def test_refinement_clears_an_excluded_point():
+    # the cell of width 1/16 holding sqrt(2) also holds 7/5, and one more
+    # level clears it
+    quadratic = intpoly([-2, 0, 1])
+    assert refine_interval(quadratic, 1, 2, F(1, 16)) == (F(11, 8), F(23, 16))
+    assert refine_interval(quadratic, 1, 2, F(1, 16), [F(7, 5)]) == (F(45, 32), F(23, 16))
 
 
 def test_refinement_rejects_an_excluded_root():
