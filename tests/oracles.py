@@ -7,11 +7,11 @@ a fine-grid sign-scan + bisection root finder, a rational-root candidate
 enumeration, plain bisection of a refined cell, the three-ray threshold
 searched with a Descartes count at every bisection level, and the
 square-free certificate as Euclid's algorithm on lists of residues modulo a
-prime.  Simple wins; only the
-sign-scan, the threshold's Wronskian signs and counts, and the residues
-work on integers (the polynomial scaled to integer coefficients, each point
-num/den cleared by den**degree), since signs and residues are all they
-read.
+prime.  Simple wins; only the sign-scan, the bisection, the threshold's
+Wronskian signs and counts, and the residues work on integers (the
+polynomial scaled to integer coefficients, each point num/den cleared by
+den**degree), since signs and residues are all they read.  The bisection
+reads its signs from the sign source it is handed.
 """
 
 from fractions import Fraction
