@@ -34,6 +34,12 @@ REFINE = ("tests/test_exactpoly.py", "-k",
 # a descent one level short never separates touching closures, so the
 # isolation tests would hang until TIMEOUT_S; the bisection cells fail at once
 CELLS = ("tests/test_exactpoly.py", "-k", "bisection_cell")
+# Yun returning p whole leaves a repeated root in the rational-root search,
+# whose walk over the primes then never ends; -x stops at the first failure
+YUN = ("tests/test_exactpoly.py", "-k", "(squarefree and not certificate) or multiplicities")
+CERTIFY = ("tests/test_exactpoly.py", "-k", "squarefree_certificate")
+BRACKETS = ("tests/test_exactpoly.py", "-k", "bracketed")
+PAIRING = ("tests/test_cscrays.py", "-k", "pairing")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -66,6 +72,17 @@ MUTANTS = [
     ("adjacent closures that share an endpoint stay unseparated", "exactpoly.py",
      "        while intervals[i][1] >= intervals[i + 1][0]:\n",
      "        while intervals[i][1] > intervals[i + 1][0]:\n", REFINE),
+    ("isolation reads every root of a non-square-free p0 as simple", "exactpoly.py",
+     "    factors = [(p0, 1)] if chain[0] == p0.coeffs else squarefree_decompose(p0)\n",
+     "    factors = [(p0, 1)]\n", YUN),
+    ("Yun decomposition returns p as its one factor whatever the gcd", "exactpoly.py",
+     "    return [(p, 1)] if g.degree == 0 else _yun(p, g)\n", "    return [(p, 1)]\n", YUN),
+    ("square-free certificate leaves slots of l and above unreduced", "exactpoly.py",
+     "                a -= (((a + top) >> 63) & ones) * ell\n", "", CERTIFY),
+    ("reciprocal pairing accepts an inverted interval that misses its partner", "cscrays.py",
+     "            if not a < b or not (", "            if not (", PAIRING),
+    ("bracket counts read the sign of hi in place of lo", "exactpoly.py",
+     "signs.sign(lo)) for lo, hi in brackets", "signs.sign(hi)) for lo, hi in brackets", BRACKETS),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

@@ -26,11 +26,10 @@ CSV writes the payload as key/value rows, except that the sweeps write one
 row per value of l2.
 
 Exit codes: 0 success, 1 invalid input, 2 internal invariant violation, any
-other internal failure, or stdout closed early.  The environment variable
-SASAKI_JOBS, when set, overrides --jobs; the worker count is clamped to the
-CPU count and to the number of sweep rows, with a note on stderr.  ``sweep
-csc`` starts a process pool only for two or more rows that the threshold
-leaves open, with at most one worker per open row.
+other internal failure, or stdout closed early.  The --jobs worker count
+is clamped to the CPU count and to the number of sweep rows, with a note on
+stderr.  ``sweep csc`` starts a process pool only for two or more rows that
+the threshold leaves open, with at most one worker per open row.
 """
 
 from __future__ import annotations
@@ -238,7 +237,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--precision", type=_precision, default=12, metavar="D",
                         help="decimal digits for display approximations (1..1000)")
     parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for sweeps (SASAKI_JOBS overrides)")
+                        help="worker processes for sweeps")
     parser.add_argument("--quote-caveat", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="print the CSC uniqueness caveat (default: on in table mode)")
@@ -561,13 +560,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
 
-    env_jobs = os.environ.get("SASAKI_JOBS")
-    if env_jobs is not None:
-        try:
-            args.jobs = int(env_jobs)
-        except ValueError:
-            print("error [SASAKI_JOBS]: must be an integer", file=sys.stderr)
-            return 1
     args.jobs = max(1, args.jobs)
     if args.quote_caveat is None:
         args.quote_caveat = args.fmt == "table"

@@ -12,7 +12,9 @@ is the empty tuple.  Build values with :func:`intpoly`.
 
 Roots are isolated by Sturm-chain bisection of (0, B], B a Cauchy bound;
 one remainder sequence gives both the chain and the square-free test, and
-the last chain built is kept for root counting.  No integer is factored:
+the last chain built is kept for root counting; only a polynomial that
+fails the test is split into Yun factors, by :func:`squarefree_decompose`
+alone, for multiplicities.  No integer is factored:
 rational roots are found first, by p-adic lifting (Loos 1983).  A rational
 root n/d has d | lc, so it reduces to a root modulo every prime l not
 dividing lc.  The first l at which there is none proves no root rational;
@@ -440,10 +442,13 @@ def sign_variations(coeffs) -> int:
     return sum(map(ne, signs, signs[1:]))
 
 
-def _exact(*points) -> list:
-    """The points as Fractions, None kept; floats are rejected as inexact."""
+def _exact(*points, unbounded=False) -> list:
+    """The points as Fractions; floats are rejected as inexact, and so is
+    None unless ``unbounded`` lets it stand for an unbounded side."""
     if any(isinstance(v, float) for v in points):
         raise TypeError("points must be exact rationals, not floats")
+    if not unbounded and any(v is None for v in points):
+        raise TypeError("points must be exact rationals, not None")
     return [None if v is None else Fraction(v) for v in points]
 
 
@@ -456,7 +461,7 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
     """
     if poly.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    a, b = _exact(lo, hi)
+    a, b = _exact(lo, hi, unbounded=True)
     if a is not None and b is not None and not a < b:
         raise ValueError("lo < hi required")
     if poly.degree == 0:
@@ -503,7 +508,7 @@ def descartes_count(poly: IntPolynomial, lo, hi=None) -> int:
     """
     if poly.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    lo, hi = _exact(lo, hi)
+    lo, hi = _exact(lo, hi, unbounded=True)
     if lo < 0 or hi is not None and not lo < hi:
         raise ValueError("0 <= lo < hi required")
     cs = poly.coeffs
@@ -701,12 +706,13 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
 
     (lo, hi] must hold exactly one root of poly, of odd multiplicity; hi
     and the points of exclude must not be roots, and lo, unless it is a
-    root, must differ in sign from hi (ValueError otherwise).  Float ends are
-    rejected, and so are float points of exclude and a float max_width.  The
-    result is the interval bisection reaches: the cell
-    (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root, for
-    the least t at which the width is at most max_width and the closure holds
-    no point of exclude.  Secant steps reach it (:func:`_qir_levels`).
+    root, must differ in sign from hi (ValueError otherwise).  The ends,
+    max_width and the points of exclude must be exact: a float or None is
+    rejected (TypeError).  The result is the interval bisection reaches: the
+    cell (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the
+    root, for the least t at which the width is at most max_width and the
+    closure holds no point of exclude.  Secant steps reach it
+    (:func:`_qir_levels`).
     """
     lo, hi, max_width, *exclude = _exact(lo, hi, max_width, *exclude)
     signs = _Horner(poly.coeffs)
@@ -830,22 +836,6 @@ def _zero_root(poly: IntPolynomial) -> tuple[int, IntPolynomial]:
     return k, IntPolynomial(cs[k:])
 
 
-def _squarefree_setup(poly: IntPolynomial):
-    """(k, chain, factors) for a nonzero poly = x**k * p0 up to a constant:
-    the Sturm chain of the square-free part of p0 and the Yun factors of p0
-    (p0 itself when it is square-free).
-
-    The chain is headed by p0 / gcd(p0, p0'), so Yun starts from the gcd
-    that one exact division recovers.
-    """
-    k, p0 = _zero_root(poly)
-    chain = _sturm_chain(p0)
-    if chain[0] == p0.coeffs:
-        return k, chain, [(p0, 1)]
-    p = _normalized(p0)
-    return k, chain, _yun(p, _normalized(poly_exact_div(p, IntPolynomial(chain[0]))))
-
-
 def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
     """Multiplicity of the Yun factor vanishing at lo, or changing sign on (lo, hi)."""
     if len(factors) == 1:
@@ -860,13 +850,14 @@ def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
 def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     """All rational roots with exact multiplicities, ascending.
 
-    Each Yun factor of p0 = poly / x**k is searched by p-adic lifting; when
-    :func:`certify_squarefree` holds, p0 is the one factor and no chain is built.
+    Each Yun factor of p0 = poly / x**k (p0 itself when
+    :func:`certify_squarefree` holds) is searched by p-adic lifting; no
+    Sturm chain is built.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     k, p0 = _zero_root(poly)
-    factors = [(p0, 1)] if certify_squarefree(p0) else _squarefree_setup(poly)[2]
+    factors = [(p0, 1)] if certify_squarefree(p0) else squarefree_decompose(p0)
     out = [(Fraction(0), k)] if k else []
     out += [(r, m) for fac, m in factors for r in _rational_roots_of(fac)]
     return sorted(out)
@@ -887,13 +878,16 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
     interval, finished in order: width at most 10**-precision and a closure
     clear of all other roots; then adjacent closures separated pair by pair;
     then a closure clear of each point of exclude, which must not be a root
-    (nor a float).  Multiplicities are read off the Yun decomposition.
+    (nor a float or None).  Multiplicities are read off the Yun decomposition.
     """
     _check_isolation_input(poly, precision)
     exclude = _exact(*exclude)
     if poly.degree == 0:
         return []
-    k, chain, factors = _squarefree_setup(poly)
+    k, p0 = _zero_root(poly)
+    chain = _sturm_chain(p0)
+    # the chain is headed by p0 exactly when p0 is square-free
+    factors = [(p0, 1)] if chain[0] == p0.coeffs else squarefree_decompose(p0)
     sf = IntPolynomial(chain[0])
     return _finish_roots(sf, partial(_variation_count, chain), _Horner(sf.coeffs),
                          factors, k, precision, exclude)
@@ -908,7 +902,7 @@ def isolate_bracketed_roots(poly: IntPolynomial, brackets, signs, precision: int
     ``brackets`` are disjoint intervals (lo, hi), 0 <= lo < hi, ascending,
     whose ends differ in sign (ValueError otherwise); each holds exactly one
     root, and together they hold every positive root, which the caller
-    certifies.  Float bracket ends and points of exclude are rejected.
+    certifies.  Float or None bracket ends and points of exclude are rejected.
     ``signs`` gives the signs and values of poly, as :class:`SparseQuotient`
     does.  Cells and refinements are the same; only root counts come from
     the brackets and signs from ``signs``.

@@ -232,18 +232,6 @@ def test_sweep_identical_across_worker_counts(capsys):
     assert serial == parallel
 
 
-def test_env_var_overrides_jobs(capsys, monkeypatch):
-    base = ["sweep", "csc", "-p", "1", "-l1", "1", "-w", "1,1",
-            "--l2", "1..8", "--json"]
-    _, expected, _ = run_cli(capsys, base)
-    monkeypatch.setenv("SASAKI_JOBS", "2")
-    _, with_env, _ = run_cli(capsys, base + ["--jobs", "1"])
-    assert with_env == expected
-    monkeypatch.setenv("SASAKI_JOBS", "nonsense")
-    code, _, err = run_cli(capsys, base)
-    assert code == 1 and "SASAKI_JOBS" in err
-
-
 def test_json_round_trip(capsys):
     argv = ["invariants", "-p", "2", "-l1", "5", "-l2", "21", "-w", "1,1",
             "--json"]
@@ -416,12 +404,10 @@ def test_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     RecordingPool.created = []
-    code, out, err = run_cli(capsys, base + ["--l2", "1..30", "--jobs", "5000"])
+    base += ["--jobs", "5000"]
+    code, out, err = run_cli(capsys, base + ["--l2", "1..30"])
     assert code == 0 and out == expected
     assert "clamped to 3" in err
-    monkeypatch.setenv("SASAKI_JOBS", "5000")
-    code, out, _ = run_cli(capsys, base + ["--l2", "1..30"])
-    assert code == 0 and out == expected
     code, _, err = run_cli(capsys, base + ["--l2", "1..6"])
     assert code == 0 and "clamped to 3" in err
     code, _, err = run_cli(capsys, base + ["--l2", "1..2"])
@@ -430,7 +416,7 @@ def test_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch):
     code, _, err = run_cli(capsys, base + ["--l2", "1..30"])
     assert code == 0 and "clamped to 1" in err
     # one worker per open row at most, and no pool for a single open row
-    assert RecordingPool.created == [3, 3, 2]
+    assert RecordingPool.created == [3, 2]
 
 
 class SpyPool(RecordingPool):

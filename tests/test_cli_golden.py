@@ -20,7 +20,6 @@ FORMATS = ([], ["--table"], ["--json"], ["--csv"])
 
 
 def outcome_digests(capsys, monkeypatch, args):
-    monkeypatch.delenv("SASAKI_JOBS", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     out = []
     for fmt in FORMATS:
@@ -472,8 +471,7 @@ def test_output_matches_pinned_bytes(capsys, monkeypatch, args):
 
 
 @pytest.mark.parametrize("args", sorted(CORRECTED))
-def test_sweep_rejects_input_invalid_for_every_l2(capsys, monkeypatch, args):
-    monkeypatch.delenv("SASAKI_JOBS", raising=False)
+def test_sweep_rejects_input_invalid_for_every_l2(capsys, args):
     for fmt in FORMATS:
         assert cli.main(args.split() + fmt) == 1
         assert capsys.readouterr() == ("", CORRECTED[args])

@@ -519,6 +519,16 @@ def test_branch_path_pairing_rejects_a_rootless_partner(monkeypatch):
         csc_rays(JoinParams(40, 1, 3, 1, 1), 2)
 
 
+def test_branch_path_pairing_rejects_intervals_on_both_sides_of_the_partner(monkeypatch):
+    # the partner root of (40,1,3,1,1) lies in (3.995, 4.029); a partner
+    # interval below it and an inverted low interval, (25/6, 5), above it
+    # do not overlap, although the signs at 7/2 and 25/6 differ
+    records = [_interval(F(1, 5), F(6, 25)), _interval(F(3), F(7, 2))]
+    monkeypatch.setattr(cscrays, "isolate_bracketed_roots", lambda *args: records)
+    with pytest.raises(InternalInvariantError, match="fails to isolate"):
+        csc_rays(JoinParams(40, 1, 3, 1, 1), 2)
+
+
 def _uncertified(p, w1, w2):
     raise InternalInvariantError(f"the family ({p}, {w1}, {w2}) is not certified")
 

@@ -16,7 +16,6 @@ from sasakijoin.exactpoly import (
     _SQUAREFREE_PRIMES,
     _SQUAREFREE_STEPS,
     _rational_roots_of,
-    _squarefree_setup,
     cauchy_root_bound,
     certify_squarefree,
     cubic_discriminant,
@@ -27,6 +26,7 @@ from sasakijoin.exactpoly import (
     poly_derivative,
     poly_divrem,
     poly_eval,
+    poly_exact_div,
     poly_mul,
     primitive_part,
     rational_roots,
@@ -135,6 +135,22 @@ def test_divrem_reconstructs_on_randoms():
         assert len(r) < len(den.coeffs)
 
 
+def test_exact_division():
+    # (x - 1)(2x + 3) by 2x + 3; (2x + 1) / 2 is x + 1/2, which is not over
+    # Z; x^2 + 1 leaves 2 by x - 1; and the zero divisor
+    assert poly_exact_div(intpoly([-3, 1, 2]), intpoly([3, 2])) == intpoly([-1, 1])
+    with pytest.raises(ValueError, match="non-integral"):
+        poly_exact_div(intpoly([1, 2]), intpoly([2]))
+    with pytest.raises(ValueError, match="not exact"):
+        poly_exact_div(intpoly([1, 0, 1]), intpoly([-1, 1]))
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div(intpoly([1, 1]), intpoly([]))
+    rng = random.Random(11)
+    for _ in range(60):
+        a, b = random_poly(rng, 6, 20), random_poly(rng, 4, 20)
+        assert poly_exact_div(poly_mul(a, b), b) == a
+
+
 # ----------------------------------------------------------------------
 # square-free decomposition
 
@@ -181,7 +197,9 @@ def test_squarefree_reconstruction_randoms():
             assert primitive_part(fac) == fac
 
 
-def test_squarefree_setup_starts_yun_from_the_chain_gcd():
+def test_isolation_reads_multiplicities_off_squarefree_decompose():
+    # each positive root of a polynomial with repeated factors is reported
+    # once, with the multiplicity of the Yun factor that has it
     rng = random.Random(37)
     cases = [csc_polynomial(JoinParams(1, 2, 11, 1, 1)).poly,
              csc_polynomial(JoinParams(1, 1, 5, 1, 1)).poly,
@@ -192,11 +210,15 @@ def test_squarefree_setup_starts_yun_from_the_chain_gcd():
     repeated = 0
     for poly in cases:
         cs = primitive_part(poly).coeffs
-        p0 = IntPolynomial(cs[next(i for i, c in enumerate(cs) if c):])
-        _, chain, factors = _squarefree_setup(poly)
-        if chain[0] != p0.coeffs:
-            repeated += 1
-            assert factors == squarefree_decompose(p0), poly
+        factors = squarefree_decompose(IntPolynomial(cs[next(i for i, c in enumerate(cs) if c):]))
+        repeated += any(m > 1 for _, m in factors)
+        records = isolate_positive_roots(poly, 3)
+        assert len(records) == sum(sturm_count(fac, 0, None) for fac, _ in factors), poly
+        for rec in records:
+            fac, m = next((fac, m) for fac, m in factors
+                          if (poly_eval(fac, rec.value) == 0 if rec.is_rational
+                              else sturm_count(fac, rec.value.lo, rec.value.hi) == 1))
+            assert rec.multiplicity == m, poly
     assert repeated >= 100
 
 
@@ -390,6 +412,27 @@ def test_counts_and_refinement_reject_float_points():
     assert not cleared[0].value.lo <= F(7, 5) <= cleared[0].value.hi
 
 
+def test_refinement_and_isolation_reject_none_points():
+    # None used to fail on .denominator, or in a comparison deep in the
+    # finishing stages; only the counts read it, as an unbounded side
+    quadratic = intpoly([-2, 0, 1])
+    signs = SparseQuotient(poly_mul(quadratic, intpoly([-1, 1])), quadratic, 1)
+    for call in (lambda: refine_interval(quadratic, None, 2, F(1, 100)),
+                 lambda: refine_interval(quadratic, 1, None, F(1, 100)),
+                 lambda: refine_interval(quadratic, 1, 2, None),
+                 lambda: refine_interval(quadratic, 1, 2, F(1, 16), [None]),
+                 lambda: isolate_positive_roots(quadratic, 1, [None]),
+                 lambda: isolate_bracketed_roots(quadratic, [(None, 2)], signs, 1),
+                 lambda: isolate_bracketed_roots(quadratic, [(1, None)], signs, 1),
+                 lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [None]),
+                 lambda: split_counts(quadratic, None)):
+        with pytest.raises(TypeError, match="exact rationals, not None"):
+            call()
+    assert sturm_count(quadratic, None, None) == 2
+    assert sturm_count(quadratic, 0, None) == 1
+    assert descartes_count(quadratic, 1, None) == 1
+
+
 def test_cauchy_bound_dominates_roots():
     rng = random.Random(5)
     for _ in range(80):
@@ -438,7 +481,8 @@ def test_rational_roots_match_candidate_scan():
 def test_rational_roots_of_a_certified_squarefree_input_build_no_sturm_chain(monkeypatch):
     # the degree-401 quotient of (200,1,5,3,2), times x^2 (3x - 2), is
     # square-free off 0 by the certificate, so no remainder sequence is built;
-    # the quotient of (13,7,1,1,1) has the factor (x+1)^2 and takes Yun's
+    # the quotient of (13,7,1,1,1) has the factor (x+1)^2 and is split by
+    # Yun's algorithm, which builds no Sturm chain either
     chains = []
 
     def spy(poly):
@@ -453,7 +497,7 @@ def test_rational_roots_of_a_certified_squarefree_input_build_no_sturm_chain(mon
     assert chains == []
     quotient, _ = deflate_forbidden(csc_polynomial(JoinParams(13, 7, 1, 1, 1)))
     assert rational_roots(quotient) == [(F(-1), 2)]
-    assert chains
+    assert chains == []
 
 
 # ----------------------------------------------------------------------
