@@ -40,6 +40,7 @@ YUN = ("tests/test_exactpoly.py", "-k", "(squarefree and not certificate) or mul
 CERTIFY = ("tests/test_exactpoly.py", "-k", "squarefree_certificate")
 BRACKETS = ("tests/test_exactpoly.py", "-k", "bracketed")
 PAIRING = ("tests/test_cscrays.py", "-k", "pairing")
+DESCARTES = ("tests/test_exactpoly.py", "-k", "sturm_cells")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -72,17 +73,27 @@ MUTANTS = [
     ("adjacent closures that share an endpoint stay unseparated", "exactpoly.py",
      "        while intervals[i][1] >= intervals[i + 1][0]:\n",
      "        while intervals[i][1] > intervals[i + 1][0]:\n", REFINE),
-    ("isolation reads every root of a non-square-free p0 as simple", "exactpoly.py",
-     "    factors = [(p0, 1)] if chain[0] == p0.coeffs else squarefree_decompose(p0)\n",
-     "    factors = [(p0, 1)]\n", YUN),
+    ("isolation and rational_roots read every root of a non-square-free p0 as simple",
+     "exactpoly.py",
+     "    return k, [(p0, 1)] if certify_squarefree(p0) else squarefree_decompose(p0)\n",
+     "    return k, [(fac, 1) for fac, _ in ([(p0, 1)] if certify_squarefree(p0)\n"
+     "                                       else squarefree_decompose(p0))]\n", YUN),
     ("Yun decomposition returns p as its one factor whatever the gcd", "exactpoly.py",
      "    return [(p, 1)] if g.degree == 0 else _yun(p, g)\n", "    return [(p, 1)]\n", YUN),
     ("square-free certificate leaves slots of l and above unreduced", "exactpoly.py",
      "                a -= (((a + top) >> 63) & ones) * ell\n", "", CERTIFY),
     ("reciprocal pairing accepts an inverted interval that misses its partner", "cscrays.py",
      "            if not a < b or not (", "            if not (", PAIRING),
+    ("reciprocal pairing reads a partner of even multiplicity by a sign change", "cscrays.py",
+     "high.multiplicity % 2 == 0", "high.multiplicity % 2 == 1", PAIRING),
     ("bracket counts read the sign of hi in place of lo", "exactpoly.py",
      "signs.sign(lo)) for lo, hi in brackets", "signs.sign(hi)) for lo, hi in brackets", BRACKETS),
+    ("Descartes cells are reported uncoarsened, too fine", "exactpoly.py",
+     "        top = max(left_split, right_split)\n", "        top = level\n", DESCARTES),
+    ("Descartes cells are coarsened one level too far", "exactpoly.py",
+     "depth + 1 - (a ^ b).bit_length()", "depth - (a ^ b).bit_length()", DESCARTES),
+    ("the root-level check reads 2 sign variations as one root", "exactpoly.py",
+     "    if variations == 1:\n", "    if variations in (1, 2):\n", DESCARTES),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

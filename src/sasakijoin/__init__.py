@@ -3,7 +3,7 @@
 Modules:
 
 * :mod:`sasakijoin.exactpoly` -- integer/rational polynomial kernel with
-  Sturm-certified isolation of positive real roots;
+  certified isolation of positive real roots;
 * :mod:`sasakijoin.joinspace` -- parameter validation and topological
   invariants (Chern/spin data, cohomology, homotopy, dimension-7 residues);
 * :mod:`sasakijoin.classify` -- dimension-7 homotopy, homeomorphism, and

@@ -28,7 +28,7 @@ w = (1,1); for w1 > w2, t* = R(c*) at the critical point c* of R below
 w2/w1), and :func:`threshold_ray_counts` reads a tuple's counts off t*;
 sweeps and :func:`min_l2_multiple_csc` call :func:`csc_rays` only for
 tuples whose l2/l1 is not separated from t*.  The same entry lets
-:func:`csc_rays` skip the Sturm chain at high degree: each branch of R
+:func:`csc_rays` skip dense isolation at high degree: each branch of R
 holds at most one root, so the roots are bracketed by signs of the sparse
 ray polynomial and isolated, with byte-identical reports, by
 :func:`~sasakijoin.exactpoly.isolate_bracketed_roots`.  Threshold and
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 from .exactpoly import (
@@ -62,6 +62,7 @@ from .exactpoly import (
     poly_derivative,
     poly_eval,
     poly_mul,
+    poly_sign,
     poly_sub,
     split_counts,
     sturm_count,
@@ -363,10 +364,12 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
 
     ``records`` are the isolated roots of ``poly`` in ascending order, with 1
     excluded; for the palindromic homogeneous polynomial every root below 1
-    must pair with its exact inverse above 1.  The partner's root is counted
-    by :func:`sturm_count`, or, given the branch path's ``signs`` of poly
-    (then (1, oo) holds one root), by a sign change.
+    must pair with its exact inverse above 1.  The partner's interval holds
+    one root, so a sign change of poly (read from the branch path's
+    ``signs`` when given) on the inverted interval places a root of odd
+    multiplicity in it; :func:`sturm_count` counts a root of even one.
     """
+    sign = signs.sign if signs else partial(poly_sign, poly)
     below = [r for r in records if r.position < 1]
     above = [r for r in reversed(records) if r.position > 1]
     if len(below) != len(above):
@@ -385,16 +388,18 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
             inv_hi = 1 / low.value.lo if low.value.lo else high.value.hi
             a = max(high.value.lo, inv_lo)
             b = min(high.value.hi, inv_hi)
-            if not a < b or not (signs.sign(a) * signs.sign(b) < 0 if signs
-                                 else sturm_count(poly, a, b) == 1):
+            if not a < b or not (sturm_count(poly, a, b) == 1 if high.multiplicity % 2 == 0
+                                 else sign(a) * sign(b) < 0):
                 raise InternalInvariantError(
                     "inverted isolating interval fails to isolate the partner root")
 
 
-# From this p on, csc_rays finds the roots on the branches of R.  Against the
-# Sturm chain it breaks even near p = 5 for w = (1,1) and p = 9 for w = (3,2)
-# with the family not yet certified, p = 5 and 8 with it cached (best of 7,
-# mean over l2 = 1..12).  12 keeps every query up to p = 11 on the chain.
+# From this p on, csc_rays finds the roots on the branches of R.  Against
+# isolate_positive_roots it breaks even near p = 6 for w = (1,1) and p = 8-9
+# for w = (3,2), with the family cached (best of 7 over l1 = 1, l2 = 1..12,
+# mean per tuple); at p = 16 it takes 0.54 ms against 1.24 for (1,1) and
+# 0.73 against 1.05 for (3,2).  12 keeps every query up to p = 11 on
+# isolate_positive_roots.
 _BRANCH_MIN_P = 12
 # Bisection levels on c* in which a point between the two roots below w2/w1
 # is sought, or a count at the levels _critical_cells counts shows there are
@@ -427,7 +432,7 @@ def _roots_below(quotient: IntPolynomial, signs: SparseQuotient,
 def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int):
     """(records, signs): the records ``isolate_positive_roots(quotient,
     precision, [w2/w1])`` gives, found from the certified branch structure
-    of R without a remainder sequence, and the quotient's sparse signs.
+    of R, and the quotient's sparse signs.
     None when the family, the square-free quotient, or the brackets are not
     certified.
 
@@ -466,8 +471,8 @@ def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
     :func:`deflate_forbidden`.  The counts of the report follow from its rays.
     From p = 12 on, the roots are bracketed on the branches of R and located
     by signs of the sparse ray polynomial; otherwise, or when a certificate
-    of that path fails, the quotient's Sturm chain counts them.  Both give
-    the same records.
+    of that path fails, :func:`isolate_positive_roots` finds them by sign
+    variations of the dense quotient.  Both give the same records.
     """
     if isinstance(params, JoinParams):
         quotient, k = deflate_forbidden(csc_polynomial(params))

@@ -10,29 +10,31 @@ A polynomial is a dense tuple of arbitrary-precision integer coefficients,
 lowest degree first, wrapped in :class:`IntPolynomial`.  The zero polynomial
 is the empty tuple.  Build values with :func:`intpoly`.
 
-Roots are isolated by Sturm-chain bisection of (0, B], B a Cauchy bound;
-one remainder sequence gives both the chain and the square-free test, and
-the last chain built is kept for root counting; only a polynomial that
-fails the test is split into Yun factors, by :func:`squarefree_decompose`
-alone, for multiplicities.  No integer is factored:
-rational roots are found first, by p-adic lifting (Loos 1983).  A rational
-root n/d has d | lc, so it reduces to a root modulo every prime l not
-dividing lc.  The first l at which there is none proves no root rational;
-at the first l whose roots are all simple, each lifts to the numerator of
-one candidate, and exact division decides it.  Rational roots are divided
-out before isolation, so no bisection point is a root and every reported
-interval has non-root rational endpoints.  Cells are refined by secant
-steps certified by exact signs (quadratic interval refinement), which reach
-the dyadic cell bisection would.  Reported intervals are finished in order:
-width and other roots, then adjacent closures pair by pair, then exclusions.
+Positive roots are isolated on (0, B], B a Cauchy bound, by Descartes' rule
+of signs with bisection (Collins & Akritas 1976), and each root's cell is
+coarsened to the first bisection cell holding no other root, the cell exact
+counts give.  The square-free part is the polynomial itself when
+:func:`certify_squarefree` proves it so, else the product of its Yun
+factors (:func:`squarefree_decompose`), which give multiplicities.  No
+Sturm chain is built: :func:`sturm_count` builds its own and shares no root
+counter with isolation.  No integer is factored: rational roots are found
+first, by p-adic lifting (Loos 1983).  A rational root n/d has d | lc, so
+it reduces to a root modulo every prime l not dividing lc.  The first l at
+which there is none proves no root rational; at the first l whose roots are
+all simple, each lifts to the numerator of one candidate, and exact
+division decides it.  Rational roots are divided out before isolation, so
+no bisection point is a root and every reported interval has non-root
+rational endpoints.  Cells are refined by secant steps certified by exact
+signs (quadratic interval refinement), which reach the dyadic cell
+bisection would.  Reported intervals are finished in order: width and other
+roots, then adjacent closures pair by pair, then exclusions.
 
-:func:`isolate_bracketed_roots` runs the same stages without a remainder
-sequence, for a square-free polynomial whose roots the caller has
-bracketed one per interval: cells are counted from signs at bracket
-points, and signs come from a :class:`SparseQuotient`, which evaluates a
-sparse f for its quotient by a power of a linear factor.
-:func:`certify_squarefree` checks gcd(f, f') = 1 modulo a prime, by
-Euclid's algorithm on residues packed into one integer.
+:func:`isolate_bracketed_roots` runs the same stages for a square-free
+polynomial whose roots the caller has bracketed one per interval: cells are
+counted from signs at bracket points, and signs come from a
+:class:`SparseQuotient`, which evaluates a sparse f for its quotient by a
+power of a linear factor.  :func:`certify_squarefree` checks gcd(f, f') = 1
+modulo a prime, by Euclid's algorithm on residues packed into one integer.
 
 A Taylor shift by 1 and Descartes' rule of signs on Moebius-mapped
 intervals certify, without a remainder sequence, that an interval holds no
@@ -44,8 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from itertools import accumulate, count
+from functools import cached_property, partial, reduce
+from itertools import accumulate, count, pairwise
 from math import ceil, gcd, isqrt
 from operator import mul, ne
 from struct import pack
@@ -60,6 +62,7 @@ __all__ = [
     "poly_neg",
     "poly_mul",
     "poly_eval",
+    "poly_sign",
     "poly_derivative",
     "poly_divrem",
     "poly_exact_div",
@@ -202,6 +205,12 @@ def poly_eval(poly: IntPolynomial, q) -> Fraction:
 def _sign_at(coeffs: tuple[int, ...], q: Fraction) -> int:
     s = _scaled_value(coeffs, q.numerator, q.denominator)
     return (s > 0) - (s < 0)
+
+
+def poly_sign(poly: IntPolynomial, q) -> int:
+    """The sign (-1, 0 or 1) of the polynomial at the rational q, read off an
+    integer without forming the value as a reduced Fraction."""
+    return _sign_at(poly.coeffs, Fraction(q)) if poly.coeffs else 0
 
 
 # Quadratic interval refinement starts with _QIR_WARMUP plain bisections, one
@@ -408,11 +417,6 @@ def _yun(p: IntPolynomial, g: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
 # ----------------------------------------------------------------------
 # Sturm chains and root counting
 
-def _variation_count(chain: tuple[tuple[int, ...], ...], pt: Fraction) -> int:
-    return sign_variations(_sign_at(cs, pt) for cs in chain)
-
-
-@lru_cache(maxsize=1)
 def _sturm_chain(poly: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     """Sturm chain over Z of the square-free part of poly, which heads it.
 
@@ -420,7 +424,6 @@ def _sturm_chain(poly: IntPolynomial) -> tuple[tuple[int, ...], ...]:
     -rem(f, f'), ...  That sequence for poly ends in gcd(poly, poly'): when
     the gcd is a constant, poly is square-free and the sequence is its
     chain; otherwise (rarely) the chain of poly / gcd is built instead.
-    The last chain built is kept for the next caller.
     """
     chain = [poly.coeffs]
     d = poly_derivative(poly)
@@ -472,7 +475,8 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
         far = 1 << ceil(cauchy_root_bound(poly) + abs(a or 0) + abs(b or 0)).bit_length()
         a, b = (-far if a is None else a), (far if b is None else b)
     chain = _sturm_chain(primitive_part(poly))
-    return _variation_count(chain, a) - _variation_count(chain, b)
+    va, vb = (sign_variations(_sign_at(cs, x) for cs in chain) for x in (a, b))
+    return va - vb
 
 
 def _taylor_shift(cs) -> list[int]:
@@ -640,8 +644,8 @@ def _isolate_cells(above, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fr
     """Cells (a, b] of the bisection of (lo, hi], ascending: for each root not
     in known, the first cell holding no other such root.
 
-    ``above(x)`` is, up to a constant, the number of roots above x: a Sturm
-    variation count, or the count over brackets of :func:`_bracket_above`.
+    ``above(x)`` is, up to a constant, the number of roots above x, as the
+    count over brackets of :func:`_bracket_above` gives it.
     """
     cells = []
     work = [(lo, hi, above(lo), above(hi))]
@@ -655,6 +659,56 @@ def _isolate_cells(above, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fr
             vm = above(mid)
             work.append((mid, b, vm, vb))
             work.append((a, mid, va, vm))
+    return cells
+
+
+def _descartes_cells(irr: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
+    """The cells exact counts give :func:`_isolate_cells` on (0, B], B the
+    Cauchy bound, for a square-free irr with no rational root, found by sign
+    variations (Collins & Akritas 1976).  irr's own variations bound its
+    roots on (0, oo).  Past 1, the dyadic tree of (0, B] is walked on the
+    Bernstein coefficients of g(y) = irr(B*y), whose variations are those of
+    the Moebius image of a node: it is dropped at 0, kept at 1 and split
+    otherwise, by de Casteljau's rule; no grid point is a root.  A kept cell
+    is then coarsened to its largest ancestor holding no other kept cell."""
+    cs = irr.coeffs
+    variations = sign_variations(cs)
+    if variations == 0:
+        return []
+    bound = cauchy_root_bound(irr)
+    if variations == 1:
+        return [(Fraction(0), bound)]
+    n = len(cs) - 1
+    # (1 + x)**n * g(1/(1 + x)) has the coefficients binomial(n, i) * b_i of
+    # the Bernstein coefficients b_i, reversed; n! * b_i is an integer
+    facts = list(accumulate(range(1, n + 1), mul, initial=1))
+    image = _taylor_shift(_scaled(cs, bound)[::-1])
+    leaves = []                 # (level, i) for the cell (i, i + 1] * bound / 2**level
+    work = [(0, 0, [c * facts[k] * facts[n - k] for k, c in enumerate(reversed(image))])]
+    while work:
+        level, i, b = work.pop()
+        v = sign_variations(b)
+        if v == 1:
+            leaves.append((level, i))
+        elif v > 1:
+            # de Casteljau at 1/2, each child scaled by 2**n
+            left, right = [], []
+            for k in range(n + 1):
+                left.append(b[0] << n - k)
+                right.append(b[-1] << n - k)
+                b = [x + y for x, y in zip(b, b[1:])]
+            work.append((level + 1, 2 * i + 1, right[::-1]))
+            work.append((level + 1, 2 * i, left))
+    depth = max((level for level, _ in leaves), default=0)
+    ends = [i << depth - level for level, i in leaves]      # left ends, finest grid
+    # the leaves are disjoint and ascending, so the least cell holding a leaf
+    # and another holds a neighbour; one level below it the leaf is alone
+    splits = [0, *(depth + 1 - (a ^ b).bit_length() for a, b in pairwise(ends)), 0]
+    cells = []
+    for end, left_split, right_split in zip(ends, splits, splits[1:]):
+        top = max(left_split, right_split)
+        width, j = bound / (1 << top), end >> depth - top
+        cells.append((j * width, (j + 1) * width))
     return cells
 
 
@@ -829,11 +883,13 @@ def certify_squarefree(poly: IntPolynomial) -> bool:
     return False
 
 
-def _zero_root(poly: IntPolynomial) -> tuple[int, IntPolynomial]:
-    """(k, p0) for a nonzero poly = x**k * p0 up to a constant, p0 primitive."""
+def _factors(poly: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]]]:
+    """(k, factors) for a nonzero poly = x**k * p0 up to a constant: the Yun
+    factors of p0, or p0 alone when :func:`certify_squarefree` holds."""
     cs = primitive_part(poly).coeffs
     k = next(i for i, c in enumerate(cs) if c)
-    return k, IntPolynomial(cs[k:])
+    p0 = IntPolynomial(cs[k:])
+    return k, [(p0, 1)] if certify_squarefree(p0) else squarefree_decompose(p0)
 
 
 def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
@@ -856,8 +912,7 @@ def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    k, p0 = _zero_root(poly)
-    factors = [(p0, 1)] if certify_squarefree(p0) else squarefree_decompose(p0)
+    k, factors = _factors(poly)
     out = [(Fraction(0), k)] if k else []
     out += [(r, m) for fac, m in factors for r in _rational_roots_of(fac)]
     return sorted(out)
@@ -878,25 +933,24 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
     interval, finished in order: width at most 10**-precision and a closure
     clear of all other roots; then adjacent closures separated pair by pair;
     then a closure clear of each point of exclude, which must not be a root
-    (nor a float or None).  Multiplicities are read off the Yun decomposition.
+    (nor a float or None).  Multiplicities are read off the Yun factors of
+    poly / x**k (one factor when :func:`certify_squarefree` holds), whose
+    product, the square-free part, is isolated by sign variations
+    (:func:`_descartes_cells`).
     """
     _check_isolation_input(poly, precision)
     exclude = _exact(*exclude)
     if poly.degree == 0:
         return []
-    k, p0 = _zero_root(poly)
-    chain = _sturm_chain(p0)
-    # the chain is headed by p0 exactly when p0 is square-free
-    factors = [(p0, 1)] if chain[0] == p0.coeffs else squarefree_decompose(p0)
-    sf = IntPolynomial(chain[0])
-    return _finish_roots(sf, partial(_variation_count, chain), _Horner(sf.coeffs),
-                         factors, k, precision, exclude)
+    k, factors = _factors(poly)
+    sf = reduce(poly_mul, [fac for fac, _ in factors], IntPolynomial((1,)))
+    return _finish_roots(sf, None, _Horner(sf.coeffs), factors, k, precision, exclude)
 
 
 def isolate_bracketed_roots(poly: IntPolynomial, brackets, signs, precision: int = 12,
                             exclude=()) -> list[RootRecord]:
     """The records of ``isolate_positive_roots(poly, precision, exclude)``,
-    found without a remainder sequence.
+    found from the caller's brackets.
 
     poly must be square-free (:func:`certify_squarefree`) and nonzero at 0.
     ``brackets`` are disjoint intervals (lo, hi), 0 <= lo < hi, ascending,
@@ -918,7 +972,8 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
                   exclude) -> list[RootRecord]:
     """Records of the positive roots of the square-free part sf of a
     polynomial x**k * p0 with the Yun factors of p0; ``above`` counts roots
-    of sf as :func:`_isolate_cells` needs and ``signs`` gives sf's signs."""
+    of sf as :func:`_isolate_cells` needs, or is None for the cells of
+    :func:`_descartes_cells`, and ``signs`` gives sf's signs."""
     max_width = Fraction(1, 10 ** precision)
     # The rational roots are divided out and the quotient irr is isolated from
     # its own Cauchy bound, so that no bisection point is a root.
@@ -928,8 +983,12 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
         for r in rationals:
             irr = deflate_linear(irr, r)[0]
         signs = _Horner(irr.coeffs)
-    cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(irr), rationals) \
-        if irr.degree >= 1 else []
+    if irr.degree < 1:
+        cells = []
+    elif above is None:
+        cells = _descartes_cells(irr)
+    else:
+        cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(irr), rationals)
     # closures must also avoid a root at 0, which is not a root of irr
     avoid = rationals + [Fraction(0)] if k else rationals
     intervals = [_refine(signs, lo, hi, max_width, avoid) for lo, hi in cells]

@@ -4,14 +4,15 @@ Everything here is deliberately written from scratch on plain Fraction
 lists, sharing no code path with the package under test: Horner evaluation,
 naive polynomial algebra, a monic Euclidean gcd for square-free reduction,
 a fine-grid sign-scan + bisection root finder, a rational-root candidate
-enumeration, plain bisection of a refined cell, the three-ray threshold
-searched with a Descartes count at every bisection level, and the
-square-free certificate as Euclid's algorithm on lists of residues modulo a
-prime.  Simple wins; only the sign-scan, the bisection, the threshold's
-Wronskian signs and counts, and the residues work on integers (the
-polynomial scaled to integer coefficients, each point num/den cleared by
-den**degree), since signs and residues are all they read.  The bisection
-reads its signs from the sign source it is handed.
+enumeration, the isolation cells of Sturm-counted bisection, plain
+bisection of a refined cell, the three-ray threshold searched with a
+Descartes count at every bisection level, and the square-free certificate
+as Euclid's algorithm on lists of residues modulo a prime.  Simple wins;
+only the sign-scan, the bisection, the threshold's Wronskian signs and
+counts, and the residues work on integers (the polynomial scaled to integer
+coefficients, each point num/den cleared by den**degree), since signs and
+residues are all they read.  The bisection reads its signs from the sign
+source it is handed.
 """
 
 from fractions import Fraction
@@ -152,6 +153,40 @@ def compare_with_signscan(coeffs, records):
             for cand in rational_candidates(coeffs):
                 if rec.value.lo <= cand <= rec.value.hi:
                     assert horner(coeffs, cand) != 0
+
+
+def sturm_cells(coeffs, rationals=()):
+    """The isolation cells of the Sturm route: for each positive root of
+    irr, the first cell of the bisection of (0, B] that holds no other, where
+    irr is the square-free part of the polynomial with its root 0 and the
+    positive rational roots ``rationals`` divided out, and B = root_bound(irr).
+    Counts are Sturm variation counts on a Fraction remainder chain."""
+    irr = strip(coeffs)
+    while not irr[0]:
+        irr = irr[1:]
+    irr = squarefree(irr)
+    for r in rationals:
+        irr, rest = divmod_poly(irr, [-r, 1])
+        assert not rest
+    if len(irr) < 2:
+        return []
+    chain = [irr, derivative(irr)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in divmod_poly(chain[-2], chain[-1])[1]])
+
+    def above(x):
+        return sign_variations([horner(c, x) for c in chain])
+
+    cells, work = [], [(Fraction(0), root_bound(irr))]
+    while work:
+        a, b = work.pop()
+        n = above(a) - above(b)
+        if n == 1:
+            cells.append((a, b))
+        elif n > 1:
+            mid = (a + b) / 2
+            work += [(mid, b), (a, mid)]
+    return cells
 
 
 def integer_multiple(coeffs):

@@ -30,7 +30,6 @@ from sasakijoin.cscrays import (
 from sasakijoin.exactpoly import (
     RationalInterval,
     RootRecord,
-    _sturm_chain,
     certify_squarefree,
     cubic_discriminant,
     deflate_linear,
@@ -256,27 +255,38 @@ def test_rays_homogeneous_pairing():
     assert 1 / high.hi < low.hi and low.lo < 1 / high.lo
 
 
-def test_homogeneous_rays_build_one_remainder_sequence():
-    # below the branch path's degree, isolation builds the Sturm chain; the
-    # pairing's root count reuses it
+def _calls(monkeypatch, module, name):
+    """The argument tuples of the calls of module.name from here on."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def test_homogeneous_rays_below_the_branch_path_build_no_remainder_sequence(monkeypatch):
+    # below the branch path's degree, isolation finds its cells by sign
+    # variations, and the pairing of simple roots is checked by signs
     params = JoinParams(cscrays._BRANCH_MIN_P - 1, 1, 3, 1, 1)
     assert params.l2 > wz_threshold(params.p, params.l1)
-    _sturm_chain.cache_clear()
+    isolated = _calls(monkeypatch, cscrays, "isolate_positive_roots")
+    bracketed = _calls(monkeypatch, cscrays, "isolate_bracketed_roots")
+    chains = _calls(monkeypatch, exactpoly, "_sturm_chain")
     report = csc_rays(params)
     assert report.reduced_count == 2 and report.rays[0].ray_class == "irregular"
-    info = _sturm_chain.cache_info()
-    assert info.misses == 1 and info.hits == 1
+    assert len(isolated) == 1 and bracketed == [] and chains == []
 
 
 @pytest.mark.parametrize("tup", [(82, 1, 5, 3, 2), (88, 1, 4, 1, 1)])
-def test_high_degree_rays_build_no_remainder_sequence(tup):
+def test_high_degree_rays_build_no_remainder_sequence(monkeypatch, tup):
     # the rays are bracketed on the branches of R, and the pairing of
     # w = (1,1) is checked by signs, so no Sturm chain is built
-    _sturm_chain.cache_clear()
+    isolated = _calls(monkeypatch, cscrays, "isolate_positive_roots")
+    bracketed = _calls(monkeypatch, cscrays, "isolate_bracketed_roots")
+    chains = _calls(monkeypatch, exactpoly, "_sturm_chain")
     report = csc_rays(JoinParams(*tup))
     assert report.unreduced_count == 3
-    info = _sturm_chain.cache_info()
-    assert info.misses == 0 and info.hits == 0
+    assert isolated == [] and len(bracketed) == 1 and chains == []
 
 
 @pytest.mark.parametrize("tup", [(12, 26, 9, 1, 1), (40, 820, 83, 1, 1), (120, 2420, 81, 1, 1)])
@@ -285,9 +295,9 @@ def test_rows_at_the_wang_ziller_threshold_build_no_remainder_sequence(monkeypat
     # the certified structure of R leaves the quotient no positive root
     params = JoinParams(*tup)
     assert wz_threshold(params.p, params.l1) == params.l2
-    _sturm_chain.cache_clear()
+    chains = _calls(monkeypatch, exactpoly, "_sturm_chain")
     report = csc_rays(params)
-    assert _sturm_chain.cache_info().misses == 0
+    assert chains == []
     assert report.unreduced_count == 1 and report.rays[0].record.multiplicity == 6
     monkeypatch.setattr(cscrays, "_BRANCH_MIN_P", params.p + 1)
     assert repr(csc_rays(params)) == repr(report)
@@ -508,6 +518,26 @@ def test_pairing_certificate_rejects_broken_records(monkeypatch, records, messag
         csc_rays(JoinParams(1, 1, 6, 1, 1))
 
 
+def test_pairing_counts_a_partner_of_even_multiplicity(monkeypatch):
+    # (x^2 - 3x + 1)^2 has the double roots (3 -+ sqrt(5))/2, about 0.382 and
+    # 2.618, where it keeps its sign: only a root count places the partner
+    square = intpoly(oracles.power([1, -3, 1], 2))
+    records = [RootRecord(RationalInterval(F(1, 3), F(2, 5)), 2, False),
+               RootRecord(RationalInterval(F(2), F(3)), 2, False)]
+    counted = _calls(monkeypatch, cscrays, "sturm_count")
+    cscrays._check_reciprocal_pairs(square, records)
+    assert len(counted) == 1
+    # read as simple roots, the partner shows no sign change
+    simple = [RootRecord(rec.value, 1, False) for rec in records]
+    with pytest.raises(InternalInvariantError, match="fails to isolate"):
+        cscrays._check_reciprocal_pairs(square, simple)
+    # (1/3, 2/5] inverts to [5/2, 3), which meets (11/4, 4] only past 2.618
+    rootless = [records[0], RootRecord(RationalInterval(F(11, 4), F(4)), 2, False)]
+    with pytest.raises(InternalInvariantError, match="fails to isolate"):
+        cscrays._check_reciprocal_pairs(square, rootless)
+    assert len(counted) == 2
+
+
 def test_branch_path_pairing_rejects_a_rootless_partner(monkeypatch):
     # at (40,1,3,1,1) and precision 2 the low ray's interval inverts to about
     # (3.903, 4.029) and the partner root lies above 4189105/1048576; a partner
@@ -541,29 +571,34 @@ def _uncertified(p, w1, w2):
 def test_branch_path_falls_back_when_a_certificate_fails(monkeypatch, tup, patch):
     report = repr(csc_rays(JoinParams(*tup)))
     monkeypatch.setattr(cscrays, *patch)
-    _sturm_chain.cache_clear()
+    isolated = _calls(monkeypatch, cscrays, "isolate_positive_roots")
+    chains = _calls(monkeypatch, exactpoly, "_sturm_chain")
     assert repr(csc_rays(JoinParams(*tup))) == report
-    # the Sturm path ran, except that no separator is sought for w = (1,1)
+    # the fallback ran, except that no separator is sought for w = (1,1);
+    # neither route builds a Sturm chain for these square-free quotients
     separator_only = patch[0] == "_SEPARATOR_LEVELS" and tup[3] == tup[4]
-    assert _sturm_chain.cache_info().misses == (0 if separator_only else 1)
+    assert len(isolated) == (0 if separator_only else 1)
+    assert chains == []
 
 
-def test_branch_path_falls_back_on_a_repeated_negative_root():
+def test_branch_path_falls_back_on_a_repeated_negative_root(monkeypatch):
     # the quotient of (13,7,1,1,1) has the factor (x+1)^2, so no prime certifies
-    # it square-free and the tuple takes the Sturm path, unpatched
+    # it square-free and the tuple falls back to isolate_positive_roots, unpatched
     params = JoinParams(13, 7, 1, 1, 1)
     quotient, _ = deflate_forbidden(csc_polynomial(params))
     assert poly_eval(quotient, -1) == poly_eval(poly_derivative(quotient), -1) == 0
     assert not certify_squarefree(quotient)
     report = csc_rays(params)
-    _sturm_chain.cache_clear()
+    isolated = _calls(monkeypatch, cscrays, "isolate_positive_roots")
+    decomposed = _calls(monkeypatch, exactpoly, "squarefree_decompose")
+    chains = _calls(monkeypatch, exactpoly, "_sturm_chain")
     assert repr(csc_rays(params)) == repr(report) == (
         "RayReport(rays=(Ray(record=RootRecord(value=Fraction(1, 1), multiplicity=4, "
         "is_rational=True), ray_class='regular'),), unreduced_count=1, "
         "reduced_count=1, weyl_paired=True)")
-    # the Sturm path ran: the quotient's remainder sequence ends at the gcd
-    # x + 1, so the chain of the square-free part is built after it
-    assert _sturm_chain.cache_info().misses == 2
+    # the fallback ran: its square-free part is the product of the Yun
+    # factors of the quotient, and no Sturm chain is built
+    assert len(isolated) == 1 and len(decomposed) == 1 and chains == []
 
 
 @pytest.mark.parametrize("power", [1, 2], ids=["simple-roots", "double-roots"])

@@ -81,6 +81,17 @@ def test_eval_matches_oracle_on_randoms():
         assert poly_eval(p, q) == oracles.horner(p.coeffs, q)
 
 
+def test_poly_sign_is_the_sign_of_the_exact_value():
+    rng = random.Random(17)
+    for _ in range(100):
+        p = random_poly(rng, 6, 20)
+        for q in (F(rng.randint(-50, 50), rng.randint(1, 40)), F(0), F(1)):
+            value = oracles.horner(p.coeffs, q)
+            assert exactpoly.poly_sign(p, q) == (value > 0) - (value < 0)
+    assert exactpoly.poly_sign(intpoly([-1, 1]), 1) == 0
+    assert exactpoly.poly_sign(intpoly([]), F(1, 3)) == 0
+
+
 def test_derivative_examples():
     assert poly_derivative(intpoly([0, 0, 1])).coeffs == (0, 2)
     assert poly_derivative(intpoly([5]), 1).is_zero
@@ -630,6 +641,56 @@ def test_oracle_equivalence_200_random_polynomials():
         p = random_poly(rng)
         records = isolate_positive_roots(p, precision=10)
         oracles.compare_with_signscan(p.coeffs, records)
+
+
+# ----------------------------------------------------------------------
+# isolation cells from sign variations, against the Sturm cells
+
+# x^2 + x + 1, x^2 - 2, x^2 - x + 1 (no positive root), x^2 - 3x + 1,
+# (x^2 - x + 1)(x^2 - 2) (one root under 3 variations), (x^2 - 2)(x^2 - 3),
+# and (100x - 141)^2 - 2, whose roots are about 0.028 apart
+@pytest.mark.parametrize("coeffs, variations", [
+    ((1, 1, 1), 0), ((-2, 0, 1), 1), ((1, -1, 1), 2), ((1, -3, 1), 2),
+    ((-2, 2, -1, -1, 1), 3), ((6, 0, -5, 0, 1), 2), ((19879, -28200, 10000), 2),
+])
+def test_descartes_cells_match_the_sturm_cells(coeffs, variations):
+    assert sign_variations(coeffs) == variations
+    assert exactpoly._descartes_cells(intpoly(coeffs)) == oracles.sturm_cells(coeffs)
+
+
+@st.composite
+def _isolation_inputs(draw):
+    """(coefficients, positive rational roots) of a product of factors, each
+    maybe repeated: (n x)^2 - k, with close irrational roots sqrt(k)/n;
+    n x - u, close rational roots; (n x - a)^2 + 1, a complex pair next to
+    a/n; and maybe a power of x."""
+    n = draw(st.sampled_from([1, 7, 100, 10 ** 4]))
+    coeffs, rationals = [1], set()
+    for k in draw(st.lists(st.integers(2, 30).filter(lambda k: isqrt(k) ** 2 != k),
+                           max_size=3, unique=True)):
+        coeffs = oracles.multiply(coeffs, oracles.power([-k, 0, n * n], draw(st.integers(1, 2))))
+    for u in draw(st.lists(st.integers(-3, 40), max_size=3, unique=True)):
+        coeffs = oracles.multiply(coeffs, oracles.power([-u, n], draw(st.integers(1, 3))))
+        rationals |= {F(u, n)} if u > 0 else set()
+    for a in draw(st.lists(st.integers(1, 40), max_size=2, unique=True)):
+        coeffs = oracles.multiply(coeffs, [a * a + 1, -2 * a * n, n * n])
+    coeffs = [0] * draw(st.integers(0, 2)) + oracles.integer_multiple(coeffs)
+    return coeffs, sorted(rationals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_isolation_inputs())
+def test_isolation_cells_match_the_sturm_cells(case):
+    coeffs, rationals = case
+    found = []
+    real = exactpoly._descartes_cells
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactpoly, "_descartes_cells",
+                      lambda irr: found.append(real(irr)) or found[-1])
+        records = isolate_positive_roots(intpoly(coeffs), 3)
+    assert [rec.value for rec in records if rec.is_rational] == rationals
+    assert len(found) <= 1
+    assert (found[0] if found else []) == oracles.sturm_cells(coeffs, rationals)
 
 
 # ----------------------------------------------------------------------
