@@ -14,7 +14,13 @@ of a checkout:
 A survivor means a missing test: add the test, or remove the mutant with a
 note here on why it is equivalent.  New certificates add their mutants.
 Equivalent, so not listed: dropping the shift that rescales a cell end
-carried to a finer grid in ``_qir_levels``, as magnitudes only steer.
+carried to a finer grid in ``_qir_levels``, as magnitudes only steer; and
+the check ``cscrays._branch_records`` made that the signs at the ends of
+each bracket differ, deleted since ``isolate_bracketed_roots`` checks it
+too and the branch certificate makes them differ: for w = (1,1) above t*,
+(0, 1) and (1, oo) hold one simple root each; for w1 > w2 a separator has
+the sign opposite to 0, (0, w2/w1) holds two roots or none and (w2/w1, oo)
+one; and the quotient is nonzero at 0, w2/w1 and its Cauchy bound.
 (Mutation testing: DeMillo, Lipton & Sayward, IEEE Computer 1978.)
 """
 
@@ -35,12 +41,15 @@ REFINE = ("tests/test_exactpoly.py", "-k",
 # isolation tests would hang until TIMEOUT_S; the bisection cells fail at once
 CELLS = ("tests/test_exactpoly.py", "-k", "bisection_cell")
 # Yun returning p whole leaves a repeated root in the rational-root search,
-# whose walk over the primes then never ends; -x stops at the first failure
+# which raises once more primes have a repeated root than can divide a
+# nonzero discriminant; -x stops at the first failure
 YUN = ("tests/test_exactpoly.py", "-k", "(squarefree and not certificate) or multiplicities")
 CERTIFY = ("tests/test_exactpoly.py", "-k", "squarefree_certificate")
 BRACKETS = ("tests/test_exactpoly.py", "-k", "bracketed")
 PAIRING = ("tests/test_cscrays.py", "-k", "pairing")
 DESCARTES = ("tests/test_exactpoly.py", "-k", "sturm_cells")
+# a value scaled by the odd part d keeps its sign, so only exact values show it
+GRID = ("tests/test_exactpoly.py", "-k", "on_the_grid")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -48,7 +57,8 @@ MUTANTS = [
      "            if all(_mod_value(slopes, x, ell) for x in roots):\n",
      "            if True:\n", SEARCH),
     ("rational-root search returns [] at a prime that has roots", "exactpoly.py",
-     "                break\n    bound = ", "                return []\n    bound = ", SEARCH),
+     "                break\n            repeated", "                return []\n            repeated",
+     SEARCH),
     ("rational-root search drops the symmetric residue", "exactpoly.py",
      "        m -= mod if 2 * m > mod else 0\n", "", SEARCH),
     ("rational-root search stops lifting one step early", "exactpoly.py",
@@ -87,13 +97,22 @@ MUTANTS = [
     ("reciprocal pairing reads a partner of even multiplicity by a sign change", "cscrays.py",
      "high.multiplicity % 2 == 0", "high.multiplicity % 2 == 1", PAIRING),
     ("bracket counts read the sign of hi in place of lo", "exactpoly.py",
-     "signs.sign(lo)) for lo, hi in brackets", "signs.sign(hi)) for lo, hi in brackets", BRACKETS),
+     "sign[lo]) for lo, hi in brackets", "sign[hi]) for lo, hi in brackets", BRACKETS),
     ("Descartes cells are reported uncoarsened, too fine", "exactpoly.py",
      "        top = max(left_split, right_split)\n", "        top = level\n", DESCARTES),
     ("Descartes cells are coarsened one level too far", "exactpoly.py",
      "depth + 1 - (a ^ b).bit_length()", "depth - (a ^ b).bit_length()", DESCARTES),
     ("the root-level check reads 2 sign variations as one root", "exactpoly.py",
      "    if variations == 1:\n", "    if variations in (1, 2):\n", DESCARTES),
+    ("dense grid values shift every term one grid level short", "exactpoly.py",
+     "        s = shift = (y & -y).bit_length() - 1\n",
+     "        s = (y & -y).bit_length() - 1\n        shift = 0\n", GRID),
+    ("dense grid values fold one power of the odd part too many", "exactpoly.py",
+     "repeat(d, self.degree), mul, initial=1)\n", "repeat(d, self.degree), mul, initial=d)\n", GRID),
+    ("sparse grid values fold one power of the odd part too many", "exactpoly.py",
+     "c * d ** (self.degree - i)", "c * d ** (self.degree - i + 1)", GRID),
+    ("dense grid values keep the first odd part folded when it changes", "exactpoly.py",
+     "        if y >> s != d:\n            d, folded", "        if not d:\n            d, folded", GRID),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

@@ -438,7 +438,10 @@ def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int)
 
     Each branch of R holds at most one root, a simple one: for w = (1,1),
     (0, 1) and (1, oo) hold one each for t > t* and none at or below t*;
-    for w1 > w2, (w2/w1, oo) holds one, and (0, w2/w1) two or none.
+    for w1 > w2, (w2/w1, oo) holds one, and (0, w2/w1) two or none.  So
+    the signs at the ends of each bracket differ, as
+    :func:`isolate_bracketed_roots` checks: the quotient is nonzero at 0,
+    w2/w1 and its Cauchy bound, and a separator has the sign opposite to 0.
     """
     p, l1, l2, w1, w2 = params.p, params.l1, params.l2, params.w1, params.w2
     try:
@@ -457,8 +460,6 @@ def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int)
         if below is None:
             return None
         brackets = below + [top]
-    if any(signs.sign(lo) * signs.sign(hi) >= 0 for lo, hi in brackets):
-        return None
     return isolate_bracketed_roots(quotient, brackets, signs, precision, [forced]), signs
 
 

@@ -26,8 +26,11 @@ division decides it.  Rational roots are divided out before isolation, so
 no bisection point is a root and every reported interval has non-root
 rational endpoints.  Cells are refined by secant steps certified by exact
 signs (quadratic interval refinement), which reach the dyadic cell
-bisection would.  Reported intervals are finished in order: width and other
-roots, then adjacent closures pair by pair, then exclusions.
+bisection would.  A sign is that of the integer y**n * f(x/y): on a cell's
+grid y = d * 2**s, d odd and fixed, the powers of d are folded into the
+coefficients once and the powers of 2 are shifts, so a Horner step is one
+product.  Reported intervals are finished in order: width and other roots,
+then adjacent closures pair by pair, then exclusions.
 
 :func:`isolate_bracketed_roots` runs the same stages for a square-free
 polynomial whose roots the caller has bracketed one per interval: cells are
@@ -46,8 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
-from itertools import accumulate, count, pairwise
+from functools import cached_property, reduce
+from itertools import accumulate, count, pairwise, repeat
 from math import ceil, gcd, isqrt
 from operator import mul, ne
 from struct import pack
@@ -185,12 +188,7 @@ def poly_derivative(poly: IntPolynomial, order: int = 1) -> IntPolynomial:
 
 def _scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
     """den**deg * f(num/den) as an exact integer (den > 0)."""
-    acc = coeffs[-1]
-    dp = 1
-    for c in reversed(coeffs[:-1]):
-        dp *= den
-        acc = acc * num + c * dp
-    return acc
+    return _Horner(coeffs).value(num, den)
 
 
 def poly_eval(poly: IntPolynomial, q) -> Fraction:
@@ -202,15 +200,10 @@ def poly_eval(poly: IntPolynomial, q) -> Fraction:
     return Fraction(s, q.denominator ** poly.degree)
 
 
-def _sign_at(coeffs: tuple[int, ...], q: Fraction) -> int:
-    s = _scaled_value(coeffs, q.numerator, q.denominator)
-    return (s > 0) - (s < 0)
-
-
 def poly_sign(poly: IntPolynomial, q) -> int:
     """The sign (-1, 0 or 1) of the polynomial at the rational q, read off an
     integer without forming the value as a reduced Fraction."""
-    return _sign_at(poly.coeffs, Fraction(q)) if poly.coeffs else 0
+    return _Horner(poly.coeffs).sign(Fraction(q)) if poly.coeffs else 0
 
 
 # Quadratic interval refinement starts with _QIR_WARMUP plain bisections, one
@@ -224,8 +217,16 @@ class _Signs:
     ``value(x, y)`` is an integer with the sign of q(x/y), for y > 0, and
     off finitely many points y**degree * g(x/y) for some g with the positive
     roots of q.  :func:`_refine` decides by the signs alone, and steers its
-    secant steps by the magnitudes.
+    secant steps by the magnitudes.  For y = d * 2**s, d odd, the value is
+    the sum of c_i * d**(n-i) * x**i * 2**(s*(n-i)) over the coefficients
+    c_i of g, n = deg g: the same integer, with the powers of d folded into
+    the coefficients once, while d stays the same, and the powers of 2 taken
+    by shifts.  A refinement keeps one d, as its denominator only doubles.
     """
+
+    # (d, the coefficients folded with d), no d being 0: one attribute, so
+    # that threads sharing a sign source never pair a d with another's fold
+    grid = (0, ())
 
     def sign(self, x: Fraction) -> int:
         """The sign of q at the rational x."""
@@ -234,28 +235,45 @@ class _Signs:
 
 
 class _Horner(_Signs):
-    """Signs and values of a dense polynomial, by Horner's rule."""
+    """Signs and values of a dense polynomial, by Horner's rule at one
+    product and one shift a step."""
 
     def __init__(self, cs: tuple[int, ...]) -> None:
+        self.coeffs = cs
         self.degree = len(cs) - 1
-        self.value = partial(_scaled_value, cs)
+
+    def fold(self, d: int) -> list[int]:
+        """c_i * d**(n-i), highest degree first."""
+        powers = accumulate(repeat(d, self.degree), mul, initial=1)
+        return list(map(mul, reversed(self.coeffs), powers))
+
+    def value(self, x: int, y: int) -> int:
+        s = shift = (y & -y).bit_length() - 1
+        d, folded = self.grid
+        if y >> s != d:
+            d, folded = self.grid = y >> s, self.fold(y >> s)
+        it = iter(folded)
+        acc = next(it)
+        for c in it:
+            acc = acc * x + (c << shift)
+            shift += s
+        return acc
 
 
-def _sparse_value(terms, n: int, x: int, y: int) -> int:
-    """y**n * f(x/y) for the nonzero terms (i, c) of f, ascending in i, by
-    Horner's rule over the gaps between exponents: a gap of 1 costs a
-    product with x and y, not with whole powers, and equal gaps share one."""
+def _sparse_value(terms, x: int, s: int) -> int:
+    """The sum of c * x**i * 2**(s*(n-i)) over the terms (i, c), ascending
+    in i, n the last i, by Horner's rule over the gaps between exponents:
+    a step is a product with a power of x, equal gaps sharing one, and a
+    shift."""
     top, acc = terms[-1]
-    y_power, last, steps = 1, top, {}
+    last, steps = top, {}
     for i, c in reversed(terms[:-1]):
         gap = last - i
         if gap not in steps:
-            steps[gap] = x ** gap, y ** gap
-        x_step, y_step = steps[gap]
-        y_power *= y_step
-        acc = acc * x_step + c * y_power
+            steps[gap] = x ** gap
+        acc = acc * steps[gap] + (c << s * (top - i))
         last = i
-    return acc * x ** last * y ** (n - top)
+    return acc * x ** last
 
 
 class SparseQuotient(_Signs):
@@ -275,11 +293,19 @@ class SparseQuotient(_Signs):
         self.odd = (f.degree - quotient.degree) % 2
         self.num, self.den = root.numerator, root.denominator
 
+    def fold(self, d: int) -> list[tuple[int, int]]:
+        """The terms (i, c * d**(n-i)), n = deg f."""
+        return [(i, c * d ** (self.degree - i)) for i, c in self.terms]
+
     def value(self, x: int, y: int) -> int:
         side = self.den * x - self.num * y
         if not side:
             return self.at_root
-        v = _sparse_value(self.terms, self.degree, x, y)
+        s = (y & -y).bit_length() - 1
+        d, terms = self.grid
+        if y >> s != d:
+            d, terms = self.grid = y >> s, self.fold(y >> s)
+        v = _sparse_value(terms, x, s)
         return -v if self.odd and side < 0 else v
 
     @cached_property
@@ -475,7 +501,7 @@ def sturm_count(poly: IntPolynomial, lo, hi) -> int:
         far = 1 << ceil(cauchy_root_bound(poly) + abs(a or 0) + abs(b or 0)).bit_length()
         a, b = (-far if a is None else a), (far if b is None else b)
     chain = _sturm_chain(primitive_part(poly))
-    va, vb = (sign_variations(_sign_at(cs, x) for cs in chain) for x in (a, b))
+    va, vb = (sign_variations(_Horner(cs).sign(x) for cs in chain) for x in (a, b))
     return va - vb
 
 
@@ -716,8 +742,9 @@ def _bracket_above(brackets, signs):
     """The number of roots above x, for one root in each bracket (lo, hi)
     whose ends have opposite signs (ValueError otherwise): a root lies above
     a point of its bracket exactly when the point has the sign of lo."""
-    ends = [(lo, hi, signs.sign(lo)) for lo, hi in brackets]
-    if any(s * signs.sign(hi) >= 0 for _, hi, s in ends):
+    sign = {x: signs.sign(x) for x in {end for bracket in brackets for end in bracket}}
+    ends = [(lo, hi, sign[lo]) for lo, hi in brackets]
+    if any(s * sign[hi] >= 0 for _, hi, s in ends):
         raise ValueError("the signs at the ends of a bracket must differ")
     return lambda x: sum(x <= lo or x < hi and signs.sign(x) == s for lo, hi, s in ends)
 
@@ -811,21 +838,29 @@ def _rational_roots_of(poly: IntPolynomial) -> list[Fraction]:
 
     A root n/d has d | lc, so modulo each prime l not dividing lc it reduces
     to the root n * d**-1: where f has no root mod l, none is rational.  A
-    square-free f has only simple roots mod all but finitely many l.  At the
-    first such l, Newton steps lift each root r uniquely mod l**(2**i) until
-    the modulus passes 2*|lc|*B, B the Cauchy bound.  The symmetric residue m
-    of lc*r is then the one numerator with |m| < |lc|*B, and exact division
-    decides the candidate m/lc.
+    square-free f has only simple roots mod all but finitely many l, as the
+    others divide disc(f) != 0.  Mahler's bound |lc * disc(f)| <= |lc| *
+    k**k * |f|**(2k - 2), k = deg f and |f| its 2-norm, leaves fewer of them
+    than its bit length; at that many f is not square-free, and ValueError
+    says so.  At the first l with only simple roots, Newton steps lift each
+    root r uniquely mod l**(2**i) until the modulus passes 2*|lc|*B, B the
+    Cauchy bound.  The symmetric residue m of lc*r is then the one numerator
+    with |m| < |lc|*B, and exact division decides the candidate m/lc.
     """
     cs = poly.coeffs
     if len(cs) < 2:
         return []
     slopes = poly_derivative(poly).coeffs
+    k, repeated = len(cs) - 1, 0
     for ell in count(2):
         if cs[-1] % ell and all(ell % q for q in range(2, isqrt(ell) + 1)):
             roots = [x for x in range(ell) if not _mod_value(cs, x, ell)]
             if all(_mod_value(slopes, x, ell) for x in roots):
                 break
+            repeated += 1
+            if repeated >= (cs[-1].bit_length() + k * k.bit_length()
+                            + (k - 1) * sum(c * c for c in cs).bit_length()):
+                raise ValueError("rational roots by p-adic lifting need a square-free polynomial")
     bound = abs(cs[-1]) + max(map(abs, cs[:-1]))     # |lc| * B
     out = []
     for r in roots:
@@ -897,8 +932,9 @@ def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
     if len(factors) == 1:
         return factors[0][1]
     for fac, m in factors:
-        s = _sign_at(fac.coeffs, lo)
-        if (s == 0) if hi is None else s * _sign_at(fac.coeffs, hi) < 0:
+        signs = _Horner(fac.coeffs)
+        s = signs.sign(lo)
+        if (s == 0) if hi is None else s * signs.sign(hi) < 0:
             return m
     raise RuntimeError("root matches no square-free factor")
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact polynomial kernel."""
 
 import random
+import time
 from fractions import Fraction as F
 from math import isqrt, prod
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from sasakijoin.exactpoly import (
     poly_eval,
     poly_exact_div,
     poly_mul,
+    poly_sign,
     primitive_part,
     rational_roots,
     refine_interval,
@@ -915,6 +917,76 @@ def test_bracketed_isolation_rejects_a_bracket_without_a_sign_change():
     signs = SparseQuotient(poly_mul(quotient, intpoly([-1, 2])), quotient, F(1, 2))
     with pytest.raises(ValueError, match="ends of a bracket"):
         isolate_bracketed_roots(quotient, [(F(0), F(1))], signs)
+
+
+def test_bracket_counts_read_each_end_once():
+    # x^2 - 3x + 1 has the roots 0.38 and 2.62; the brackets share the end 1
+    quotient = intpoly([1, -3, 1])
+    ends = []
+    signs = SimpleNamespace(sign=lambda x: ends.append(x) or poly_sign(quotient, x))
+    above = exactpoly._bracket_above([(F(0), F(1)), (F(1), F(3))], signs)
+    assert sorted(ends) == [0, 1, 3]
+    assert [above(F(x)) for x in (0, 1, 2, 3)] == [2, 1, 1, 0]
+
+
+# ----------------------------------------------------------------------
+# values on the grid: y**n * f(x/y) for y = d * 2**s, d odd
+
+def plain_value(coeffs, x, y):
+    """y**n * f(x/y), n = deg f, by the plain formula."""
+    n = len(coeffs) - 1
+    return sum(c * x ** i * y ** (n - i) for i, c in enumerate(coeffs))
+
+
+GRID_COEFFS = st.lists(st.integers(-10 ** 6, 10 ** 6) | st.just(0), min_size=1, max_size=10) \
+    .filter(lambda cs: cs[-1])
+# points (x, d, s) for y = d * 2**s: d odd, often repeated along a list
+ODD = st.sampled_from([1, 3, 105]) | st.integers(0, 10 ** 12).map(lambda k: 2 * k + 1)
+GRID_POINTS = st.lists(st.tuples(st.integers(-10 ** 12, 10 ** 12) | st.just(0), ODD,
+                                 st.sampled_from([0, 1, 40]) | st.integers(0, 200)),
+                       min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GRID_COEFFS, GRID_POINTS)
+def test_dense_values_on_the_grid_are_exact(coeffs, points):
+    # one sign source for all the points, so that d stays, changes and
+    # comes back between calls
+    signs = exactpoly._Horner(tuple(coeffs))
+    for x, d, s in points:
+        assert signs.value(x, d << s) == plain_value(coeffs, x, d << s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GRID_COEFFS, st.integers(-40, 40), st.integers(1, 40), st.integers(1, 4),
+       st.integers(0, 30), st.lists(st.tuples(GRID_POINTS, st.booleans()), min_size=1, max_size=4))
+def test_sparse_values_on_the_grid_are_exact(coeffs, n, d, k, zeros, point_lists):
+    # f = x**zeros * q * (d*x - n)**k, with q x**zeros the quotient; at the
+    # root n/d the value is that of the quotient, else f's times its sign factor
+    root = F(n, d)
+    quotient = intpoly([0] * zeros + coeffs)
+    f = poly_mul(quotient, intpoly(oracles.power([-root.numerator, root.denominator], k)))
+    signs = SparseQuotient(f, quotient, root)
+    at_root = plain_value(quotient.coeffs, root.numerator, root.denominator)
+    for points, on_root in point_lists:
+        for x, odd, s in points:
+            y = odd << s
+            if on_root:
+                x, y = root.numerator * y, root.denominator * y
+            side = root.denominator * x - root.numerator * y
+            expected = at_root if not side else plain_value(f.coeffs, x, y) * (1 if side > 0 else -1) ** k
+            assert signs.value(x, y) == expected
+
+
+def test_search_stops_on_a_repeated_root():
+    # (x - 1)**2 * (x + 2) has the double root 1 modulo every prime; a
+    # square-free polynomial has finitely many such primes, all dividing its
+    # discriminant, so the search raises instead of walking the primes forever
+    poly = poly_mul(poly_mul(intpoly([-1, 1]), intpoly([-1, 1])), intpoly([2, 1]))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="square-free"):
+        _rational_roots_of(poly)
+    assert time.perf_counter() - start < 1
 
 
 def test_squarefree_certificate():
