@@ -253,7 +253,7 @@ class _Horner(_Signs):
         if y >> s != d:
             d, folded = self.grid = y >> s, self.fold(y >> s)
         it = iter(folded)
-        acc = next(it)
+        acc = next(it, 0)
         for c in it:
             acc = acc * x + (c << shift)
             shift += s
