@@ -858,8 +858,9 @@ def _rational_roots_of(poly: IntPolynomial) -> list[Fraction]:
             if all(_mod_value(slopes, x, ell) for x in roots):
                 break
             repeated += 1
-            if repeated >= (cs[-1].bit_length() + k * k.bit_length()
-                            + (k - 1) * sum(c * c for c in cs).bit_length()):
+            # the bit length of Mahler's bound is at least k
+            if repeated >= k and repeated >= (cs[-1].bit_length() + k * k.bit_length()
+                                              + (k - 1) * sum(c * c for c in cs).bit_length()):
                 raise ValueError("rational roots by p-adic lifting need a square-free polynomial")
     bound = abs(cs[-1]) + max(map(abs, cs[:-1]))     # |lc| * B
     out = []
