@@ -50,6 +50,11 @@ PAIRING = ("tests/test_cscrays.py", "-k", "pairing")
 DESCARTES = ("tests/test_exactpoly.py", "-k", "sturm_cells")
 # a value scaled by the odd part d keeps its sign, so only exact values show it
 GRID = ("tests/test_exactpoly.py", "-k", "on_the_grid")
+DIVISION = ("tests/test_exactpoly.py", "-k", "exact_division")
+# the branch path's reports against the dense path's, and the threshold
+# against the cubic discriminant at p = 1 and the counts of csc_rays
+BRANCH = ("tests/test_cscrays.py", "-k", "branch_path_reports_equal")
+THRESHOLD = ("tests/test_cscrays.py", "-k", "threshold_at_p1 or threshold_counts_match")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -85,11 +90,16 @@ MUTANTS = [
      "        while intervals[i][1] > intervals[i + 1][0]:\n", REFINE),
     ("isolation and rational_roots read every root of a non-square-free p0 as simple",
      "exactpoly.py",
-     "    return k, [(p0, 1)] if certify_squarefree(p0) else squarefree_decompose(p0)\n",
-     "    return k, [(fac, 1) for fac, _ in ([(p0, 1)] if certify_squarefree(p0)\n"
-     "                                       else squarefree_decompose(p0))]\n", YUN),
+     "    return k, squarefree_decompose(IntPolynomial(cs[k:]))\n",
+     "    return k, [(fac, 1) for fac, _ in squarefree_decompose(IntPolynomial(cs[k:]))]\n", YUN),
     ("Yun decomposition returns p as its one factor whatever the gcd", "exactpoly.py",
-     "    return [(p, 1)] if g.degree == 0 else _yun(p, g)\n", "    return [(p, 1)]\n", YUN),
+     "    g = poly_gcd(p, poly_derivative(p))\n", "    return [(p, 1)]\n", YUN),
+    ("exact division accepts a step that leaves a fraction", "exactpoly.py",
+     "        if rem:\n            raise ValueError(\"polynomial division leaves a non-integral",
+     "        if False:\n            raise ValueError(\"polynomial division leaves a non-integral",
+     DIVISION),
+    ("exact division drops the remainder check", "exactpoly.py",
+     "    if any(r[:dd]):\n", "    if False:\n", DIVISION),
     ("square-free certificate leaves slots of l and above unreduced", "exactpoly.py",
      "                a -= (((a + top) >> 63) & ones) * ell\n", "", CERTIFY),
     ("reciprocal pairing accepts an inverted interval that misses its partner", "cscrays.py",
@@ -113,6 +123,12 @@ MUTANTS = [
      "c * d ** (self.degree - i)", "c * d ** (self.degree - i + 1)", GRID),
     ("dense grid values keep the first odd part folded when it changes", "exactpoly.py",
      "        if y >> s != d:\n            d, folded", "        if not d:\n            d, folded", GRID),
+    ("roots below the forced root are read as none without a Descartes count", "cscrays.py",
+     "        if lo == hi or counted and descartes_count(quotient, lo, hi) == 0:\n",
+     "        if lo == hi or counted:\n", BRANCH),
+    ("the threshold interval is taken at the first counted level without its count",
+     "cscrays.py", "            if descartes_count(f_bottom, lo, hi) == 0:\n",
+     "            if True:\n", THRESHOLD),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

@@ -1,10 +1,10 @@
 """Exact univariate polynomial arithmetic over Z and Q.
 
-Evaluation, formal derivatives, division, Yun square-free decomposition,
-Sturm chains, rational roots, and certified isolation and refinement of
-real roots.  Every decision made here (root counting, rationality, interval
-certification) uses exact integer or rational arithmetic; floating point
-never enters a decision path.  Decimal output is the caller's problem.
+Evaluation, formal derivatives, exact division in Z, square-free
+decomposition, Sturm chains, rational roots, and certified isolation and
+refinement of real roots.  Every decision (root counting, rationality,
+interval certification) is exact; floating point never enters a decision
+path.  Decimal output is the caller's problem.
 
 A polynomial is a dense tuple of arbitrary-precision integer coefficients,
 lowest degree first, wrapped in :class:`IntPolynomial`.  The zero polynomial
@@ -13,24 +13,24 @@ is the empty tuple.  Build values with :func:`intpoly`.
 Positive roots are isolated on (0, B], B a Cauchy bound, by Descartes' rule
 of signs with bisection (Collins & Akritas 1976), and each root's cell is
 coarsened to the first bisection cell holding no other root, the cell exact
-counts give.  The square-free part is the polynomial itself when
-:func:`certify_squarefree` proves it so, else the product of its Yun
-factors (:func:`squarefree_decompose`), which give multiplicities.  No
-Sturm chain is built: :func:`sturm_count` builds its own and shares no root
-counter with isolation.  No integer is factored: rational roots are found
-first, by p-adic lifting (Loos 1983).  A rational root n/d has d | lc, so
-it reduces to a root modulo every prime l not dividing lc.  The first l at
-which there is none proves no root rational; at the first l whose roots are
-all simple, each lifts to the numerator of one candidate, and exact
-division decides it.  Rational roots are divided out before isolation, so
-no bisection point is a root and every reported interval has non-root
-rational endpoints.  Cells are refined by secant steps certified by exact
-signs (quadratic interval refinement), which reach the dyadic cell
-bisection would.  A sign is that of the integer y**n * f(x/y): on a cell's
-grid y = d * 2**s, d odd and fixed, the powers of d are folded into the
-coefficients once and the powers of 2 are shifts, so a Horner step is one
-product.  Reported intervals are finished in order: width and other roots,
-then adjacent closures pair by pair, then exclusions.
+counts give.  The square-free part is the product of the factors of
+:func:`squarefree_decompose`, which give multiplicities: the polynomial
+itself when :func:`certify_squarefree` proves it so, else its Yun factors,
+split by long division in Z.  No Sturm chain is built: :func:`sturm_count`
+builds its own and shares no root counter with isolation.  No integer is
+factored: rational roots are found first, by p-adic lifting (Loos 1983).  A
+rational root n/d has d | lc, so it reduces to a root modulo every prime l
+not dividing lc.  The first l at which there is none proves no root
+rational; at the first l whose roots are all simple, each lifts to the
+numerator of one candidate, and exact division decides it.  Rational roots
+are divided out before isolation, so no bisection point is a root and every
+reported interval has non-root rational endpoints.  Cells are refined by
+secant steps certified by exact signs (quadratic interval refinement), which
+reach the dyadic cell bisection would.  A sign is that of the integer
+y**n * f(x/y): on a cell's grid y = d * 2**s, d odd and fixed, the powers of
+d are folded into the coefficients once and the powers of 2 are shifts, so
+a Horner step is one product.  Reported intervals are finished in order:
+width and other roots, then adjacent closures pair by pair, then exclusions.
 
 :func:`isolate_bracketed_roots` runs the same stages for a square-free
 polynomial whose roots the caller has bracketed one per interval: cells are
@@ -67,7 +67,6 @@ __all__ = [
     "poly_eval",
     "poly_sign",
     "poly_derivative",
-    "poly_divrem",
     "poly_exact_div",
     "content",
     "primitive_part",
@@ -313,39 +312,25 @@ class SparseQuotient(_Signs):
         return _scaled_value(self.quotient.coeffs, self.num, self.den)
 
 
-def poly_divrem(num: IntPolynomial, den: IntPolynomial):
-    """Euclidean division over Q: num = quotient*den + remainder.
-
-    Returns (quotient, remainder) as tuples of Fraction, lowest degree
-    first, with deg(remainder) < deg(den).  Raises ZeroDivisionError when
-    den is the zero polynomial.
-    """
+def poly_exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
+    """num / den over Z, by long division from the top with one divmod by
+    lc(den) a quotient coefficient, as :func:`deflate_linear` does.  A step
+    leaving a fraction (non-integral) or a nonzero remainder (not exact)
+    raises ValueError; by Gauss's lemma neither happens when den is
+    primitive and divides num over Q.  A zero den raises ZeroDivisionError."""
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
-    r = [Fraction(c) for c in num.coeffs]
-    dd = den.degree
-    lead = Fraction(den.coeffs[-1])
-    q = [Fraction(0)] * max(len(r) - dd, 0)
-    for i in range(len(r) - 1, dd - 1, -1):
-        c = r[i]
-        if not c:
-            continue
-        f = c / lead
-        q[i - dd] = f
-        r[i] = Fraction(0)
-        for j in range(dd):
-            r[i - dd + j] -= f * den.coeffs[j]
-    while r and not r[-1]:
-        r.pop()
-    return tuple(q), tuple(r)
-
-
-def poly_exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
-    """Exact division with integer result; raises ValueError otherwise."""
-    q, r = poly_divrem(num, den)
-    if r:
+    r, (*low, lead), dd = list(num.coeffs), den.coeffs, den.degree
+    q = [0] * max(len(r) - dd, 0)
+    for i in reversed(range(len(q))):
+        q[i], rem = divmod(r[i + dd], lead)
+        if rem:
+            raise ValueError("polynomial division leaves a non-integral quotient")
+        for j, c in enumerate(low):
+            r[i + j] -= q[i] * c
+    if any(r[:dd]):
         raise ValueError("polynomial division is not exact")
-    return intpoly(q)
+    return IntPolynomial(tuple(q))
 
 
 def content(poly: IntPolynomial) -> int:
@@ -408,24 +393,24 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_decompose(poly: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition: poly = unit * prod(factor**multiplicity).
+    """Square-free decomposition: poly = unit * prod(factor**multiplicity).
 
     Each returned factor is square-free, primitive with positive leading
     coefficient, and the factors are pairwise coprime; there is at most one
     factor per multiplicity and they come in increasing multiplicity order.
     The discarded unit is a rational number.  Constant input yields [].
+    The input is its own factor when :func:`certify_squarefree` holds, else
+    gcd(p, p') and Yun's algorithm (Yun 1976) split it, all over Z.
     """
     if poly.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
     p = _normalized(poly)
     if p.degree == 0:
         return []
+    if certify_squarefree(p):
+        return [(p, 1)]
+    # Yun's loop; for a square-free p, g = 1, d = 0 and a = p
     g = poly_gcd(p, poly_derivative(p))
-    return [(p, 1)] if g.degree == 0 else _yun(p, g)
-
-
-def _yun(p: IntPolynomial, g: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's loop for a normalized p, given g = gcd(p, p') of positive degree."""
     c = poly_exact_div(p, g)
     d = poly_sub(poly_exact_div(poly_derivative(p), g), poly_derivative(c))
     out: list[tuple[IntPolynomial, int]] = []
@@ -785,17 +770,19 @@ def refine_interval(poly: IntPolynomial, lo: Fraction, hi: Fraction, max_width,
                     exclude=()) -> tuple[Fraction, Fraction]:
     """Shrink the isolating interval (lo, hi] of one root of poly.
 
-    (lo, hi] must hold exactly one root of poly, of odd multiplicity; hi
-    and the points of exclude must not be roots, and lo, unless it is a
-    root, must differ in sign from hi (ValueError otherwise).  The ends,
-    max_width and the points of exclude must be exact: a float or None is
-    rejected (TypeError).  The result is the interval bisection reaches: the
-    cell (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the
-    root, for the least t at which the width is at most max_width and the
-    closure holds no point of exclude.  Secant steps reach it
-    (:func:`_qir_levels`).
+    (lo, hi], lo < hi, must hold exactly one root of poly, of odd
+    multiplicity; max_width > 0, hi and the points of exclude must not be
+    roots, and lo, unless it is a root, must differ in sign from hi
+    (ValueError otherwise).  The ends, max_width and the points of exclude
+    must be exact: a float or None is rejected (TypeError).  The result is
+    the interval bisection reaches: the cell
+    (lo + i*w/2**t, lo + (i+1)*w/2**t], w = hi - lo, that holds the root,
+    for the least t at which the width is at most max_width and the closure
+    holds no point of exclude.  Secant steps reach it (:func:`_qir_levels`).
     """
     lo, hi, max_width, *exclude = _exact(lo, hi, max_width, *exclude)
+    if not lo < hi or max_width <= 0:
+        raise ValueError("lo < hi and max_width > 0 required")
     signs = _Horner(poly.coeffs)
     if signs.sign(lo) == signs.sign(hi) != 0:
         raise ValueError(f"no sign change on ({lo}, {hi}]: no root of odd multiplicity")
@@ -920,12 +907,11 @@ def certify_squarefree(poly: IntPolynomial) -> bool:
 
 
 def _factors(poly: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]]]:
-    """(k, factors) for a nonzero poly = x**k * p0 up to a constant: the Yun
-    factors of p0, or p0 alone when :func:`certify_squarefree` holds."""
-    cs = primitive_part(poly).coeffs
+    """(k, factors) for a nonzero poly = x**k * p0 up to a constant: the
+    factors of p0 that :func:`squarefree_decompose` gives."""
+    cs = poly.coeffs
     k = next(i for i, c in enumerate(cs) if c)
-    p0 = IntPolynomial(cs[k:])
-    return k, [(p0, 1)] if certify_squarefree(p0) else squarefree_decompose(p0)
+    return k, squarefree_decompose(IntPolynomial(cs[k:]))
 
 
 def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
@@ -943,9 +929,8 @@ def _multiplicity(factors, lo: Fraction, hi: Fraction | None = None) -> int:
 def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
     """All rational roots with exact multiplicities, ascending.
 
-    Each Yun factor of p0 = poly / x**k (p0 itself when
-    :func:`certify_squarefree` holds) is searched by p-adic lifting; no
-    Sturm chain is built.
+    Each factor of p0 = poly / x**k that :func:`squarefree_decompose` gives
+    is searched by p-adic lifting; no Sturm chain is built.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -958,6 +943,8 @@ def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
 def _check_isolation_input(poly: IntPolynomial, precision: int) -> None:
     if poly.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
+    if not isinstance(precision, int):
+        raise TypeError(f"precision must be an int, not {type(precision).__name__}")
     if not 1 <= precision <= 1000:
         raise ValueError("precision must be between 1 and 1000")
 
@@ -970,9 +957,9 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
     interval, finished in order: width at most 10**-precision and a closure
     clear of all other roots; then adjacent closures separated pair by pair;
     then a closure clear of each point of exclude, which must not be a root
-    (nor a float or None).  Multiplicities are read off the Yun factors of
-    poly / x**k (one factor when :func:`certify_squarefree` holds), whose
-    product, the square-free part, is isolated by sign variations
+    (nor a float or None).  Multiplicities are read off the factors
+    :func:`squarefree_decompose` gives for poly / x**k, whose product, the
+    square-free part, is isolated by sign variations
     (:func:`_descartes_cells`).
     """
     _check_isolation_input(poly, precision)
@@ -980,7 +967,8 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
     if poly.degree == 0:
         return []
     k, factors = _factors(poly)
-    sf = reduce(poly_mul, [fac for fac, _ in factors], IntPolynomial((1,)))
+    # the product of the factors, multiplied only when there are two or more
+    sf = reduce(poly_mul, [fac for fac, _ in factors] or [IntPolynomial((1,))])
     return _finish_roots(sf, None, _Horner(sf.coeffs), factors, k, precision, exclude)
 
 

@@ -19,15 +19,17 @@ from sasakijoin.exactpoly import (
     _rational_roots_of,
     cauchy_root_bound,
     certify_squarefree,
+    content,
     cubic_discriminant,
     descartes_count,
     intpoly,
     isolate_bracketed_roots,
     isolate_positive_roots,
+    poly_add,
     poly_derivative,
-    poly_divrem,
     poly_eval,
     poly_exact_div,
+    poly_gcd,
     poly_mul,
     poly_sign,
     primitive_part,
@@ -116,36 +118,12 @@ def test_fourth_derivative_of_ray_polynomial():
     assert direct * 3 == -144
 
 
-def test_divrem_examples():
+def test_exact_division_of_ray_polynomials():
     f = csc_polynomial(JoinParams(1, 1, 19, 3, 2)).poly
-    cube = intpoly(oracles.power((-2, 3), 3))
-    q, r = poly_divrem(f, cube)
-    assert q == tuple(map(F, (4, -26, 45, -9)))
-    assert r == ()
-
-    q, r = poly_divrem(intpoly([0, 0, 1]), intpoly([0, 1]))
-    assert q == (F(0), F(1)) and r == ()
-
+    assert poly_exact_div(f, intpoly(oracles.power((-2, 3), 3))) == G19
+    assert poly_exact_div(intpoly([0, 0, 1]), intpoly([0, 1])) == intpoly([0, 1])
     f5 = csc_polynomial(JoinParams(1, 1, 5, 1, 1)).poly
-    sixth = intpoly(oracles.power((-1, 1), 6))
-    q, r = poly_divrem(f5, sixth)
-    assert q == (F(-1),) and r == ()
-
-    with pytest.raises(ZeroDivisionError):
-        poly_divrem(f5, intpoly([]))
-
-
-def test_divrem_reconstructs_on_randoms():
-    rng = random.Random(7)
-    for _ in range(120):
-        num = random_poly(rng, 9, 20)
-        den = random_poly(rng, 5, 10)
-        q, r = poly_divrem(num, den)
-        recon = oracles.multiply(q, den.coeffs)
-        recon = [a + b for a, b in
-                 zip(recon + [F(0)] * len(num.coeffs), list(r) + [F(0)] * len(num.coeffs))]
-        assert oracles.strip(recon) == [F(c) for c in num.coeffs]
-        assert len(r) < len(den.coeffs)
+    assert poly_exact_div(f5, intpoly(oracles.power((-1, 1), 6))) == intpoly([-1])
 
 
 def test_exact_division():
@@ -162,6 +140,37 @@ def test_exact_division():
     for _ in range(60):
         a, b = random_poly(rng, 6, 20), random_poly(rng, 4, 20)
         assert poly_exact_div(poly_mul(a, b), b) == a
+
+
+POLYS = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8).filter(
+    lambda cs: cs[-1]).map(intpoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYS, POLYS, st.integers(1, 10 ** 4), st.sampled_from([1, -1]))
+def test_exact_division_inverts_multiplication(a, b, scale, sign):
+    # b times a content and a sign, so not always primitive, and a constant
+    # +-1 divisor; a's lead may be negative
+    b = poly_mul(b, intpoly([sign * scale]))
+    for den in (b, intpoly([sign])):
+        assert poly_exact_div(poly_mul(a, den), den) == a
+        assert poly_exact_div(intpoly([]), den) == intpoly([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYS, POLYS, POLYS, st.integers(2, 50))
+def test_exact_division_rejects_a_non_multiple(a, b, r, m):
+    assume(b.degree >= 1)
+    # r has lower degree than b, so a*b + r is no multiple of b over Q
+    r = intpoly(r.coeffs[:b.degree])
+    assume(not r.is_zero)
+    for num, den in ((poly_add(poly_mul(a, b), r), b), (r, b)):
+        with pytest.raises(ValueError):
+            poly_exact_div(num, den)
+    # a quotient over Q that is not over Z
+    if content(a) % m:
+        with pytest.raises(ValueError, match="non-integral"):
+            poly_exact_div(poly_mul(a, b), poly_mul(b, intpoly([m])))
 
 
 # ----------------------------------------------------------------------
@@ -190,24 +199,76 @@ def test_squarefree_trivial_and_errors():
         squarefree_decompose(intpoly([]))
 
 
+def _check_squarefree_split(p):
+    """The factors of p rebuild its primitive part with a positive lead, and
+    are square-free, pairwise coprime, primitive with a positive lead, one
+    per rising multiplicity."""
+    dec = squarefree_decompose(p)
+    recon = [F(1)]
+    for fac, mult in dec:
+        recon = oracles.multiply(recon, oracles.power(fac.coeffs, mult))
+    unit = content(p) if p.coeffs[-1] > 0 else -content(p)
+    assert recon == [F(c, unit) for c in p.coeffs]
+    for fac, _ in dec:
+        assert fac.coeffs[-1] > 0
+        assert primitive_part(fac) == fac
+        assert len(oracles.monic_gcd(fac.coeffs, oracles.derivative(fac.coeffs))) == 1
+    mults = [m for _, m in dec]
+    assert mults == sorted(set(mults))
+    for i, (f, _) in enumerate(dec):
+        for g, _ in dec[i + 1:]:
+            assert len(oracles.monic_gcd(f.coeffs, g.coeffs)) == 1
+    return dec
+
+
 def test_squarefree_reconstruction_randoms():
     rng = random.Random(31)
     for _ in range(150):
         a = random_poly(rng, 4, 8)
         b = random_poly(rng, 3, 6)
-        p = poly_mul(poly_mul(a, a), b)
-        dec = squarefree_decompose(p)
-        recon = [F(1)]
-        for fac, mult in dec:
-            recon = oracles.multiply(recon, oracles.power(fac.coeffs, mult))
-        lead = recon[-1]
-        recon = [c / lead for c in recon]
-        expect = [F(c) for c in p.coeffs]
-        expect = [c / expect[-1] for c in expect]
-        assert recon == expect
-        for fac, _ in dec:
-            assert fac.coeffs[-1] > 0
-            assert primitive_part(fac) == fac
+        _check_squarefree_split(poly_mul(poly_mul(a, a), b))
+    # square-free products, which the certificate usually settles, and both
+    # kinds times x**k and a content
+    certified = 0
+    for _ in range(150):
+        a, b = random_poly(rng, 4, 8), random_poly(rng, 3, 6)
+        p = poly_mul(a, b) if rng.random() < 0.5 else poly_mul(poly_mul(a, a), b)
+        p = poly_mul(p, intpoly([0] * rng.randint(0, 3) + [rng.choice([-6, -1, 1, 4])]))
+        dec = _check_squarefree_split(p)
+        if certify_squarefree(p):
+            certified += 1
+            assert dec == [(exactpoly._normalized(p), 1)]
+    assert certified >= 30
+
+
+FACTORS = st.lists(st.tuples(st.lists(st.integers(-20, 20), min_size=2, max_size=4).filter(
+    lambda cs: cs[-1]).map(intpoly), st.integers(1, 3)), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FACTORS, st.integers(0, 3), st.sampled_from([-3, -1, 1, 2]))
+def test_squarefree_split_of_products(factors, k, unit):
+    # square-free products, which the certificate settles, and products with
+    # repeated factors, which go to Yun, times x**k and a unit
+    p = intpoly([0] * k + [unit])
+    for fac, mult in factors:
+        for _ in range(mult):
+            p = poly_mul(p, fac)
+    dec = _check_squarefree_split(p)
+    if certify_squarefree(p):
+        assert dec == [(exactpoly._normalized(p), 1)]
+
+
+def test_squarefree_certificate_comes_before_the_gcd(monkeypatch):
+    # the degree-201 quotient of (100,1,5,3,2) is certified square-free, so
+    # no gcd is taken; the quotient of (13,7,1,1,1) has the factor (x+1)^2
+    certified = deflate_forbidden(csc_polynomial(JoinParams(100, 1, 5, 3, 2)))[0]
+    repeated = deflate_forbidden(csc_polynomial(JoinParams(13, 7, 1, 1, 1)))[0]
+    gcds = []
+    monkeypatch.setattr(exactpoly, "poly_gcd", lambda a, b: gcds.append(a) or poly_gcd(a, b))
+    assert squarefree_decompose(certified) == [(exactpoly._normalized(certified), 1)]
+    assert gcds == []
+    assert (intpoly([1, 1]), 2) in squarefree_decompose(repeated) and gcds
 
 
 def test_isolation_reads_multiplicities_off_squarefree_decompose():
@@ -423,6 +484,31 @@ def test_counts_and_refinement_reject_float_points():
     cleared = isolate_positive_roots(quadratic, 1, [F(7, 5)])
     assert cleared == isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [F(7, 5)])
     assert not cleared[0].value.lo <= F(7, 5) <= cleared[0].value.hi
+
+
+def test_refinement_and_isolation_reject_bad_numbers():
+    # an inverted interval came back inverted, a negative width came back as
+    # met and a zero width divided by zero; a float or str precision failed
+    # deep inside with an unnamed TypeError
+    quadratic = intpoly([-2, 0, 1])
+    signs = SparseQuotient(poly_mul(quadratic, intpoly([-1, 1])), quadratic, 1)
+    for call in (lambda: refine_interval(quadratic, 2, 1, F(1, 10)),
+                 lambda: refine_interval(quadratic, 1, 1, F(1, 10)),
+                 lambda: refine_interval(quadratic, 1, 2, -1),
+                 lambda: refine_interval(quadratic, 1, 2, 0)):
+        with pytest.raises(ValueError, match="lo < hi and max_width > 0"):
+            call()
+    for precision in (2.5, "3", None):
+        for call in (lambda: isolate_positive_roots(quadratic, precision),
+                     lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, precision),
+                     lambda: csc_rays(JoinParams(1, 1, 19, 3, 2), precision),
+                     lambda: csc_rays(JoinParams(13, 1, 19, 3, 2), precision)):
+            with pytest.raises(TypeError, match="precision must be an int"):
+                call()
+    for precision in (0, 1001):
+        with pytest.raises(ValueError, match="between 1 and 1000"):
+            isolate_positive_roots(quadratic, precision)
+    assert refine_interval(quadratic, 1, 2, 1) == (F(1), F(2))
 
 
 def test_refinement_and_isolation_reject_none_points():
