@@ -227,18 +227,6 @@ def test_squarefree_reconstruction_randoms():
         a = random_poly(rng, 4, 8)
         b = random_poly(rng, 3, 6)
         _check_squarefree_split(poly_mul(poly_mul(a, a), b))
-    # square-free products, which the certificate usually settles, and both
-    # kinds times x**k and a content
-    certified = 0
-    for _ in range(150):
-        a, b = random_poly(rng, 4, 8), random_poly(rng, 3, 6)
-        p = poly_mul(a, b) if rng.random() < 0.5 else poly_mul(poly_mul(a, a), b)
-        p = poly_mul(p, intpoly([0] * rng.randint(0, 3) + [rng.choice([-6, -1, 1, 4])]))
-        dec = _check_squarefree_split(p)
-        if certify_squarefree(p):
-            certified += 1
-            assert dec == [(exactpoly._normalized(p), 1)]
-    assert certified >= 30
 
 
 FACTORS = st.lists(st.tuples(st.lists(st.integers(-20, 20), min_size=2, max_size=4).filter(
@@ -246,10 +234,10 @@ FACTORS = st.lists(st.tuples(st.lists(st.integers(-20, 20), min_size=2, max_size
 
 
 @settings(max_examples=150, deadline=None)
-@given(FACTORS, st.integers(0, 3), st.sampled_from([-3, -1, 1, 2]))
+@given(FACTORS, st.integers(0, 3), st.sampled_from([-6, -1, 1, 4]))
 def test_squarefree_split_of_products(factors, k, unit):
     # square-free products, which the certificate settles, and products with
-    # repeated factors, which go to Yun, times x**k and a unit
+    # repeated factors, which go to Yun, times x**k and a content
     p = intpoly([0] * k + [unit])
     for fac, mult in factors:
         for _ in range(mult):
