@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check for the certificate code: the tests must kill every mutant.
+"""Mutation check for the certificate code and for the byte-identity of
+streamed reports: the tests must kill every mutant.
 
 Each mutant replaces one piece of text, which must occur exactly once, in
 one module of src/sasakijoin.  For each mutant in turn, the script copies
@@ -55,6 +56,8 @@ DIVISION = ("tests/test_exactpoly.py", "-k", "exact_division")
 # against the cubic discriminant at p = 1 and the counts of csc_rays
 BRANCH = ("tests/test_cscrays.py", "-k", "branch_path_reports_equal")
 THRESHOLD = ("tests/test_cscrays.py", "-k", "threshold_at_p1 or threshold_counts_match")
+# the JSON pieces against json.dumps, on lists several slices long
+STREAM = ("tests/test_cli.py", "-k", "json_rendering_equals")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -129,6 +132,11 @@ MUTANTS = [
     ("the threshold interval is taken at the first counted level without its count",
      "cscrays.py", "            if descartes_count(f_bottom, lo, hi) == 0:\n",
      "            if True:\n", THRESHOLD),
+    ("the separator between two slices of a long list is dropped", "cli.py",
+     "obj[start:start + _SLICE]))\n                sep = comma\n",
+     "obj[start:start + _SLICE]))\n                sep = \"\"\n", STREAM),
+    ("a slice of a long list ends one element late, repeating it", "cli.py",
+     "obj[start:start + _SLICE]", "obj[start:start + _SLICE + 1]", STREAM),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

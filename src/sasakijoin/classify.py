@@ -179,7 +179,7 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
     aborting the partition.  Classes are sorted by their smallest member.
     """
     _, diffeo = ks_moduli(l1)
-    buckets: dict[int, set[int]] = {}
+    buckets: dict[int, list[int]] = {}
     invalid: list[tuple[int, str]] = []
     for l2 in l2_values:
         if l2 < 1:
@@ -188,6 +188,6 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
         if gcd(l1, l2) != 1:
             invalid.append((l2, "gcd(l1,l2) = 1"))
             continue
-        buckets.setdefault(l2 % diffeo, set()).add(l2)
-    classes = sorted(tuple(sorted(members)) for members in buckets.values())
+        buckets.setdefault(l2 % diffeo, []).append(l2)
+    classes = sorted(tuple(sorted(set(members))) for members in buckets.values())
     return DiffeoPartition(tuple(classes), tuple(invalid))

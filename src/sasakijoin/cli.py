@@ -14,7 +14,9 @@ default), or CSV (--csv).  Rational numbers serialize as exact "num/den"
 strings; isolating intervals as {lo, hi, approx} where approx is a decimal
 rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
-JSON is ``json.dumps(report, sort_keys=True, indent=2)``, built by ``_json``.
+JSON is ``json.dumps(report, sort_keys=True, indent=2)``, which ``_json``
+yields in pieces.  Every format is written in batches of about 64 KB as it
+is rendered, so the text of a report is never held whole.
 
 Each subcommand (each target, for ``sweep``) is one entry of ``_COMMANDS``:
 a payload builder, a table renderer and a CSV row maker, defined side by
@@ -138,23 +140,75 @@ def _params_line(params: dict) -> str:
             f"l2={params['l2']} w=({params['w'][0]},{params['w'][1]})")
 
 
-def _json(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, by joins, for report types."""
+_CONTAINERS = (dict, list, tuple, range)
+_SLICE = 1024       # elements of a list of scalars per piece of JSON text
+_BATCH = 1 << 16    # characters per write to stdout
+
+
+def _scalar(obj) -> str:
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = (f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items()))
-        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if obj else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = (map(int.__repr__, obj) if all(type(x) is int for x in obj)
-                 else (_json(x, inner) for x in obj))
-        return f"[{inner}{(',' + inner).join(items)}{indent}]" if obj else "[]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json(obj, indent: str = "\n", head: str = ""):
+    """``head``, then the text of ``json.dumps(obj, sort_keys=True, indent=2)``
+    in pieces, for report types (a range renders as its list): a new piece
+    starts after each nested dict or list, and a list of scalars comes in
+    slices of ``_SLICE`` elements."""
+    inner = indent + "  "
+    comma = "," + inner
+    if not isinstance(obj, _CONTAINERS):
+        yield head + _scalar(obj)
+    elif not obj:
+        yield head + ("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            head += f"{sep}{_quote(key)}: "
+            if isinstance(value, _CONTAINERS):
+                yield from _json(value, inner, head)
+                head = ""
+            else:
+                head += _scalar(value)
+            sep = comma
+        yield head + indent + "}"
+    else:
+        sep = head + "[" + inner
+        ints = all(type(x) is int for x in obj)
+        if not ints and any(isinstance(x, _CONTAINERS) for x in obj):
+            for x in obj:
+                yield from _json(x, inner, sep)
+                sep = comma
+        else:
+            leaf = int.__repr__ if ints else _scalar
+            for start in range(0, len(obj), _SLICE):
+                yield sep + comma.join(map(leaf, obj[start:start + _SLICE]))
+                sep = comma
+        yield indent + "]"
+
+
+class _Batches:
+    """Joins the text written to it into writes to stdout of about _BATCH
+    characters: with PYTHONUNBUFFERED set, each write is a system call."""
+
+    def __init__(self) -> None:
+        self.pieces: list[str] = []
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.pieces.append(text)
+        self.size += len(text)
+        if self.size >= _BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        sys.stdout.write("".join(self.pieces))
+        self.pieces, self.size = [], 0
 
 
 def _key_value_rows(payload: dict) -> list[list]:
@@ -203,14 +257,10 @@ def _precision(text: str) -> int:
     raise argparse.ArgumentTypeError("precision must be between 1 and 1000")
 
 
-def _l2_range(text: str) -> list[int]:
-    body = text
-    parity = None
-    if ":" in body:
-        body, tag = body.split(":", 1)
-        if tag not in ("odd", "even"):
-            raise argparse.ArgumentTypeError("range filter must be :odd or :even")
-        parity = tag
+def _l2_range(text: str) -> range:
+    body, tag = text.split(":", 1) if ":" in text else (text, None)
+    if tag not in (None, "odd", "even"):
+        raise argparse.ArgumentTypeError("range filter must be :odd or :even")
     if ".." not in body:
         raise argparse.ArgumentTypeError("ranges look like A..B or A..B:odd")
     lo_text, hi_text = body.split("..", 1)
@@ -220,12 +270,10 @@ def _l2_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc))
     if lo < 1 or hi < lo:
         raise argparse.ArgumentTypeError("need 1 <= A <= B")
-    values = range(lo, hi + 1)
-    if parity == "odd":
-        return [v for v in values if v % 2 == 1]
-    if parity == "even":
-        return [v for v in values if v % 2 == 0]
-    return list(values)
+    if tag is None:
+        return range(lo, hi + 1)
+    # from the first value of the wanted parity, every second one
+    return range(lo + (lo % 2 != (tag == "odd")), hi + 1, 2)
 
 
 def _add_common(parser) -> None:
@@ -487,24 +535,23 @@ def _sweep_csc(args):
     return _sweep_request(args), payload, warnings, None
 
 
-def _sweep_csc_table(payload: dict, _) -> list[str]:
-    lines = [f"csc sweep: p={payload['p']} l1={payload['l1']} "
-             f"w=({payload['w'][0]},{payload['w'][1]})",
-             "l2    valid  unreduced  reduced"]
+def _sweep_csc_table(payload: dict, _):
+    yield (f"csc sweep: p={payload['p']} l1={payload['l1']} "
+           f"w=({payload['w'][0]},{payload['w'][1]})")
+    yield "l2    valid  unreduced  reduced"
     for row in payload["rows"]:
         if row["valid"]:
-            lines.append(f"{row['l2']:<5} yes    {row['unreduced']:<10} {row['reduced']}")
+            yield f"{row['l2']:<5} yes    {row['unreduced']:<10} {row['reduced']}"
         else:
-            lines.append(f"{row['l2']:<5} no     ({row['constraint']})")
-    lines.append(f"threshold l2: {payload['threshold_l2']}")
-    return lines
+            yield f"{row['l2']:<5} no     ({row['constraint']})"
+    yield f"threshold l2: {payload['threshold_l2']}"
 
 
-def _sweep_csc_rows(payload: dict) -> list[list]:
-    return [["l2", "valid", "constraint", "unreduced", "reduced", "is_threshold"],
-            *([row["l2"], row["valid"], row.get("constraint", ""),
-               row.get("unreduced", ""), row.get("reduced", ""),
-               row["l2"] == payload["threshold_l2"]] for row in payload["rows"])]
+def _sweep_csc_rows(payload: dict):
+    yield ["l2", "valid", "constraint", "unreduced", "reduced", "is_threshold"]
+    for row in payload["rows"]:
+        yield [row["l2"], row["valid"], row.get("constraint", ""), row.get("unreduced", ""),
+               row.get("reduced", ""), row["l2"] == payload["threshold_l2"]]
 
 
 def _sweep_diffeo(args):
@@ -526,18 +573,18 @@ def _sweep_diffeo(args):
     return _sweep_request(args), payload, warnings, None
 
 
-def _sweep_diffeo_table(payload: dict, _) -> list[str]:
-    return [f"diffeomorphism classes for l1={payload['l1']} "
-            f"(modulus {payload['diffeo_modulus']}):",
-            *(f"  class {i}: {cls}" for i, cls in enumerate(payload["classes"])),
-            *(f"  skipped l2={item['l2']}: {item['constraint']}"
-              for item in payload["invalid"])]
+def _sweep_diffeo_table(payload: dict, _):
+    yield (f"diffeomorphism classes for l1={payload['l1']} "
+           f"(modulus {payload['diffeo_modulus']}):")
+    yield from (f"  class {i}: {cls}" for i, cls in enumerate(payload["classes"]))
+    yield from (f"  skipped l2={item['l2']}: {item['constraint']}"
+                for item in payload["invalid"])
 
 
-def _sweep_diffeo_rows(payload: dict) -> list[list]:
-    return [["class_index", "l2"],
-            *([i, l2] for i, cls in enumerate(payload["classes"]) for l2 in cls),
-            *(["invalid", item["l2"]] for item in payload["invalid"])]
+def _sweep_diffeo_rows(payload: dict):
+    yield ["class_index", "l2"]
+    yield from ([i, l2] for i, cls in enumerate(payload["classes"]) for l2 in cls)
+    yield from (["invalid", item["l2"]] for item in payload["invalid"])
 
 
 # command: (payload builder, table renderer, CSV rows)
@@ -566,21 +613,11 @@ def main(argv=None) -> int:
 
     command = f"sweep {args.target}" if args.subcommand == "sweep" else args.subcommand
     build, render, csv_rows = _COMMANDS[command]
+    # the report is written in batches as it is rendered, so once one batch
+    # is out, a later failure shows only in the exit code
+    out = _Batches()
     try:
         request, payload, warnings, view = build(args)
-    except ParameterError as exc:
-        print(f"error [{exc.constraint}]: {exc}", file=sys.stderr)
-        return 1
-    except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        # any other failure is a defect, not bad input: one line, no traceback
-        message = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"internal error: {message}", file=sys.stderr)
-        return 2
-
-    try:
         if args.fmt == "json":
             report = {
                 "schema_version": SCHEMA_VERSION,
@@ -589,16 +626,34 @@ def main(argv=None) -> int:
                 "payload": payload,
                 "warnings": warnings,
             }
-            print(_json(report))
+            for piece in _json(report):
+                out.write(piece)
+            out.write("\n")
         elif args.fmt == "csv":
-            csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows(payload))
+            csv.writer(out, lineterminator="\n").writerows(csv_rows(payload))
         else:
-            print("\n".join(render(payload, view) + [f"warning: {w}" for w in warnings]))
+            for line in render(payload, view):
+                out.write(line + "\n")
+            for warning in warnings:
+                out.write(f"warning: {warning}\n")
+        out.flush()
         sys.stdout.flush()
+    except ParameterError as exc:
+        print(f"error [{exc.constraint}]: {exc}", file=sys.stderr)
+        return 1
+    except InternalInvariantError as exc:
+        print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # devnull takes what is still buffered, so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the report was written", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # any other failure, in building or in writing, is a defect, not bad
+        # input: one line, no traceback
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
         return 2
     return 0
 

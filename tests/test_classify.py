@@ -215,6 +215,10 @@ def test_partition_examples():
     part = partition_diffeo_types(3, [7])
     assert part.classes == ((7,),)
 
+    # a repeated or unsorted value appears once, in order, in its class
+    part = partition_diffeo_types(2, [9, 1, 5, 9, 3, 1])
+    assert part.classes == ((1, 5, 9), (3,))
+
 
 def test_partition_reports_invalid_members():
     part = partition_diffeo_types(2, [1, 2, 3, 4, 5])

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sasakijoin import cli, cscrays
 from sasakijoin.cscrays import InternalInvariantError
@@ -198,6 +200,23 @@ def test_sweep_requires_range(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("lo, hi, tag", [
+    (lo, lo + extra, tag) for lo in (1, 2, 3, 4) for extra in (0, 1, 6, 7)
+    for tag in ("", "odd", "even")])
+def test_l2_range_is_the_filtered_list(lo, hi, tag):
+    text = f"{lo}..{hi}" + (f":{tag}" if tag else "")
+    values = [v for v in range(lo, hi + 1) if not tag or v % 2 == (tag == "odd")]
+    assert list(cli._l2_range(text)) == values
+
+
+@pytest.mark.parametrize("target", ["diffeo -l1 2", "csc -p 1 -l1 1 -w 3,2"])
+@pytest.mark.parametrize("text", ["4..4:odd", "3..3:even"])
+def test_empty_filtered_range_is_rejected_by_name(capsys, target, text):
+    code, out, err = run_cli(capsys, ["sweep", *target.split(), "--l2", text])
+    assert code == 1 and out == ""
+    assert err.startswith("error [nonempty range]: ") and err.count("\n") == 1
+
+
 def test_sweep_warns_when_no_threshold(capsys):
     report = run_json(capsys, ["sweep", "csc", "-p", "1", "-l1", "1",
                                "-w", "3,2", "--l2", "1..5"])
@@ -319,10 +338,19 @@ _JSON_TREES = st.recursive(
     max_leaves=40)
 
 
+_LONG = 5000    # several slices of a long list of scalars
+
+
 @settings(max_examples=200, deadline=None)
 @given(_JSON_TREES)
+@example(list(range(-_LONG // 2, _LONG // 2)))
+@example(range(3, 3 * _LONG, 3))
+@example([{"l2": l2, "constraint": "gcd(l1,l2) = 1"} for l2 in range(_LONG)])
+@example({"l2_values": range(2, _LONG, 2), "warnings": [f"l2={k} skipped" for k in range(_LONG)]})
 def test_json_rendering_equals_json_dumps(tree):
-    assert cli._json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    # json.dumps renders a range, which reports hold, by default=list
+    expected = json.dumps(tree, sort_keys=True, indent=2, default=list)
+    assert "".join(cli._json(tree)) == expected
 
 
 def test_json_rendering_fails_where_json_dumps_fails():
@@ -331,7 +359,7 @@ def test_json_rendering_fails_where_json_dumps_fails():
         with pytest.raises((TypeError, ValueError)) as expected:
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(expected.type):
-            cli._json(bad)
+            "".join(cli._json(bad))
 
 
 def test_importing_cli_leaves_the_process_pool_unimported():
@@ -356,20 +384,47 @@ def test_closed_stdout_exits_two_on_one_line():
     assert err.decode() == "error: stdout closed before the report was written\n"
 
 
+def test_streamed_sweep_report_stays_small_in_memory(monkeypatch):
+    # the 4.2 MB report, written in batches; holding it whole, with its
+    # --l2 list and per-class sets, peaked at 18.0 MiB
+    argv = ["sweep", "diffeo", "-l1", "7", "--l2", "1..100000", "--json"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2 ** 20
+
+
 # ----------------------------------------------------------------------
 # internal failures, worker clamp, pinned outputs
 
 def test_internal_failure_exits_two_on_one_line(capsys, monkeypatch):
+    argv = ["csc", "-p", "1", "-l1", "1", "-l2", "19", "-w", "3,2"]
     for error in (RuntimeError("kernel\nbroke"), ValueError("internal value")):
         def boom(params, precision=12, error=error):
             raise error
 
         monkeypatch.setattr(cli, "csc_rays", boom)
-        code, out, err = run_cli(capsys, ["csc", "-p", "1", "-l1", "1", "-l2", "19",
-                                          "-w", "3,2", "--json"])
+        code, out, err = run_cli(capsys, argv + ["--json"])
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("internal error: ")
+        assert "Traceback" not in err
+    # a payload that fails while the report is written: JSON cannot encode
+    # the float, and the csc table renderer finds no "params"
+    _, render, rows = cli._COMMANDS["csc"]
+    monkeypatch.setitem(cli._COMMANDS, "csc", (lambda args: ({}, {"x": 1.5}, [], None),
+                                               render, rows))
+    for fmt, name in (("--json", "TypeError"), ("--table", "KeyError")):
+        code, out, err = run_cli(capsys, argv + [fmt])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"internal error: {name}: ")
         assert "Traceback" not in err
 
 
