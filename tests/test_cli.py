@@ -384,6 +384,17 @@ def test_closed_stdout_exits_two_on_one_line():
     assert err.decode() == "error: stdout closed before the report was written\n"
 
 
+def test_stdout_closed_at_start_exits_two_on_one_line():
+    # like `>&-`: with fd 1 closed before exec, sys.stdout is None
+    argv = [sys.executable, "-m", "sasakijoin", "csc", "-p", "1", "-l1", "1", "-l2", "19",
+            "-w", "3,2"]
+    proc = subprocess.run(argv, stdout=None, stderr=subprocess.PIPE, text=True, timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("internal error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_streamed_sweep_report_stays_small_in_memory(monkeypatch):
     # the 4.2 MB report, written in batches; holding it whole, with its
     # --l2 list and per-class sets, peaked at 18.0 MiB
