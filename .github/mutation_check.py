@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check for the certificate code and for the byte-identity of
-streamed reports: the tests must kill every mutant.
+"""Mutation check for the certificate code and for the byte-identity and
+batched writes of streamed reports: the tests must kill every mutant.
 
 Each mutant replaces one piece of text, which must occur exactly once, in
 one module of src/sasakijoin.  For each mutant in turn, the script copies
@@ -58,6 +58,8 @@ BRANCH = ("tests/test_cscrays.py", "-k", "branch_path_reports_equal")
 THRESHOLD = ("tests/test_cscrays.py", "-k", "threshold_at_p1 or threshold_counts_match")
 # the JSON pieces against json.dumps, on lists several slices long
 STREAM = ("tests/test_cli.py", "-k", "json_rendering_equals")
+# the raw writes under PYTHONUNBUFFERED, one per piece without the entry's reconfigure
+BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -137,6 +139,9 @@ MUTANTS = [
      "obj[start:start + _SLICE]))\n                sep = \"\"\n", STREAM),
     ("a slice of a long list ends one element late, repeating it", "cli.py",
      "obj[start:start + _SLICE]", "obj[start:start + _SLICE + 1]", STREAM),
+    ("the entry leaves write-through on", "cli.py",
+     "    if sys.stdout is not None:\n        sys.stdout.reconfigure(write_through=False)\n",
+     "", BATCHED),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

@@ -15,8 +15,10 @@ strings; isolating intervals as {lo, hi, approx} where approx is a decimal
 rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
 JSON is ``json.dumps(report, sort_keys=True, indent=2)``, which ``_json``
-yields in pieces.  Every format is written in batches of about 64 KB as it
-is rendered, so the text of a report is never held whole.
+yields in pieces.  Every format is written to stdout as it is rendered, so
+the text of a report is never held whole; ``entry`` turns off the
+write-through that PYTHONUNBUFFERED sets, so stdout's own buffer batches
+the writes.
 
 Each subcommand (each target, for ``sweep``) is one entry of ``_COMMANDS``:
 a payload builder, a table renderer and a CSV row maker, defined side by
@@ -142,7 +144,6 @@ def _params_line(params: dict) -> str:
 
 _CONTAINERS = (dict, list, tuple, range)
 _SLICE = 1024       # elements of a list of scalars per piece of JSON text
-_BATCH = 1 << 16    # characters per write to stdout
 
 
 def _scalar(obj) -> str:
@@ -190,25 +191,6 @@ def _json(obj, indent: str = "\n", head: str = ""):
                 yield sep + comma.join(map(leaf, obj[start:start + _SLICE]))
                 sep = comma
         yield indent + "]"
-
-
-class _Batches:
-    """Joins the text written to it into writes to stdout of about _BATCH
-    characters: with PYTHONUNBUFFERED set, each write is a system call."""
-
-    def __init__(self) -> None:
-        self.pieces: list[str] = []
-        self.size = 0
-
-    def write(self, text: str) -> None:
-        self.pieces.append(text)
-        self.size += len(text)
-        if self.size >= _BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        sys.stdout.write("".join(self.pieces))
-        self.pieces, self.size = [], 0
 
 
 def _key_value_rows(payload: dict) -> list[list]:
@@ -613,9 +595,9 @@ def main(argv=None) -> int:
 
     command = f"sweep {args.target}" if args.subcommand == "sweep" else args.subcommand
     build, render, csv_rows = _COMMANDS[command]
-    # the report is written in batches as it is rendered, so once one batch
-    # is out, a later failure shows only in the exit code
-    out = _Batches()
+    # the report is written as it is rendered, so once part of it is out, a
+    # later failure shows only in the exit code
+    out = sys.stdout
     try:
         request, payload, warnings, view = build(args)
         if args.fmt == "json":
@@ -626,18 +608,14 @@ def main(argv=None) -> int:
                 "payload": payload,
                 "warnings": warnings,
             }
-            for piece in _json(report):
-                out.write(piece)
+            out.writelines(_json(report))
             out.write("\n")
         elif args.fmt == "csv":
             csv.writer(out, lineterminator="\n").writerows(csv_rows(payload))
         else:
-            for line in render(payload, view):
-                out.write(line + "\n")
-            for warning in warnings:
-                out.write(f"warning: {warning}\n")
+            out.writelines(line + "\n" for line in render(payload, view))
+            out.writelines(f"warning: {warning}\n" for warning in warnings)
         out.flush()
-        sys.stdout.flush()
     except ParameterError as exc:
         print(f"error [{exc.constraint}]: {exc}", file=sys.stderr)
         return 1
@@ -659,4 +637,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The ``sasakijoin`` command and ``python -m sasakijoin``."""
+    # PYTHONUNBUFFERED makes each write to stdout a system call; without
+    # write-through, the text stream joins the pieces of a report itself
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(write_through=False)
     raise SystemExit(main())

@@ -191,18 +191,19 @@ def _scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
 
 
 def poly_eval(poly: IntPolynomial, q) -> Fraction:
-    """Exact value of the polynomial at the rational point q."""
+    """Exact value of the polynomial at the rational point q (not a float)."""
+    q, = _exact(q)
     if poly.is_zero:
         return Fraction(0)
-    q = Fraction(q)
     s = _scaled_value(poly.coeffs, q.numerator, q.denominator)
     return Fraction(s, q.denominator ** poly.degree)
 
 
 def poly_sign(poly: IntPolynomial, q) -> int:
-    """The sign (-1, 0 or 1) of the polynomial at the rational q, read off an
-    integer without forming the value as a reduced Fraction."""
-    return _Horner(poly.coeffs).sign(Fraction(q)) if poly.coeffs else 0
+    """The sign (-1, 0 or 1) of the polynomial at the rational q (not a float),
+    read off an integer without forming the value as a reduced Fraction."""
+    q, = _exact(q)
+    return _Horner(poly.coeffs).sign(q) if poly.coeffs else 0
 
 
 # Quadratic interval refinement starts with _QIR_WARMUP plain bisections, one
@@ -519,11 +520,11 @@ def descartes_count(poly: IntPolynomial, lo, hi=None) -> int:
     By Descartes' rule this bounds the number of roots in (lo, hi), counted
     with multiplicity, and has the same parity: 0 proves there is none and
     1 that there is exactly one, a simple one.  hi = None means an unbounded
-    interval; 0 <= lo < hi is required, and floats are rejected.
+    interval; 0 <= lo < hi is required, and floats and a None lo are rejected.
     """
     if poly.is_zero:
         raise ValueError("root counting needs a nonzero polynomial")
-    lo, hi = _exact(lo, hi, unbounded=True)
+    (lo,), (hi,) = _exact(lo), _exact(hi, unbounded=True)
     if lo < 0 or hi is not None and not lo < hi:
         raise ValueError("0 <= lo < hi required")
     cs = poly.coeffs
@@ -943,7 +944,7 @@ def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
 def _check_isolation_input(poly: IntPolynomial, precision: int) -> None:
     if poly.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if not isinstance(precision, int):
+    if not isinstance(precision, int) or isinstance(precision, bool):
         raise TypeError(f"precision must be an int, not {type(precision).__name__}")
     if not 1 <= precision <= 1000:
         raise ValueError("precision must be between 1 and 1000")

@@ -451,12 +451,14 @@ def test_sturm_rejects_float_endpoints():
 
 
 def test_counts_and_refinement_reject_float_points():
-    # a float end used to fail on .numerator, and a float exclude point or
-    # width was read as its binary fraction (1.4 is not 7/5); every count,
-    # refinement and isolation rejects them alike
+    # a float end used to fail on .numerator, and a float point, exclude
+    # point or width was read as its binary fraction (1.4 is not 7/5); every
+    # evaluation, count, refinement and isolation rejects them alike
     quadratic = intpoly([-2, 0, 1])
     signs = SparseQuotient(poly_mul(quadratic, intpoly([-1, 1])), quadratic, 1)
-    for call in (lambda: descartes_count(quadratic, 1, 2.5),
+    for call in (lambda: poly_eval(quadratic, 0.1),
+                 lambda: poly_sign(quadratic, 0.1),
+                 lambda: descartes_count(quadratic, 1, 2.5),
                  lambda: descartes_count(quadratic, 1.0),
                  lambda: split_counts(quadratic, 1.5),
                  lambda: refine_interval(quadratic, 1, 2.5, F(1, 100)),
@@ -477,7 +479,7 @@ def test_counts_and_refinement_reject_float_points():
 def test_refinement_and_isolation_reject_bad_numbers():
     # an inverted interval came back inverted, a negative width came back as
     # met and a zero width divided by zero; a float or str precision failed
-    # deep inside with an unnamed TypeError
+    # deep inside with an unnamed TypeError, and True was read as precision 1
     quadratic = intpoly([-2, 0, 1])
     signs = SparseQuotient(poly_mul(quadratic, intpoly([-1, 1])), quadratic, 1)
     for call in (lambda: refine_interval(quadratic, 2, 1, F(1, 10)),
@@ -486,7 +488,7 @@ def test_refinement_and_isolation_reject_bad_numbers():
                  lambda: refine_interval(quadratic, 1, 2, 0)):
         with pytest.raises(ValueError, match="lo < hi and max_width > 0"):
             call()
-    for precision in (2.5, "3", None):
+    for precision in (2.5, "3", None, True):
         for call in (lambda: isolate_positive_roots(quadratic, precision),
                      lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, precision),
                      lambda: csc_rays(JoinParams(1, 1, 19, 3, 2), precision),
@@ -501,7 +503,8 @@ def test_refinement_and_isolation_reject_bad_numbers():
 
 def test_refinement_and_isolation_reject_none_points():
     # None used to fail on .denominator, or in a comparison deep in the
-    # finishing stages; only the counts read it, as an unbounded side
+    # finishing stages or, as the lo of a Descartes count, unnamed; only the
+    # counts read it, as an unbounded side
     quadratic = intpoly([-2, 0, 1])
     signs = SparseQuotient(poly_mul(quadratic, intpoly([-1, 1])), quadratic, 1)
     for call in (lambda: refine_interval(quadratic, None, 2, F(1, 100)),
@@ -512,7 +515,10 @@ def test_refinement_and_isolation_reject_none_points():
                  lambda: isolate_bracketed_roots(quadratic, [(None, 2)], signs, 1),
                  lambda: isolate_bracketed_roots(quadratic, [(1, None)], signs, 1),
                  lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [None]),
-                 lambda: split_counts(quadratic, None)):
+                 lambda: split_counts(quadratic, None),
+                 lambda: descartes_count(quadratic, None),
+                 lambda: poly_eval(quadratic, None),
+                 lambda: poly_sign(quadratic, None)):
         with pytest.raises(TypeError, match="exact rationals, not None"):
             call()
     assert sturm_count(quadratic, None, None) == 2
