@@ -728,16 +728,40 @@ def test_oracle_equivalence_200_random_polynomials():
 # ----------------------------------------------------------------------
 # isolation cells from sign variations, against the Sturm cells
 
+# 7x^4 - 9x^3 - 8x^2 + 9x - 1, whose Descartes walk keeps the cells
+# (0, 4/7], (4/7, 8/7] and (8/7, 16/7] of (0, 16/7]: the last, a level
+# coarser, lies beside the second, so a count is asked at its left end 8/7
+SIDE_BY_SIDE = (-1, 9, -8, -9, 7)
+
+
 # x^2 + x + 1, x^2 - 2, x^2 - x + 1 (no positive root), x^2 - 3x + 1,
 # (x^2 - x + 1)(x^2 - 2) (one root under 3 variations), (x^2 - 2)(x^2 - 3),
-# and (100x - 141)^2 - 2, whose roots are about 0.028 apart
+# (100x - 141)^2 - 2, whose roots are about 0.028 apart, and SIDE_BY_SIDE
 @pytest.mark.parametrize("coeffs, variations", [
     ((1, 1, 1), 0), ((-2, 0, 1), 1), ((1, -1, 1), 2), ((1, -3, 1), 2),
     ((-2, 2, -1, -1, 1), 3), ((6, 0, -5, 0, 1), 2), ((19879, -28200, 10000), 2),
+    (SIDE_BY_SIDE, 3),
 ])
 def test_descartes_cells_match_the_sturm_cells(coeffs, variations):
     assert sign_variations(coeffs) == variations
     assert exactpoly._descartes_cells(intpoly(coeffs)) == oracles.sturm_cells(coeffs)
+
+
+def test_cells_are_counted_at_a_kept_cells_left_end(monkeypatch):
+    # the kept cells of SIDE_BY_SIDE: one root each, and their parents more
+    irr = intpoly(SIDE_BY_SIDE)
+    kept = [(F(0), F(4, 7)), (F(4, 7), F(8, 7)), (F(8, 7), F(16, 7))]
+    assert cauchy_root_bound(irr) == F(16, 7)
+    assert [descartes_count(irr, lo, hi) for lo, hi in kept] == [1, 1, 1]
+    assert descartes_count(irr, 0, F(8, 7)) > 1 and descartes_count(irr, 0, F(16, 7)) > 1
+    asked = []
+    real = exactpoly._isolate_cells
+    monkeypatch.setattr(exactpoly, "_isolate_cells",
+                        lambda above, *rest: real(lambda x: asked.append(x) or above(x), *rest))
+    # the kept cells bracket the roots, so exact counts bisect (0, 16/7] here too
+    records = isolate_bracketed_roots(irr, kept, exactpoly._Horner(irr.coeffs), 3)
+    assert records == isolate_positive_roots(irr, 3)
+    assert F(8, 7) in asked
 
 
 @st.composite
@@ -959,6 +983,22 @@ def test_refinement_rejects_an_excluded_root():
     # no cell holding the root 1 has a closure without 1
     with pytest.raises(ValueError, match="a point of exclude is a root"):
         refine_interval(intpoly([-1, 0, 1]), F(1, 2), F(3, 2), F(1, 10), [F(1)])
+
+
+# x^2 - 1 has the roots 1 and -1, and x^3 - 2x the roots 0 and +-sqrt(2):
+# a rational root is rejected whether isolation reports it or not
+@pytest.mark.parametrize("coeffs, point", [((-1, 0, 1), 1), ((-1, 0, 1), -1), ((0, -2, 0, 1), 0)])
+def test_isolation_rejects_an_excluded_root(coeffs, point):
+    with pytest.raises(ValueError, match="a point of exclude is a root"):
+        isolate_positive_roots(intpoly(coeffs), 3, [point])
+
+
+def test_bracketed_isolation_rejects_an_excluded_root():
+    # x - 2 has its root 2 in the bracket (1, 3)
+    linear = intpoly([-2, 1])
+    signs = SparseQuotient(poly_mul(linear, intpoly([-1, 2])), linear, F(1, 2))
+    with pytest.raises(ValueError, match="a point of exclude is a root"):
+        isolate_bracketed_roots(linear, [(F(1), F(3))], signs, 3, [F(2)])
 
 
 def test_refinement_rejects_an_interval_without_a_sign_change():
