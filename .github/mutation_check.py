@@ -38,6 +38,8 @@ SEARCH = ("tests/test_exactpoly.py", "-k", "search or rational_roots")
 SPLIT = ("tests/test_exactpoly.py", "-k", "split_counts")
 REFINE = ("tests/test_exactpoly.py", "-k",
           "isolation_invariants or bisection_cell or adjacent_closures or excluded")
+# a rational root in exclude, on both isolation routes and in refinement
+EXCLUDED_ROOT = ("tests/test_exactpoly.py", "-k", "rejects_an_excluded_root")
 # a descent one level short never separates touching closures, so the
 # isolation tests would hang until TIMEOUT_S; the bisection cells fail at once
 CELLS = ("tests/test_exactpoly.py", "-k", "bisection_cell")
@@ -87,6 +89,9 @@ MUTANTS = [
     ("refinement descends one level short of the width", "exactpoly.py",
      "    levels = (ratio - 1).bit_length() if ratio > 1 else 0\n",
      "    levels = (ratio - 1).bit_length() - 1 if ratio > 1 else 0\n", CELLS),
+    ("isolation accepts a point of exclude that is a root", "exactpoly.py",
+     "    if any(r in roots or k and not r for r in exclude):\n"
+     "        raise ValueError(\"a point of exclude is a root\")\n", "", EXCLUDED_ROOT),
     ("refinement skips clearing the points of exclude", "exactpoly.py",
      "    while any(a * rd <= rn * den <= (a + width) * rd for rn, rd in points):\n"
      "        a, den = _qir_levels(signs, a, den, width, vb, 1)\n", "", REFINE),
@@ -113,10 +118,10 @@ MUTANTS = [
      "high.multiplicity % 2 == 0", "high.multiplicity % 2 == 1", PAIRING),
     ("bracket counts read the sign of hi in place of lo", "exactpoly.py",
      "sign[lo]) for lo, hi in brackets", "sign[hi]) for lo, hi in brackets", BRACKETS),
-    ("Descartes cells are reported uncoarsened, too fine", "exactpoly.py",
-     "        top = max(left_split, right_split)\n", "        top = level\n", DESCARTES),
-    ("Descartes cells are coarsened one level too far", "exactpoly.py",
-     "depth + 1 - (a ^ b).bit_length()", "depth - (a ^ b).bit_length()", DESCARTES),
+    ("the kept-cell count skips a kept cell that starts at the point asked", "exactpoly.py",
+     "sum(x <= lo for lo in lefts)", "sum(x < lo for lo in lefts)", DESCARTES),
+    ("bisection keeps a cell that holds two roots", "exactpoly.py",
+     "        if n == 1:\n", "        if n >= 1:\n", DESCARTES),
     ("the root-level check reads 2 sign variations as one root", "exactpoly.py",
      "    if variations == 1:\n", "    if variations in (1, 2):\n", DESCARTES),
     ("dense grid values shift every term one grid level short", "exactpoly.py",

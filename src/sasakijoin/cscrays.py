@@ -201,8 +201,7 @@ def wz_threshold(p: int, l1: int) -> Fraction:
     """The rational threshold 2*(3+2p)*l1 / (p*(p+1)) for the equal-weights
     (Wang-Ziller) family: a second reduced CSC ray exists exactly when l2
     lies strictly above it."""
-    if p < 1 or l1 < 1:
-        raise ParameterError("p,l1 >= 1", "p and l1 must be positive")
+    JoinParams(p, l1, 1, 1, 1)
     return Fraction(2 * (3 + 2 * p) * l1, p * (p + 1))
 
 
@@ -511,8 +510,8 @@ def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int):
     from :func:`csc_rays` when l2/l1 is not separated from t*.  Returns None
     when no l2 within the bound qualifies.
     """
-    if search_bound < 1:
-        raise ParameterError("search_bound >= 1", "search bound must be positive")
+    if not isinstance(search_bound, int) or isinstance(search_bound, bool) or search_bound < 1:
+        raise ParameterError("search_bound >= 1", "search bound must be a positive integer")
     # l2 = 1 is coprime to everything, so this checks every rule not involving l2
     JoinParams(p, l1, 1, w1, w2)
     try:
@@ -538,8 +537,7 @@ def quasireg_family(p: int) -> tuple[int, int]:
     Solves A*l2 = B*l1 with A = 2*(1 + 2^p*(2^(p+2) - (p^2+2p+5))) and
     B = -1 + 2^(p+1)*(2^(p+2) - (2p+3)).
     """
-    if p < 1:
-        raise ParameterError("p >= 1", "p must be positive")
+    JoinParams(p, 1, 1, 1, 1)
     # for p >= 1 neither vanishes: A/2 and B are odd
     a = 2 * (1 + 2 ** p * (2 ** (p + 2) - (p * p + 2 * p + 5)))
     b = -1 + 2 ** (p + 1) * (2 ** (p + 2) - (2 * p + 3))

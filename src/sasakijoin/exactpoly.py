@@ -11,9 +11,10 @@ lowest degree first, wrapped in :class:`IntPolynomial`.  The zero polynomial
 is the empty tuple.  Build values with :func:`intpoly`.
 
 Positive roots are isolated on (0, B], B a Cauchy bound, by Descartes' rule
-of signs with bisection (Collins & Akritas 1976), and each root's cell is
-coarsened to the first bisection cell holding no other root, the cell exact
-counts give.  The square-free part is the product of the factors of
+of signs with bisection (Collins & Akritas 1976).  Each kept cell holds one
+root, so the bisection of bracketed roots, counting kept cells, takes each
+to the first bisection cell holding no other root, the cell exact counts
+give.  The square-free part is the product of the factors of
 :func:`squarefree_decompose`, which give multiplicities: the polynomial
 itself when :func:`certify_squarefree` proves it so, else its Yun factors,
 split by long division in Z.  No Sturm chain is built: :func:`sturm_count`
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, count, pairwise, repeat
+from itertools import accumulate, count, repeat
 from math import ceil, gcd, isqrt
 from operator import mul, ne
 from struct import pack
@@ -430,18 +431,15 @@ def squarefree_decompose(poly: IntPolynomial) -> list[tuple[IntPolynomial, int]]
 # Sturm chains and root counting
 
 def _sturm_chain(poly: IntPolynomial) -> tuple[tuple[int, ...], ...]:
-    """Sturm chain over Z of the square-free part of poly, which heads it.
+    """Sturm chain over Z of the square-free part of poly, which heads it;
+    poly has degree >= 1.
 
     Entries are sign-equivalent to the true remainder chain f, f',
     -rem(f, f'), ...  That sequence for poly ends in gcd(poly, poly'): when
     the gcd is a constant, poly is square-free and the sequence is its
     chain; otherwise (rarely) the chain of poly / gcd is built instead.
     """
-    chain = [poly.coeffs]
-    d = poly_derivative(poly)
-    if d.is_zero:
-        return tuple(chain)
-    chain.append(d.coeffs)
+    chain = [poly.coeffs, poly_derivative(poly).coeffs]
     while len(chain[-1]) > 1:
         nxt = _neg_rem_like(chain[-2], chain[-1])
         if not nxt:
@@ -652,15 +650,16 @@ class RootRecord:
         return self.value if self.is_rational else self.value.lo
 
 
-def _isolate_cells(above, lo: Fraction, hi: Fraction, known=()) -> list[tuple[Fraction, Fraction]]:
-    """Cells (a, b] of the bisection of (lo, hi], ascending: for each root not
-    in known, the first cell holding no other such root.
+def _isolate_cells(above, bound: Fraction, known=()) -> list[tuple[Fraction, Fraction]]:
+    """Cells (a, b] of the bisection of (0, bound], ascending: for each root
+    not in known, the first cell holding no other such root.
 
-    ``above(x)`` is, up to a constant, the number of roots above x, as the
-    count over brackets of :func:`_bracket_above` gives it.
+    ``above(x)`` is, up to a constant, the number of roots above x at every
+    x asked, as the count over brackets of :func:`_bracket_above` and the
+    count of kept cells in :func:`_descartes_cells` give it.
     """
     cells = []
-    work = [(lo, hi, above(lo), above(hi))]
+    work = [(Fraction(0), bound, above(Fraction(0)), above(bound))]
     while work:
         a, b, va, vb = work.pop()
         n = va - vb - sum(a < r <= b for r in known)
@@ -681,8 +680,10 @@ def _descartes_cells(irr: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     roots on (0, oo).  Past 1, the dyadic tree of (0, B] is walked on the
     Bernstein coefficients of g(y) = irr(B*y), whose variations are those of
     the Moebius image of a node: it is dropped at 0, kept at 1 and split
-    otherwise, by de Casteljau's rule; no grid point is a root.  A kept cell
-    is then coarsened to its largest ancestor holding no other kept cell."""
+    otherwise, by de Casteljau's rule; no grid point is a root.  The kept
+    cells go to :func:`_isolate_cells`: each holds one root, and no point its
+    bisection asks about lies strictly inside one, so the kept cells whose
+    left end is at least x count the roots above x exactly."""
     cs = irr.coeffs
     variations = sign_variations(cs)
     if variations == 0:
@@ -695,13 +696,13 @@ def _descartes_cells(irr: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     # the Bernstein coefficients b_i, reversed; n! * b_i is an integer
     facts = list(accumulate(range(1, n + 1), mul, initial=1))
     image = _taylor_shift(_scaled(cs, bound)[::-1])
-    leaves = []                 # (level, i) for the cell (i, i + 1] * bound / 2**level
+    lefts = []                  # left ends of the kept cells
     work = [(0, 0, [c * facts[k] * facts[n - k] for k, c in enumerate(reversed(image))])]
     while work:
         level, i, b = work.pop()
         v = sign_variations(b)
         if v == 1:
-            leaves.append((level, i))
+            lefts.append(bound * i / (1 << level))
         elif v > 1:
             # de Casteljau at 1/2, each child scaled by 2**n
             left, right = [], []
@@ -711,17 +712,7 @@ def _descartes_cells(irr: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
                 b = [x + y for x, y in zip(b, b[1:])]
             work.append((level + 1, 2 * i + 1, right[::-1]))
             work.append((level + 1, 2 * i, left))
-    depth = max((level for level, _ in leaves), default=0)
-    ends = [i << depth - level for level, i in leaves]      # left ends, finest grid
-    # the leaves are disjoint and ascending, so the least cell holding a leaf
-    # and another holds a neighbour; one level below it the leaf is alone
-    splits = [0, *(depth + 1 - (a ^ b).bit_length() for a, b in pairwise(ends)), 0]
-    cells = []
-    for end, left_split, right_split in zip(ends, splits, splits[1:]):
-        top = max(left_split, right_split)
-        width, j = bound / (1 << top), end >> depth - top
-        cells.append((j * width, (j + 1) * width))
-    return cells
+    return _isolate_cells(lambda x: sum(x <= lo for lo in lefts), bound)
 
 
 def _bracket_above(brackets, signs):
@@ -958,7 +949,7 @@ def isolate_positive_roots(poly: IntPolynomial, precision: int = 12,
     interval, finished in order: width at most 10**-precision and a closure
     clear of all other roots; then adjacent closures separated pair by pair;
     then a closure clear of each point of exclude, which must not be a root
-    (nor a float or None).  Multiplicities are read off the factors
+    (ValueError), nor a float or None.  Multiplicities are read off the factors
     :func:`squarefree_decompose` gives for poly / x**k, whose product, the
     square-free part, is isolated by sign variations
     (:func:`_descartes_cells`).
@@ -1001,9 +992,13 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
     of sf as :func:`_isolate_cells` needs, or is None for the cells of
     :func:`_descartes_cells`, and ``signs`` gives sf's signs."""
     max_width = Fraction(1, 10 ** precision)
+    # the rational roots of x**k * p0 are those of sf, and 0 when k > 0
+    roots = _rational_roots_of(sf)
+    if any(r in roots or k and not r for r in exclude):
+        raise ValueError("a point of exclude is a root")
     # The rational roots are divided out and the quotient irr is isolated from
     # its own Cauchy bound, so that no bisection point is a root.
-    rationals = [r for r in _rational_roots_of(sf) if r > 0]
+    rationals = [r for r in roots if r > 0]
     irr = sf
     if rationals:
         for r in rationals:
@@ -1014,7 +1009,7 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
     elif above is None:
         cells = _descartes_cells(irr)
     else:
-        cells = _isolate_cells(above, Fraction(0), cauchy_root_bound(irr), rationals)
+        cells = _isolate_cells(above, cauchy_root_bound(irr), rationals)
     # closures must also avoid a root at 0, which is not a root of irr
     avoid = rationals + [Fraction(0)] if k else rationals
     intervals = [_refine(signs, lo, hi, max_width, avoid) for lo, hi in cells]

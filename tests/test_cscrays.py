@@ -8,7 +8,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from sasakijoin import cscrays, exactpoly
@@ -165,8 +165,9 @@ def test_threshold_values():
     assert wz_threshold(2, 1) == F(7, 3)
     assert wz_threshold(5, 1) == F(13, 15)
     assert wz_threshold(3, 2) == F(3)
-    with pytest.raises(ParameterError):
-        wz_threshold(0, 1)
+    for p, l1 in ((0, 1), (True, 1), (1, True), (2.5, 1), (1, 0)):
+        with pytest.raises(ParameterError):
+            wz_threshold(p, l1)
 
 
 def test_threshold_matches_closed_form_sign():
@@ -342,8 +343,12 @@ def _branch_degree_tuples(draw):
     return params, draw(st.integers(1, 12))
 
 
+# l2/l1 just above t* at p = 12, w = (2,1): the two roots below w2/w1 lie
+# close to c*, where a search for them that skips its Descartes count stops
+# too early; random draws seldom give a valid tuple of this kind
 @settings(max_examples=40, deadline=None)
 @given(_branch_degree_tuples())
+@example((JoinParams(12, NEAR_L1, 8643287565811, 2, 1), 3))
 def test_branch_path_reports_equal_the_sturm_path(case):
     params, precision = case
     report = csc_rays(params, precision)
@@ -425,8 +430,9 @@ def test_min_l2_examples():
     assert min_l2_multiple_csc(1, 1, 1, 1, 10) == 6
     assert min_l2_multiple_csc(2, 1, 1, 1, 10) == 3
     assert min_l2_multiple_csc(1, 1, 3, 2, 10) is None
-    with pytest.raises(ParameterError):
-        min_l2_multiple_csc(1, 1, 3, 2, 0)
+    for search_bound in (0, True, 30.5):
+        with pytest.raises(ParameterError):
+            min_l2_multiple_csc(1, 1, 3, 2, search_bound)
     with pytest.raises(ParameterError):
         min_l2_multiple_csc(1, 1, 2, 3, 10)
 
@@ -455,8 +461,9 @@ def test_quasiregular_family_small_p():
         poly = csc_polynomial(JoinParams(p, l1, l2, 1, 1)).poly
         roots = dict(rational_roots(poly))
         assert {F(1, 2), F(1), F(2)} <= set(roots)
-    with pytest.raises(ParameterError):
-        quasireg_family(0)
+    for p in (0, True, 2.5):
+        with pytest.raises(ParameterError):
+            quasireg_family(p)
 
 
 def test_quasiregular_family_solves_the_linear_identity():
