@@ -748,7 +748,7 @@ def test_descartes_cells_match_the_sturm_cells(coeffs, variations):
 
 
 def test_cells_are_counted_at_a_kept_cells_left_end(monkeypatch):
-    # the kept cells of SIDE_BY_SIDE: one root each, and their parents more
+    # the kept cells of SIDE_BY_SIDE: one sign variation each, more on their parents
     irr = intpoly(SIDE_BY_SIDE)
     kept = [(F(0), F(4, 7)), (F(4, 7), F(8, 7)), (F(8, 7), F(16, 7))]
     assert cauchy_root_bound(irr) == F(16, 7)
