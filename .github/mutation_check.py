@@ -5,10 +5,12 @@ batched writes of streamed reports: the tests must kill every mutant.
 Each mutant replaces one piece of text, which must occur exactly once, in
 one module of src/sasakijoin.  For each mutant in turn, the script copies
 src/ and tests/ to a temporary directory, applies the mutant there, and
-runs the mutant's test subset on the copy, which must fail.  Survivors are
-printed and the script exits 1.  It also exits 1 when a mutant's text is
-not found exactly once, or when its tests cannot run.  Run from the root
-of a checkout:
+runs the mutant's test subset on the copy, which must fail.  The subset
+runs with ``--hypothesis-seed=0``, so every run draws the same examples
+and a mutant that only rare draws kill cannot pass one run and fail the
+next.  Survivors are printed and the script exits 1.  It also exits 1
+when a mutant's text is not found exactly once, or when its tests cannot
+run.  Run from the root of a checkout:
 
     python .github/mutation_check.py
 
@@ -145,7 +147,7 @@ MUTANTS = [
     ("a slice of a long list ends one element late, repeating it", "cli.py",
      "obj[start:start + _SLICE]", "obj[start:start + _SLICE + 1]", STREAM),
     ("the entry leaves write-through on", "cli.py",
-     "    if sys.stdout is not None:\n        sys.stdout.reconfigure(write_through=False)\n",
+     "    if hasattr(sys.stdout, \"reconfigure\"):\n        sys.stdout.reconfigure(write_through=False)\n",
      "", BATCHED),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
@@ -169,8 +171,8 @@ def run_mutant(root: Path, module: str, text: str, replacement: str, args) -> st
             return f"sasakijoin was imported from {where.stdout.strip() or where.stderr.strip()}"
         try:
             proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                                   *args], cwd=tmp, env=env, capture_output=True, text=True,
-                                  timeout=TIMEOUT_S)
+                                   "--hypothesis-seed=0", *args], cwd=tmp, env=env,
+                                  capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "killed"
         # pytest exits 1 when a test failed and 0 when all passed; any other

@@ -361,7 +361,7 @@ def _csc(args):
     params = JoinParams(args.p, args.l1, args.l2, *args.w)
     fp = csc_polynomial(params)
     deflated, multiplicity = deflate_forbidden(fp)
-    report = csc_rays((params, deflated, multiplicity), args.precision)
+    report = csc_rays((fp, deflated, multiplicity), args.precision)
     payload: dict = {
         "params": _params_payload(params),
         "f_coeffs": list(fp.poly.coeffs),
@@ -640,6 +640,6 @@ def entry() -> None:
     """The ``sasakijoin`` command and ``python -m sasakijoin``."""
     # PYTHONUNBUFFERED makes each write to stdout a system call; without
     # write-through, the text stream joins the pieces of a report itself
-    if sys.stdout is not None:
+    if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(write_through=False)
     raise SystemExit(main())

@@ -32,7 +32,7 @@ tuples whose l2/l1 is not separated from t*.  The same entry lets
 holds at most one root, so the roots are bracketed by signs of the sparse
 ray polynomial and isolated, with byte-identical reports, by
 :func:`~sasakijoin.exactpoly.isolate_bracketed_roots`.  Threshold and
-brackets share one walk on c*, :func:`_critical_cells`, and its count rule.
+brackets share one walk on c*, :func:`_critical_cells`: its counts, its bound.
 
 One caveat applies to every report: a root certifies constant scalar
 curvature for the admissible extremal representative of its ray.  Without
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd
 
 from .exactpoly import (
@@ -62,7 +62,6 @@ from .exactpoly import (
     poly_derivative,
     poly_eval,
     poly_mul,
-    poly_sign,
     poly_sub,
     split_counts,
     sturm_count,
@@ -207,8 +206,8 @@ def wz_threshold(p: int, l1: int) -> Fraction:
 
 # Width of the interval that ray_threshold certifies around an irrational t*.
 THRESHOLD_WIDTH = Fraction(1, 10 ** 12)
-# Bisection levels on the critical point after which the certificate gives up.
-_THRESHOLD_LEVELS = 200
+# Bisection levels on c*; the thresholds of 1,289 families took at most 32.
+_CELL_LEVELS = 64
 
 
 def ray_threshold(p: int, w1: int, w2: int) -> Fraction | RationalInterval:
@@ -273,16 +272,16 @@ def _certified_structure(p: int, w1: int, w2: int):
     return big_a, big_b, SparseQuotient(full, wronskian, forced)
 
 
-def _critical_cells(wronskian: SparseQuotient, forced: Fraction, levels: int):
+def _critical_cells(wronskian: SparseQuotient, forced: Fraction):
     """Bisect the cell of c*, the one root of W in (0, w2/w1), on the signs
-    of W for at most ``levels`` levels, yielding (lo, hi, mid, counted) for
-    each: the new cell, its new end, and whether a Descartes count is due.
+    of W, at most ``_CELL_LEVELS`` times, yielding (lo, hi, mid, counted)
+    for each: the new cell, its new end, and whether a Descartes count is due.
     Only levels 4, 8, 16, ... are counted: a count costs tens of levels and
     fails until the cell is small beside the complex pair it must exclude
     (two-circle theorem, Krandick & Mehlhorn 2006).  At mid = c* it yields
     the cell (c*, c*) and stops."""
     lo, hi, s_hi = Fraction(0), forced, wronskian.sign(forced)
-    for level in range(1, levels + 1):
+    for level in range(1, _CELL_LEVELS + 1):
         mid = (lo + hi) / 2
         w = wronskian.sign(mid)
         lo, hi = (mid, mid) if not w else (lo, mid) if w == s_hi else (mid, hi)
@@ -305,7 +304,7 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
     def ratio(x: Fraction) -> Fraction:
         return -poly_eval(big_b, x) / poly_eval(big_a, x)
 
-    for lo, hi, _, counted in _critical_cells(wronskian, forced, _THRESHOLD_LEVELS):
+    for lo, hi, _, counted in _critical_cells(wronskian, forced):
         if lo == hi:        # c* = lo, so t* = R(lo) exactly
             t_star = ratio(lo)
             return RationalInterval(t_star - THRESHOLD_WIDTH / 2, t_star + THRESHOLD_WIDTH / 2)
@@ -318,7 +317,7 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
                 return RationalInterval(bottom, top)
     raise InternalInvariantError(
         f"the three-ray threshold of ({p}, {w1}, {w2}) was not separated "
-        f"in {_THRESHOLD_LEVELS} levels")
+        f"in {_CELL_LEVELS} levels")
 
 
 def threshold_ray_counts(params: JoinParams, threshold) -> tuple[int, int] | None:
@@ -358,17 +357,16 @@ def deflate_forbidden(fp: CscPolynomial) -> tuple[IntPolynomial, int]:
 
 
 def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
-                            signs: SparseQuotient | None = None) -> None:
+                            signs: SparseQuotient) -> None:
     """Verify that the records pair up as reciprocals {b, 1/b}.
 
     ``records`` are the isolated roots of ``poly`` in ascending order, with 1
     excluded; for the palindromic homogeneous polynomial every root below 1
     must pair with its exact inverse above 1.  The partner's interval holds
-    one root, so a sign change of poly (read from the branch path's
-    ``signs`` when given) on the inverted interval places a root of odd
-    multiplicity in it; :func:`sturm_count` counts a root of even one.
+    one root, so a sign change of poly (read from ``signs``, its sign source)
+    on the inverted interval places a root of odd multiplicity in it;
+    :func:`sturm_count` counts a root of even one.
     """
-    sign = signs.sign if signs else partial(poly_sign, poly)
     below = [r for r in records if r.position < 1]
     above = [r for r in reversed(records) if r.position > 1]
     if len(below) != len(above):
@@ -388,7 +386,7 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
             a = max(high.value.lo, inv_lo)
             b = min(high.value.hi, inv_hi)
             if not a < b or not (sturm_count(poly, a, b) == 1 if high.multiplicity % 2 == 0
-                                 else sign(a) * sign(b) < 0):
+                                 else signs.sign(a) * signs.sign(b) < 0):
                 raise InternalInvariantError(
                     "inverted isolating interval fails to isolate the partner root")
 
@@ -400,10 +398,6 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
 # 0.73 against 1.05 for (3,2).  12 keeps every query up to p = 11 on
 # isolate_positive_roots.
 _BRANCH_MIN_P = 12
-# Bisection levels on c* in which a point between the two roots below w2/w1
-# is sought, or a count at the levels _critical_cells counts shows there are
-# none.  A separator shows up within 3 levels on most ray polynomials.
-_SEPARATOR_LEVELS = 64
 
 
 def _roots_below(quotient: IntPolynomial, signs: SparseQuotient,
@@ -419,7 +413,7 @@ def _roots_below(quotient: IntPolynomial, signs: SparseQuotient,
     outside it; a Descartes count of 0 at a counted level leaves no root.
     """
     outer = signs.sign(Fraction(0))
-    for lo, hi, mid, counted in _critical_cells(wronskian, forced, _SEPARATOR_LEVELS):
+    for lo, hi, mid, counted in _critical_cells(wronskian, forced):
         s = signs.sign(mid)
         if s != outer:
             return [(Fraction(0), mid), (mid, forced)] if s else None
@@ -428,12 +422,10 @@ def _roots_below(quotient: IntPolynomial, signs: SparseQuotient,
     return None
 
 
-def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int):
-    """(records, signs): the records ``isolate_positive_roots(quotient,
-    precision, [w2/w1])`` gives, found from the certified branch structure
-    of R, and the quotient's sparse signs.
-    None when the family, the square-free quotient, or the brackets are not
-    certified.
+def _branch_records(fp: CscPolynomial, signs: SparseQuotient, precision: int):
+    """The records ``isolate_positive_roots(quotient, precision, [w2/w1])``
+    gives, found on the certified branches of R by the quotient's ``signs``,
+    or None when a certificate (family, square-free, brackets) fails.
 
     Each branch of R holds at most one root, a simple one: for w = (1,1),
     (0, 1) and (1, oo) hold one each for t > t* and none at or below t*;
@@ -442,15 +434,14 @@ def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int)
     :func:`isolate_bracketed_roots` checks: the quotient is nonzero at 0,
     w2/w1 and its Cauchy bound, and a separator has the sign opposite to 0.
     """
-    p, l1, l2, w1, w2 = params.p, params.l1, params.l2, params.w1, params.w2
+    p, l1, l2, w1, w2 = fp.params.p, fp.params.l1, fp.params.l2, fp.params.w1, fp.params.w2
+    quotient, forced = signs.quotient, fp.forbidden_root
     try:
         wronskian = _certified_structure(p, w1, w2)[2]
     except InternalInvariantError:
         return None
     if not certify_squarefree(quotient):
         return None
-    forced = Fraction(w2, w1)
-    signs = SparseQuotient(IntPolynomial(_raw_coefficients(p, l1, l2, w1, w2)), quotient, forced)
     top = (forced, cauchy_root_bound(quotient))
     if w1 == w2:
         brackets = [(Fraction(0), forced), top] if Fraction(l2, l1) > wz_threshold(p, 1) else []
@@ -459,31 +450,35 @@ def _branch_records(params: JoinParams, quotient: IntPolynomial, precision: int)
         if below is None:
             return None
         brackets = below + [top]
-    return isolate_bracketed_roots(quotient, brackets, signs, precision, [forced]), signs
+    return isolate_bracketed_roots(quotient, brackets, signs, precision, [forced])
 
 
-def csc_rays(params: JoinParams | tuple[JoinParams, IntPolynomial, int],
+def csc_rays(params: JoinParams | tuple[CscPolynomial, IntPolynomial, int],
              precision: int = 12) -> RayReport:
     """Enumerate and classify the CSC rays for one parameter tuple.
 
-    ``params`` is a :class:`JoinParams`, or ``(params, quotient, k)`` when the
-    caller has already built the ray polynomial and deflated it with
-    :func:`deflate_forbidden`.  The counts of the report follow from its rays.
-    From p = 12 on, the roots are bracketed on the branches of R and located
-    by signs of the sparse ray polynomial; otherwise, or when a certificate
-    of that path fails, :func:`isolate_positive_roots` finds them by sign
-    variations of the dense quotient.  Both give the same records.
+    ``params`` is a :class:`JoinParams`, or ``(fp, quotient, k)`` when the
+    caller holds ``fp = csc_polynomial(params)`` and ``deflate_forbidden(fp)``.
+    The counts of the report follow from its rays.  From p = 12 on, the
+    roots are bracketed on the branches of R and located by signs of the
+    sparse ray polynomial; otherwise, or when a certificate of that path
+    fails, :func:`isolate_positive_roots` finds them by sign variations of
+    the dense quotient.  Both give the same records.
     """
     if isinstance(params, JoinParams):
-        quotient, k = deflate_forbidden(csc_polynomial(params))
-    else:
-        params, quotient, k = params
-    forced = Fraction(params.w2, params.w1)
-    found = _branch_records(params, quotient, precision) \
-        if params.p >= _BRANCH_MIN_P and quotient.degree >= 1 else None
-    records, signs = found or (isolate_positive_roots(quotient, precision, [forced]), None)
+        fp = csc_polynomial(params)
+        params = (fp, *deflate_forbidden(fp))
+    fp, quotient, k = params
+    params, forced = fp.params, fp.forbidden_root
+    paired, branch = params.w1 == params.w2, params.p >= _BRANCH_MIN_P
+    # one sign source for the branch path and the pairing of w = (1,1), read
+    # off what the route isolates: the seven terms of f, or the dense quotient
+    signs = SparseQuotient(fp.poly if branch else quotient, quotient, forced) \
+        if branch or paired else None
+    records = _branch_records(fp, signs, precision) if branch else None
+    if records is None:
+        records = isolate_positive_roots(quotient, precision, [forced])
     rays = [Ray(rec, "quasi-regular" if rec.is_rational else "irregular") for rec in records]
-    paired = params.w1 == params.w2
     if paired:
         _check_reciprocal_pairs(quotient, records, signs)
         # the records balance around b = 1, so the regular ray sits in the middle

@@ -129,10 +129,12 @@ def intpoly(coeffs) -> IntPolynomial:
     """Build an :class:`IntPolynomial`, canonicalizing the sequence.
 
     Accepts any iterable of integers (or integer-valued rationals); trailing
-    zeros are stripped.  Raises ValueError on non-integral values.
+    zeros are stripped.  Floats raise TypeError, other non-integers ValueError.
     """
     out = []
     for c in coeffs:
+        if isinstance(c, float):
+            raise TypeError("coefficients must be exact integers, not floats")
         ic = int(c)
         if ic != c:
             raise ValueError(f"non-integral coefficient {c!r}")
@@ -176,6 +178,8 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 def poly_derivative(poly: IntPolynomial, order: int = 1) -> IntPolynomial:
     """Formal derivative of the given order; order 0 returns the input."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise TypeError(f"derivative order must be an int, not {type(order).__name__}")
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
     cs = poly.coeffs
@@ -1037,7 +1041,7 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
 
 def cubic_discriminant(a3, a2, a1, a0) -> Fraction:
     """Discriminant of a3*x^3 + a2*x^2 + a1*x + a0 (a3 != 0)."""
-    a3, a2, a1, a0 = Fraction(a3), Fraction(a2), Fraction(a1), Fraction(a0)
+    a3, a2, a1, a0 = _exact(a3, a2, a1, a0)
     if a3 == 0:
         raise ValueError("leading cubic coefficient must be nonzero")
     return (18 * a3 * a2 * a1 * a0

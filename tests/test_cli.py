@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its output contract."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -432,6 +433,21 @@ def test_report_writes_stay_batched_under_write_through():
     assert int(proc.stderr) <= len(proc.stdout) // 4096 + 2
 
 
+def test_entry_writes_to_a_stdout_without_reconfigure(capsys, monkeypatch):
+    # an embedding or IDLE may set a StringIO as stdout, which has no
+    # write-through to turn off; the entry died on reconfigure before writing
+    argv = ["csc", "-p", "2", "-l1", "1", "-l2", "5", "-w", "3,2", "--json"]
+    code, expected, _ = run_cli(capsys, argv)
+    assert code == 0
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    monkeypatch.setattr(sys, "argv", ["sasakijoin", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == 0
+    assert stream.getvalue() == expected
+
+
 def test_streamed_sweep_report_stays_small_in_memory(monkeypatch):
     # the 4.2 MB report, written piece by piece; holding it whole, with its
     # --l2 list and per-class sets, peaked at 18.0 MiB
@@ -861,7 +877,7 @@ def test_sweep_falls_back_to_csc_rays_when_the_certificate_fails(capsys, monkeyp
 
 
 def test_sweep_falls_back_to_csc_rays_when_the_threshold_is_not_separated(capsys, monkeypatch):
-    monkeypatch.setattr(cscrays, "_THRESHOLD_LEVELS", 1)
+    monkeypatch.setattr(cscrays, "_CELL_LEVELS", 1)
     with pytest.raises(InternalInvariantError, match="not separated in 1 levels"):
         cscrays.ray_threshold(1, 3, 2)
     assert cscrays.min_l2_multiple_csc(1, 1, 3, 2, 30) == 19

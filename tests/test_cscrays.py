@@ -265,6 +265,35 @@ def _calls(monkeypatch, module, name):
     return calls
 
 
+def test_a_tuple_builds_its_ray_polynomial_once(monkeypatch):
+    # the branch path built the coefficients of f a second time for its signs
+    params = JoinParams(40, 1, 5, 3, 2)
+    report = repr(csc_rays(params))     # the family's structure is cached
+    built = _calls(monkeypatch, cscrays, "_raw_coefficients")
+    assert repr(csc_rays(params)) == report and len(built) == 1
+    # a caller that holds f and its quotient builds nothing more
+    fp = csc_polynomial(params)
+    assert repr(csc_rays((fp, *deflate_forbidden(fp)))) == report and len(built) == 2
+
+
+def test_pairing_reads_the_one_sign_source(monkeypatch):
+    # below the branch path, the pairing read its signs through poly_sign, a
+    # second sign path; it reads the tuple's one source, built on the dense
+    # quotient there (on f, of twice its degree at p = 2, the two signs at
+    # precision 1000 took about four times as long)
+    params = JoinParams(2, 1, 5, 1, 1)
+    quotient = deflate_forbidden(csc_polynomial(params))[0]
+    sources = []
+    real = exactpoly.SparseQuotient
+    monkeypatch.setattr(cscrays, "SparseQuotient",
+                        lambda *args: sources.append(real(*args)) or sources[-1])
+    checked = _calls(monkeypatch, cscrays, "_check_reciprocal_pairs")
+    report = csc_rays(params)
+    assert report.reduced_count == 2 and report.rays[0].ray_class == "irregular"
+    assert len(sources) == 1 and [args[2] for args in checked] == sources
+    assert sources[0].degree == quotient.degree
+
+
 def test_homogeneous_rays_below_the_branch_path_build_no_remainder_sequence(monkeypatch):
     # below the branch path's degree, isolation finds its cells by sign
     # variations, and the pairing of simple roots is checked by signs
@@ -531,17 +560,19 @@ def test_pairing_counts_a_partner_of_even_multiplicity(monkeypatch):
     square = intpoly(oracles.power([1, -3, 1], 2))
     records = [RootRecord(RationalInterval(F(1, 3), F(2, 5)), 2, False),
                RootRecord(RationalInterval(F(2), F(3)), 2, False)]
+    # the signs of square, read as its own quotient by (x - 1)**0
+    signs = exactpoly.SparseQuotient(square, square, 1)
     counted = _calls(monkeypatch, cscrays, "sturm_count")
-    cscrays._check_reciprocal_pairs(square, records)
+    cscrays._check_reciprocal_pairs(square, records, signs)
     assert len(counted) == 1
     # read as simple roots, the partner shows no sign change
     simple = [RootRecord(rec.value, 1, False) for rec in records]
     with pytest.raises(InternalInvariantError, match="fails to isolate"):
-        cscrays._check_reciprocal_pairs(square, simple)
+        cscrays._check_reciprocal_pairs(square, simple, signs)
     # (1/3, 2/5] inverts to [5/2, 3), which meets (11/4, 4] only past 2.618
     rootless = [records[0], RootRecord(RationalInterval(F(11, 4), F(4)), 2, False)]
     with pytest.raises(InternalInvariantError, match="fails to isolate"):
-        cscrays._check_reciprocal_pairs(square, rootless)
+        cscrays._check_reciprocal_pairs(square, rootless, signs)
     assert len(counted) == 2
 
 
@@ -573,7 +604,7 @@ def _uncertified(p, w1, w2):
 @pytest.mark.parametrize("tup", [(40, 1, 3, 1, 1), (40, 1, 5, 3, 2)])
 @pytest.mark.parametrize("patch", [("certify_squarefree", lambda poly: False),
                                    ("_certified_structure", _uncertified),
-                                   ("_SEPARATOR_LEVELS", 0)],
+                                   ("_CELL_LEVELS", 0)],
                          ids=["squarefree", "structure", "separator"])
 def test_branch_path_falls_back_when_a_certificate_fails(monkeypatch, tup, patch):
     report = repr(csc_rays(JoinParams(*tup)))
@@ -583,7 +614,7 @@ def test_branch_path_falls_back_when_a_certificate_fails(monkeypatch, tup, patch
     assert repr(csc_rays(JoinParams(*tup))) == report
     # the fallback ran, except that no separator is sought for w = (1,1);
     # neither route builds a Sturm chain for these square-free quotients
-    separator_only = patch[0] == "_SEPARATOR_LEVELS" and tup[3] == tup[4]
+    separator_only = patch[0] == "_CELL_LEVELS" and tup[3] == tup[4]
     assert len(isolated) == (0 if separator_only else 1)
     assert chains == []
 
@@ -807,6 +838,25 @@ def test_threshold_intervals_match_pinned_values():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, family
 
 
+def test_pinned_thresholds_walk_half_the_cell_levels(monkeypatch):
+    # every pinned threshold is separated at the counted level 32, so both
+    # walks on c* keep a margin of 32 levels under their one bound
+    real = cscrays._critical_cells
+    depths = []
+
+    def walked(*args):
+        depths.append(0)
+        for cell in real(*args):
+            depths[-1] += 1
+            yield cell
+
+    monkeypatch.setattr(cscrays, "_critical_cells", walked)
+    for family, _ in PINNED_THRESHOLDS:
+        ray_threshold(*family)
+    assert len(depths) == len(PINNED_THRESHOLDS)
+    assert max(depths) <= 32 <= cscrays._CELL_LEVELS // 2
+
+
 def _assert_threshold_overlaps_the_every_level_oracle(p, w1, w2):
     threshold = ray_threshold(p, w1, w2)
     lo, hi = oracles.critical_value_every_level(
@@ -870,7 +920,7 @@ def test_critical_walk_stops_at_an_exact_critical_point(monkeypatch):
     forced, c_star = F(2, 3), F(5, 24)
     # stub sign sources: W vanishes at c*, and the quotient's sign is set below
     wronskian = SimpleNamespace(sign=lambda x: (x > c_star) - (x < c_star))
-    cells = list(cscrays._critical_cells(wronskian, forced, 200))
+    cells = list(cscrays._critical_cells(wronskian, forced))
     assert len(cells) == 4 and cells[-1][:3] == (c_star, c_star, c_star)
     assert [cell[2] for cell in cells] == [F(1, 3), F(1, 6), F(1, 4), c_star]
     # neither consumer counts an empty cell
@@ -895,7 +945,7 @@ def test_family_with_an_exact_critical_point(monkeypatch):
     threshold = ray_threshold(1, 11, 8)
     assert threshold.midpoint == 68 and threshold.width == THRESHOLD_WIDTH
     wronskian = cscrays._certified_structure(1, 11, 8)[2]
-    assert list(cscrays._critical_cells(wronskian, forced, 200))[0][:2] == (c_star, c_star)
+    assert list(cscrays._critical_cells(wronskian, forced))[0][:2] == (c_star, c_star)
     for l2, below in ((67, []), (69, [(0, c_star), (c_star, forced)])):
         params = JoinParams(1, 1, l2, 11, 8)
         quotient = deflate_forbidden(csc_polynomial(params))[0]

@@ -466,7 +466,10 @@ def test_counts_and_refinement_reject_float_points():
                  lambda: refine_interval(quadratic, 1, 2, F(1, 16), [1.4]),
                  lambda: isolate_positive_roots(quadratic, 1, [1.4]),
                  lambda: isolate_bracketed_roots(quadratic, [(1, 2.0)], signs, 1),
-                 lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [1.4])):
+                 lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [1.4]),
+                 # a float coefficient was read as its binary fraction too
+                 lambda: cubic_discriminant(0.1, 1, 1, 1),
+                 lambda: intpoly([1e20])):
         with pytest.raises(TypeError, match="not floats"):
             call()
     assert descartes_count(quadratic, 1, F(5, 2)) == 1
@@ -499,6 +502,10 @@ def test_refinement_and_isolation_reject_bad_numbers():
         with pytest.raises(ValueError, match="between 1 and 1000"):
             isolate_positive_roots(quadratic, precision)
     assert refine_interval(quadratic, 1, 2, 1) == (F(1), F(2))
+    # True was read as order 1, and 1.0 failed in range() unnamed
+    for order in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="derivative order must be an int"):
+            poly_derivative(quadratic, order)
 
 
 def test_refinement_and_isolation_reject_none_points():
