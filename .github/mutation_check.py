@@ -60,6 +60,11 @@ DIVISION = ("tests/test_exactpoly.py", "-k", "exact_division")
 # against the cubic discriminant at p = 1 and the counts of csc_rays
 BRANCH = ("tests/test_cscrays.py", "-k", "branch_path_reports_equal")
 THRESHOLD = ("tests/test_cscrays.py", "-k", "threshold_at_p1 or threshold_counts_match")
+# the join rules not involving l2, checked once for the family
+FAMILY = ("tests/test_cscrays.py", "-k", "min_l2_rejects_with_the_join_constraint")
+KS = ("tests/test_classify.py", "-k", "ks_rejects_invalid_pairs")
+LEVELS = ("tests/test_cscrays.py", "-k", "levels_four_eight_sixteen")
+STRUCTURE = ("tests/test_cscrays.py", "-k", "no_pole_but_the_forced_root")
 # the JSON pieces against json.dumps, on lists several slices long
 STREAM = ("tests/test_cli.py", "-k", "json_rendering_equals")
 # the raw writes under PYTHONUNBUFFERED, one per piece without the entry's reconfigure
@@ -141,6 +146,14 @@ MUTANTS = [
     ("the threshold interval is taken at the first counted level without its count",
      "cscrays.py", "            if descartes_count(f_bottom, lo, hi) == 0:\n",
      "            if True:\n", THRESHOLD),
+    ("the family rule skips the l2 = 1 check", "cscrays.py",
+     "    JoinParams(p, l1, 1, w1, w2)\n", "", FAMILY),
+    ("lambda_exponents accepts a float l1", "classify.py",
+     "not isinstance(l1, int) or isinstance(l1, bool)", "isinstance(l1, bool)", KS),
+    ("the walk on c* counts at every level from 4, not at 4, 8, 16, ...", "cscrays.py",
+     "level >= 4 and not level & (level - 1)", "level >= 4", LEVELS),
+    ("the family certificate admits a positive root of A besides w2/w1", "cscrays.py",
+     "\n                 and descartes_count(a_rest, 0) == 0)", ")", STRUCTURE),
     ("the separator between two slices of a long list is dropped", "cli.py",
      "obj[start:start + _SLICE]))\n                sep = comma\n",
      "obj[start:start + _SLICE]))\n                sep = \"\"\n", STREAM),

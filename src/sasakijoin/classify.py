@@ -70,6 +70,8 @@ class ClassificationVerdict:
 
 def lambda_exponents(l1: int) -> LambdaExponents:
     """Case-table exponents: lambda2 from l1 mod 8, lambda7 from l1 mod 7."""
+    if not isinstance(l1, int) or isinstance(l1, bool):
+        raise ParameterError("l1 >= 1", f"l1 must be a positive integer, got {l1!r}")
     if l1 < 1:
         raise ParameterError("l1 >= 1", f"l1 must be positive, got {l1}")
     r8 = l1 % 8
@@ -92,15 +94,14 @@ def ks_moduli(l1: int) -> tuple[int, int]:
     Homeomorphism: 2*l1^2 when l1 is odd or divisible by 4, else l1^2.
     Diffeomorphism: 2^lambda2 * 7^lambda7 * l1^2.
     """
-    if l1 % 2 == 1 or l1 % 4 == 0:
-        homeo = 2 * l1 ** 2
-    else:
-        homeo = l1 ** 2
-    lam = lambda_exponents(l1)  # rejects l1 < 1
+    lam = lambda_exponents(l1)  # rejects l1 < 1 and non-integers
+    homeo = 2 * l1 ** 2 if l1 % 2 == 1 or l1 % 4 == 0 else l1 ** 2
     return homeo, 2 ** lam.lambda2 * 7 ** lam.lambda7 * l1 ** 2
 
 
 def _check_ks_pair(l1: int, l2: int, l2prime: int) -> None:
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (l1, l2, l2prime)):
+        raise ParameterError("l1,l2,l2' >= 1", "parameters must be positive integers")
     if l1 < 1 or l2 < 1 or l2prime < 1:
         raise ParameterError("l1,l2,l2' >= 1", "parameters must be positive")
     if gcd(l1, l2) != 1:

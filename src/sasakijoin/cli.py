@@ -22,10 +22,10 @@ the writes.
 
 Each subcommand (each target, for ``sweep``) is one entry of ``_COMMANDS``:
 a payload builder, a table renderer and a CSV row maker, defined side by
-side.  The builder takes the parsed arguments and returns the echo of its
-own arguments for ``request``, the payload, the warnings, and the objects
-its renderer prints besides the payload.  JSON prints the whole report.
-The renderer runs only under --table, and the warnings follow its lines.
+side.  The builder takes the parsed arguments and returns three values: the
+echo of its own arguments for ``request``, the payload and the warnings.
+JSON prints the whole report.  The renderer runs only under --table, reads
+only the payload, and the warnings follow its lines.
 CSV writes the payload as key/value rows, except that the sweeps write one
 row per value of l2.
 
@@ -59,12 +59,13 @@ from .cscrays import (
     csc_polynomial,
     csc_rays,
     deflate_forbidden,
+    family_threshold,
     maximal_ray_count,
-    ray_threshold,
     threshold_ray_counts,
 )
-from .exactpoly import RootRecord, format_poly
+from .exactpoly import RootRecord, format_poly, intpoly
 from .joinspace import (
+    AbelianGroupDescriptor,
     JoinParams,
     ParameterError,
     c1_coefficient,
@@ -320,7 +321,6 @@ def _invariants(args):
         "c1": c1_coefficient(params),
         "spin": is_spin(params),
     }
-    groups = []
     if params.p == 1:
         payload["dim5_type"] = diffeo_type_dim5(params.l1, params.l2,
                                                 params.w1, params.w2)
@@ -331,18 +331,17 @@ def _invariants(args):
             "generators": [[g, d] for g, d in ring.generators],
             "relations": [str(r) for r in ring.relations],
         }
-        groups = [cohomology_group(params, k) for k in range(params.dim + 1)]
         payload["cohomology"] = [
             {"degree": k, "free_rank": group.free_rank, "torsion": list(group.torsion)}
-            for k, group in enumerate(groups)
+            for k in range(params.dim + 1) for group in [cohomology_group(params, k)]
         ]
         if params.p == 2:
             payload["p1"] = p1_class(params)
             payload["linking_form"] = linking_form(params)
-    return payload["params"], payload, [], groups
+    return payload["params"], payload, []
 
 
-def _invariants_table(payload: dict, groups) -> list[str]:
+def _invariants_table(payload: dict) -> list[str]:
     lines = [f"{_params_line(payload['params'])}  [dimension {payload['dim']}]",
              f"c1 coefficient: {payload['c1']}   spin: {payload['spin']}"]
     if "dim5_type" in payload:
@@ -350,7 +349,9 @@ def _invariants_table(payload: dict, groups) -> list[str]:
     order = payload["h4_order"]
     lines.append(f"|H^4| = {order}")
     lines.append(f"cohomology ring: Z[x,y]/({', '.join(payload['ring']['relations'])})")
-    lines.extend(f"  H^{k:<2} = {group}" for k, group in enumerate(groups))
+    lines.extend(f"  H^{h['degree']:<2} = "
+                 f"{AbelianGroupDescriptor(h['free_rank'], tuple(h['torsion']))}"
+                 for h in payload["cohomology"])
     if "p1" in payload:
         lines.append(f"p1 residue: {payload['p1']} mod {order}")
         lines.append(f"linking form: {payload['linking_form']} mod {order}")
@@ -378,12 +379,12 @@ def _csc(args):
     }
     if args.quote_caveat:
         payload["caveat"] = CSC_CAVEAT
-    return payload["params"], payload, [], fp.poly
+    return payload["params"], payload, []
 
 
-def _csc_table(payload: dict, poly) -> list[str]:
+def _csc_table(payload: dict) -> list[str]:
     lines = [_params_line(payload["params"]),
-             "ray polynomial: " + format_poly(poly, var="b"),
+             "ray polynomial: " + format_poly(intpoly(payload["f_coeffs"]), var="b"),
              f"forbidden root {payload['forbidden_root']} removed "
              f"with multiplicity {payload['forbidden_multiplicity']}",
              f"rays: {payload['unreduced_count']} unreduced, "
@@ -418,7 +419,7 @@ def _classify(args):
                 for c in verdict.conditions
             ],
         }
-        return {"relation": "homotopy", "tuples": args.tuples}, payload, [], None
+        return {"relation": "homotopy", "tuples": args.tuples}, payload, []
     if args.l1 is None or args.l2 is None or args.l2p is None:
         raise ParameterError("flags -l1 -l2 -l2p",
                              f"classify {args.relation} needs -l1, -l2 and -l2p")
@@ -442,10 +443,10 @@ def _classify(args):
         }],
     }
     request = {"relation": args.relation, "l1": args.l1, "l2": args.l2, "l2p": args.l2p}
-    return request, payload, [], None
+    return request, payload, []
 
 
-def _classify_table(payload: dict, _) -> list[str]:
+def _classify_table(payload: dict) -> list[str]:
     return [f"relation: {payload['relation']}   verdict: {payload['overall']}",
             *(f"  {cond['label']:<22} {str(cond['holds']):<5} witness={cond['witness']}"
               for cond in payload["conditions"])]
@@ -482,12 +483,7 @@ def _sweep_csc(args):
     if not l2_values:
         raise ParameterError("nonempty range", "sweep csc needs --l2 A..B or --bound N")
     w1, w2 = args.w
-    # l2 = 1 is coprime to everything, so this checks every rule not involving l2
-    JoinParams(args.p, args.l1, 1, w1, w2)
-    try:
-        threshold = ray_threshold(args.p, w1, w2)
-    except InternalInvariantError:
-        threshold = None    # every row asks csc_rays
+    threshold = family_threshold(args.p, args.l1, w1, w2)
     tasks = [(args.p, args.l1, l2, w1, w2, threshold) for l2 in l2_values]
     jobs = args.jobs
     usable = min(os.cpu_count() or 1, len(tasks))
@@ -514,10 +510,10 @@ def _sweep_csc(args):
         "rows": rows,
         "threshold_l2": threshold,
     }
-    return _sweep_request(args), payload, warnings, None
+    return _sweep_request(args), payload, warnings
 
 
-def _sweep_csc_table(payload: dict, _):
+def _sweep_csc_table(payload: dict):
     yield (f"csc sweep: p={payload['p']} l1={payload['l1']} "
            f"w=({payload['w'][0]},{payload['w'][1]})")
     yield "l2    valid  unreduced  reduced"
@@ -552,10 +548,10 @@ def _sweep_diffeo(args):
         "invalid": [{"l2": l2, "constraint": c} for l2, c in partition.invalid],
     }
     warnings = [f"l2={l2} skipped: {c}" for l2, c in partition.invalid]
-    return _sweep_request(args), payload, warnings, None
+    return _sweep_request(args), payload, warnings
 
 
-def _sweep_diffeo_table(payload: dict, _):
+def _sweep_diffeo_table(payload: dict):
     yield (f"diffeomorphism classes for l1={payload['l1']} "
            f"(modulus {payload['diffeo_modulus']}):")
     yield from (f"  class {i}: {cls}" for i, cls in enumerate(payload["classes"]))
@@ -599,7 +595,7 @@ def main(argv=None) -> int:
     # later failure shows only in the exit code
     out = sys.stdout
     try:
-        request, payload, warnings, view = build(args)
+        request, payload, warnings = build(args)
         if args.fmt == "json":
             report = {
                 "schema_version": SCHEMA_VERSION,
@@ -613,7 +609,7 @@ def main(argv=None) -> int:
         elif args.fmt == "csv":
             csv.writer(out, lineterminator="\n").writerows(csv_rows(payload))
         else:
-            out.writelines(line + "\n" for line in render(payload, view))
+            out.writelines(line + "\n" for line in render(payload))
             out.writelines(f"warning: {warning}\n" for warning in warnings)
         out.flush()
     except ParameterError as exc:

@@ -80,6 +80,7 @@ __all__ = [
     "wz_threshold",
     "ray_threshold",
     "threshold_ray_counts",
+    "family_threshold",
     "THRESHOLD_WIDTH",
     "deflate_forbidden",
     "csc_rays",
@@ -339,6 +340,16 @@ def threshold_ray_counts(params: JoinParams, threshold) -> tuple[int, int] | Non
     return None
 
 
+def family_threshold(p: int, l1: int, w1: int, w2: int):
+    """The :func:`ray_threshold` of every tuple (p, l1, l2, w1, w2), or None when
+    its certificate fails; l2 = 1, coprime to all, checks the rules without l2."""
+    JoinParams(p, l1, 1, w1, w2)
+    try:
+        return ray_threshold(p, w1, w2)
+    except InternalInvariantError:
+        return None
+
+
 def deflate_forbidden(fp: CscPolynomial) -> tuple[IntPolynomial, int]:
     """Divide out the full power of (w1*b - w2) and return (quotient, k).
 
@@ -501,18 +512,13 @@ def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int):
 
     Maximal means 3 unreduced rays for w1 > w2 and 2 reduced rays for
     w = (1,1).  Values of l2 violating the gcd constraints are skipped.
-    Each count is read off :func:`ray_threshold` of the family, or comes
-    from :func:`csc_rays` when l2/l1 is not separated from t*.  Returns None
-    when no l2 within the bound qualifies.
+    Each count is read off :func:`family_threshold`, the rule ``sweep csc``
+    shares, or comes from :func:`csc_rays` when l2/l1 is not separated from
+    t*.  Returns None when no l2 within the bound qualifies.
     """
     if not isinstance(search_bound, int) or isinstance(search_bound, bool) or search_bound < 1:
         raise ParameterError("search_bound >= 1", "search bound must be a positive integer")
-    # l2 = 1 is coprime to everything, so this checks every rule not involving l2
-    JoinParams(p, l1, 1, w1, w2)
-    try:
-        threshold = ray_threshold(p, w1, w2)
-    except InternalInvariantError:
-        threshold = None    # every l2 asks csc_rays
+    threshold = family_threshold(p, l1, w1, w2)
     for l2 in range(1, search_bound + 1):
         try:
             params = JoinParams(p, l1, l2, w1, w2)

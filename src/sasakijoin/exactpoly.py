@@ -128,13 +128,13 @@ ZERO = IntPolynomial()
 def intpoly(coeffs) -> IntPolynomial:
     """Build an :class:`IntPolynomial`, canonicalizing the sequence.
 
-    Accepts any iterable of integers (or integer-valued rationals); trailing
-    zeros are stripped.  Floats raise TypeError, other non-integers ValueError.
+    Accepts any iterable of integers or integer-valued rationals, trailing zeros
+    stripped.  Floats and bools raise TypeError, other non-integers ValueError.
     """
     out = []
     for c in coeffs:
-        if isinstance(c, float):
-            raise TypeError("coefficients must be exact integers, not floats")
+        if isinstance(c, (float, bool)):
+            raise TypeError("coefficients must be exact integers, not floats or bools")
         ic = int(c)
         if ic != c:
             raise ValueError(f"non-integral coefficient {c!r}")
@@ -460,10 +460,10 @@ def sign_variations(coeffs) -> int:
 
 
 def _exact(*points, unbounded=False) -> list:
-    """The points as Fractions; floats are rejected as inexact, and so is
-    None unless ``unbounded`` lets it stand for an unbounded side."""
-    if any(isinstance(v, float) for v in points):
-        raise TypeError("points must be exact rationals, not floats")
+    """The points as Fractions; floats, as inexact, and bools are rejected,
+    and so is None unless ``unbounded`` lets it stand for an unbounded side."""
+    if any(isinstance(v, (float, bool)) for v in points):
+        raise TypeError("points must be exact rationals, not floats or bools")
     if not unbounded and any(v is None for v in points):
         raise TypeError("points must be exact rationals, not None")
     return [None if v is None else Fraction(v) for v in points]

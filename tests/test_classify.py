@@ -72,6 +72,23 @@ def test_ks_rejects_invalid_pairs():
         ks_diffeomorphic(5, 39, 10)
     with pytest.raises(ParameterError):
         ks_homeomorphic(5, 0, 39)
+    # a float or bool was read as an integer: ks_moduli(2.5) was (6.25, 350.0),
+    # True counted as l1 = 1, and a float pair failed unnamed in math.gcd
+    for call, constraint in ((lambda: lambda_exponents(2.5), "l1 >= 1"),
+                             (lambda: lambda_exponents(True), "l1 >= 1"),
+                             (lambda: ks_moduli(2.5), "l1 >= 1"),
+                             (lambda: partition_diffeo_types(2.0, [1, 3]), "l1 >= 1"),
+                             (lambda: ks_homeomorphic(True, 1, 3), "l1,l2,l2' >= 1"),
+                             (lambda: ks_homeomorphic(1, 3, 5.0), "l1,l2,l2' >= 1"),
+                             (lambda: ks_diffeomorphic(1.5, 2, 3), "l1,l2,l2' >= 1")):
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert info.value.constraint == constraint
+    # an integer below 1 keeps its message
+    with pytest.raises(ParameterError, match="^l1 must be positive, got 0$"):
+        lambda_exponents(0)
+    with pytest.raises(ParameterError, match="^parameters must be positive$"):
+        ks_diffeomorphic(1, 3, -5)
 
 
 def test_diffeo_implies_homeo_on_sampled_pairs():

@@ -482,7 +482,7 @@ def test_internal_failure_exits_two_on_one_line(capsys, monkeypatch):
     # a payload that fails while the report is written: JSON cannot encode
     # the float, and the csc table renderer finds no "params"
     _, render, rows = cli._COMMANDS["csc"]
-    monkeypatch.setitem(cli._COMMANDS, "csc", (lambda args: ({}, {"x": 1.5}, [], None),
+    monkeypatch.setitem(cli._COMMANDS, "csc", (lambda args: ({}, {"x": 1.5}, []),
                                                render, rows))
     for fmt, name in (("--json", "TypeError"), ("--table", "KeyError")):
         code, out, err = run_cli(capsys, argv + [fmt])
@@ -519,7 +519,7 @@ def test_jobs_clamped_to_cpus_and_tasks(capsys, monkeypatch):
     # w = (3, 2), so 1..6 has two open rows and 1..2 one
     base = ["sweep", "csc", "-p", "1", "-l1", "1", "-w", "3,2", "--json"]
     _, expected, _ = run_cli(capsys, base + ["--l2", "1..30"])
-    monkeypatch.setattr(cli, "ray_threshold", no_threshold)
+    monkeypatch.setattr(cscrays, "ray_threshold", no_threshold)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     RecordingPool.created = []
@@ -568,11 +568,27 @@ def test_pool_gets_only_the_rows_the_threshold_leaves_open(capsys, monkeypatch, 
     # 0 or 1 open rows start no pool
     assert RecordingPool.created == [] and ran == sent
     # with no threshold every valid row is open, and the pool gets them all
-    monkeypatch.setattr(cli, "ray_threshold", no_threshold)
+    monkeypatch.setattr(cscrays, "ray_threshold", no_threshold)
     code, out, _ = run_cli(capsys, base + ["--jobs", "2"])
     assert code == 0 and out == expected
     assert RecordingPool.created == [2]
     assert [task[2] for task in SpyPool.mapped] == valid
+
+
+def test_sweep_and_min_l2_share_one_family_rule(capsys, monkeypatch):
+    # sweep csc and min_l2_multiple_csc read t* through family_threshold, so
+    # a failed certificate sends every valid row of the sweep to csc_rays,
+    # and both still find the same least l2
+    monkeypatch.setattr(cscrays, "ray_threshold", no_threshold)
+    ran = []
+    monkeypatch.setattr(cli, "_rays_row", lambda task, real=cli._rays_row:
+                        ran.append(task[2]) or real(task))
+    code, out, err = run_cli(capsys, ["sweep", "csc", "-p", "1", "-l1", "1", "-w", "3,2",
+                                      "--bound", "30", "--json"])
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert ran == [row["l2"] for row in payload["rows"] if row["valid"]]
+    assert payload["threshold_l2"] == cscrays.min_l2_multiple_csc(1, 1, 3, 2, 30) == 19
 
 
 # sha256 of `csc ... --json` stdout, computed with the divisor-search kernel

@@ -470,6 +470,29 @@ def test_output_matches_pinned_bytes(capsys, monkeypatch, args):
 
 
 
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_table_renders_the_json_payload_alone(capsys, args):
+    # the --table bytes are the renderer applied to the payload --json
+    # prints, then its warnings; a failed --table run prints nothing
+    argv = args.split()
+    code = cli.main(argv + ["--table"])
+    table = capsys.readouterr().out
+    if code != 0:
+        assert table == ""
+        return
+    # --table quotes the caveat unless told not to, --json only when told to
+    caveat = [] if "quote-caveat" in args else ["--quote-caveat"]
+    assert cli.main(argv + ["--json"] + caveat) == 0
+    report = json.loads(capsys.readouterr().out)
+    request = report["request"]
+    command = request["subcommand"]
+    if command == "sweep":
+        command += " " + request["target"]
+    render = cli._COMMANDS[command][1]
+    lines = [*render(report["payload"]), *(f"warning: {w}" for w in report["warnings"])]
+    assert "".join(line + "\n" for line in lines) == table
+
+
 @pytest.mark.parametrize("args", sorted(CORRECTED))
 def test_sweep_rejects_input_invalid_for_every_l2(capsys, args):
     for fmt in FORMATS:

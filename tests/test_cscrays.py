@@ -717,6 +717,15 @@ def test_mixed_certificate_needs_one_critical_point_below_and_none_above(monkeyp
         cscrays._certified_structure(12, 3, 2)
 
 
+def test_mixed_certificate_needs_no_pole_but_the_forced_root(monkeypatch):
+    # a positive root of A besides w2/w1 would be a pole of R = -B/A; for
+    # w1 > w2 the one Descartes count of the certificate rules it out
+    monkeypatch.setattr(cscrays, "descartes_count", lambda *args: 1)
+    for family in ((1, 3, 2), (12, 3, 2)):
+        with pytest.raises(InternalInvariantError, match="not certified"):
+            cscrays._certified_structure(*family)
+
+
 def test_wang_ziller_law_for_every_p_up_to_30():
     # R = -B/A has no critical point in (0, oo) but b = 1 when the deflated
     # Wronskian has no sign variation; then t* = R(1)

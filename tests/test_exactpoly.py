@@ -469,7 +469,12 @@ def test_counts_and_refinement_reject_float_points():
                  lambda: isolate_bracketed_roots(quadratic, [(1, 2)], signs, 1, [1.4]),
                  # a float coefficient was read as its binary fraction too
                  lambda: cubic_discriminant(0.1, 1, 1, 1),
-                 lambda: intpoly([1e20])):
+                 lambda: intpoly([1e20]),
+                 # and a bool was read as 0 or 1
+                 lambda: intpoly([True, False, True]),
+                 lambda: poly_eval(intpoly([1, 1]), True),
+                 lambda: poly_sign(quadratic, False),
+                 lambda: descartes_count(quadratic, True, 2)):
         with pytest.raises(TypeError, match="not floats"):
             call()
     assert descartes_count(quadratic, 1, F(5, 2)) == 1
@@ -502,6 +507,13 @@ def test_refinement_and_isolation_reject_bad_numbers():
         with pytest.raises(ValueError, match="between 1 and 1000"):
             isolate_positive_roots(quadratic, precision)
     assert refine_interval(quadratic, 1, 2, 1) == (F(1), F(2))
+    # a bool end, width or exclude point was read as 0 or 1
+    for call in (lambda: refine_interval(quadratic, True, 2, F(1, 100)),
+                 lambda: refine_interval(quadratic, 1, 2, True),
+                 lambda: isolate_positive_roots(quadratic, 1, [True]),
+                 lambda: isolate_bracketed_roots(quadratic, [(True, 2)], signs, 1)):
+        with pytest.raises(TypeError, match="not floats or bools"):
+            call()
     # True was read as order 1, and 1.0 failed in range() unnamed
     for order in (True, 1.0, "1"):
         with pytest.raises(TypeError, match="derivative order must be an int"):
