@@ -63,9 +63,11 @@ THRESHOLD = ("tests/test_cscrays.py", "-k", "threshold_at_p1 or threshold_counts
 # the join rules not involving l2, checked once for the family
 FAMILY = ("tests/test_cscrays.py", "-k", "min_l2_rejects_with_the_join_constraint")
 KS = ("tests/test_classify.py", "-k", "ks_rejects_invalid_pairs")
+# the closed-form partition of a range against the per-value loop
+DIFFEO = ("tests/test_classify.py", "-k", "range_partition_equals_the_loop")
 LEVELS = ("tests/test_cscrays.py", "-k", "levels_four_eight_sixteen")
 STRUCTURE = ("tests/test_cscrays.py", "-k", "no_pole_but_the_forced_root")
-# the JSON pieces against json.dumps, on lists several slices long
+# the JSON pieces against json.dumps, on lists and lazy sequences several slices long
 STREAM = ("tests/test_cli.py", "-k", "json_rendering_equals")
 # the raw writes under PYTHONUNBUFFERED, one per piece without the entry's reconfigure
 BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
@@ -154,11 +156,20 @@ MUTANTS = [
      "level >= 4 and not level & (level - 1)", "level >= 4", LEVELS),
     ("the family certificate admits a positive root of A besides w2/w1", "cscrays.py",
      "\n                 and descartes_count(a_rest, 0) == 0)", ")", STRUCTURE),
+    ("the closed-form partition repeats a class at the period s*M, not lcm(s, M)",
+     "classify.py", "period = lcm(step, diffeo)", "period = step * diffeo", DIFFEO),
+    ("the closed-form partition takes M heads, not lcm(s, M)/s", "classify.py",
+     "l2_values[first:first + period // step]", "l2_values[first:first + diffeo]", DIFFEO),
+    ("the closed-form partition keeps the heads that share a factor with l1", "classify.py",
+     "for r in heads if gcd(l1, r) == 1)", "for r in heads)", DIFFEO),
+    ("the lazy invalid list has a length one too long", "classify.py",
+     "count = len(l2_values) - sum(", "count = len(l2_values) + 1 - sum(", DIFFEO),
     ("the separator between two slices of a long list is dropped", "cli.py",
-     "obj[start:start + _SLICE]))\n                sep = comma\n",
-     "obj[start:start + _SLICE]))\n                sep = \"\"\n", STREAM),
-    ("a slice of a long list ends one element late, repeating it", "cli.py",
-     "obj[start:start + _SLICE]", "obj[start:start + _SLICE + 1]", STREAM),
+     "comma.join(map(leaf, chunk))\n                sep = comma\n",
+     "comma.join(map(leaf, chunk))\n                sep = \"\"\n", STREAM),
+    ("a long list is cut after its first slice", "cli.py",
+     "        while chunk := list(islice(items, _SLICE)):\n",
+     "        if chunk := list(islice(items, _SLICE)):\n", STREAM),
     ("the entry leaves write-through on", "cli.py",
      "    if hasattr(sys.stdout, \"reconfigure\"):\n        sys.stdout.reconfigure(write_through=False)\n",
      "", BATCHED),

@@ -20,7 +20,7 @@ definition of the linking form up to orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .joinspace import JoinParams, ParameterError
 
@@ -29,6 +29,7 @@ __all__ = [
     "Condition",
     "ClassificationVerdict",
     "DiffeoPartition",
+    "LazySequence",
     "lambda_exponents",
     "ks_moduli",
     "ks_homeomorphic",
@@ -165,30 +166,62 @@ def kruggel_homotopy_equivalent(a: JoinParams, b: JoinParams) -> ClassificationV
     )
 
 
+class LazySequence:
+    """``len`` and iteration of a sequence whose ``items()`` makes it afresh."""
+
+    def __init__(self, length: int, items):
+        self._length, self._items = length, items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return self._items()
+
+
 @dataclass(frozen=True)
 class DiffeoPartition:
     """Partition of l2 values into diffeomorphism classes at fixed l1."""
 
-    classes: tuple[tuple[int, ...], ...]
-    invalid: tuple[tuple[int, str], ...]
+    classes: tuple[tuple[int, ...] | range, ...]
+    invalid: tuple[tuple[int, str], ...] | LazySequence
 
 
 def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
     """Group l2 values by the diffeomorphism congruence at fixed l1.
 
-    Values failing gcd(l1, l2) = 1 are reported individually instead of
+    Values failing l2 >= 1 (bools and non-integers among them) or
+    gcd(l1, l2) = 1 are reported individually, in their order, instead of
     aborting the partition.  Classes are sorted by their smallest member.
+    From a range with a positive step, the classes are ranges and the
+    invalid values a ``LazySequence``, in memory bounded by the modulus.
     """
     _, diffeo = ks_moduli(l1)
-    buckets: dict[int, list[int]] = {}
+    if isinstance(l2_values, range) and l2_values.step > 0:
+        # diffeo is a multiple of l1, so gcd(l1, l2) is one value on a class: the first
+        # period/step values l2 >= 1 head one class each, of period lcm(step, diffeo)
+        step, stop = l2_values.step, l2_values.stop
+        first = len(range(l2_values.start, 1, step))    # the values l2 < 1
+        period = lcm(step, diffeo)
+        heads = l2_values[first:first + period // step]
+        classes = tuple(range(r, stop, period) for r in heads if gcd(l1, r) == 1)
+        shared = [r for r in heads if gcd(l1, r) != 1]
+
+        def skipped():
+            yield from ((l2, "l2 >= 1") for l2 in l2_values[:first])
+            for shift in range(0, stop - heads.start, period):
+                yield from ((r + shift, "gcd(l1,l2) = 1") for r in shared if r + shift < stop)
+
+        count = len(l2_values) - sum(map(len, classes))
+        return DiffeoPartition(classes, LazySequence(count, skipped))
+    buckets: dict[int, set[int]] = {}
     invalid: list[tuple[int, str]] = []
     for l2 in l2_values:
-        if l2 < 1:
+        if not isinstance(l2, int) or isinstance(l2, bool) or l2 < 1:
             invalid.append((l2, "l2 >= 1"))
-            continue
-        if gcd(l1, l2) != 1:
+        elif gcd(l1, l2) != 1:
             invalid.append((l2, "gcd(l1,l2) = 1"))
-            continue
-        buckets.setdefault(l2 % diffeo, []).append(l2)
-    classes = sorted(tuple(sorted(set(members))) for members in buckets.values())
+        else:
+            buckets.setdefault(l2 % diffeo, set()).add(l2)
+    classes = sorted(tuple(sorted(members)) for members in buckets.values())
     return DiffeoPartition(tuple(classes), tuple(invalid))

@@ -34,6 +34,8 @@ other internal failure, or stdout closed early.  The --jobs worker count
 is clamped to the CPU count and to the number of sweep rows, with a note on
 stderr.  ``sweep csc`` starts a process pool only for two or more rows that
 the threshold leaves open, with at most one worker per open row.
+``sweep diffeo`` runs in bounded memory: its classes are ranges and its
+invalid values and warnings are made as they are written.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import (
+    LazySequence,
     ks_diffeomorphic,
     ks_homeomorphic,
     ks_moduli,
@@ -143,8 +147,8 @@ def _params_line(params: dict) -> str:
             f"l2={params['l2']} w=({params['w'][0]},{params['w'][1]})")
 
 
-_CONTAINERS = (dict, list, tuple, range)
-_SLICE = 1024       # elements of a list of scalars per piece of JSON text
+_CONTAINERS = (dict, list, tuple, range, LazySequence)
+_SLICE = 1024       # elements of a list per piece of JSON text
 
 
 def _scalar(obj) -> str:
@@ -159,9 +163,9 @@ def _scalar(obj) -> str:
 
 def _json(obj, indent: str = "\n", head: str = ""):
     """``head``, then the text of ``json.dumps(obj, sort_keys=True, indent=2)``
-    in pieces, for report types (a range renders as its list): a new piece
-    starts after each nested dict or list, and a list of scalars comes in
-    slices of ``_SLICE`` elements."""
+    in pieces, for report types (a range or ``LazySequence`` renders as its
+    list): a list is read in slices of ``_SLICE`` elements, a slice of scalars
+    is one piece, and a new piece starts after each nested dict or list."""
     inner = indent + "  "
     comma = "," + inner
     if not isinstance(obj, _CONTAINERS):
@@ -181,15 +185,15 @@ def _json(obj, indent: str = "\n", head: str = ""):
         yield head + indent + "}"
     else:
         sep = head + "[" + inner
-        ints = all(type(x) is int for x in obj)
-        if not ints and any(isinstance(x, _CONTAINERS) for x in obj):
-            for x in obj:
-                yield from _json(x, inner, sep)
-                sep = comma
-        else:
-            leaf = int.__repr__ if ints else _scalar
-            for start in range(0, len(obj), _SLICE):
-                yield sep + comma.join(map(leaf, obj[start:start + _SLICE]))
+        leaf = int.__repr__ if isinstance(obj, range) else _scalar
+        items = iter(obj)
+        while chunk := list(islice(items, _SLICE)):
+            if leaf is _scalar and any(isinstance(x, _CONTAINERS) for x in chunk):
+                for x in chunk:
+                    yield from _json(x, inner, sep)
+                    sep = comma
+            else:
+                yield sep + comma.join(map(leaf, chunk))
                 sep = comma
         yield indent + "]"
 
@@ -544,17 +548,19 @@ def _sweep_diffeo(args):
         "l1": args.l1,
         "homeo_modulus": homeo_mod,
         "diffeo_modulus": diffeo_mod,
-        "classes": [list(c) for c in partition.classes],
-        "invalid": [{"l2": l2, "constraint": c} for l2, c in partition.invalid],
+        "classes": partition.classes,
+        "invalid": LazySequence(len(partition.invalid), lambda: (
+            {"l2": l2, "constraint": c} for l2, c in partition.invalid)),
     }
-    warnings = [f"l2={l2} skipped: {c}" for l2, c in partition.invalid]
+    warnings = LazySequence(len(partition.invalid), lambda: (
+        f"l2={l2} skipped: {c}" for l2, c in partition.invalid))
     return _sweep_request(args), payload, warnings
 
 
 def _sweep_diffeo_table(payload: dict):
     yield (f"diffeomorphism classes for l1={payload['l1']} "
            f"(modulus {payload['diffeo_modulus']}):")
-    yield from (f"  class {i}: {cls}" for i, cls in enumerate(payload["classes"]))
+    yield from (f"  class {i}: {list(cls)}" for i, cls in enumerate(payload["classes"]))
     yield from (f"  skipped l2={item['l2']}: {item['constraint']}"
                 for item in payload["invalid"])
 

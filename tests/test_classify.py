@@ -4,6 +4,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sasakijoin.classify import (
     ClassificationVerdict,
@@ -247,6 +248,41 @@ def test_partition_reports_nonpositive_members():
     part = partition_diffeo_types(3, [0, -2, 4, 3, 5])
     assert part.classes == ((4,), (5,))
     assert part.invalid == ((0, "l2 >= 1"), (-2, "l2 >= 1"), (3, "gcd(l1,l2) = 1"))
+
+
+def test_partition_lists_bools_and_non_integers_as_invalid():
+    # True was a class of its own, and 2.5 and "a" raised unnamed TypeErrors
+    # from math.gcd and from <
+    part = partition_diffeo_types(5, [True, 3, 2.5, "a", False, 7])
+    assert part.classes == ((3,), (7,))
+    assert part.invalid == ((True, "l2 >= 1"), (2.5, "l2 >= 1"), ("a", "l2 >= 1"),
+                            (False, "l2 >= 1"))
+
+
+@st.composite
+def _l2_ranges(draw):
+    l1 = draw(st.integers(1, 400))
+    modulus = ks_moduli(l1)[1]
+    step = draw(st.sampled_from([1, 2, 3, 7, modulus, 2 * modulus]))
+    start = draw(st.integers(-30, 3 * modulus) | st.integers(-3, 3).map(lambda k: k * l1))
+    return l1, range(start, start + step * draw(st.integers(0, 1500)), step)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_l2_ranges())
+@example((1, range(1, 1)))
+@example((6, range(-7, 5, 1)))
+@example((7, range(7, 8)))
+@example((2, range(2, 500, 2)))
+@example((12, range(-300, 30000, 3)))
+def test_range_partition_equals_the_loop(case):
+    # the closed form against the per-value loop on the same values
+    l1, values = case
+    fast, slow = partition_diffeo_types(l1, values), partition_diffeo_types(l1, list(values))
+    assert all(type(cls) is range for cls in fast.classes)
+    assert tuple(tuple(cls) for cls in fast.classes) == slow.classes
+    assert len(fast.invalid) == len(slow.invalid)
+    assert list(fast.invalid) == list(fast.invalid) == list(slow.invalid)
 
 
 def test_partition_agrees_with_pairwise_predicate():
