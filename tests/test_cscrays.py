@@ -338,6 +338,13 @@ BRANCH_WEIGHTS = [(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (5, 3)]
 NEAR_L1 = 10_000_000_000_037
 
 
+def planted_ratio(p, r, w1, w2):
+    """The l2/l1 = R(r) = -B(r)/A(r) at which the ray polynomial of the family
+    (p, w1, w2) has the root r, with A and B as in ``_certified_structure``."""
+    return -poly_eval(intpoly(_raw_coefficients(p, 1, 0, w1, w2)), r) \
+        / poly_eval(intpoly(_raw_coefficients(p, 0, 1, w1, w2)), r)
+
+
 @st.composite
 def _branch_degree_tuples(draw):
     """(params, precision) from the branch path's degrees up to p = 40: small
@@ -361,8 +368,7 @@ def _branch_degree_tuples(draw):
     else:
         r = draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 4), F(2), F(3)]))
         assume(r != F(w2, w1))
-        t = -poly_eval(intpoly(_raw_coefficients(p, 1, 0, w1, w2)), r) \
-            / poly_eval(intpoly(_raw_coefficients(p, 0, 1, w1, w2)), r)
+        t = planted_ratio(p, r, w1, w2)
         assume(t > 0)
         l1, l2 = t.denominator, t.numerator
     try:
@@ -384,6 +390,34 @@ def test_branch_path_reports_equal_the_sturm_path(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cscrays, "_BRANCH_MIN_P", params.p + 1)
         assert repr(report) == repr(csc_rays(params, precision))
+
+
+# sha256 of repr(csc_rays(params, precision)) for rays planted at a rational
+# root r beyond the degrees the test above draws: l2/l1 = R(r) in lowest terms
+PINNED_PLANTED = {
+    (60, F(3), (3, 2), 3): "505445841ee08586c5519459b5fafd65d213d35e583ca8006e606acf21a1b825",
+    (60, F(3), (3, 2), 12): "cdbb679671ab36c0491517229d37963a227345f987190210089a777717959ef4",
+    (60, F(5, 4), (3, 2), 3): "e4d2dd5beb964a4999916a3b024c2bf820602842fc60f3b1d95aad5e43dc1556",
+    (60, F(5, 4), (3, 2), 12): "9c3e6cc16c49155dc5929e208631f79db92ef24d05de26561fe77e6d86b32044",
+    (60, F(2), (1, 1), 3): "5d83ffda248a8ee84cb57814bee00e82fe163c0e62819317a950e854c0ebe16b",
+    (60, F(2), (1, 1), 12): "5d83ffda248a8ee84cb57814bee00e82fe163c0e62819317a950e854c0ebe16b",
+    (120, F(3), (3, 2), 3): "1dffd77eb0e55370b23e41ec610492effb18a7e128aa8c6509d4dcd3ee3d524e",
+    (120, F(3), (3, 2), 12): "0b8554695c1c8592a802f07cee1ab414b53ebf5eca699dbca08f807c6d5c7bf1",
+    (120, F(5, 4), (3, 2), 3): "0450eecb28671df0df56e39b83e53416997dda98b3e412f56a685d68a8f074b9",
+    (120, F(5, 4), (3, 2), 12): "50015532b22b0bbe01ae64b63df4524bf06454f8f8548244003a27bd8fdfd57b",
+    (120, F(2), (1, 1), 3): "5d83ffda248a8ee84cb57814bee00e82fe163c0e62819317a950e854c0ebe16b",
+    (120, F(2), (1, 1), 12): "5d83ffda248a8ee84cb57814bee00e82fe163c0e62819317a950e854c0ebe16b",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_PLANTED,
+                         ids=lambda c: f"p{c[0]}-r{c[1]}-w{c[2][0]}{c[2][1]}-d{c[3]}")
+def test_planted_rational_rays_match_pinned_reports(case):
+    p, r, (w1, w2), precision = case
+    t = planted_ratio(p, r, w1, w2)
+    report = csc_rays(JoinParams(p, t.denominator, t.numerator, w1, w2), precision)
+    assert any(ray.record.value == r for ray in report.rays if ray.record.is_rational)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == PINNED_PLANTED[case]
 
 
 def test_rays_quasiregular_family_case():
