@@ -37,6 +37,12 @@ import tempfile
 from pathlib import Path
 
 SEARCH = ("tests/test_exactpoly.py", "-k", "search or rational_roots")
+# the search on the terms of f against the dense quotient's, on ray tuples;
+# the lc of a ray quotient carries w1, so only a quotient built apart shows a
+# prime dividing the d of the divided-out root
+SPARSE_SEARCH = ("tests/test_exactpoly.py", "-k", "sparse_search_residues")
+SPARSE_PRIMES = ("tests/test_exactpoly.py", "-k", "sparse_search_skips_a_prime")
+DEFLATED = ("tests/test_exactpoly.py", "-k", "deflated_sparse_signs")
 SPLIT = ("tests/test_exactpoly.py", "-k", "split_counts")
 REFINE = ("tests/test_exactpoly.py", "-k",
           "isolation_invariants or bisection_cell or adjacent_closures or excluded")
@@ -75,8 +81,7 @@ BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
     ("rational-root search lifts a root mod l that is not simple", "exactpoly.py",
-     "            if all(_mod_value(slopes, x, ell) for x in roots):\n",
-     "            if True:\n", SEARCH),
+     "            if all(roots.values()):\n", "            if True:\n", SEARCH),
     ("rational-root search returns [] at a prime that has roots", "exactpoly.py",
      "                break\n            repeated", "                return []\n            repeated",
      SEARCH),
@@ -84,6 +89,15 @@ MUTANTS = [
      "        m -= mod if 2 * m > mod else 0\n", "", SEARCH),
     ("rational-root search stops lifting one step early", "exactpoly.py",
      "        while mod <= 2 * bound:\n", "        while mod * mod <= 2 * bound:\n", SEARCH),
+    ("the sparse search reads the divided-out root x0 as a root of q mod l", "exactpoly.py",
+     "if x != x0 and not self.residue(x, ell)}", "if not self.residue(x, ell)}", SPARSE_SEARCH),
+    ("the sparse search reads every root of q mod l as simple, f' untested", "exactpoly.py",
+     "{x: self.residue(x, ell, True) for x in range(ell)", "{x: 1 for x in range(ell)",
+     SPARSE_SEARCH),
+    ("the sparse search takes a prime dividing the d of the divided-out root", "exactpoly.py",
+     "        if q[-1] * d % ell:\n", "        if q[-1] % ell:\n", SPARSE_PRIMES),
+    ("the deflated sparse signs leave out the divided-out rational roots", "exactpoly.py",
+     "for n, d, _ in self.roots), *roots)", "for n, d, _ in self.roots))", DEFLATED),
     ("split_counts reads an unsettled tail", "exactpoly.py",
      "        if cs[-1] * total <= 0:\n            break\n", "", SPLIT),
     ("split_counts counts the unreversed coefficients above the point", "exactpoly.py",

@@ -183,7 +183,7 @@ class LazySequence:
 class DiffeoPartition:
     """Partition of l2 values into diffeomorphism classes at fixed l1."""
 
-    classes: tuple[tuple[int, ...] | range, ...]
+    classes: tuple[tuple[int, ...], ...] | LazySequence
     invalid: tuple[tuple[int, str], ...] | LazySequence
 
 
@@ -193,8 +193,9 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
     Values failing l2 >= 1 (bools and non-integers among them) or
     gcd(l1, l2) = 1 are reported individually, in their order, instead of
     aborting the partition.  Classes are sorted by their smallest member.
-    From a range with a positive step, the classes are ranges and the
-    invalid values a ``LazySequence``, in memory bounded by the modulus.
+    From a range with a positive step, the classes (ranges) and the invalid
+    values are each a ``LazySequence``, made afresh on each pass, so memory
+    does not grow with the values or the modulus.
     """
     _, diffeo = ks_moduli(l1)
     if isinstance(l2_values, range) and l2_values.step > 0:
@@ -204,16 +205,17 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
         first = len(range(l2_values.start, 1, step))    # the values l2 < 1
         period = lcm(step, diffeo)
         heads = l2_values[first:first + period // step]
-        classes = tuple(range(r, stop, period) for r in heads if gcd(l1, r) == 1)
-        shared = [r for r in heads if gcd(l1, r) != 1]
+
+        def classes():
+            return (range(r, stop, period) for r in heads if gcd(l1, r) == 1)
 
         def skipped():
             yield from ((l2, "l2 >= 1") for l2 in l2_values[:first])
-            for shift in range(0, stop - heads.start, period):
-                yield from ((r + shift, "gcd(l1,l2) = 1") for r in shared if r + shift < stop)
+            yield from ((l2, "gcd(l1,l2) = 1") for l2 in l2_values[first:] if gcd(l1, l2) != 1)
 
-        count = len(l2_values) - sum(map(len, classes))
-        return DiffeoPartition(classes, LazySequence(count, skipped))
+        count = len(l2_values) - sum(map(len, classes()))
+        return DiffeoPartition(LazySequence(sum(gcd(l1, r) == 1 for r in heads), classes),
+                               LazySequence(count, skipped))
     buckets: dict[int, set[int]] = {}
     invalid: list[tuple[int, str]] = []
     for l2 in l2_values:

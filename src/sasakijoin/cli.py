@@ -34,8 +34,8 @@ other internal failure, or stdout closed early.  The --jobs worker count
 is clamped to the CPU count and to the number of sweep rows, with a note on
 stderr.  ``sweep csc`` starts a process pool only for two or more rows that
 the threshold leaves open, with at most one worker per open row.
-``sweep diffeo`` runs in bounded memory: its classes are ranges and its
-invalid values and warnings are made as they are written.
+``sweep diffeo`` runs in bounded memory: its classes (ranges), invalid
+values and warnings are made as they are written.
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ width and other roots, then adjacent closures pair by pair, then exclusions.
 polynomial whose roots the caller has bracketed one per interval: cells are
 counted from signs at bracket points, and signs come from a
 :class:`SparseQuotient`, which evaluates a sparse f for its quotient by a
-power of a linear factor.  :func:`certify_squarefree` checks gcd(f, f') = 1
-modulo a prime, by Euclid's algorithm on residues packed into one integer.
+power of a linear factor, and reads its rational roots off f's residues.
+:func:`certify_squarefree` checks gcd(f, f') = 1 modulo a prime, by
+Euclid's algorithm on residues packed into one integer.
 
 A Taylor shift by 1 and Descartes' rule of signs on Moebius-mapped
 intervals certify, without a remainder sequence, that an interval holds no
@@ -217,7 +218,8 @@ _QIR_WARMUP = 4
 
 
 class _Signs:
-    """Signs of a polynomial q with integer coefficients.
+    """What each stage of :func:`_finish_roots` asks of a polynomial q with
+    integer coefficients, each sign evaluated once.
 
     ``value(x, y)`` is an integer with the sign of q(x/y), for y > 0, and
     off finitely many points y**degree * g(x/y) for some g with the positive
@@ -227,6 +229,13 @@ class _Signs:
     c_i of g, n = deg g: the same integer, with the powers of d folded into
     the coefficients once, while d stays the same, and the powers of 2 taken
     by shifts.  A refinement keeps one d, as its denominator only doubles.
+
+    For :func:`_rational_roots_of`, ``roots_mod(ell)`` maps each root x of q
+    mod the prime ell to ``residue(x, ell, True)``, or is None where ell does
+    not serve (it divides lc(q), say); ``residue(x, mod, slope)`` is h(x), or
+    h'(x), mod ``mod`` for an h = u*q, u a unit at those roots, so Newton
+    steps on h lift them.  ``deflated(irr, roots)`` answers for irr = q /
+    prod(d*x - n) once the positive rational roots n/d are divided out.
     """
 
     # (d, the coefficients folded with d), no d being 0: one attribute, so
@@ -235,8 +244,10 @@ class _Signs:
 
     def sign(self, x: Fraction) -> int:
         """The sign of q at the rational x."""
-        v = self.value(x.numerator, x.denominator)
-        return (v > 0) - (v < 0)
+        if x not in self.known:
+            v = self.value(x.numerator, x.denominator)
+            self.known[x] = (v > 0) - (v < 0)
+        return self.known[x]
 
 
 class _Horner(_Signs):
@@ -244,8 +255,21 @@ class _Horner(_Signs):
     product and one shift a step."""
 
     def __init__(self, cs: tuple[int, ...]) -> None:
-        self.coeffs = cs
-        self.degree = len(cs) - 1
+        self.coeffs, self.degree, self.known = cs, len(cs) - 1, {}
+
+    @cached_property
+    def slopes(self) -> tuple[int, ...]:
+        return tuple(i * c for i, c in enumerate(self.coeffs))[1:]
+
+    def roots_mod(self, ell: int) -> dict[int, int] | None:
+        return {x: _mod_value(self.slopes, x, ell) for x in range(ell)
+                if not _mod_value(self.coeffs, x, ell)} if self.coeffs[-1] % ell else None
+
+    def residue(self, x: int, mod: int, slope: bool = False) -> int:
+        return _mod_value(self.slopes if slope else self.coeffs, x, mod)
+
+    def deflated(self, irr: IntPolynomial, roots) -> _Horner:
+        return _Horner(irr.coeffs)
 
     def fold(self, d: int) -> list[int]:
         """c_i * d**(n-i), highest degree first."""
@@ -282,40 +306,61 @@ def _sparse_value(terms, x: int, s: int) -> int:
 
 
 class SparseQuotient(_Signs):
-    """Signs of q = f / (d*x - n)**k, for a root n/d of f of multiplicity k,
+    """The answers of :class:`_Signs` for q = f / ((d*x - n)**k * prod(d_i*x - n_i)),
     read off the nonzero terms of f: a few powers instead of deg(f) Horner
-    steps when f is sparse and deg(f) large.
+    steps when f is sparse and deg(f) large.  ``root`` n/d is a root of f of
+    multiplicity k, and the ``simple`` roots n_i/d_i are divided out after it.
 
-    ``value(x, y)`` is y**deg(f) * f(x/y) times sign(d*x - n*y)**k, or at
-    n/d the cached d**deg(q) * q(n/d), of the same sign.
+    ``value(x, y)`` is y**deg(f) * f(x/y) times the sign of each d*x - n*y to
+    its power, or at one of these roots d**deg(q) * q(n/d), by dense Horner.
+    The search reads h = f: at a prime l dividing neither lc(q) nor d, with
+    q(x0) != 0 mod l at x0 = n/d mod l (one dense value), the roots of q mod
+    l are those of f but x0, as d*x - n is a unit at the others.
     """
 
-    def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
-        root = Fraction(root)
-        self.quotient = quotient
+    def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root, *simple) -> None:
+        roots = [Fraction(r) for r in (root, *simple)]
+        self.f, self.quotient = f, quotient
         self.terms = [(i, c) for i, c in enumerate(f.coeffs) if c]
+        self.slopes = [(i - 1, i * c) for i, c in self.terms if i]
         self.degree = f.degree
-        self.odd = (f.degree - quotient.degree) % 2
-        self.num, self.den = root.numerator, root.denominator
+        # (n, d, parity of the power), k = deg f - deg q - len(simple)
+        powers = [f.degree - quotient.degree - len(simple)] + [1] * len(simple)
+        self.roots = [(r.numerator, r.denominator, m % 2) for r, m in zip(roots, powers)]
+        self.known = {}
 
     def fold(self, d: int) -> list[tuple[int, int]]:
         """The terms (i, c * d**(n-i)), n = deg f."""
         return [(i, c * d ** (self.degree - i)) for i, c in self.terms]
 
     def value(self, x: int, y: int) -> int:
-        side = self.den * x - self.num * y
-        if not side:
-            return self.at_root
+        flip = 0
+        for rn, rd, odd in self.roots:
+            side = rd * x - rn * y
+            if not side:
+                return _scaled_value(self.quotient.coeffs, rn, rd)
+            flip ^= odd & (side < 0)
         s = (y & -y).bit_length() - 1
         d, terms = self.grid
         if y >> s != d:
             d, terms = self.grid = y >> s, self.fold(y >> s)
         v = _sparse_value(terms, x, s)
-        return -v if self.odd and side < 0 else v
+        return -v if flip else v
 
-    @cached_property
-    def at_root(self) -> int:
-        return _scaled_value(self.quotient.coeffs, self.num, self.den)
+    def roots_mod(self, ell: int) -> dict[int, int] | None:
+        q, (n, d, _) = self.quotient.coeffs, self.roots[0]
+        if q[-1] * d % ell:
+            x0 = n * pow(d, -1, ell) % ell
+            if _mod_value(q, x0, ell):
+                return {x: self.residue(x, ell, True) for x in range(ell)
+                        if x != x0 and not self.residue(x, ell)}
+        return None
+
+    def residue(self, x: int, mod: int, slope: bool = False) -> int:
+        return sum(c * pow(x, i, mod) for i, c in (self.slopes if slope else self.terms)) % mod
+
+    def deflated(self, irr: IntPolynomial, roots) -> SparseQuotient:
+        return SparseQuotient(self.f, irr, *(Fraction(n, d) for n, d, _ in self.roots), *roots)
 
 
 def poly_exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
@@ -815,9 +860,10 @@ def _mod_value(cs, x: int, mod: int) -> int:
     return acc
 
 
-def _rational_roots_of(poly: IntPolynomial) -> list[Fraction]:
+def _rational_roots_of(poly: IntPolynomial, signs=None) -> list[Fraction]:
     """The rational roots, ascending, of a square-free integer polynomial f,
-    by p-adic lifting (Loos 1983).
+    by p-adic lifting (Loos 1983), on the residues of ``signs``, a
+    :class:`_Signs` of f or of an integer multiple of f (f's own by default).
 
     A root n/d has d | lc, so modulo each prime l not dividing lc it reduces
     to the root n * d**-1: where f has no root mod l, none is rational.  A
@@ -833,12 +879,12 @@ def _rational_roots_of(poly: IntPolynomial) -> list[Fraction]:
     cs = poly.coeffs
     if len(cs) < 2:
         return []
-    slopes = poly_derivative(poly).coeffs
+    signs = signs or _Horner(cs)
     k, repeated = len(cs) - 1, 0
     for ell in count(2):
-        if cs[-1] % ell and all(ell % q for q in range(2, isqrt(ell) + 1)):
-            roots = [x for x in range(ell) if not _mod_value(cs, x, ell)]
-            if all(_mod_value(slopes, x, ell) for x in roots):
+        if all(ell % q for q in range(2, isqrt(ell) + 1)) \
+                and (roots := signs.roots_mod(ell)) is not None:
+            if all(roots.values()):
                 break
             repeated += 1
             # the bit length of Mahler's bound is at least k
@@ -850,10 +896,10 @@ def _rational_roots_of(poly: IntPolynomial) -> list[Fraction]:
     for r in roots:
         mod = ell
         while mod <= 2 * bound:
-            # f'(r)**-1 mod the old modulus suffices, as f(r) is 0 there
-            inv = pow(_mod_value(slopes, r, mod), -1, mod)
+            # h'(r)**-1 mod the old modulus suffices, as h(r) is 0 there
+            inv = pow(signs.residue(r, mod, True), -1, mod)
             mod *= mod
-            r = (r - _mod_value(cs, r, mod) * inv) % mod
+            r = (r - signs.residue(r, mod) * inv) % mod
         m = cs[-1] * r % mod
         m -= mod if 2 * m > mod else 0
         if abs(m) < bound and deflate_linear(poly, Fraction(m, cs[-1]))[1]:
@@ -978,9 +1024,9 @@ def isolate_bracketed_roots(poly: IntPolynomial, brackets, signs, precision: int
     whose ends differ in sign (ValueError otherwise); each holds exactly one
     root, and together they hold every positive root, which the caller
     certifies.  Float or None bracket ends and points of exclude are rejected.
-    ``signs`` gives the signs and values of poly, as :class:`SparseQuotient`
-    does.  Cells and refinements are the same; only root counts come from
-    the brackets and signs from ``signs``.
+    ``signs`` answers for poly as :class:`SparseQuotient` does.  Cells and
+    refinements are the same; only root counts come from the brackets, and
+    signs and the residues of the rational-root search from ``signs``.
     """
     _check_isolation_input(poly, precision)
     brackets = [_exact(lo, hi) for lo, hi in brackets]
@@ -997,7 +1043,7 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
     :func:`_descartes_cells`, and ``signs`` gives sf's signs."""
     max_width = Fraction(1, 10 ** precision)
     # the rational roots of x**k * p0 are those of sf, and 0 when k > 0
-    roots = _rational_roots_of(sf)
+    roots = _rational_roots_of(sf, signs)
     if any(r in roots or k and not r for r in exclude):
         raise ValueError("a point of exclude is a root")
     # The rational roots are divided out and the quotient irr is isolated from
@@ -1007,7 +1053,7 @@ def _finish_roots(sf: IntPolynomial, above, signs, factors, k: int, precision: i
     if rationals:
         for r in rationals:
             irr = deflate_linear(irr, r)[0]
-        signs = _Horner(irr.coeffs)
+        signs = signs.deflated(irr, rationals)
     if irr.degree < 1:
         cells = []
     elif above is None:

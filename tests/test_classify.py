@@ -1,6 +1,7 @@
 """Tests for the dimension-7 classification predicates."""
 
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -283,6 +284,21 @@ def test_range_partition_equals_the_loop(case):
     assert tuple(tuple(cls) for cls in fast.classes) == slow.classes
     assert len(fast.invalid) == len(slow.invalid)
     assert list(fast.invalid) == list(fast.invalid) == list(slow.invalid)
+
+
+def test_range_partition_at_a_large_modulus_stays_small_in_memory():
+    # the modulus at l1 = 9999 is 1,399,720,014, so each valid value heads a
+    # class of its own; holding them took about 6.9 MB for these 10**5 values
+    values = range(1, 10 ** 5 + 1)
+    tracemalloc.start()
+    try:
+        part = partition_diffeo_types(9999, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert len(part.classes) == sum(1 for _ in part.classes) == 60007
+    assert len(part.invalid) == sum(1 for _ in part.invalid) == 39993
 
 
 def test_partition_agrees_with_pairwise_predicate():

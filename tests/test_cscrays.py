@@ -40,6 +40,7 @@ from sasakijoin.exactpoly import (
     poly_eval,
     poly_mul,
     poly_sub,
+    primitive_part,
     rational_roots,
     sturm_count,
 )
@@ -418,6 +419,31 @@ def test_planted_rational_rays_match_pinned_reports(case):
     report = csc_rays(JoinParams(p, t.denominator, t.numerator, w1, w2), precision)
     assert any(ray.record.value == r for ray in report.rays if ray.record.is_rational)
     assert hashlib.sha256(repr(report).encode()).hexdigest() == PINNED_PLANTED[case]
+
+
+@pytest.mark.parametrize("p, r, w", [(60, F(3), (3, 2)), (60, F(5, 4), (3, 2)), (40, F(1, 3), (2, 1))])
+def test_branch_path_evaluates_irr_densely_only_at_a_divided_out_root(monkeypatch, p, r, w):
+    # once the rational root r is divided out of the quotient, the signs of
+    # the rest, irr, come from the terms of f, but at w2/w1 and at r
+    t = planted_ratio(p, r, *w)
+    params = JoinParams(p, t.denominator, t.numerator, *w)
+    report = csc_rays(params)
+    forced = F(w[1], w[0])
+    irr = deflate_linear(primitive_part(deflate_forbidden(csc_polynomial(params))[0]), r)[0]
+    # every dense value, by _scaled_value or a dense source, is a _Horner.value
+    dense = []
+    real = exactpoly._Horner.value
+
+    def value(signs, x, y):
+        dense.append((signs.coeffs, F(x, y)))
+        return real(signs, x, y)
+
+    monkeypatch.setattr(exactpoly._Horner, "value", value)
+    bracketed = _calls(monkeypatch, cscrays, "isolate_bracketed_roots")
+    assert repr(csc_rays(params)) == repr(report) and len(bracketed) == 1
+    assert sum(ray.record.value == r for ray in report.rays if ray.record.is_rational) == 1
+    points = [x for coeffs, x in dense if coeffs == irr.coeffs]
+    assert sorted(points) == sorted(set(points)) and set(points) <= {r, forced}
 
 
 def test_rays_quasiregular_family_case():
@@ -1018,6 +1044,22 @@ def test_branch_path_evaluates_densely_once_at_the_forced_root(monkeypatch, tup)
         assert seen.count(quotient.coeffs) == calls
         assert seen.count(wronskian.coeffs) == (params.w1 != params.w2)
     assert report.unreduced_count == 3
+
+
+@pytest.mark.parametrize("tup", [(82, 1, 5, 3, 2), (88, 1, 1, 2, 1)])
+def test_branch_path_evaluates_the_sign_at_zero_once(monkeypatch, tup):
+    # the search for roots below w2/w1 and the bracket counts both ask for
+    # the signs at 0 and at the separator (which a refinement may also ask
+    # for as the end of a cell, by value)
+    params = JoinParams(*tup)
+    report = repr(csc_rays(params))
+    quotient = deflate_forbidden(csc_polynomial(params))[0]
+    points = []
+    real = exactpoly.SparseQuotient.value
+    monkeypatch.setattr(exactpoly.SparseQuotient, "value", lambda signs, x, y: (
+        points.append(F(x, y)) if signs.quotient == quotient else None) or real(signs, x, y))
+    assert repr(csc_rays(params)) == report
+    assert points.count(F(0)) == 1
 
 
 def test_threshold_validates_the_family():

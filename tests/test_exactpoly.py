@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction as F
+from functools import reduce
 from math import isqrt, prod
 from types import SimpleNamespace
 
@@ -1291,3 +1292,86 @@ def test_no_rational_root_on_the_degree_801_ray_quotient():
         (F(554153860399043, 237494511599616), F(92358976733197, 39582418599936)),
     ]
     assert all(ray.ray_class == "irregular" for ray in report.rays)
+
+
+# ----------------------------------------------------------------------
+# the search and the signs after deflation, read off the terms of f
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+
+
+@st.composite
+def _ray_tuples(draw):
+    """Valid (p, l1, l2, w1, w2) at the branch path's degrees, p 12-40."""
+    p = draw(st.integers(12, 40))
+    w1, w2 = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (5, 2), (5, 3)]))
+    try:
+        return JoinParams(p, draw(st.integers(1, 30)), draw(st.integers(1, 60)), w1, w2)
+    except ValueError:
+        assume(False)
+
+
+def newton_lift(signs, r, ell, steps):
+    """The root r of a sign source's residues mod the prime ell, lifted by
+    Newton steps to one mod ell**(2**steps)."""
+    mod = ell
+    for _ in range(steps):
+        inv = pow(signs.residue(r, mod, True), -1, mod)
+        mod *= mod
+        r = (r - signs.residue(r, mod) * inv) % mod
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ray_tuples())
+def test_sparse_search_residues_equal_the_dense_ones(params):
+    # at every prime the terms of f serve, the roots of the quotient mod l,
+    # their simplicity and their lifts are those of the dense quotient
+    fp = csc_polynomial(params)
+    quotient, _ = deflate_forbidden(fp)
+    sf = primitive_part(quotient)
+    sparse, dense = SparseQuotient(fp.poly, quotient, fp.forbidden_root), exactpoly._Horner(sf.coeffs)
+    for ell in SMALL_PRIMES:
+        roots = sparse.roots_mod(ell)
+        if roots is not None:
+            expected = dense.roots_mod(ell)
+            assert list(roots) == list(expected)
+            assert [bool(v) for v in roots.values()] == [bool(v) for v in expected.values()]
+            for r in (x for x, slope in roots.items() if slope):
+                # Newton steps on either residue give the one lift of r mod l**8
+                lifts = [newton_lift(signs, r, ell, 3) for signs in (sparse, dense)]
+                assert lifts[0] == lifts[1] and not sparse.residue(lifts[0], ell ** 8)
+    assert _rational_roots_of(sf, sparse) == _rational_roots_of(sf)
+
+
+def test_sparse_search_skips_a_prime_dividing_the_denominator_of_the_root():
+    # lc(q) = 2 passes over 2, and 3 divides the d of the divided-out 1/3,
+    # where x0 = n/d has no residue; the next prime, 5, serves
+    quotient = poly_mul(poly_mul(intpoly([-1, 2]), intpoly([-5, 1])), intpoly([2, 0, 1]))
+    f = poly_mul(quotient, intpoly(oracles.power([-1, 3], 3)))
+    signs = SparseQuotient(f, quotient, F(1, 3))
+    assert signs.roots_mod(2) is None and signs.roots_mod(3) is None
+    assert list(signs.roots_mod(5)) == [0, 3]
+    assert _rational_roots_of(quotient, signs) == _rational_roots_of(quotient) == [F(1, 2), F(5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(GRID_COEFFS, st.integers(-40, 40), st.integers(1, 40), st.integers(1, 4),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=3),
+       st.lists(st.tuples(GRID_POINTS, st.booleans()), min_size=1, max_size=4))
+def test_deflated_sparse_signs_are_the_signs_of_irr(coeffs, n, d, k, linears, point_lists):
+    # irr times the simple roots is the quotient, and f is that times
+    # (d*x - n)**k; on the roots, each of them in turn, and off them
+    root = F(n, d)
+    simple = sorted({F(a, b) for a, b in linears} - {root})
+    irr = intpoly(coeffs)
+    quotient = reduce(poly_mul, [intpoly([-r.numerator, r.denominator]) for r in simple], irr)
+    f = poly_mul(quotient, intpoly(oracles.power([-n, d], k)))
+    signs = SparseQuotient(f, quotient, root).deflated(irr, simple)
+    for points, on_root in point_lists:
+        for i, (x, odd, s) in enumerate(points):
+            y = odd << s
+            if on_root:
+                at = ([root] + simple)[i % (len(simple) + 1)]
+                x, y = at.numerator * y, at.denominator * y
+            assert signs.sign(F(x, y)) == poly_sign(irr, F(x, y))
