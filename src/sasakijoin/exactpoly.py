@@ -244,10 +244,11 @@ class _Signs:
 
     def sign(self, x: Fraction) -> int:
         """The sign of q at the rational x."""
-        if x not in self.known:
-            v = self.value(x.numerator, x.denominator)
-            self.known[x] = (v > 0) - (v < 0)
-        return self.known[x]
+        key = x.numerator, x.denominator
+        if key not in self.known:
+            v = self.value(*key)
+            self.known[key] = (v > 0) - (v < 0)
+        return self.known[key]
 
 
 class _Horner(_Signs):
@@ -357,7 +358,12 @@ class SparseQuotient(_Signs):
         return None
 
     def residue(self, x: int, mod: int, slope: bool = False) -> int:
-        return sum(c * pow(x, i, mod) for i, c in (self.slopes if slope else self.terms)) % mod
+        # Horner's rule over the gaps between exponents, as in _sparse_value
+        (top, acc), *rest = reversed(self.slopes if slope else self.terms)
+        for i, c in rest:
+            acc = (acc * pow(x, top - i, mod) + c) % mod
+            top = i
+        return acc * pow(x, top, mod) % mod
 
     def deflated(self, irr: IntPolynomial, roots) -> SparseQuotient:
         return SparseQuotient(self.f, irr, *(Fraction(n, d) for n, d, _ in self.roots), *roots)
