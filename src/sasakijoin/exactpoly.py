@@ -219,7 +219,7 @@ _QIR_WARMUP = 4
 
 class _Signs:
     """What each stage of :func:`_finish_roots` asks of a polynomial q with
-    integer coefficients, each sign evaluated once.
+    integer coefficients.
 
     ``value(x, y)`` is an integer with the sign of q(x/y), for y > 0, and
     off finitely many points y**degree * g(x/y) for some g with the positive
@@ -244,11 +244,8 @@ class _Signs:
 
     def sign(self, x: Fraction) -> int:
         """The sign of q at the rational x."""
-        key = x.numerator, x.denominator
-        if key not in self.known:
-            v = self.value(*key)
-            self.known[key] = (v > 0) - (v < 0)
-        return self.known[key]
+        v = self.value(x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
 
 
 class _Horner(_Signs):
@@ -256,15 +253,17 @@ class _Horner(_Signs):
     product and one shift a step."""
 
     def __init__(self, cs: tuple[int, ...]) -> None:
-        self.coeffs, self.degree, self.known = cs, len(cs) - 1, {}
+        self.coeffs = cs
+        self.degree = len(cs) - 1
 
     @cached_property
     def slopes(self) -> tuple[int, ...]:
         return tuple(i * c for i, c in enumerate(self.coeffs))[1:]
 
     def roots_mod(self, ell: int) -> dict[int, int] | None:
-        return {x: _mod_value(self.slopes, x, ell) for x in range(ell)
-                if not _mod_value(self.coeffs, x, ell)} if self.coeffs[-1] % ell else None
+        cs, slopes = self.coeffs, self.slopes
+        return {x: _mod_value(slopes, x, ell) for x in range(ell)
+                if not _mod_value(cs, x, ell)} if cs[-1] % ell else None
 
     def residue(self, x: int, mod: int, slope: bool = False) -> int:
         return _mod_value(self.slopes if slope else self.coeffs, x, mod)
@@ -320,15 +319,17 @@ class SparseQuotient(_Signs):
     """
 
     def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root, *simple) -> None:
-        roots = [Fraction(r) for r in (root, *simple)]
-        self.f, self.quotient = f, quotient
+        root, k = Fraction(root), f.degree - quotient.degree - len(simple)
+        self.f, self.quotient, self.known = f, quotient, {}
         self.terms = [(i, c) for i, c in enumerate(f.coeffs) if c]
-        self.slopes = [(i - 1, i * c) for i, c in self.terms if i]
         self.degree = f.degree
-        # (n, d, parity of the power), k = deg f - deg q - len(simple)
-        powers = [f.degree - quotient.degree - len(simple)] + [1] * len(simple)
-        self.roots = [(r.numerator, r.denominator, m % 2) for r, m in zip(roots, powers)]
-        self.known = {}
+        # (n, d, the parity of the power of d*x - n): k at root, 1 at the others
+        self.roots = [(root.numerator, root.denominator, k % 2)] + [
+            (r.numerator, r.denominator, 1) for r in map(Fraction, simple)]
+
+    @cached_property
+    def slopes(self) -> list[tuple[int, int]]:
+        return [(i - 1, i * c) for i, c in self.terms if i]
 
     def fold(self, d: int) -> list[tuple[int, int]]:
         """The terms (i, c * d**(n-i)), n = deg f."""
@@ -347,6 +348,13 @@ class SparseQuotient(_Signs):
             d, terms = self.grid = y >> s, self.fold(y >> s)
         v = _sparse_value(terms, x, s)
         return -v if flip else v
+
+    def sign(self, x: Fraction) -> int:
+        """The sign at x, evaluated once."""
+        key = x.numerator, x.denominator
+        if key not in self.known:
+            self.known[key] = super().sign(x)
+        return self.known[key]
 
     def roots_mod(self, ell: int) -> dict[int, int] | None:
         q, (n, d, _) = self.quotient.coeffs, self.roots[0]
@@ -888,7 +896,7 @@ def _rational_roots_of(poly: IntPolynomial, signs=None) -> list[Fraction]:
     signs = signs or _Horner(cs)
     k, repeated = len(cs) - 1, 0
     for ell in count(2):
-        if all(ell % q for q in range(2, isqrt(ell) + 1)) \
+        if cs[-1] % ell and all(ell % q for q in range(2, isqrt(ell) + 1)) \
                 and (roots := signs.roots_mod(ell)) is not None:
             if all(roots.values()):
                 break

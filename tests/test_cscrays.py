@@ -421,7 +421,8 @@ def test_planted_rational_rays_match_pinned_reports(case):
     assert hashlib.sha256(repr(report).encode()).hexdigest() == PINNED_PLANTED[case]
 
 
-@pytest.mark.parametrize("p, r, w", [(60, F(3), (3, 2)), (60, F(5, 4), (3, 2)), (40, F(1, 3), (2, 1))])
+@pytest.mark.parametrize("p, r, w", [(60, F(3), (3, 2)), (60, F(5, 4), (3, 2)),
+                                     (40, F(1, 3), (2, 1))])
 def test_branch_path_evaluates_irr_densely_only_at_a_divided_out_root(monkeypatch, p, r, w):
     # once the rational root r is divided out of the quotient, the signs of
     # the rest, irr, come from the terms of f, but at w2/w1 and at r

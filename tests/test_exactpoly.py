@@ -1330,7 +1330,8 @@ def test_sparse_search_residues_equal_the_dense_ones(params):
     fp = csc_polynomial(params)
     quotient, _ = deflate_forbidden(fp)
     sf = primitive_part(quotient)
-    sparse, dense = SparseQuotient(fp.poly, quotient, fp.forbidden_root), exactpoly._Horner(sf.coeffs)
+    sparse = SparseQuotient(fp.poly, quotient, fp.forbidden_root)
+    dense = exactpoly._Horner(sf.coeffs)
     for ell in SMALL_PRIMES:
         roots = sparse.roots_mod(ell)
         if roots is not None:
