@@ -255,6 +255,9 @@ class _Horner(_Signs):
     def __init__(self, cs: tuple[int, ...]) -> None:
         self.coeffs = cs
         self.degree = len(cs) - 1
+        # set before slopes, so that every instance lays out its attributes
+        # in one order, for which value() reads self.grid fastest
+        self.grid = _Signs.grid
 
     @cached_property
     def slopes(self) -> tuple[int, ...]:
