@@ -97,7 +97,7 @@ MUTANTS = [
     ("the sparse search takes a prime dividing the d of the divided-out root", "exactpoly.py",
      "        if q[-1] * d % ell:\n", "        if q[-1] % ell:\n", SPARSE_PRIMES),
     ("the deflated sparse signs leave out the divided-out rational roots", "exactpoly.py",
-     "for n, d, _ in self.roots), *roots)", "for n, d, _ in self.roots))", DEFLATED),
+     "        out.roots = self.roots + [", "        out.roots = self.roots or [", DEFLATED),
     ("split_counts reads an unsettled tail", "exactpoly.py",
      "        if cs[-1] * total <= 0:\n            break\n", "", SPLIT),
     ("split_counts counts the unreversed coefficients above the point", "exactpoly.py",

@@ -49,6 +49,7 @@ both sides of a point from prefix sums instead, with no Taylor shift.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -312,7 +313,7 @@ class SparseQuotient(_Signs):
     """The answers of :class:`_Signs` for q = f / ((d*x - n)**k * prod(d_i*x - n_i)),
     read off the nonzero terms of f: a few powers instead of deg(f) Horner
     steps when f is sparse and deg(f) large.  ``root`` n/d is a root of f of
-    multiplicity k, and the ``simple`` roots n_i/d_i are divided out after it.
+    multiplicity k; :meth:`deflated` divides out the simple roots n_i/d_i.
 
     ``value(x, y)`` is y**deg(f) * f(x/y) times the sign of each d*x - n*y to
     its power, or at one of these roots d**deg(q) * q(n/d), by dense Horner.
@@ -321,14 +322,13 @@ class SparseQuotient(_Signs):
     l are those of f but x0, as d*x - n is a unit at the others.
     """
 
-    def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root, *simple) -> None:
-        root, k = Fraction(root), f.degree - quotient.degree - len(simple)
-        self.f, self.quotient, self.known = f, quotient, {}
+    def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
+        root = Fraction(root)
+        self.quotient, self.known = quotient, {}
         self.terms = [(i, c) for i, c in enumerate(f.coeffs) if c]
         self.degree = f.degree
-        # (n, d, the parity of the power of d*x - n): k at root, 1 at the others
-        self.roots = [(root.numerator, root.denominator, k % 2)] + [
-            (r.numerator, r.denominator, 1) for r in map(Fraction, simple)]
+        # (n, d, the parity of the power of d*x - n) for each root divided out
+        self.roots = [(root.numerator, root.denominator, (f.degree - quotient.degree) % 2)]
 
     @cached_property
     def slopes(self) -> list[tuple[int, int]]:
@@ -353,11 +353,12 @@ class SparseQuotient(_Signs):
         return -v if flip else v
 
     def sign(self, x: Fraction) -> int:
-        """The sign at x, evaluated once."""
+        """The sign of q at the rational x, evaluated once."""
         key = x.numerator, x.denominator
-        if key not in self.known:
-            self.known[key] = super().sign(x)
-        return self.known[key]
+        if (s := self.known.get(key)) is None:
+            v = self.value(*key)
+            s = self.known[key] = (v > 0) - (v < 0)
+        return s
 
     def roots_mod(self, ell: int) -> dict[int, int] | None:
         q, (n, d, _) = self.quotient.coeffs, self.roots[0]
@@ -377,7 +378,10 @@ class SparseQuotient(_Signs):
         return acc * pow(x, top, mod) % mod
 
     def deflated(self, irr: IntPolynomial, roots) -> SparseQuotient:
-        return SparseQuotient(self.f, irr, *(Fraction(n, d) for n, d, _ in self.roots), *roots)
+        out = copy(self)
+        out.quotient, out.known = irr, {}
+        out.roots = self.roots + [(r.numerator, r.denominator, 1) for r in roots]
+        return out
 
 
 def poly_exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
