@@ -81,7 +81,7 @@ BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
     ("rational-root search lifts a root mod l that is not simple", "exactpoly.py",
-     "            if all(roots.values()):\n", "            if True:\n", SEARCH),
+     "            if all(slope(x, ell) for x in roots):\n", "            if True:\n", SEARCH),
     ("rational-root search returns [] at a prime that has roots", "exactpoly.py",
      "                break\n            repeated", "                return []\n            repeated",
      SEARCH),
@@ -90,9 +90,9 @@ MUTANTS = [
     ("rational-root search stops lifting one step early", "exactpoly.py",
      "        while mod <= 2 * bound:\n", "        while mod * mod <= 2 * bound:\n", SEARCH),
     ("the sparse search reads the divided-out root x0 as a root of q mod l", "exactpoly.py",
-     "if x != x0 and not self.residue(x, ell)}", "if not self.residue(x, ell)}", SPARSE_SEARCH),
-    ("the sparse search reads every root of q mod l as simple, f' untested", "exactpoly.py",
-     "{x: self.residue(x, ell, True) for x in range(ell)", "{x: 1 for x in range(ell)",
+     "if x != x0 and not _sparse_mod(", "if not _sparse_mod(", SPARSE_SEARCH),
+    ("the sparse search reads every root of q mod l as simple, f' taken as 1", "exactpoly.py",
+     "slopes = [(i - 1, i * c) for i, c in self.terms if i]", "slopes = [(0, 1)]",
      SPARSE_SEARCH),
     ("the sparse search takes a prime dividing the d of the divided-out root", "exactpoly.py",
      "        if q[-1] * d % ell:\n", "        if q[-1] % ell:\n", SPARSE_PRIMES),

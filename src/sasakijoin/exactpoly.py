@@ -52,7 +52,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import partial, reduce
 from itertools import accumulate, count, repeat
 from math import ceil, gcd, isqrt
 from operator import mul, ne
@@ -231,12 +231,13 @@ class _Signs:
     the coefficients once, while d stays the same, and the powers of 2 taken
     by shifts.  A refinement keeps one d, as its denominator only doubles.
 
-    For :func:`_rational_roots_of`, ``roots_mod(ell)`` maps each root x of q
-    mod the prime ell to ``residue(x, ell, True)``, or is None where ell does
-    not serve (it divides lc(q), say); ``residue(x, mod, slope)`` is h(x), or
-    h'(x), mod ``mod`` for an h = u*q, u a unit at those roots, so Newton
-    steps on h lift them.  ``deflated(irr, roots)`` answers for irr = q /
-    prod(d*x - n) once the positive rational roots n/d are divided out.
+    For :func:`_rational_roots_of`, ``roots_mod(ell)`` lists the roots of q
+    mod the prime ell, ascending, or is None where ell does not serve (it
+    divides lc(q), say); ``residues()`` gives the functions (x, mod) -> h(x)
+    and h'(x) mod ``mod`` for an h = u*q, u a unit at those roots, so a root
+    is simple where h' is nonzero, and Newton steps on h lift it.
+    ``deflated(irr, roots)`` answers for irr = q / prod(d*x - n) once the
+    positive rational roots n/d are divided out.
     """
 
     # (d, the coefficients folded with d), no d being 0: one attribute, so
@@ -256,21 +257,14 @@ class _Horner(_Signs):
     def __init__(self, cs: tuple[int, ...]) -> None:
         self.coeffs = cs
         self.degree = len(cs) - 1
-        # set before slopes, so that every instance lays out its attributes
-        # in one order, for which value() reads self.grid fastest
-        self.grid = _Signs.grid
 
-    @cached_property
-    def slopes(self) -> tuple[int, ...]:
-        return tuple(i * c for i, c in enumerate(self.coeffs))[1:]
+    def roots_mod(self, ell: int) -> list[int] | None:
+        cs = self.coeffs
+        return [x for x in range(ell) if not _mod_value(cs, x, ell)] if cs[-1] % ell else None
 
-    def roots_mod(self, ell: int) -> dict[int, int] | None:
-        cs, slopes = self.coeffs, self.slopes
-        return {x: _mod_value(slopes, x, ell) for x in range(ell)
-                if not _mod_value(cs, x, ell)} if cs[-1] % ell else None
-
-    def residue(self, x: int, mod: int, slope: bool = False) -> int:
-        return _mod_value(self.slopes if slope else self.coeffs, x, mod)
+    def residues(self) -> tuple[partial, partial]:
+        cs = self.coeffs
+        return partial(_mod_value, cs), partial(_mod_value, tuple(i * c for i, c in enumerate(cs))[1:])
 
     def deflated(self, irr: IntPolynomial, roots) -> _Horner:
         return _Horner(irr.coeffs)
@@ -330,10 +324,6 @@ class SparseQuotient(_Signs):
         # (n, d, the parity of the power of d*x - n) for each root divided out
         self.roots = [(root.numerator, root.denominator, (f.degree - quotient.degree) % 2)]
 
-    @cached_property
-    def slopes(self) -> list[tuple[int, int]]:
-        return [(i - 1, i * c) for i, c in self.terms if i]
-
     def fold(self, d: int) -> list[tuple[int, int]]:
         """The terms (i, c * d**(n-i)), n = deg f."""
         return [(i, c * d ** (self.degree - i)) for i, c in self.terms]
@@ -360,22 +350,17 @@ class SparseQuotient(_Signs):
             s = self.known[key] = (v > 0) - (v < 0)
         return s
 
-    def roots_mod(self, ell: int) -> dict[int, int] | None:
+    def roots_mod(self, ell: int) -> list[int] | None:
         q, (n, d, _) = self.quotient.coeffs, self.roots[0]
         if q[-1] * d % ell:
             x0 = n * pow(d, -1, ell) % ell
             if _mod_value(q, x0, ell):
-                return {x: self.residue(x, ell, True) for x in range(ell)
-                        if x != x0 and not self.residue(x, ell)}
+                return [x for x in range(ell) if x != x0 and not _sparse_mod(self.terms, x, ell)]
         return None
 
-    def residue(self, x: int, mod: int, slope: bool = False) -> int:
-        # Horner's rule over the gaps between exponents, as in _sparse_value
-        (top, acc), *rest = reversed(self.slopes if slope else self.terms)
-        for i, c in rest:
-            acc = (acc * pow(x, top - i, mod) + c) % mod
-            top = i
-        return acc * pow(x, top, mod) % mod
+    def residues(self) -> tuple[partial, partial]:
+        slopes = [(i - 1, i * c) for i, c in self.terms if i]
+        return partial(_sparse_mod, self.terms), partial(_sparse_mod, slopes)
 
     def deflated(self, irr: IntPolynomial, roots) -> SparseQuotient:
         out = copy(self)
@@ -881,6 +866,16 @@ def _mod_value(cs, x: int, mod: int) -> int:
     return acc
 
 
+def _sparse_mod(terms, x: int, mod: int) -> int:
+    """f(x) mod ``mod`` for the terms (i, c) of f, ascending in i, by Horner's
+    rule over the gaps between exponents, as :func:`_sparse_value` takes them."""
+    (top, acc), *rest = reversed(terms)
+    for i, c in rest:
+        acc = (acc * pow(x, top - i, mod) + c) % mod
+        top = i
+    return acc * pow(x, top, mod) % mod
+
+
 def _rational_roots_of(poly: IntPolynomial, signs=None) -> list[Fraction]:
     """The rational roots, ascending, of a square-free integer polynomial f,
     by p-adic lifting (Loos 1983), on the residues of ``signs``, a
@@ -901,11 +896,12 @@ def _rational_roots_of(poly: IntPolynomial, signs=None) -> list[Fraction]:
     if len(cs) < 2:
         return []
     signs = signs or _Horner(cs)
+    value, slope = signs.residues()
     k, repeated = len(cs) - 1, 0
     for ell in count(2):
         if cs[-1] % ell and all(ell % q for q in range(2, isqrt(ell) + 1)) \
                 and (roots := signs.roots_mod(ell)) is not None:
-            if all(roots.values()):
+            if all(slope(x, ell) for x in roots):
                 break
             repeated += 1
             # the bit length of Mahler's bound is at least k
@@ -918,9 +914,9 @@ def _rational_roots_of(poly: IntPolynomial, signs=None) -> list[Fraction]:
         mod = ell
         while mod <= 2 * bound:
             # h'(r)**-1 mod the old modulus suffices, as h(r) is 0 there
-            inv = pow(signs.residue(r, mod, True), -1, mod)
+            inv = pow(slope(r, mod), -1, mod)
             mod *= mod
-            r = (r - signs.residue(r, mod) * inv) % mod
+            r = (r - value(r, mod) * inv) % mod
         m = cs[-1] * r % mod
         m -= mod if 2 * m > mod else 0
         if abs(m) < bound and deflate_linear(poly, Fraction(m, cs[-1]))[1]:

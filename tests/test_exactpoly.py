@@ -1314,11 +1314,12 @@ def _ray_tuples(draw):
 def newton_lift(signs, r, ell, steps):
     """The root r of a sign source's residues mod the prime ell, lifted by
     Newton steps to one mod ell**(2**steps)."""
+    value, slope = signs.residues()
     mod = ell
     for _ in range(steps):
-        inv = pow(signs.residue(r, mod, True), -1, mod)
+        inv = pow(slope(r, mod), -1, mod)
         mod *= mod
-        r = (r - signs.residue(r, mod) * inv) % mod
+        r = (r - value(r, mod) * inv) % mod
     return r
 
 
@@ -1332,16 +1333,16 @@ def test_sparse_search_residues_equal_the_dense_ones(params):
     sf = primitive_part(quotient)
     sparse = SparseQuotient(fp.poly, quotient, fp.forbidden_root)
     dense = exactpoly._Horner(sf.coeffs)
+    (value, slope), (_, dense_slope) = sparse.residues(), dense.residues()
     for ell in SMALL_PRIMES:
         roots = sparse.roots_mod(ell)
         if roots is not None:
-            expected = dense.roots_mod(ell)
-            assert list(roots) == list(expected)
-            assert [bool(v) for v in roots.values()] == [bool(v) for v in expected.values()]
-            for r in (x for x, slope in roots.items() if slope):
+            assert roots == dense.roots_mod(ell)
+            assert [bool(slope(x, ell)) for x in roots] == [bool(dense_slope(x, ell)) for x in roots]
+            for r in (x for x in roots if slope(x, ell)):
                 # Newton steps on either residue give the one lift of r mod l**8
                 lifts = [newton_lift(signs, r, ell, 3) for signs in (sparse, dense)]
-                assert lifts[0] == lifts[1] and not sparse.residue(lifts[0], ell ** 8)
+                assert lifts[0] == lifts[1] and not value(lifts[0], ell ** 8)
     assert _rational_roots_of(sf, sparse) == _rational_roots_of(sf)
 
 
