@@ -1327,9 +1327,11 @@ def newton_lift(signs, r, ell, steps):
 @given(_ray_tuples())
 def test_sparse_search_residues_equal_the_dense_ones(params):
     # at every prime the terms of f serve, the roots of the quotient mod l,
-    # their simplicity and their lifts are those of the dense quotient
+    # their simplicity and their lifts are those of the dense quotient; as on
+    # the branch path, the search runs on certified square-free quotients
     fp = csc_polynomial(params)
     quotient, _ = deflate_forbidden(fp)
+    assume(certify_squarefree(quotient))
     sf = primitive_part(quotient)
     sparse = SparseQuotient(fp.poly, quotient, fp.forbidden_root)
     dense = exactpoly._Horner(sf.coeffs)
