@@ -187,11 +187,6 @@ class DiffeoPartition:
     invalid: tuple[tuple[int, str], ...] | LazySequence
 
 
-# partition_diffeo_types holds at most this many heads of classes at once,
-# so that its memory does not grow with the modulus
-_SHARED_HEADS = 1 << 12
-
-
 def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
     """Group l2 values by the diffeomorphism congruence at fixed l1.
 
@@ -216,16 +211,12 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
 
         def skipped():
             yield from ((l2, "l2 >= 1") for l2 in l2_values[:first])
-            # the heads sharing a factor with l1, listed for this pass when there
-            # are at most _SHARED_HEADS heads, else filtered again for each shift
-            listed = [r for r in heads if gcd(l1, r) != 1] if len(heads) <= _SHARED_HEADS else None
-            for shift in range(0, stop - heads.start, period):
-                shared = listed if listed is not None else (r for r in heads if gcd(l1, r) != 1)
-                yield from ((r + shift, "gcd(l1,l2) = 1") for r in shared if r + shift < stop)
+            yield from ((l2, "gcd(l1,l2) = 1") for l2 in l2_values[first:] if gcd(l1, l2) != 1)
 
-        count = len(l2_values) - sum(map(len, classes()))
-        return DiffeoPartition(LazySequence(sum(gcd(l1, r) == 1 for r in heads), classes),
-                               LazySequence(count, skipped))
+        n = members = 0
+        for cls in classes():
+            n, members = n + 1, members + len(cls)
+        return DiffeoPartition(LazySequence(n, classes), LazySequence(len(l2_values) - members, skipped))
     buckets: dict[int, set[int]] = {}
     invalid: list[tuple[int, str]] = []
     for l2 in l2_values:
