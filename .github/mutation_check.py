@@ -42,7 +42,7 @@ SEARCH = ("tests/test_exactpoly.py", "-k", "search or rational_roots")
 # prime dividing the d of the divided-out root
 SPARSE_SEARCH = ("tests/test_exactpoly.py", "-k", "sparse_search_residues")
 SPARSE_PRIMES = ("tests/test_exactpoly.py", "-k", "sparse_search_skips_a_prime")
-DEFLATED = ("tests/test_exactpoly.py", "-k", "deflated_sparse_signs")
+DEFLATED = ("tests/test_exactpoly.py", "-k", "deflated_sparse")
 SPLIT = ("tests/test_exactpoly.py", "-k", "split_counts")
 REFINE = ("tests/test_exactpoly.py", "-k",
           "isolation_invariants or bisection_cell or adjacent_closures or excluded")
@@ -90,12 +90,15 @@ MUTANTS = [
     ("rational-root search stops lifting one step early", "exactpoly.py",
      "        while mod <= 2 * bound:\n", "        while mod * mod <= 2 * bound:\n", SEARCH),
     ("the sparse search reads the divided-out root x0 as a root of q mod l", "exactpoly.py",
-     "if x != x0 and not _sparse_mod(", "if not _sparse_mod(", SPARSE_SEARCH),
+     "if x not in xs and not _sparse_mod(", "if not _sparse_mod(", SPARSE_SEARCH),
     ("the sparse search reads every root of q mod l as simple, f' taken as 1", "exactpoly.py",
      "slopes = [(i - 1, i * c) for i, c in self.terms if i]", "slopes = [(0, 1)]",
      SPARSE_SEARCH),
     ("the sparse search takes a prime dividing the d of the divided-out root", "exactpoly.py",
-     "        if q[-1] * d % ell:\n", "        if q[-1] % ell:\n", SPARSE_PRIMES),
+     "if all(q[-1] * d % ell for", "if all(q[-1] % ell for", SPARSE_PRIMES),
+    ("the deflated sparse search reads the divided-out simple roots as roots of irr mod l",
+     "exactpoly.py", "ell for n, d, _ in self.roots}", "ell for n, d, _ in self.roots[:1]}",
+     DEFLATED),
     ("the deflated sparse signs leave out the divided-out rational roots", "exactpoly.py",
      "        out.roots = self.roots + [", "        out.roots = self.roots or [", DEFLATED),
     ("split_counts reads an unsettled tail", "exactpoly.py",
@@ -177,7 +180,10 @@ MUTANTS = [
     ("the closed-form partition keeps the heads that share a factor with l1", "classify.py",
      "for r in heads if gcd(l1, r) == 1)", "for r in heads)", DIFFEO),
     ("the lazy invalid list has a length one too long", "classify.py",
-     "count = len(l2_values) - sum(", "count = len(l2_values) + 1 - sum(", DIFFEO),
+     "LazySequence(len(l2_values) - members", "LazySequence(len(l2_values) + 1 - members",
+     DIFFEO),
+    ("the lazy invalid list holds every value l2 >= 1", "classify.py",
+     "for l2 in l2_values[first:] if gcd(l1, l2) != 1)", "for l2 in l2_values[first:])", DIFFEO),
     ("the separator between two slices of a long list is dropped", "cli.py",
      "comma.join(map(leaf, chunk))\n                sep = comma\n",
      "comma.join(map(leaf, chunk))\n                sep = \"\"\n", STREAM),

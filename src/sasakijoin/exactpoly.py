@@ -232,8 +232,8 @@ class _Signs:
     by shifts.  A refinement keeps one d, as its denominator only doubles.
 
     For :func:`_rational_roots_of`, ``roots_mod(ell)`` lists the roots of q
-    mod the prime ell, ascending, or is None where ell does not serve (it
-    divides lc(q), say); ``residues()`` gives the functions (x, mod) -> h(x)
+    mod a prime ell not dividing lc(q), ascending, or is None where ell does
+    not serve; ``residues()`` gives the functions (x, mod) -> h(x)
     and h'(x) mod ``mod`` for an h = u*q, u a unit at those roots, so a root
     is simple where h' is nonzero, and Newton steps on h lift it.
     ``deflated(irr, roots)`` answers for irr = q / prod(d*x - n) once the
@@ -258,9 +258,8 @@ class _Horner(_Signs):
         self.coeffs = cs
         self.degree = len(cs) - 1
 
-    def roots_mod(self, ell: int) -> list[int] | None:
-        cs = self.coeffs
-        return [x for x in range(ell) if not _mod_value(cs, x, ell)] if cs[-1] % ell else None
+    def roots_mod(self, ell: int) -> list[int]:
+        return [x for x in range(ell) if not _mod_value(self.coeffs, x, ell)]
 
     def residues(self) -> tuple[partial, partial]:
         cs = self.coeffs
@@ -311,9 +310,9 @@ class SparseQuotient(_Signs):
 
     ``value(x, y)`` is y**deg(f) * f(x/y) times the sign of each d*x - n*y to
     its power, or at one of these roots d**deg(q) * q(n/d), by dense Horner.
-    The search reads h = f: at a prime l dividing neither lc(q) nor d, with
-    q(x0) != 0 mod l at x0 = n/d mod l (one dense value), the roots of q mod
-    l are those of f but x0, as d*x - n is a unit at the others.
+    The search reads h = f: at a prime l dividing neither lc(q) nor any d,
+    with q != 0 mod l at each x0 = n/d mod l (one dense value each), the roots
+    of q mod l are those of f but the x0, as each d*x - n is a unit at the others.
     """
 
     def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
@@ -351,11 +350,11 @@ class SparseQuotient(_Signs):
         return s
 
     def roots_mod(self, ell: int) -> list[int] | None:
-        q, (n, d, _) = self.quotient.coeffs, self.roots[0]
-        if q[-1] * d % ell:
-            x0 = n * pow(d, -1, ell) % ell
-            if _mod_value(q, x0, ell):
-                return [x for x in range(ell) if x != x0 and not _sparse_mod(self.terms, x, ell)]
+        q = self.quotient.coeffs
+        if all(q[-1] * d % ell for _, d, _ in self.roots):
+            xs = {n * pow(d, -1, ell) % ell for n, d, _ in self.roots}
+            if all(_mod_value(q, x, ell) for x in xs):
+                return [x for x in range(ell) if x not in xs and not _sparse_mod(self.terms, x, ell)]
         return None
 
     def residues(self) -> tuple[partial, partial]:
@@ -876,10 +875,10 @@ def _sparse_mod(terms, x: int, mod: int) -> int:
     return acc * pow(x, top, mod) % mod
 
 
-def _rational_roots_of(poly: IntPolynomial, signs=None) -> list[Fraction]:
+def _rational_roots_of(poly: IntPolynomial, signs) -> list[Fraction]:
     """The rational roots, ascending, of a square-free integer polynomial f,
     by p-adic lifting (Loos 1983), on the residues of ``signs``, a
-    :class:`_Signs` of f or of an integer multiple of f (f's own by default).
+    :class:`_Signs` of f or of an integer multiple of f.
 
     A root n/d has d | lc, so modulo each prime l not dividing lc it reduces
     to the root n * d**-1: where f has no root mod l, none is rational.  A
@@ -895,7 +894,6 @@ def _rational_roots_of(poly: IntPolynomial, signs=None) -> list[Fraction]:
     cs = poly.coeffs
     if len(cs) < 2:
         return []
-    signs = signs or _Horner(cs)
     value, slope = signs.residues()
     k, repeated = len(cs) - 1, 0
     for ell in count(2):
@@ -995,7 +993,7 @@ def rational_roots(poly: IntPolynomial) -> list[tuple[Fraction, int]]:
         raise ValueError("the zero polynomial vanishes everywhere")
     k, factors = _factors(poly)
     out = [(Fraction(0), k)] if k else []
-    out += [(r, m) for fac, m in factors for r in _rational_roots_of(fac)]
+    out += [(r, m) for fac, m in factors for r in _rational_roots_of(fac, _Horner(fac.coeffs))]
     return sorted(out)
 
 

@@ -1125,7 +1125,7 @@ def test_search_stops_on_a_repeated_root():
     poly = poly_mul(poly_mul(intpoly([-1, 1]), intpoly([-1, 1])), intpoly([2, 1]))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="square-free"):
-        _rational_roots_of(poly)
+        _rational_roots_of(poly, exactpoly._Horner(poly.coeffs))
     assert time.perf_counter() - start < 1
 
 
@@ -1284,7 +1284,7 @@ def test_no_rational_root_on_the_degree_801_ray_quotient():
     sf = primitive_part(quotient)
     primes = (2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     assert all(any(oracles.horner(sf.coeffs, x) % ell == 0 for x in range(ell)) for ell in primes)
-    assert certify_squarefree(quotient) and _rational_roots_of(sf) == []
+    assert certify_squarefree(quotient) and _rational_roots_of(sf, exactpoly._Horner(sf.coeffs)) == []
     report = csc_rays(JoinParams(400, 1, 5, 3, 2))
     assert [(ray.record.value.lo, ray.record.value.hi) for ray in report.rays] == [
         (F(2199023255549, 8796093022208), F(29686813949981, 118747255799808)),
@@ -1345,7 +1345,7 @@ def test_sparse_search_residues_equal_the_dense_ones(params):
                 # Newton steps on either residue give the one lift of r mod l**8
                 lifts = [newton_lift(signs, r, ell, 3) for signs in (sparse, dense)]
                 assert lifts[0] == lifts[1] and not value(lifts[0], ell ** 8)
-    assert _rational_roots_of(sf, sparse) == _rational_roots_of(sf)
+    assert _rational_roots_of(sf, sparse) == _rational_roots_of(sf, dense)
 
 
 def test_sparse_search_skips_a_prime_dividing_the_denominator_of_the_root():
@@ -1356,7 +1356,8 @@ def test_sparse_search_skips_a_prime_dividing_the_denominator_of_the_root():
     signs = SparseQuotient(f, quotient, F(1, 3))
     assert signs.roots_mod(2) is None and signs.roots_mod(3) is None
     assert list(signs.roots_mod(5)) == [0, 3]
-    assert _rational_roots_of(quotient, signs) == _rational_roots_of(quotient) == [F(1, 2), F(5)]
+    dense = exactpoly._Horner(quotient.coeffs)
+    assert _rational_roots_of(quotient, signs) == _rational_roots_of(quotient, dense) == [F(1, 2), F(5)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1379,3 +1380,24 @@ def test_deflated_sparse_signs_are_the_signs_of_irr(coeffs, n, d, k, linears, po
                 at = ([root] + simple)[i % (len(simple) + 1)]
                 x, y = at.numerator * y, at.denominator * y
             assert signs.sign(F(x, y)) == poly_sign(irr, F(x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(GRID_COEFFS, st.integers(-40, 40), st.integers(1, 40), st.integers(1, 4),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=3))
+def test_deflated_sparse_roots_mod_l_are_those_of_irr(coeffs, n, d, k, linears):
+    # with the simple roots divided out, the terms of f still give the roots
+    # of irr mod l and their simplicity, at each prime the source serves; f
+    # has no content beyond q's, as a ray polynomial's quotient keeps it
+    root = F(n, d)
+    simple = sorted({F(a, b) for a, b in linears} - {root})
+    irr = intpoly(coeffs)
+    quotient = reduce(poly_mul, [intpoly([-r.numerator, r.denominator]) for r in simple], irr)
+    f = poly_mul(quotient, intpoly(oracles.power([-root.numerator, root.denominator], k)))
+    signs, dense = SparseQuotient(f, quotient, root).deflated(irr, simple), exactpoly._Horner(irr.coeffs)
+    (_, slope), (_, dense_slope) = signs.residues(), dense.residues()
+    for ell in SMALL_PRIMES:
+        roots = signs.roots_mod(ell)
+        if roots is not None:
+            assert roots == dense.roots_mod(ell)
+            assert [bool(slope(x, ell)) for x in roots] == [bool(dense_slope(x, ell)) for x in roots]
