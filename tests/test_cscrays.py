@@ -369,7 +369,8 @@ def _branch_degree_tuples(draw):
     else:
         r = draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 4), F(2), F(3)]))
         assume(r != F(w2, w1))
-        t = planted_ratio(p, r, w1, w2)
+        t = -poly_eval(intpoly(_raw_coefficients(p, 1, 0, w1, w2)), r) \
+            / poly_eval(intpoly(_raw_coefficients(p, 0, 1, w1, w2)), r)
         assume(t > 0)
         l1, l2 = t.denominator, t.numerator
     try:
