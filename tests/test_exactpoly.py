@@ -1364,15 +1364,17 @@ def test_sparse_search_skips_a_prime_dividing_the_denominator_of_the_root():
 @given(GRID_COEFFS, st.integers(-40, 40), st.integers(1, 40), st.integers(1, 4),
        st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=3),
        st.lists(st.tuples(GRID_POINTS, st.booleans()), min_size=1, max_size=4))
-def test_deflated_sparse_signs_are_the_signs_of_irr(coeffs, n, d, k, linears, point_lists):
+def test_deflated_sparse_source_answers_for_irr(coeffs, n, d, k, linears, point_lists):
     # irr times the simple roots is the quotient, and f is that times
-    # (d*x - n)**k; on the roots, each of them in turn, and off them
+    # (d*x - n)**k, n/d in lowest terms as a ray's forced root is; the signs
+    # on the roots, each of them in turn, and off them, and at each prime the
+    # source serves, the roots of irr mod l and their simplicity
     root = F(n, d)
     simple = sorted({F(a, b) for a, b in linears} - {root})
     irr = intpoly(coeffs)
     quotient = reduce(poly_mul, [intpoly([-r.numerator, r.denominator]) for r in simple], irr)
-    f = poly_mul(quotient, intpoly(oracles.power([-n, d], k)))
-    signs = SparseQuotient(f, quotient, root).deflated(irr, simple)
+    f = poly_mul(quotient, intpoly(oracles.power([-root.numerator, root.denominator], k)))
+    signs, dense = SparseQuotient(f, quotient, root).deflated(irr, simple), exactpoly._Horner(irr.coeffs)
     for points, on_root in point_lists:
         for i, (x, odd, s) in enumerate(points):
             y = odd << s
@@ -1380,24 +1382,9 @@ def test_deflated_sparse_signs_are_the_signs_of_irr(coeffs, n, d, k, linears, po
                 at = ([root] + simple)[i % (len(simple) + 1)]
                 x, y = at.numerator * y, at.denominator * y
             assert signs.sign(F(x, y)) == poly_sign(irr, F(x, y))
-
-
-@settings(max_examples=100, deadline=None)
-@given(GRID_COEFFS, st.integers(-40, 40), st.integers(1, 40), st.integers(1, 4),
-       st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=3))
-def test_deflated_sparse_roots_mod_l_are_those_of_irr(coeffs, n, d, k, linears):
-    # with the simple roots divided out, the terms of f still give the roots
-    # of irr mod l and their simplicity, at each prime the source serves; f
-    # has no content beyond q's, as a ray polynomial's quotient keeps it
-    root = F(n, d)
-    simple = sorted({F(a, b) for a, b in linears} - {root})
-    irr = intpoly(coeffs)
-    quotient = reduce(poly_mul, [intpoly([-r.numerator, r.denominator]) for r in simple], irr)
-    f = poly_mul(quotient, intpoly(oracles.power([-root.numerator, root.denominator], k)))
-    signs, dense = SparseQuotient(f, quotient, root).deflated(irr, simple), exactpoly._Horner(irr.coeffs)
     (_, slope), (_, dense_slope) = signs.residues(), dense.residues()
     for ell in SMALL_PRIMES:
-        roots = signs.roots_mod(ell)
-        if roots is not None:
+        if (roots := signs.roots_mod(ell)) is not None:
             assert roots == dense.roots_mod(ell)
             assert [bool(slope(x, ell)) for x in roots] == [bool(dense_slope(x, ell)) for x in roots]
+
