@@ -403,11 +403,11 @@ def _check_reciprocal_pairs(poly: IntPolynomial, records: list[RootRecord],
 
 
 # From this p on, csc_rays finds the roots on the branches of R.  Against
-# isolate_positive_roots it breaks even near p = 6 for w = (1,1) and p = 8-9
+# isolate_positive_roots it breaks even near p = 5 for w = (1,1) and p = 8
 # for w = (3,2), with the family cached (best of 7 over l1 = 1, l2 = 1..12,
-# mean per tuple); at p = 16 it takes 0.54 ms against 1.24 for (1,1) and
-# 0.73 against 1.05 for (3,2).  12 keeps every query up to p = 11 on
-# isolate_positive_roots.
+# mean per tuple); at p = 11 it takes 0.54 ms against 0.93 for (1,1) and
+# 0.61 against 0.72 for (3,2), at p = 16 0.55 against 1.36 and 0.68 against
+# 1.13.  12 keeps every query up to p = 11 on isolate_positive_roots.
 _BRANCH_MIN_P = 12
 
 

@@ -37,7 +37,7 @@ width and other roots, then adjacent closures pair by pair, then exclusions.
 polynomial whose roots the caller has bracketed one per interval: cells are
 counted from signs at bracket points, and signs come from a
 :class:`SparseQuotient`, which evaluates a sparse f for its quotient by a
-power of a linear factor, and reads its rational roots off f's residues.
+power of a linear factor, and gives f's residues less the roots divided out.
 :func:`certify_squarefree` checks gcd(f, f') = 1 modulo a prime, by
 Euclid's algorithm on residues packed into one integer.
 
@@ -192,17 +192,12 @@ def poly_derivative(poly: IntPolynomial, order: int = 1) -> IntPolynomial:
     return IntPolynomial(cs)
 
 
-def _scaled_value(coeffs: tuple[int, ...], num: int, den: int) -> int:
-    """den**deg * f(num/den) as an exact integer (den > 0)."""
-    return _Horner(coeffs).value(num, den)
-
-
 def poly_eval(poly: IntPolynomial, q) -> Fraction:
     """Exact value of the polynomial at the rational point q (not a float)."""
     q, = _exact(q)
     if poly.is_zero:
         return Fraction(0)
-    s = _scaled_value(poly.coeffs, q.numerator, q.denominator)
+    s = _Horner(poly.coeffs).value(q.numerator, q.denominator)
     return Fraction(s, q.denominator ** poly.degree)
 
 
@@ -230,14 +225,15 @@ class _Signs:
     c_i of g, n = deg g: the same integer, with the powers of d folded into
     the coefficients once, while d stays the same, and the powers of 2 taken
     by shifts.  A refinement keeps one d, as its denominator only doubles.
+    ``sign(x)`` evaluates each point once.
 
-    For :func:`_rational_roots_of`, ``roots_mod(ell)`` lists the roots of q
-    mod a prime ell not dividing lc(q), ascending, or is None where ell does
-    not serve; ``residues()`` gives the functions (x, mod) -> h(x)
-    and h'(x) mod ``mod`` for an h = u*q, u a unit at those roots, so a root
-    is simple where h' is nonzero, and Newton steps on h lift it.
-    ``deflated(irr, roots)`` answers for irr = q / prod(d*x - n) once the
-    positive rational roots n/d are divided out.
+    For :func:`_rational_roots_of`, ``residues()`` gives (value, slope, skip):
+    the functions (x, mod) -> h(x) and h'(x) mod ``mod`` for an h = u*q, u a
+    unit at the roots of q, so a root is simple where h' is nonzero and Newton
+    steps on h lift it, and ell -> the roots of h mod a prime ell not dividing
+    lc(q) that q lacks, or None where ell does not serve.  ``deflated(irr,
+    roots)`` answers for irr = q / prod(d*x - n) once the positive rational
+    roots n/d are divided out.
     """
 
     # (d, the coefficients folded with d), no d being 0: one attribute, so
@@ -245,25 +241,24 @@ class _Signs:
     grid = (0, ())
 
     def sign(self, x: Fraction) -> int:
-        """The sign of q at the rational x."""
-        v = self.value(x.numerator, x.denominator)
-        return (v > 0) - (v < 0)
+        """The sign of q at the rational x, evaluated once."""
+        key = x.numerator, x.denominator
+        if (s := self.known.get(key)) is None:
+            v = self.value(x.numerator, x.denominator)
+            s = self.known[key] = (v > 0) - (v < 0)
+        return s
 
 
 class _Horner(_Signs):
     """Signs and values of a dense polynomial, by Horner's rule at one
-    product and one shift a step."""
+    product and one shift a step; the search skips no residue."""
 
     def __init__(self, cs: tuple[int, ...]) -> None:
-        self.coeffs = cs
-        self.degree = len(cs) - 1
+        self.coeffs, self.degree, self.known = cs, len(cs) - 1, {}
 
-    def roots_mod(self, ell: int) -> list[int]:
-        return [x for x in range(ell) if not _mod_value(self.coeffs, x, ell)]
-
-    def residues(self) -> tuple[partial, partial]:
-        cs = self.coeffs
-        return partial(_mod_value, cs), partial(_mod_value, tuple(i * c for i, c in enumerate(cs))[1:])
+    def residues(self) -> tuple:
+        cs, slopes = self.coeffs, tuple(i * c for i, c in enumerate(self.coeffs))[1:]
+        return partial(_mod_value, cs), partial(_mod_value, slopes), lambda ell: ()
 
     def deflated(self, irr: IntPolynomial, roots) -> _Horner:
         return _Horner(irr.coeffs)
@@ -310,9 +305,10 @@ class SparseQuotient(_Signs):
 
     ``value(x, y)`` is y**deg(f) * f(x/y) times the sign of each d*x - n*y to
     its power, or at one of these roots d**deg(q) * q(n/d), by dense Horner.
-    The search reads h = f: at a prime l dividing neither lc(q) nor any d,
-    with q != 0 mod l at each x0 = n/d mod l (one dense value each), the roots
-    of q mod l are those of f but the x0, as each d*x - n is a unit at the others.
+    The search reads h = f and skips the x0 = n/d mod l, at a prime l dividing
+    neither lc(q) nor any d with q != 0 mod l at each x0 (one dense value
+    each): the roots of q mod l are those of f but the x0, as each d*x - n is
+    a unit at the others.
     """
 
     def __init__(self, f: IntPolynomial, quotient: IntPolynomial, root) -> None:
@@ -332,7 +328,7 @@ class SparseQuotient(_Signs):
         for rn, rd, odd in self.roots:
             side = rd * x - rn * y
             if not side:
-                return _scaled_value(self.quotient.coeffs, rn, rd)
+                return _Horner(self.quotient.coeffs).value(rn, rd)
             flip ^= odd & (side < 0)
         s = (y & -y).bit_length() - 1
         d, terms = self.grid
@@ -341,25 +337,18 @@ class SparseQuotient(_Signs):
         v = _sparse_value(terms, x, s)
         return -v if flip else v
 
-    def sign(self, x: Fraction) -> int:
-        """The sign of q at the rational x, evaluated once."""
-        key = x.numerator, x.denominator
-        if (s := self.known.get(key)) is None:
-            v = self.value(*key)
-            s = self.known[key] = (v > 0) - (v < 0)
-        return s
-
-    def roots_mod(self, ell: int) -> list[int] | None:
+    def residues(self) -> tuple:
         q = self.quotient.coeffs
-        if all(q[-1] * d % ell for _, d, _ in self.roots):
-            xs = {n * pow(d, -1, ell) % ell for n, d, _ in self.roots}
-            if all(_mod_value(q, x, ell) for x in xs):
-                return [x for x in range(ell) if x not in xs and not _sparse_mod(self.terms, x, ell)]
-        return None
 
-    def residues(self) -> tuple[partial, partial]:
+        def skip(ell: int) -> set[int] | None:
+            if all(q[-1] * d % ell for _, d, _ in self.roots):
+                xs = {n * pow(d, -1, ell) % ell for n, d, _ in self.roots}
+                if all(_mod_value(q, x, ell) for x in xs):
+                    return xs
+            return None
+
         slopes = [(i - 1, i * c) for i, c in self.terms if i]
-        return partial(_sparse_mod, self.terms), partial(_sparse_mod, slopes)
+        return partial(_sparse_mod, self.terms), partial(_sparse_mod, slopes), skip
 
     def deflated(self, irr: IntPolynomial, roots) -> SparseQuotient:
         out = copy(self)
@@ -878,7 +867,7 @@ def _sparse_mod(terms, x: int, mod: int) -> int:
 def _rational_roots_of(poly: IntPolynomial, signs) -> list[Fraction]:
     """The rational roots, ascending, of a square-free integer polynomial f,
     by p-adic lifting (Loos 1983), on the residues of ``signs``, a
-    :class:`_Signs` of f or of an integer multiple of f.
+    :class:`_Signs` of f or of an integer multiple of f, less those it skips.
 
     A root n/d has d | lc, so modulo each prime l not dividing lc it reduces
     to the root n * d**-1: where f has no root mod l, none is rational.  A
@@ -894,11 +883,12 @@ def _rational_roots_of(poly: IntPolynomial, signs) -> list[Fraction]:
     cs = poly.coeffs
     if len(cs) < 2:
         return []
-    value, slope = signs.residues()
+    value, slope, skip = signs.residues()
     k, repeated = len(cs) - 1, 0
     for ell in count(2):
         if cs[-1] % ell and all(ell % q for q in range(2, isqrt(ell) + 1)) \
-                and (roots := signs.roots_mod(ell)) is not None:
+                and (xs := skip(ell)) is not None:
+            roots = [x for x in range(ell) if x not in xs and not value(x, ell)]
             if all(slope(x, ell) for x in roots):
                 break
             repeated += 1

@@ -452,22 +452,43 @@ def test_entry_writes_to_a_stdout_without_reconfigure(capsys, monkeypatch):
     assert stream.getvalue() == expected
 
 
+# Runs argv with stdout to /dev/null and prints its exit code and its peak
+# RSS in KiB, read with os.wait4.  Linux counts the RSS of the process that
+# spawns a child in the child's ru_maxrss, so a bare interpreter spawns it,
+# not the test process.
+PEAK_RSS = ("import os, subprocess, sys\n"
+            "with open(os.devnull, 'wb') as sink:\n"
+            "    proc = subprocess.Popen(sys.argv[1:], stdout=sink)\n"
+            "    _, status, usage = os.wait4(proc.pid, 0)\n"
+            "    proc.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(proc.returncode, usage.ru_maxrss)\n")
+
+
 def test_streamed_sweep_report_stays_small_in_memory(monkeypatch):
     # the 4.2 MB report at 10^5 values, written piece by piece; holding it
     # whole, with its --l2 list and per-class sets, peaked at 18.0 MiB, and
     # building the partition alone at 9.1 MiB, about 95 bytes per value
-    for values in (10 ** 5, 10 ** 6):
-        argv = ["sweep", "diffeo", "-l1", "7", "--l2", f"1..{values}", "--json"]
-        with open(os.devnull, "w") as sink:
-            monkeypatch.setattr(sys, "stdout", sink)
-            tracemalloc.start()
-            try:
-                code = cli.main(argv)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert code == 0
-        assert peak < 12 * 2 ** 20, values
+    argv = ["sweep", "diffeo", "-l1", "7", "--l2", "1..100000", "--json"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2 ** 20
+    # at 10^6 values, the child's peak RSS, as tracemalloc's 4 us an
+    # allocation would take about 20 s: the child peaks near 18 MiB, and
+    # holding the --l2 values as a list adds about 36 MiB
+    argv = [sys.executable, "-m", "sasakijoin", "sweep", "diffeo", "-l1", "7",
+            "--l2", "1..1000000", "--json"]
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True,
+                          text=True, timeout=120)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 32 * 2 ** 10
 
 
 # ----------------------------------------------------------------------

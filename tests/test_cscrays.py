@@ -432,7 +432,7 @@ def test_branch_path_evaluates_irr_densely_only_at_a_divided_out_root(monkeypatc
     report = csc_rays(params)
     forced = F(w[1], w[0])
     irr = deflate_linear(primitive_part(deflate_forbidden(csc_polynomial(params))[0]), r)[0]
-    # every dense value, by _scaled_value or a dense source, is a _Horner.value
+    # every dense value is a _Horner.value
     dense = []
     real = exactpoly._Horner.value
 
@@ -1032,15 +1032,16 @@ def test_branch_path_evaluates_densely_once_at_the_forced_root(monkeypatch, tup)
     params = JoinParams(*tup)
     quotient = deflate_forbidden(csc_polynomial(params))[0]
     wronskian = cscrays._certified_structure(params.p, params.w1, params.w2)[2].quotient
+    # every dense value is a _Horner.value
     seen = []
-    real = exactpoly._scaled_value
+    real = exactpoly._Horner.value
 
-    def spy(coeffs, x, y):
+    def value(signs, x, y):
         if x * params.w1 == y * params.w2:
-            seen.append(coeffs)
-        return real(coeffs, x, y)
+            seen.append(signs.coeffs)
+        return real(signs, x, y)
 
-    monkeypatch.setattr(exactpoly, "_scaled_value", spy)
+    monkeypatch.setattr(exactpoly._Horner, "value", value)
     for calls in (1, 2):
         report = csc_rays(params)
         assert seen.count(quotient.coeffs) == calls

@@ -8,7 +8,7 @@ from math import isqrt, prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from sasakijoin import exactpoly
@@ -1069,6 +1069,18 @@ def test_bracket_counts_read_each_end_once():
     assert [above(F(x)) for x in (0, 1, 2, 3)] == [2, 1, 1, 0]
 
 
+def test_sign_source_remembers_each_sign(monkeypatch):
+    # a dense source asked twice for the sign at a point evaluates it once,
+    # and keeps apart the points 1/3, 1 and 1/2 of one numerator
+    signs = exactpoly._Horner(intpoly([-1, 2]).coeffs)
+    asked = []
+    real = exactpoly._Horner.value
+    monkeypatch.setattr(exactpoly._Horner, "value",
+                        lambda source, x, y: asked.append(F(x, y)) or real(source, x, y))
+    assert [signs.sign(x) for x in (F(1, 3), F(1, 3), F(1), F(1, 2), F(1))] == [-1, -1, 1, 0, 1]
+    assert asked == [F(1, 3), F(1), F(1, 2)]
+
+
 # ----------------------------------------------------------------------
 # values on the grid: y**n * f(x/y) for y = d * 2**s, d odd
 
@@ -1311,10 +1323,19 @@ def _ray_tuples(draw):
         assume(False)
 
 
+def roots_left(signs, ell):
+    """The roots mod the prime ell that the search scans: the roots of h mod
+    ell but those ``skip`` gives, or None where the source refuses ell."""
+    value, _, skip = signs.residues()
+    if (xs := skip(ell)) is not None:
+        return [x for x in range(ell) if x not in xs and not value(x, ell)]
+    return None
+
+
 def newton_lift(signs, r, ell, steps):
     """The root r of a sign source's residues mod the prime ell, lifted by
     Newton steps to one mod ell**(2**steps)."""
-    value, slope = signs.residues()
+    value, slope, _ = signs.residues()
     mod = ell
     for _ in range(steps):
         inv = pow(slope(r, mod), -1, mod)
@@ -1335,11 +1356,11 @@ def test_sparse_search_residues_equal_the_dense_ones(params):
     sf = primitive_part(quotient)
     sparse = SparseQuotient(fp.poly, quotient, fp.forbidden_root)
     dense = exactpoly._Horner(sf.coeffs)
-    (value, slope), (_, dense_slope) = sparse.residues(), dense.residues()
+    (value, slope, _), (_, dense_slope, _) = sparse.residues(), dense.residues()
     for ell in SMALL_PRIMES:
-        roots = sparse.roots_mod(ell)
+        roots = roots_left(sparse, ell)
         if roots is not None:
-            assert roots == dense.roots_mod(ell)
+            assert roots == roots_left(dense, ell)
             assert [bool(slope(x, ell)) for x in roots] == [bool(dense_slope(x, ell)) for x in roots]
             for r in (x for x in roots if slope(x, ell)):
                 # Newton steps on either residue give the one lift of r mod l**8
@@ -1354,9 +1375,13 @@ def test_sparse_search_skips_a_prime_dividing_the_denominator_of_the_root():
     quotient = poly_mul(poly_mul(intpoly([-1, 2]), intpoly([-5, 1])), intpoly([2, 0, 1]))
     f = poly_mul(quotient, intpoly(oracles.power([-1, 3], 3)))
     signs = SparseQuotient(f, quotient, F(1, 3))
-    assert signs.roots_mod(2) is None and signs.roots_mod(3) is None
-    assert list(signs.roots_mod(5)) == [0, 3]
     dense = exactpoly._Horner(quotient.coeffs)
+    assert roots_left(signs, 2) is None and roots_left(signs, 3) is None
+    assert roots_left(signs, 5) == roots_left(dense, 5) == [0, 3]
+    # q(1/3) = 266/81 is 0 mod 7 and 19, which the source refuses too
+    served = [ell for ell in SMALL_PRIMES if roots_left(signs, ell) is not None]
+    assert served == [ell for ell in SMALL_PRIMES if ell not in (2, 3, 7, 19)]
+    assert all(roots_left(signs, ell) == roots_left(dense, ell) for ell in served)
     assert _rational_roots_of(quotient, signs) == _rational_roots_of(quotient, dense) == [F(1, 2), F(5)]
 
 
@@ -1364,6 +1389,10 @@ def test_sparse_search_skips_a_prime_dividing_the_denominator_of_the_root():
 @given(GRID_COEFFS, st.integers(-40, 40), st.integers(1, 40), st.integers(1, 4),
        st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=3),
        st.lists(st.tuples(GRID_POINTS, st.booleans()), min_size=1, max_size=4))
+# f = (x - 1)(x - 2) and irr = 1: at 0, the source that leaves out the
+# simple root 1 flips the sign of f for the forced root 2 alone, and reads 1
+# as a root of irr mod l; run first and not shrunk, this fails at once there
+@example([1], 2, 1, 1, [(1, 1)], [([(0, 1, 0)], False)])
 def test_deflated_sparse_source_answers_for_irr(coeffs, n, d, k, linears, point_lists):
     # irr times the simple roots is the quotient, and f is that times
     # (d*x - n)**k, n/d in lowest terms as a ray's forced root is; the signs
@@ -1382,9 +1411,9 @@ def test_deflated_sparse_source_answers_for_irr(coeffs, n, d, k, linears, point_
                 at = ([root] + simple)[i % (len(simple) + 1)]
                 x, y = at.numerator * y, at.denominator * y
             assert signs.sign(F(x, y)) == poly_sign(irr, F(x, y))
-    (_, slope), (_, dense_slope) = signs.residues(), dense.residues()
+    (_, slope, _), (_, dense_slope, _) = signs.residues(), dense.residues()
     for ell in SMALL_PRIMES:
-        if (roots := signs.roots_mod(ell)) is not None:
-            assert roots == dense.roots_mod(ell)
+        if (roots := roots_left(signs, ell)) is not None:
+            assert roots == roots_left(dense, ell)
             assert [bool(slope(x, ell)) for x in roots] == [bool(dense_slope(x, ell)) for x in roots]
 
