@@ -352,6 +352,15 @@ _LONG = 5000    # several slices of a long list of scalars
 @example({"invalid": LazySequence(_LONG, lambda: ({"l2": k} for k in range(_LONG))),
           "warnings": LazySequence(_LONG, lambda: (f"l2={k}" for k in range(_LONG))),
           "none": LazySequence(0, lambda: iter(()))})
+# flat dicts: two key sets interleaved, keys to quote and keys with a %; one
+# key set in two insertion orders; a dict holding a list, and {}, among them
+@example([{"l2": k, "valid": True, "unreduced": 1, "reduced": 1} if k % 3 else
+          {"l2": k, "valid": False, "constraint": "gcd(\"%s\") = 1", "50%": None}
+          for k in range(_LONG)])
+@example([{"a": k, "b": "x"} if k % 2 else {"b": "y", "a": -k} for k in range(_LONG)])
+@example([{"l2": k, "valid": k % 2 == 0} for k in range(_LONG)]
+         + [{"l2": _LONG, "rows": [1, {"c": 2}]}, {}]
+         + [{"l2": k, "valid": True} for k in range(_LONG)])
 def test_json_rendering_equals_json_dumps(tree):
     # json.dumps renders a range or a LazySequence, which reports hold, by default=list
     expected = json.dumps(tree, sort_keys=True, indent=2, default=list)
@@ -850,6 +859,38 @@ PINNED_SWEEP_CSC = [
      "f80a29594fdcac5ab2cba512c9871cfb4716aa4822ac39308ad89da39da05d90"),
     ("-p 2 -l1 3 -w 1,1 --l2 5..9 --csv",
      "5ef5cc4adbf35ebd03ef56f50f7f590b61ac5260d8b38835c270056b889d8ee8"),
+    # computed with one JoinParams and one threshold test per row, all rows
+    # held whole: a 13-digit prime l1 whose window of width 10^-12 * l1 holds
+    # four valid open rows, through the pool; a 19-digit l1 where t* * l1 is
+    # five below the window's top, so the first maximal row is an open row;
+    # filtered ranges and --bound; l2 = t* * l1 exactly for (4, 10, 1, 1);
+    # l1 * w1 * w2 = 35,315 classes in 40,000 rows; 10^5 rows of each shape
+    ("-p 1 -l1 9999999999971 -w 3,2 --l2 189792026486160..189792026486180 --json --jobs 2",
+     "4ed5ecb7d4b06b9f67ea28a495eee5b2856c45faca55145a4c81e376939ebc89"),
+    ("-p 1 -l1 9999999999971 -w 3,2 --l2 189792026486160..189792026486180 --csv --jobs 2",
+     "7889c9ecf5328b99fe402d0fa28e67860271c77eea0c3328166ba7c9358882ff"),
+    ("-p 1 -l1 4000000000000000037 -w 5,3 --l2 129442673489042644872..129442673489042644892 --csv",
+     "f01fbb278f971b304616e9bd8597952dce25202cab4197cc755b6e99cb93ccc6"),
+    ("-p 1 -l1 4000000000000000037 -w 5,3 --l2 129442673489042644872..129442673489042644892 --json",
+     "81a27e04d65aa7cdc79c0fc8a30a1e1d6f67405ccb49a24ff24be7530cec4cd8"),
+    ("-p 3 -l1 4 -w 2,1 --l2 10..40:odd --json",
+     "827fc86204470703f3be8729d333753710856ae49998b5d81c8837d43073fc69"),
+    ("-p 2 -l1 3 -w 1,1 --l2 2..30:even --table",
+     "7ce3d1bc59fedcb200b57d4a799026ded1fc99ea125294cbc70fe10164e90bda"),
+    ("-p 2 -l1 3 -w 1,1 --bound 40 --json",
+     "42ba17d58a2f4047d13e789a673c9f97ff9fcca98a97c4cd04a82277db0071ed"),
+    ("-p 1 -l1 1 -w 3,2 --bound 40 --csv",
+     "e57b9554bf7a35477bc78b7f9dbed068fc7708414f26fda65f5c4c353ca37237"),
+    ("-p 4 -l1 10 -w 1,1 --l2 1..30 --json",
+     "8a52e242ac970923155ff4613ad383c36e2afa61d06120be7f2d389fe80674e9"),
+    ("-p 4 -l1 10 -w 1,1 --l2 1..30 --table",
+     "a04c67d6214f834fe3c84f78fc2f6d0bbf575d99ecaa5b2d4eea82e76e554090"),
+    ("-p 2 -l1 1009 -w 7,5 --l2 1..40000 --csv",
+     "d7438d1f95c477249f7eb9eb509890307e56cd1405a92d7e03ff92851b354672"),
+    ("-p 2 -l1 1 -w 3,2 --l2 1..100000 --json",
+     "93f95db0bfe3491468f19a1e35a7f60f473dd6f03e02113c78805471851c2c95"),
+    ("-p 2 -l1 3 -w 1,1 --l2 1..100000 --json",
+     "7ce69b831ae95ca02defbfbcb82151902fdca1eefa23f0a7d8c49440549d16fa"),
 ]
 
 
