@@ -81,6 +81,11 @@ STRUCTURE = ("tests/test_cscrays.py", "-k", "no_pole_but_the_forced_root")
 STREAM = ("tests/test_cli.py", "-k", "json_rendering_equals")
 # the raw writes under PYTHONUNBUFFERED, one per piece without the entry's reconfigure
 BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
+# sweep csc rows: validity by class, the window's edges, and the first maximal row,
+# which the 19-digit l1 pins find among the open rows
+SWEEP_ROWS = ("tests/test_cli.py", "-k", "sweep_csc_threshold_detection")
+WINDOW = ("tests/test_cscrays.py", "-k", "window_edges")
+SWEEP_PINS = ("tests/test_cli.py", "-k", "sweep_reports_match_pinned")
 
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
@@ -195,11 +200,20 @@ MUTANTS = [
     ("the lazy invalid list holds every value l2 >= 1", "classify.py",
      "for l2 in l2_values[first:] if gcd(l1, l2) != 1)", "for l2 in l2_values[first:])", DIFFEO),
     ("the separator between two slices of a long list is dropped", "cli.py",
-     "comma.join(map(leaf, chunk))\n                sep = comma\n",
-     "comma.join(map(leaf, chunk))\n                sep = \"\"\n", STREAM),
+     "            sep = comma\n        yield indent + \"]\"\n",
+     "            sep = \"\"\n        yield indent + \"]\"\n", STREAM),
     ("a long list is cut after its first slice", "cli.py",
      "        while chunk := list(islice(items, _SLICE)):\n",
      "        if chunk := list(islice(items, _SLICE)):\n", STREAM),
+    ("the template renders a dict that holds a list", "cli.py",
+     "bool(obj) and _SCALARS.issuperset(map(type, obj.values()))", "bool(obj)", STREAM),
+    ("sweep csc reads validity modulo l1*w1, not l1*w1*w2", "cli.py",
+     "    period = l1 * w1 * w2\n", "    period = l1 * w1\n", SWEEP_ROWS),
+    ("the window starts one l2 late, so its first open row is read as below", "cscrays.py",
+     "floor(threshold.lo * l1) + 1,", "floor(threshold.lo * l1) + 2,", WINDOW),
+    ("threshold_l2 skips a maximal open row", "cli.py",
+     "    threshold = next((row[\"l2\"] for row in found if row[\"reduced\"] == maximal), None)\n",
+     "    threshold = None\n", SWEEP_PINS),
     ("the entry leaves write-through on", "cli.py",
      "    if hasattr(sys.stdout, \"reconfigure\"):\n        sys.stdout.reconfigure(write_through=False)\n",
      "", BATCHED),

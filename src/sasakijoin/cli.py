@@ -15,7 +15,8 @@ strings; isolating intervals as {lo, hi, approx} where approx is a decimal
 rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
 JSON is ``json.dumps(report, sort_keys=True, indent=2)``, which ``_json``
-yields in pieces.  Every format is written to stdout as it is rendered, so
+yields in pieces: each slice of 1024 list elements that are scalars, or
+dicts of scalars (one template per key order), is one piece.  Every format is written to stdout as it is rendered, so
 the text of a report is never held whole; ``entry`` turns off the
 write-through that PYTHONUNBUFFERED sets, so stdout's own buffer batches
 the writes.
@@ -34,8 +35,11 @@ other internal failure, or stdout closed early.  The --jobs worker count
 is clamped to the CPU count and to the number of sweep rows, with a note on
 stderr.  ``sweep csc`` starts a process pool only for two or more rows that
 the threshold leaves open, with at most one worker per open row.
-``sweep diffeo`` runs in bounded memory: its classes (ranges), invalid
-values and warnings are made as they are written.
+Both sweeps run in bounded memory, as their rows, classes (ranges),
+invalid values and warnings are made as they are written: a 10^6-value
+``--json`` report of either peaks near 18 MB.  ``sweep csc`` asks
+``JoinParams`` once per class of l2 mod l1*w1*w2 and sends to ``csc_rays``
+only the window of l2 that the threshold leaves open.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ import csv
 import json
 import os
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -65,7 +71,7 @@ from .cscrays import (
     deflate_forbidden,
     family_threshold,
     maximal_ray_count,
-    threshold_ray_counts,
+    threshold_window,
 )
 from .exactpoly import RootRecord, format_poly, intpoly
 from .joinspace import (
@@ -149,6 +155,7 @@ def _params_line(params: dict) -> str:
 
 _CONTAINERS = (dict, list, tuple, range, LazySequence)
 _SLICE = 1024       # elements of a list per piece of JSON text
+_SCALARS = frozenset((str, int, bool, type(None)))
 
 
 def _scalar(obj) -> str:
@@ -161,11 +168,17 @@ def _scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _flat(obj) -> bool:
+    """Whether obj is a nonempty dict of scalars."""
+    return type(obj) is dict and bool(obj) and _SCALARS.issuperset(map(type, obj.values()))
+
+
 def _json(obj, indent: str = "\n", head: str = ""):
     """``head``, then the text of ``json.dumps(obj, sort_keys=True, indent=2)``
     in pieces, for report types (a range or ``LazySequence`` renders as its
-    list): a list is read in slices of ``_SLICE`` elements, a slice of scalars
-    is one piece, and a new piece starts after each nested dict or list."""
+    list): a list is read in slices of ``_SLICE`` elements, a slice of
+    scalars or of flat dicts (one template per key order) is one piece, and a
+    new piece starts after each other nested dict or list."""
     inner = indent + "  "
     comma = "," + inner
     if not isinstance(obj, _CONTAINERS):
@@ -184,17 +197,29 @@ def _json(obj, indent: str = "\n", head: str = ""):
             sep = comma
         yield head + indent + "}"
     else:
+        templates = {}      # key order -> (sorted keys, %-template of the values)
+
+        def flat(row):
+            if (keys := tuple(row)) not in templates:
+                order = sorted(keys)
+                text = ",".join(f"{inner}  {_quote(key).replace('%', '%%')}: %s" for key in order)
+                templates[keys] = order, "{" + text + inner + "}"
+            order, text = templates[keys]
+            return text % tuple(map(_scalar, map(row.__getitem__, order)))
+
         sep = head + "[" + inner
         leaf = int.__repr__ if isinstance(obj, range) else _scalar
         items = iter(obj)
         while chunk := list(islice(items, _SLICE)):
-            if leaf is _scalar and any(isinstance(x, _CONTAINERS) for x in chunk):
+            if leaf is not _scalar or not any(isinstance(x, _CONTAINERS) for x in chunk):
+                yield sep + comma.join(map(leaf, chunk))
+            elif all(map(_flat, chunk)):
+                yield sep + comma.join(map(flat, chunk))
+            else:
                 for x in chunk:
                     yield from _json(x, inner, sep)
                     sep = comma
-            else:
-                yield sep + comma.join(map(leaf, chunk))
-                sep = comma
+            sep = comma
         yield indent + "]"
 
 
@@ -462,20 +487,21 @@ def _sweep_request(args) -> dict:
     return {key: value for key, value in echo.items() if value is not None}
 
 
-def _threshold_row(task) -> dict | None:
-    """The sweep row of one l2 read off the threshold; None if it leaves l2 open."""
-    try:
-        counts = threshold_ray_counts(JoinParams(*task[:5]), task[5])
-    except ParameterError as exc:
-        return {"l2": task[2], "valid": False, "constraint": exc.constraint}
-    return counts and {"l2": task[2], "valid": True, "unreduced": counts[0], "reduced": counts[1]}
-
-
 def _rays_row(task) -> dict:
     """The sweep row of one l2 that the threshold leaves open, by csc_rays."""
-    report = csc_rays(JoinParams(*task[:5]))
+    report = csc_rays(JoinParams(*task))
     return {"l2": task[2], "valid": True, "unreduced": report.unreduced_count,
             "reduced": report.reduced_count}
+
+
+def _l2_values(values: range | None, usage: str) -> range:
+    """values, once nonempty and no longer than len() can count."""
+    if not values:
+        raise ParameterError("nonempty range", usage)
+    if values.stop - values.start > sys.maxsize * values.step:
+        raise ParameterError(f"at most {sys.maxsize} values",
+                             f"the l2 range has more than {sys.maxsize} values")
+    return values
 
 
 def _sweep_csc(args):
@@ -483,35 +509,61 @@ def _sweep_csc(args):
         raise ParameterError("flags -p -l1 -w", "sweep csc needs -p, -l1 and -w")
     if args.l2_values is not None and args.bound is not None:
         raise ParameterError("one range", "give either --l2 or --bound, not both")
-    l2_values = args.l2_values if args.bound is None else range(1, args.bound + 1)
-    if not l2_values:
-        raise ParameterError("nonempty range", "sweep csc needs --l2 A..B or --bound N")
-    w1, w2 = args.w
-    threshold = family_threshold(args.p, args.l1, w1, w2)
-    tasks = [(args.p, args.l1, l2, w1, w2, threshold) for l2 in l2_values]
+    l2_values = _l2_values(args.l2_values if args.bound is None else range(1, args.bound + 1),
+                           "sweep csc needs --l2 A..B or --bound N")
+    p, l1, (w1, w2) = args.p, args.l1, args.w
+    first, stop = threshold_window(l1, family_threshold(p, l1, w1, w2))
+    # the rules on l2 are gcd(l2, l1*w1) = gcd(l2, l1*w2) = 1, so validity is
+    # one answer per class of l2 mod l1*w1*w2; a bounded cache, as the period
+    # can be far longer than the range when l1 is a large prime
+    period = l1 * w1 * w2
+
+    @lru_cache(maxsize=4096)
+    def constraint(residue):
+        try:
+            JoinParams(p, l1, residue or period, w1, w2)
+        except ParameterError as exc:
+            return exc.constraint
+        return None
+
+    n = len(l2_values)
+    i, j = (n if x is None else bisect_left(l2_values, x) for x in (first, stop))
+    below, window, above = l2_values[:i], l2_values[i:j], l2_values[j:]
+    open_tasks = [(p, l1, l2, w1, w2) for l2 in window if not constraint(l2 % period)]
     jobs = args.jobs
-    usable = min(os.cpu_count() or 1, len(tasks))
+    usable = min(os.cpu_count() or 1, n)
     if jobs > usable:
         print(f"note: jobs {jobs} clamped to {usable}", file=sys.stderr)
         jobs = usable
-    rows = [_threshold_row(task) for task in tasks]
-    open_tasks = [task for task, row in zip(tasks, rows) if row is None]
     jobs = min(jobs, len(open_tasks))
     if jobs > 1:
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = iter(list(pool.map(_rays_row, open_tasks)))
+            found = list(pool.map(_rays_row, open_tasks))
     else:
-        found = map(_rays_row, open_tasks)
-    rows = [row or next(found) for row in rows]
+        found = list(map(_rays_row, open_tasks))
+    opened = {row["l2"]: row for row in found}
     maximal = maximal_ray_count(w1, w2)
-    threshold = next((row["l2"] for row in rows
-                      if row["valid"] and row["reduced"] == maximal), None)
+
+    def rows():
+        for part, counts in ((below, (1, 1)), (window, None), (above, (3, maximal))):
+            for l2 in part:
+                if c := constraint(l2 % period):
+                    yield {"l2": l2, "valid": False, "constraint": c}
+                elif counts:
+                    yield {"l2": l2, "valid": True, "unreduced": counts[0], "reduced": counts[1]}
+                else:
+                    yield opened[l2]
+
+    # the first maximal row: an open one, else the first valid row above the window
+    threshold = next((row["l2"] for row in found if row["reduced"] == maximal), None)
+    if threshold is None:
+        threshold = next((l2 for l2 in above if not constraint(l2 % period)), None)
     warnings = [] if threshold is not None else \
         ["no l2 in the range reaches the maximal ray count"]
     payload = {
         "target": "csc",
-        "p": args.p, "l1": args.l1, "w": [w1, w2],
-        "rows": rows,
+        "p": p, "l1": l1, "w": [w1, w2],
+        "rows": LazySequence(n, rows),
         "threshold_l2": threshold,
     }
     return _sweep_request(args), payload, warnings
@@ -539,9 +591,8 @@ def _sweep_csc_rows(payload: dict):
 def _sweep_diffeo(args):
     if args.l1 is None:
         raise ParameterError("flag -l1", "sweep diffeo needs -l1")
-    if not args.l2_values:
-        raise ParameterError("nonempty range", "sweep diffeo needs --l2 A..B")
-    partition = partition_diffeo_types(args.l1, args.l2_values)
+    partition = partition_diffeo_types(
+        args.l1, _l2_values(args.l2_values, "sweep diffeo needs --l2 A..B"))
     homeo_mod, diffeo_mod = ks_moduli(args.l1)
     payload = {
         "target": "diffeo",

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, floor, gcd
 
 from .exactpoly import (
     IntPolynomial,
@@ -80,6 +80,7 @@ __all__ = [
     "wz_threshold",
     "ray_threshold",
     "threshold_ray_counts",
+    "threshold_window",
     "family_threshold",
     "THRESHOLD_WIDTH",
     "deflate_forbidden",
@@ -321,21 +322,27 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
         f"in {_CELL_LEVELS} levels")
 
 
+def threshold_window(l1: int, threshold) -> tuple[int, int | None]:
+    """(first, stop): at l1, t = l2/l1 lies below the threshold that
+    :func:`family_threshold` gives for l2 < first, above it for l2 >= stop,
+    and is not separated from t* in between; (1, None) when threshold is
+    None, which separates no l2."""
+    if threshold is None:
+        return 1, None
+    if isinstance(threshold, RationalInterval):
+        return floor(threshold.lo * l1) + 1, ceil(threshold.hi * l1)
+    return ceil(threshold * l1), floor(threshold * l1) + 1
+
+
 def threshold_ray_counts(params: JoinParams, threshold) -> tuple[int, int] | None:
     """(unreduced, reduced) ray counts of params read off the threshold that
     :func:`ray_threshold` gives for its family, or None when l2/l1 is not
     separated from t* (or threshold is None) and only :func:`csc_rays` can
     tell."""
-    t = Fraction(params.l2, params.l1)
-    if isinstance(threshold, RationalInterval):
-        below, above = t <= threshold.lo, t >= threshold.hi
-    elif threshold is not None:
-        below, above = t < threshold, t > threshold
-    else:
-        return None
-    if below:
+    first, stop = threshold_window(params.l1, threshold)
+    if params.l2 < first:
         return 1, 1
-    if above:
+    if stop is not None and params.l2 >= stop:
         return 3, maximal_ray_count(params.w1, params.w2)
     return None
 

@@ -451,8 +451,19 @@ GOLDEN = {
 # Deliberate departures from the earlier CLI, which exited 2 with an
 # internal error on a negative --bound, and exited 0 with every row invalid
 # when p, l1 or the weights broke a rule that holds for no l2.  Both are
-# invalid input now, as in the csc command.
+# invalid input now, as in the csc command.  So is a range with more values
+# than len() counts: sweep diffeo exited 2 with an OverflowError, and sweep
+# csc built rows until it was killed.
 CORRECTED = {
+    "sweep diffeo -l1 7 --l2 1..100000000000000000000":
+        "error [at most 9223372036854775807 values]: "
+        "the l2 range has more than 9223372036854775807 values\n",
+    "sweep csc -p 2 -l1 1 -w 3,2 --l2 1..100000000000000000000":
+        "error [at most 9223372036854775807 values]: "
+        "the l2 range has more than 9223372036854775807 values\n",
+    "sweep csc -p 2 -l1 1 -w 3,2 --bound 9223372036854775808":
+        "error [at most 9223372036854775807 values]: "
+        "the l2 range has more than 9223372036854775807 values\n",
     "sweep csc -p 1 -l1 1 -w 3,2 --bound -3":
         "error [nonempty range]: sweep csc needs --l2 A..B or --bound N\n",
     "sweep csc -p 1 -l1 1 -w 2,3 --l2 1..3":

@@ -25,6 +25,7 @@ from sasakijoin.cscrays import (
     quasireg_family,
     ray_threshold,
     threshold_ray_counts,
+    threshold_window,
     wz_threshold,
 )
 from sasakijoin.exactpoly import (
@@ -1083,6 +1084,29 @@ def test_rows_at_the_threshold_are_left_to_csc_rays():
         assert threshold_ray_counts(params, threshold) is None
     assert csc_rays(JoinParams(2, 3, 7, 1, 1)).unreduced_count == 1
     assert threshold_ray_counts(JoinParams(2, 3, 7, 1, 1), None) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(F(1, 10), F(100), max_denominator=10 ** 6), st.integers(1, 10 ** 3),
+       st.booleans(), st.integers(1, 10 ** 6), st.integers(-30, 30))
+@example(F(7, 3), 1, True, 3, 0)
+@example(F(5, 2), 4, True, 2, 0)
+@example(F(7, 3), 1000, False, 3, 0)
+def test_threshold_window_edges_are_the_comparisons(t_star, width, exact, l1, offset):
+    # the rule threshold_ray_counts applied before its window: t <= lo is
+    # below and t >= hi above for an interval, t < t* and t > t* for a value;
+    # l2 runs over the integers next to lo * l1 and hi * l1, and one further off
+    threshold = t_star if exact else RationalInterval(t_star, t_star + F(width, 10 ** 3))
+    lo, hi = (threshold, threshold) if exact else (threshold.lo, threshold.hi)
+    first, stop = threshold_window(l1, threshold)
+    for l2 in {max(1, round(x * l1) + d) for x in (lo, hi) for d in (-1, 0, 1, offset)}:
+        t = F(l2, l1)
+        below, above = (t < lo, t > hi) if exact else (t <= lo, t >= hi)
+        assert (l2 < first, l2 >= stop) == (below, above)
+        params = SimpleNamespace(l1=l1, l2=l2, w1=3, w2=2)
+        assert threshold_ray_counts(params, threshold) == \
+            ((1, 1) if below else (3, 3) if above else None)
+    assert threshold_window(l1, None) == (1, None)
 
 
 def test_threshold_certificate_failure_raises(monkeypatch):
