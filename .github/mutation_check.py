@@ -87,6 +87,11 @@ SWEEP_ROWS = ("tests/test_cli.py", "-k", "sweep_csc_threshold_detection")
 WINDOW = ("tests/test_cscrays.py", "-k", "window_edges")
 SWEEP_PINS = ("tests/test_cli.py", "-k", "sweep_reports_match_pinned")
 
+# a replacement bound before the first command, as a bench probe binds it;
+# a spawned pool worker, which imports cli afresh and runs no command
+LATE = ("tests/test_cli.py", "-k", "bound_before_the_first_command")
+SPAWNED = ("tests/test_cli.py", "-k", "spawned_pool_worker")
+
 # (the fault, the module, its text, the replacement, the pytest arguments)
 MUTANTS = [
     ("rational-root search lifts a root mod l that is not simple", "exactpoly.py",
@@ -217,6 +222,10 @@ MUTANTS = [
     ("the entry leaves write-through on", "cli.py",
      "    if hasattr(sys.stdout, \"reconfigure\"):\n        sys.stdout.reconfigure(write_through=False)\n",
      "", BATCHED),
+    ("the loader overwrites a name that is already bound", "cli.py",
+     "            globals().setdefault(name, getattr(module, name))\n",
+     "            globals()[name] = getattr(module, name)\n", LATE),
+    ("the pool task stops loading its own names", "cli.py", "    _load(_KERNEL)\n", "", SPAWNED),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

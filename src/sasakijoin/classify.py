@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .joinspace import JoinParams, ParameterError
+from .joinspace import JoinParams, LazySequence, ParameterError
 
 __all__ = [
     "LambdaExponents",
@@ -164,19 +164,6 @@ def kruggel_homotopy_equivalent(a: JoinParams, b: JoinParams) -> ClassificationV
         overall=all(c.holds for c in conditions),
         conditions=conditions,
     )
-
-
-class LazySequence:
-    """``len`` and iteration of a sequence whose ``items()`` makes it afresh."""
-
-    def __init__(self, length: int, items):
-        self._length, self._items = length, items
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __iter__(self):
-        return self._items()
 
 
 @dataclass(frozen=True)

@@ -40,43 +40,31 @@ invalid values and warnings are made as they are written: a 10^6-value
 ``--json`` report of either peaks near 18 MB.  ``sweep csc`` asks
 ``JoinParams`` once per class of l2 mod l1*w1*w2 and sends to ``csc_rays``
 only the window of l2 that the threshold leaves open.
+
+A process loads only the layers its command runs: ``joinspace`` comes with
+the module, and ``_LAYERS`` names the rest, with the names taken from each
+(``classify`` for ``classify`` and ``sweep diffeo``; ``exactpoly``, then
+``cscrays``, for ``csc`` and ``sweep csc``).  A new command adds its entry
+there; ``main`` binds its names as module globals before it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import json
 import os
 import sys
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 
-from .classify import (
-    LazySequence,
-    ks_diffeomorphic,
-    ks_homeomorphic,
-    ks_moduli,
-    kruggel_homotopy_equivalent,
-    partition_diffeo_types,
-)
-from .cscrays import (
-    CSC_CAVEAT,
-    InternalInvariantError,
-    csc_polynomial,
-    csc_rays,
-    deflate_forbidden,
-    family_threshold,
-    maximal_ray_count,
-    threshold_window,
-)
-from .exactpoly import RootRecord, format_poly, intpoly
 from .joinspace import (
     AbelianGroupDescriptor,
+    InternalInvariantError,
     JoinParams,
+    LazySequence,
     ParameterError,
     c1_coefficient,
     cohomology_group,
@@ -93,11 +81,33 @@ SCHEMA_VERSION = "1"
 __all__ = ["main", "entry", "SCHEMA_VERSION", "frac_str", "decimal_str"]
 
 
+# exactpoly first: compiled before cscrays, the kernel peaks lower in memory
+_KERNEL = (("exactpoly", ("format_poly", "intpoly")),
+           ("cscrays", ("CSC_CAVEAT", "csc_polynomial", "csc_rays", "deflate_forbidden",
+                        "family_threshold", "maximal_ray_count", "threshold_window")))
+_CLASSIFY = (("classify", ("ks_diffeomorphic", "ks_homeomorphic", "ks_moduli",
+                           "kruggel_homotopy_equivalent", "partition_diffeo_types")),)
+_LAYERS = {"csc": _KERNEL, "sweep csc": _KERNEL,
+           "classify": _CLASSIFY, "sweep diffeo": _CLASSIFY}
+
+
+def _load(layers) -> None:
+    """Bind each layer's names as module globals, unless bound already (by a probe, say)."""
+    for layer, names in layers:
+        module = importlib.import_module(f"{__package__}.{layer}")
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+
+
 def __getattr__(name):
     # concurrent.futures imports multiprocessing, about 19 ms of a cold start
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor
+    for layers in _LAYERS.values():
+        if any(name in names for _, names in layers):
+            _load(layers)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -106,6 +116,7 @@ def __getattr__(name):
 
 def frac_str(q) -> str:
     """Canonical exact rendering of a rational as "num/den"."""
+    from fractions import Fraction
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
@@ -116,6 +127,7 @@ def decimal_str(q, digits: int) -> str:
 
     Display-only; every decision in the library is made on exact values.
     """
+    from fractions import Fraction
     q = Fraction(q)
     scaled = (2 * q.numerator * 10 ** digits + q.denominator) // (2 * q.denominator)
     sign = "-" if scaled < 0 else ""
@@ -125,7 +137,7 @@ def decimal_str(q, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def _record_payload(record: RootRecord, digits: int) -> dict:
+def _record_payload(record, digits: int) -> dict:
     out: dict = {
         "multiplicity": record.multiplicity,
         "is_rational": record.is_rational,
@@ -488,7 +500,9 @@ def _sweep_request(args) -> dict:
 
 
 def _rays_row(task) -> dict:
-    """The sweep row of one l2 that the threshold leaves open, by csc_rays."""
+    """The sweep row of one l2 that the threshold leaves open, by csc_rays; it
+    loads its layers, as a spawn or forkserver pool worker runs no command."""
+    _load(_KERNEL)
     report = csc_rays(JoinParams(*task))
     return {"l2": task[2], "valid": True, "unreduced": report.unreduced_count,
             "reduced": report.reduced_count}
@@ -591,8 +605,10 @@ def _sweep_csc_rows(payload: dict):
 def _sweep_diffeo(args):
     if args.l1 is None:
         raise ParameterError("flag -l1", "sweep diffeo needs -l1")
-    partition = partition_diffeo_types(
-        args.l1, _l2_values(args.l2_values, "sweep diffeo needs --l2 A..B"))
+    l2_values = _l2_values(args.l2_values, "sweep diffeo needs --l2 A..B")
+    if args.bound is not None:
+        raise ParameterError("no --bound", "--bound is for sweep csc; sweep diffeo takes --l2")
+    partition = partition_diffeo_types(args.l1, l2_values)
     homeo_mod, diffeo_mod = ks_moduli(args.l1)
     payload = {
         "target": "diffeo",
@@ -652,6 +668,7 @@ def main(argv=None) -> int:
     # later failure shows only in the exit code
     out = sys.stdout
     try:
+        _load(_LAYERS.get(command, ()))
         request, payload, warnings = build(args)
         if args.fmt == "json":
             report = {
@@ -664,6 +681,7 @@ def main(argv=None) -> int:
             out.writelines(_json(report))
             out.write("\n")
         elif args.fmt == "csv":
+            import csv
             csv.writer(out, lineterminator="\n").writerows(csv_rows(payload))
         else:
             out.writelines(line + "\n" for line in render(payload))

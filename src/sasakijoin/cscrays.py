@@ -66,7 +66,7 @@ from .exactpoly import (
     split_counts,
     sturm_count,
 )
-from .joinspace import JoinParams, ParameterError
+from .joinspace import InternalInvariantError, JoinParams, ParameterError
 
 __all__ = [
     "InternalInvariantError",
@@ -90,10 +90,6 @@ __all__ = [
     "quasireg_family",
     "CSC_CAVEAT",
 ]
-
-
-class InternalInvariantError(RuntimeError):
-    """A structural fact the construction guarantees failed to hold."""
 
 
 CSC_CAVEAT = (

@@ -49,6 +49,23 @@ class ParameterError(ValueError):
         super().__init__(message)
 
 
+class InternalInvariantError(RuntimeError):
+    """A structural fact the construction guarantees failed to hold."""
+
+
+class LazySequence:
+    """``len`` and iteration of a sequence whose ``items()`` makes it afresh."""
+
+    def __init__(self, length: int, items):
+        self._length, self._items = length, items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return self._items()
+
+
 def _require_positive(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ParameterError(f"{name} >= 1", f"{name} must be a positive integer, got {value!r}")

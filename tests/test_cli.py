@@ -3,11 +3,13 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -376,15 +378,79 @@ def test_json_rendering_fails_where_json_dumps_fails():
             "".join(cli._json(bad))
 
 
-def test_importing_cli_leaves_the_process_pool_unimported():
-    code = ("import sys\n"
-            "from sasakijoin import cli\n"
-            "assert 'concurrent.futures' not in sys.modules, 'imported early'\n"
-            "import concurrent.futures\n"
-            "assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter, where nothing of the package is loaded yet."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
+
+
+def test_importing_cli_leaves_the_process_pool_unimported():
+    proc = run_fresh("import sys\n"
+                     "from sasakijoin import cli\n"
+                     "assert 'concurrent.futures' not in sys.modules, 'imported early'\n"
+                     "import concurrent.futures\n"
+                     "assert cli.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor\n")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    proc = run_fresh("import sys, sasakijoin\n"
+                     "print(sorted(m for m in sys.modules if m.startswith('sasakijoin.')))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# what a command must leave unloaded: the ray kernel and fractions for the
+# classification and invariants commands, classify and csv for the csc ones
+NOT_KERNEL = ("sasakijoin.exactpoly", "sasakijoin.cscrays", "fractions")
+NOT_CLASSIFY = ("sasakijoin.classify", "csv")
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep diffeo -l1 7 --l2 1..30 --json",
+    "sweep diffeo -l1 7 --l2 1..30",
+    "classify diffeo -l1 7 -l2 1 -l2p 8 --json",
+    "classify homotopy 3,7,5,3 3,8,5,3",
+    "invariants -p 2 -l1 5 -l2 21 -w 1,1 --json",
+    "invariants -p 1 -l1 3 -l2 7 -w 5,3",
+    "csc -p 1 -l1 1 -l2 19 -w 3,2 --json",
+    "csc -p 2 -l1 1 -l2 19 -w 3,2",
+    "sweep csc -p 2 -l1 1 -w 3,2 --l2 1..40 --json",
+])
+def test_each_command_loads_only_its_layers(argv):
+    unloaded = NOT_CLASSIFY if argv.startswith(("csc", "sweep csc")) else NOT_KERNEL
+    proc = run_fresh("import contextlib, io, sys\n"
+                     "from sasakijoin.cli import main\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    code = main({argv.split()!r})\n"
+                     f"print(code, [m for m in {unloaded!r} if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
+def test_a_name_bound_before_the_first_command_is_the_one_it_calls():
+    # as bench probes bind their wrappers: loading a command's layers must
+    # not put the original back
+    proc = run_fresh("from sasakijoin import cli\n"
+                     "def replaced(*args):\n"
+                     "    raise cli.InternalInvariantError('the replacement ran')\n"
+                     "cli.csc_rays = replaced\n"
+                     "code = cli.main(['csc', '-p', '1', '-l1', '1', '-l2', '19', '-w', '3,2'])\n"
+                     "assert cli.csc_rays is replaced\n"
+                     "print(code)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
+    assert proc.stderr == "internal invariant violation: the replacement ran\n"
+
+
+def test_a_spawned_pool_worker_finds_the_names_of_the_sweep_row():
+    # spawn and forkserver workers import cli afresh and run no command
+    task = (2, 1, 19, 3, 2)
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        row = pool.submit(cli._rays_row, task).result(timeout=120)
+    assert row == cli._rays_row(task) == {"l2": 19, "valid": True, "unreduced": 3,
+                                          "reduced": 3}
 
 
 def test_closed_stdout_exits_two_on_one_line():

@@ -453,8 +453,11 @@ GOLDEN = {
 # when p, l1 or the weights broke a rule that holds for no l2.  Both are
 # invalid input now, as in the csc command.  So is a range with more values
 # than len() counts: sweep diffeo exited 2 with an OverflowError, and sweep
-# csc built rows until it was killed.
+# csc built rows until it was killed.  And sweep diffeo echoed a --bound
+# that it ignored.
 CORRECTED = {
+    "sweep diffeo -l1 2 --l2 1..5 --bound 9":
+        "error [no --bound]: --bound is for sweep csc; sweep diffeo takes --l2\n",
     "sweep diffeo -l1 7 --l2 1..100000000000000000000":
         "error [at most 9223372036854775807 values]: "
         "the l2 range has more than 9223372036854775807 values\n",
