@@ -203,7 +203,10 @@ MUTANTS = [
      "LazySequence(len(l2_values) - members", "LazySequence(len(l2_values) + 1 - members",
      DIFFEO),
     ("the lazy invalid list holds every value l2 >= 1", "classify.py",
-     "for l2 in l2_values[first:] if gcd(l1, l2) != 1)", "for l2 in l2_values[first:])", DIFFEO),
+     "bytes(gcd(l1, l2) != 1 for", "bytes(True for", DIFFEO),
+    ("the mask of skipped values is built one value late", "classify.py",
+     "for l2 in rest[:l1 // gcd(l1, step)])", "for l2 in rest[1:l1 // gcd(l1, step) + 1])",
+     DIFFEO),
     ("the separator between two slices of a long list is dropped", "cli.py",
      "            sep = comma\n        yield indent + \"]\"\n",
      "            sep = \"\"\n        yield indent + \"]\"\n", STREAM),
@@ -211,7 +214,14 @@ MUTANTS = [
      "        while chunk := list(islice(items, _SLICE)):\n",
      "        if chunk := list(islice(items, _SLICE)):\n", STREAM),
     ("the template renders a dict that holds a list", "cli.py",
-     "bool(obj) and _SCALARS.issuperset(map(type, obj.values()))", "bool(obj)", STREAM),
+     " and _SCALARS.issuperset(\n                    map(type, chain.from_iterable(map(dict.values, chunk))))",
+     "", STREAM),
+    ("a slice of ints and bools takes the %d template", "cli.py",
+     "yield sep + _scalars(chunk, kinds, comma)", "yield sep + _scalars(chunk, kinds - {bool}, comma)",
+     STREAM),
+    ("the texts of one key order are written to the rows of another", "cli.py",
+     "    return list(map(next, map(texts.__getitem__, orders)))\n",
+     "    return [text for group in texts.values() for text in group]\n", STREAM),
     ("sweep csc reads validity modulo l1*w1, not l1*w1*w2", "cli.py",
      "    period = l1 * w1 * w2\n", "    period = l1 * w1\n", SWEEP_ROWS),
     ("the window starts one l2 late, so its first open row is read as below", "cscrays.py",

@@ -20,6 +20,7 @@ definition of the linking form up to orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 
 from .joinspace import JoinParams, LazySequence, ParameterError
@@ -182,7 +183,7 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
     aborting the partition.  Classes are sorted by their smallest member.
     From a range with a positive step, the classes (ranges) and the invalid
     values are each a ``LazySequence``, made afresh on each pass, so memory
-    does not grow with the values or the modulus.
+    grows with the values only by a byte a value of one period of gcd(l1, l2).
     """
     _, diffeo = ks_moduli(l1)
     if isinstance(l2_values, range) and l2_values.step > 0:
@@ -197,8 +198,11 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
             return (range(r, stop, period) for r in heads if gcd(l1, r) == 1)
 
         def skipped():
-            yield from ((l2, "l2 >= 1") for l2 in l2_values[:first])
-            yield from ((l2, "gcd(l1,l2) = 1") for l2 in l2_values[first:] if gcd(l1, l2) != 1)
+            # gcd(l1, l2) has period l1/gcd(l1, step): a mask of one, without cycle()'s copy
+            rest = l2_values[first:]
+            mask = bytes(gcd(l1, l2) != 1 for l2 in rest[:l1 // gcd(l1, step)])
+            skip = compress(rest, chain.from_iterable(repeat(mask, len(rest))))
+            return chain(zip(l2_values[:first], repeat("l2 >= 1")), zip(skip, repeat("gcd(l1,l2) = 1")))
 
         n = members = 0
         for cls in classes():

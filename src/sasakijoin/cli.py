@@ -16,10 +16,10 @@ rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
 JSON is ``json.dumps(report, sort_keys=True, indent=2)``, which ``_json``
 yields in pieces: each slice of 1024 list elements that are scalars, or
-dicts of scalars (one template per key order), is one piece.  Every format is written to stdout as it is rendered, so
-the text of a report is never held whole; ``entry`` turns off the
-write-through that PYTHONUNBUFFERED sets, so stdout's own buffer batches
-the writes.
+dicts of scalars, is one piece made in C: a %d template for ints, and for
+dicts a "key": %s template per key order, filled by columns.  Every format
+is written to stdout as rendered, never held whole; ``entry`` turns off
+PYTHONUNBUFFERED's write-through, so stdout's own buffer batches the writes.
 
 Each subcommand (each target, for ``sweep``) is one entry of ``_COMMANDS``:
 a payload builder, a table renderer and a CSV row maker, defined side by
@@ -57,8 +57,9 @@ import os
 import sys
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, compress, islice, starmap
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .joinspace import (
     AbelianGroupDescriptor,
@@ -180,17 +181,35 @@ def _scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _flat(obj) -> bool:
-    """Whether obj is a nonempty dict of scalars."""
-    return type(obj) is dict and bool(obj) and _SCALARS.issuperset(map(type, obj.values()))
+def _scalars(values: list, kinds: set, sep: str) -> str:
+    """Scalars joined by sep (no %), by one C call if all str or all int (%d prints a bool as 1)."""
+    if kinds == {int}:
+        return ("%d" + (sep + "%d") * (len(values) - 1)) % tuple(values)
+    return sep.join(map(_quote if kinds == {str} else _scalar, values))
+
+
+def _rows(rows: list, inner: str) -> list[str]:
+    """The texts of ``rows``, nonempty dicts of scalars: each key order fills its
+    "key": %s template a column at a time, and each row takes its order's next text."""
+    orders = list(map(tuple, rows))
+    texts = {}
+    for keys in dict.fromkeys(orders):
+        order = sorted(keys)
+        text = ",".join(f"{inner}  {_quote(key).replace('%', '%%')}: %s" for key in order)
+        group = list(compress(rows, map(keys.__eq__, orders)))
+        columns = (list(map(itemgetter(key), group)) for key in order)
+        # the texts of each column, split at NUL, which json escapes in a str
+        texts[keys] = map(("{" + text + inner + "}").__mod__,
+                          zip(*(_scalars(c, set(map(type, c)), "\0").split("\0") for c in columns)))
+    return list(map(next, map(texts.__getitem__, orders)))
 
 
 def _json(obj, indent: str = "\n", head: str = ""):
     """``head``, then the text of ``json.dumps(obj, sort_keys=True, indent=2)``
     in pieces, for report types (a range or ``LazySequence`` renders as its
     list): a list is read in slices of ``_SLICE`` elements, a slice of
-    scalars or of flat dicts (one template per key order) is one piece, and a
-    new piece starts after each other nested dict or list."""
+    scalars or of flat dicts (dicts of scalars) is one piece, and a new piece
+    starts after each other nested dict or list."""
     inner = indent + "  "
     comma = "," + inner
     if not isinstance(obj, _CONTAINERS):
@@ -209,24 +228,14 @@ def _json(obj, indent: str = "\n", head: str = ""):
             sep = comma
         yield head + indent + "}"
     else:
-        templates = {}      # key order -> (sorted keys, %-template of the values)
-
-        def flat(row):
-            if (keys := tuple(row)) not in templates:
-                order = sorted(keys)
-                text = ",".join(f"{inner}  {_quote(key).replace('%', '%%')}: %s" for key in order)
-                templates[keys] = order, "{" + text + inner + "}"
-            order, text = templates[keys]
-            return text % tuple(map(_scalar, map(row.__getitem__, order)))
-
         sep = head + "[" + inner
-        leaf = int.__repr__ if isinstance(obj, range) else _scalar
-        items = iter(obj)
+        items, ints = iter(obj), {int} if isinstance(obj, range) else None
         while chunk := list(islice(items, _SLICE)):
-            if leaf is not _scalar or not any(isinstance(x, _CONTAINERS) for x in chunk):
-                yield sep + comma.join(map(leaf, chunk))
-            elif all(map(_flat, chunk)):
-                yield sep + comma.join(map(flat, chunk))
+            if (kinds := ints or set(map(type, chunk))) <= _SCALARS:
+                yield sep + _scalars(chunk, kinds, comma)
+            elif kinds == {dict} and all(chunk) and _SCALARS.issuperset(
+                    map(type, chain.from_iterable(map(dict.values, chunk)))):
+                yield sep + comma.join(_rows(chunk, inner))
             else:
                 for x in chunk:
                     yield from _json(x, inner, sep)
@@ -619,8 +628,8 @@ def _sweep_diffeo(args):
         "invalid": LazySequence(len(partition.invalid), lambda: (
             {"l2": l2, "constraint": c} for l2, c in partition.invalid)),
     }
-    warnings = LazySequence(len(partition.invalid), lambda: (
-        f"l2={l2} skipped: {c}" for l2, c in partition.invalid))
+    warnings = LazySequence(len(partition.invalid),
+                            lambda: starmap("l2={} skipped: {}".format, partition.invalid))
     return _sweep_request(args), payload, warnings
 
 

@@ -276,6 +276,15 @@ def _l2_ranges(draw):
 @example((7, range(7, 8)))
 @example((2, range(2, 500, 2)))
 @example((12, range(-300, 30000, 3)))
+# steps that share a factor with l1, so the gcd repeats within l1 values; a
+# period longer than the range; l1 = 1; ranges that start at or below 0
+@example((12, range(1, 3000, 2)))
+@example((12, range(5, 3000, 3)))
+@example((12, range(3, 3000, 4)))
+@example((9999, range(1, 1001)))
+@example((1, range(-4, 500, 3)))
+@example((12, range(0, 400)))
+@example((10, range(-9, 700, 4)))
 def test_range_partition_equals_the_loop(case):
     # the closed form against the per-value loop on the same values
     l1, values = case

@@ -363,6 +363,15 @@ _LONG = 5000    # several slices of a long list of scalars
 @example([{"l2": k, "valid": k % 2 == 0} for k in range(_LONG)]
          + [{"l2": _LONG, "rows": [1, {"c": 2}]}, {}]
          + [{"l2": k, "valid": True} for k in range(_LONG)])
+# ints and bools in one slice, which %d alone would print as 1 and 0; a
+# column of ints and None; three key orders interleaved, as in the rows of a
+# w = (1,1) sweep csc, whose sequence changes at the first slice's end
+@example([k if k % 3 else k % 2 == 0 for k in range(20)])
+@example([{"l2": k, "threshold": None if k % 4 else k} for k in range(20)])
+@example([({"l2": k, "valid": False, "constraint": "gcd(l2,l1*w1) = 1"},
+           {"l2": k, "valid": True, "unreduced": 1, "reduced": 1},
+           {"l2": k, "reduced": 3, "unreduced": 3, "valid": True})[(k if k < 1024 else -k) % 3]
+          for k in range(1100)])
 def test_json_rendering_equals_json_dumps(tree):
     # json.dumps renders a range or a LazySequence, which reports hold, by default=list
     expected = json.dumps(tree, sort_keys=True, indent=2, default=list)
@@ -371,7 +380,9 @@ def test_json_rendering_equals_json_dumps(tree):
 
 def test_json_rendering_fails_where_json_dumps_fails():
     huge = 10 ** 5000    # beyond the 4,300-digit limit of int -> str
-    for bad in (huge, [1, huge], {"a": [True, huge]}, {"q": Fraction(1, 3)}, [None, {1j}]):
+    digits = 10 ** 4300     # 4,301 digits, in a flat row and in a slice of ints
+    for bad in (huge, [1, huge], {"a": [True, huge]}, {"q": Fraction(1, 3)}, [None, {1j}],
+                [{"l2": 1, "valid": True}, {"l2": digits, "valid": True}], [2, 3, digits]):
         with pytest.raises((TypeError, ValueError)) as expected:
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(expected.type):
