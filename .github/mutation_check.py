@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check for the certificate code and for the byte-identity and
-batched writes of streamed reports: the tests must kill every mutant.
+"""Mutation check for the certificate code, the records that replace
+dataclasses, and the byte-identity and batched writes of streamed reports:
+the tests must kill every mutant.
 
 Each mutant replaces one piece of text, which must occur exactly once, in
 one module of src/sasakijoin.  For each mutant in turn, the script copies
@@ -79,6 +80,10 @@ LEVELS = ("tests/test_cscrays.py", "-k", "levels_four_eight_sixteen")
 STRUCTURE = ("tests/test_cscrays.py", "-k", "no_pole_but_the_forced_root")
 # the JSON pieces against json.dumps, on lists and lazy sequences several slices long
 STREAM = ("tests/test_cli.py", "-k", "json_rendering_equals")
+# the largest piece of a list of ranges holding more than _PIECE values
+PIECE = ("tests/test_cli.py", "-k", "piece_bound")
+# each record against the frozen dataclass it replaced
+RECORDS = ("tests/test_joinspace.py", "-k", "records_match")
 # the raw writes under PYTHONUNBUFFERED, one per piece without the entry's reconfigure
 BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
 # sweep csc rows: validity by class, the window's edges, and the first maximal row,
@@ -198,14 +203,17 @@ MUTANTS = [
     ("the closed-form partition takes M heads, not lcm(s, M)/s", "classify.py",
      "l2_values[first:first + period // step]", "l2_values[first:first + diffeo]", DIFFEO),
     ("the closed-form partition keeps the heads that share a factor with l1", "classify.py",
-     "for r in heads if gcd(l1, r) == 1)", "for r in heads)", DIFFEO),
+     "for r in compress(heads, map(not_, shared())))", "for r in heads)", DIFFEO),
     ("the lazy invalid list has a length one too long", "classify.py",
-     "LazySequence(len(l2_values) - members", "LazySequence(len(l2_values) + 1 - members",
+     "LazySequence(len(l2_values) - len(rest)", "LazySequence(len(l2_values) + 1 - len(rest)",
      DIFFEO),
     ("the lazy invalid list holds every value l2 >= 1", "classify.py",
-     "bytes(gcd(l1, l2) != 1 for", "bytes(True for", DIFFEO),
-    ("the mask of skipped values is built one value late", "classify.py",
-     "for l2 in rest[:l1 // gcd(l1, step)])", "for l2 in rest[1:l1 // gcd(l1, step) + 1])",
+     "bytes(gcd(l1, r) != 1 for", "bytes(True for", DIFFEO),
+    ("the mask of shared factors is built one value late", "classify.py",
+     "for r in heads[:l1 // gcd(l1, step)])", "for r in heads[1:l1 // gcd(l1, step) + 1])",
+     DIFFEO),
+    ("the count of shared values drops the last, partial period", "classify.py",
+     "n // len(mask) * sum(mask) + sum(mask[:n % len(mask)])", "n // len(mask) * sum(mask)",
      DIFFEO),
     ("the separator between two slices of a long list is dropped", "cli.py",
      "            sep = comma\n        yield indent + \"]\"\n",
@@ -214,14 +222,27 @@ MUTANTS = [
      "        while chunk := list(islice(items, _SLICE)):\n",
      "        if chunk := list(islice(items, _SLICE)):\n", STREAM),
     ("the template renders a dict that holds a list", "cli.py",
-     " and _SCALARS.issuperset(\n                    map(type, chain.from_iterable(map(dict.values, chunk))))",
-     "", STREAM),
+     "if not (kinds := set(map(type, column))) <= _SCALARS:", "if not (kinds := set(map(type, column))):",
+     STREAM),
     ("a slice of ints and bools takes the %d template", "cli.py",
      "yield sep + _scalars(chunk, kinds, comma)", "yield sep + _scalars(chunk, kinds - {bool}, comma)",
      STREAM),
     ("the texts of one key order are written to the rows of another", "cli.py",
-     "    return list(map(next, map(texts.__getitem__, orders)))\n",
-     "    return [text for group in texts.values() for text in group]\n", STREAM),
+     "    return comma.join(map(next, map(texts.__getitem__, orders)))\n",
+     "    return comma.join(text for group in texts.values() for text in group)\n", STREAM),
+    ("the one-order return is taken when key orders interleave", "cli.py",
+     "len(distinct := dict.fromkeys(orders)) == 1", "len(distinct := dict.fromkeys(orders)) >= 1",
+     STREAM),
+    ("a slice of ranges past _PIECE values is one piece", "cli.py",
+     "kinds == {range} and sum(map(len, chunk)) <= _PIECE:", "kinds == {range}:", PIECE),
+    ("the helper's records take assignment", "joinspace.py",
+     "        raise AttributeError(f\"cannot assign to field {name!r}\")\n",
+     "        _set(self, name, value)\n", RECORDS),
+    ("a record's == and hash ignore its last field", "joinspace.py",
+     "        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented\n"
+     "\n    def __hash__(self):\n        return hash(self._values)\n",
+     "        return self._values[:-1] == other._values[:-1] if other.__class__ is self.__class__ else NotImplemented\n"
+     "\n    def __hash__(self):\n        return hash(self._values[:-1])\n", RECORDS),
     ("sweep csc reads validity modulo l1*w1, not l1*w1*w2", "cli.py",
      "    period = l1 * w1 * w2\n", "    period = l1 * w1\n", SWEEP_ROWS),
     ("the window starts one l2 late, so its first open row is read as below", "cscrays.py",

@@ -19,11 +19,11 @@ definition of the linking form up to orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from math import gcd, lcm
+from operator import not_
 
-from .joinspace import JoinParams, LazySequence, ParameterError
+from .joinspace import JoinParams, LazySequence, ParameterError, Record
 
 __all__ = [
     "LambdaExponents",
@@ -40,30 +40,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LambdaExponents:
+class LambdaExponents(Record):
     """Exponents entering the diffeomorphism modulus 2^lambda2 * 7^lambda7 * l1^2."""
 
-    lambda2: int
-    lambda7: int
+    __slots__ = ("lambda2", "lambda7")
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """One tested congruence: label, outcome, and witness integers."""
 
-    label: str
-    holds: bool
-    witness: tuple[int, ...]
+    __slots__ = ("label", "holds", "witness")   # str, bool, tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(Record):
     """Per-condition breakdown of a pairwise classification decision."""
 
-    relation: str
-    overall: bool
-    conditions: tuple[Condition, ...]
+    __slots__ = ("relation", "overall", "conditions")   # str, bool, tuple[Condition, ...]
 
     def __post_init__(self) -> None:
         if self.overall != all(c.holds for c in self.conditions):
@@ -167,12 +159,11 @@ def kruggel_homotopy_equivalent(a: JoinParams, b: JoinParams) -> ClassificationV
     )
 
 
-@dataclass(frozen=True)
-class DiffeoPartition:
+class DiffeoPartition(Record):
     """Partition of l2 values into diffeomorphism classes at fixed l1."""
 
-    classes: tuple[tuple[int, ...], ...] | LazySequence
-    invalid: tuple[tuple[int, str], ...] | LazySequence
+    # tuple[tuple[int, ...], ...] and tuple[tuple[int, str], ...], or LazySequence
+    __slots__ = ("classes", "invalid")
 
 
 def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
@@ -192,22 +183,26 @@ def partition_diffeo_types(l1: int, l2_values) -> DiffeoPartition:
         step, stop = l2_values.step, l2_values.stop
         first = len(range(l2_values.start, 1, step))    # the values l2 < 1
         period = lcm(step, diffeo)
-        heads = l2_values[first:first + period // step]
+        heads, rest = l2_values[first:first + period // step], l2_values[first:]
+        # gcd(l1, l2) has period l1/gcd(l1, step) along rest, which the heads span:
+        # one gcd for each head of the first period masks the values sharing a factor
+        mask = bytes(gcd(l1, r) != 1 for r in heads[:l1 // gcd(l1, step)])
+
+        def shared():   # the mask along rest, repeated without cycle()'s copy
+            return chain.from_iterable(repeat(mask, len(rest)))
+
+        def count(n):   # how many of rest[:n] share a factor with l1
+            return n // len(mask) * sum(mask) + sum(mask[:n % len(mask)]) if mask else 0
 
         def classes():
-            return (range(r, stop, period) for r in heads if gcd(l1, r) == 1)
+            return (range(r, stop, period) for r in compress(heads, map(not_, shared())))
 
         def skipped():
-            # gcd(l1, l2) has period l1/gcd(l1, step): a mask of one, without cycle()'s copy
-            rest = l2_values[first:]
-            mask = bytes(gcd(l1, l2) != 1 for l2 in rest[:l1 // gcd(l1, step)])
-            skip = compress(rest, chain.from_iterable(repeat(mask, len(rest))))
-            return chain(zip(l2_values[:first], repeat("l2 >= 1")), zip(skip, repeat("gcd(l1,l2) = 1")))
+            return chain(zip(l2_values[:first], repeat("l2 >= 1")),
+                         zip(compress(rest, shared()), repeat("gcd(l1,l2) = 1")))
 
-        n = members = 0
-        for cls in classes():
-            n, members = n + 1, members + len(cls)
-        return DiffeoPartition(LazySequence(n, classes), LazySequence(len(l2_values) - members, skipped))
+        return DiffeoPartition(LazySequence(len(heads) - count(len(heads)), classes),
+                               LazySequence(len(l2_values) - len(rest) + count(len(rest)), skipped))
     buckets: dict[int, set[int]] = {}
     invalid: list[tuple[int, str]] = []
     for l2 in l2_values:

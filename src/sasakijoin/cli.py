@@ -15,9 +15,10 @@ strings; isolating intervals as {lo, hi, approx} where approx is a decimal
 rendering of the midpoint at --precision digits and is display-only.
 Identical requests produce byte-identical output, independent of --jobs.
 JSON is ``json.dumps(report, sort_keys=True, indent=2)``, which ``_json``
-yields in pieces: each slice of 1024 list elements that are scalars, or
-dicts of scalars, is one piece made in C: a %d template for ints, and for
-dicts a "key": %s template per key order, filled by columns.  Every format
+yields in pieces: each slice of 1024 list elements that are scalars, dicts
+of scalars, or ranges of at most ``_PIECE`` values in all is one piece made
+in C: a %d template for ints and ranges, and for dicts one template of
+"key": %d or %s per key order, filled row by row by one %.  Every format
 is written to stdout as rendered, never held whole; ``entry`` turns off
 PYTHONUNBUFFERED's write-through, so stdout's own buffer batches the writes.
 
@@ -168,6 +169,8 @@ def _params_line(params: dict) -> str:
 
 _CONTAINERS = (dict, list, tuple, range, LazySequence)
 _SLICE = 1024       # elements of a list per piece of JSON text
+_PIECE = 64 * _SLICE    # most values in a slice of ranges made one piece; longer ranges are
+                        # as fast one at a time, and a piece of them would hold more memory
 _SCALARS = frozenset((str, int, bool, type(None)))
 
 
@@ -188,28 +191,37 @@ def _scalars(values: list, kinds: set, sep: str) -> str:
     return sep.join(map(_quote if kinds == {str} else _scalar, values))
 
 
-def _rows(rows: list, inner: str) -> list[str]:
-    """The texts of ``rows``, nonempty dicts of scalars: each key order fills its
-    "key": %s template a column at a time, and each row takes its order's next text."""
+def _rows(rows: list, inner: str, comma: str) -> str | None:
+    """The text of ``rows``, nonempty dicts, joined by ``comma``, or None if a value is
+    not a scalar.  Each key order fills one template ("key": %d for a column of ints,
+    %s for the quoted rest) with its rows' values by one %; orders that interleave are
+    joined at NUL (json escapes it in a str), split, and put back in row order."""
     orders = list(map(tuple, rows))
-    texts = {}
-    for keys in dict.fromkeys(orders):
-        order = sorted(keys)
-        text = ",".join(f"{inner}  {_quote(key).replace('%', '%%')}: %s" for key in order)
-        group = list(compress(rows, map(keys.__eq__, orders)))
-        columns = (list(map(itemgetter(key), group)) for key in order)
-        # the texts of each column, split at NUL, which json escapes in a str
-        texts[keys] = map(("{" + text + inner + "}").__mod__,
-                          zip(*(_scalars(c, set(map(type, c)), "\0").split("\0") for c in columns)))
-    return list(map(next, map(texts.__getitem__, orders)))
+    texts, one = {}, len(distinct := dict.fromkeys(orders)) == 1
+    for order in distinct:
+        group = rows if one else list(compress(rows, map(order.__eq__, orders)))
+        fields, columns = [], []
+        for key in sorted(order):
+            column = list(map(itemgetter(key), group))
+            if not (kinds := set(map(type, column))) <= _SCALARS:
+                return None
+            fields.append(f"{inner}  {_quote(key).replace('%', '%%')}: %{'d' if kinds == {int} else 's'}")
+            columns.append(column if kinds == {int} else map(_quote if kinds == {str} else _scalar, column))
+        text = (comma if one else "\0").join(["{" + ",".join(fields) + inner + "}"] * len(group)) % tuple(
+            chain.from_iterable(zip(*columns)))
+        if one:
+            return text
+        texts[order] = iter(text.split("\0"))
+    return comma.join(map(next, map(texts.__getitem__, orders)))
 
 
 def _json(obj, indent: str = "\n", head: str = ""):
     """``head``, then the text of ``json.dumps(obj, sort_keys=True, indent=2)``
     in pieces, for report types (a range or ``LazySequence`` renders as its
-    list): a list is read in slices of ``_SLICE`` elements, a slice of
-    scalars or of flat dicts (dicts of scalars) is one piece, and a new piece
-    starts after each other nested dict or list."""
+    list): a list is read in slices of ``_SLICE`` elements; a slice of
+    scalars, of flat dicts (dicts of scalars), or of ranges of at most
+    ``_PIECE`` values in all is one piece, and a new piece starts after each
+    other nested dict or list."""
     inner = indent + "  "
     comma = "," + inner
     if not isinstance(obj, _CONTAINERS):
@@ -233,9 +245,15 @@ def _json(obj, indent: str = "\n", head: str = ""):
         while chunk := list(islice(items, _SLICE)):
             if (kinds := ints or set(map(type, chunk))) <= _SCALARS:
                 yield sep + _scalars(chunk, kinds, comma)
-            elif kinds == {dict} and all(chunk) and _SCALARS.issuperset(
-                    map(type, chain.from_iterable(map(dict.values, chunk)))):
-                yield sep + comma.join(_rows(chunk, inner))
+            elif kinds == {range} and sum(map(len, chunk)) <= _PIECE:
+                # small ranges: one %d template for the slice, a form for each length
+                cell = "," + inner + "  "
+                forms = {n: f"[{cell[1:]}{cell.join(['%d'] * n)}{inner}]" if n else "[]"
+                         for n in set(map(len, chunk))}
+                yield sep + comma.join(map(forms.__getitem__, map(len, chunk))) % tuple(
+                    chain.from_iterable(chunk))
+            elif kinds == {dict} and all(chunk) and (rows := _rows(chunk, inner, comma)) is not None:
+                yield sep + rows
             else:
                 for x in chunk:
                     yield from _json(x, inner, sep)

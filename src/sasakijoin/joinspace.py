@@ -17,10 +17,11 @@ answered by :func:`diffeo_type_dim5`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 __all__ = [
+    "Record",
     "ParameterError",
     "JoinParams",
     "Relation",
@@ -66,14 +67,63 @@ class LazySequence:
         return self._items()
 
 
+_set = object.__setattr__     # past a record's refusal
+
+
+class Record:
+    """``dataclass(frozen=True)`` for a class naming its two or more fields in
+    ``__slots__`` (defaults in ``_defaults``), without importing ``dataclasses``
+    and ``inspect``: construction by position or keyword, ``__post_init__``,
+    ``repr``, ``==`` and ``hash`` on the fields within one class, pickle and
+    copy, and no assignment or deletion."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls.__match_args__, cls._values = cls.__slots__, property(attrgetter(*cls.__slots__))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):   # dict() refuses a name given twice
+            given = {**self._defaults, **dict(**dict(zip(names, args)), **kwargs)}
+            if len(args) > len(names) or given.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes {names}, got {args} and {kwargs}")
+            args = tuple(map(given.__getitem__, names))
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__match_args__, self._values)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
 def _require_positive(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ParameterError(f"{name} >= 1", f"{name} must be a positive integer, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class JoinParams:
+class JoinParams(Record):
     """A validated join parameter tuple (p, l1, l2, w1, w2).
 
     Constraints: all entries positive, w1 >= w2 with gcd(w1, w2) = 1, and
@@ -82,15 +132,12 @@ class JoinParams:
     labels stay tied to the caller's weight order.
     """
 
-    p: int
-    l1: int
-    l2: int
-    w1: int
-    w2: int
+    __slots__ = ("p", "l1", "l2", "w1", "w2")
 
     def __post_init__(self) -> None:
-        for name in ("p", "l1", "l2", "w1", "w2"):
-            _require_positive(name, getattr(self, name))
+        for name in self.__slots__:     # a call only for a value that is not a plain int >= 1
+            if (value := getattr(self, name)).__class__ is not int or value < 1:
+                _require_positive(name, value)
         if self.w1 < self.w2:
             raise ParameterError("w1 >= w2", f"weights must satisfy w1 >= w2, got ({self.w1},{self.w2})")
         if gcd(self.w1, self.w2) != 1:
@@ -144,12 +191,10 @@ def h4_order(params: JoinParams) -> int:
 # ----------------------------------------------------------------------
 # presentations and graded groups
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A monomial relation coefficient * prod(gen**power) = 0."""
 
-    coefficient: int
-    monomial: tuple[tuple[str, int], ...]
+    __slots__ = ("coefficient", "monomial")  # int, tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
         if self.coefficient == 0:
@@ -165,12 +210,10 @@ class Relation:
         return f"{self.coefficient}*{body}"
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(Record):
     """Graded ring presentation Z[generators]/(relations)."""
 
-    generators: tuple[tuple[str, int], ...]
-    relations: tuple[Relation, ...]
+    __slots__ = ("generators", "relations")  # tuple[tuple[str, int], ...], tuple[Relation, ...]
 
     def __post_init__(self) -> None:
         for _, degree in self.generators:
@@ -183,12 +226,11 @@ class RingPresentation:
         return f"Z[{gens}]/({rels})"
 
 
-@dataclass(frozen=True)
-class AbelianGroupDescriptor:
+class AbelianGroupDescriptor(Record):
     """Finitely generated abelian group Z^free_rank + sum of cyclic torsion."""
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")    # int, tuple[int, ...]
+    _defaults = {"free_rank": 0, "torsion": ()}
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sasakijoin import classify
 from sasakijoin.classify import (
     ClassificationVerdict,
     Condition,
@@ -291,8 +292,27 @@ def test_range_partition_equals_the_loop(case):
     fast, slow = partition_diffeo_types(l1, values), partition_diffeo_types(l1, list(values))
     assert all(type(cls) is range for cls in fast.classes)
     assert tuple(tuple(cls) for cls in fast.classes) == slow.classes
+    assert len(fast.classes) == len(slow.classes)
     assert len(fast.invalid) == len(slow.invalid)
     assert list(fast.invalid) == list(fast.invalid) == list(slow.invalid)
+
+
+@pytest.mark.parametrize("l1, values", [(9999, range(1, 30001)), (12, range(-5, 3000, 3)),
+                                        (7, range(1, 100))])
+def test_range_partition_takes_at_most_one_gcd_a_head(monkeypatch, l1, values):
+    # the heads of the first period of gcd(l1, l2) take one gcd each, when the
+    # partition is made, the later heads none (the mask repeats), and no pass
+    # over its classes or invalid values takes one
+    calls = []
+    monkeypatch.setattr(classify, "gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    part = partition_diffeo_types(l1, values)
+    made = len(calls)
+    for _ in range(2):
+        assert sum(map(len, part.classes)) + len(list(part.invalid)) == len(values)
+    period = l1 // gcd(l1, values.step)
+    heads = [(l1, r) for r in values if r >= 1][:period]
+    assert len(calls) == made
+    assert sorted(calls) == sorted(heads + [(l1, values.step)])
 
 
 def test_range_partition_at_a_large_modulus_stays_small_in_memory():

@@ -368,6 +368,17 @@ _LONG = 5000    # several slices of a long list of scalars
 # w = (1,1) sweep csc, whose sequence changes at the first slice's end
 @example([k if k % 3 else k % 2 == 0 for k in range(20)])
 @example([{"l2": k, "threshold": None if k % 4 else k} for k in range(20)])
+# one key order whose str column holds % and NUL; rows of one length but two
+# key sets, and a row holding more keys than the first
+@example([{"l2": k, "constraint": f"50% \0 {k}%s"} for k in range(20)])
+@example([{"a": k, "b": True} if k % 3 else {"a": k, "c": None} for k in range(20)])
+@example([{"a": 0}] + [{"a": k, "b": -k} for k in range(20)])
+# ranges as sweep diffeo classes: one value each, as at l1 = 9999; a slice of
+# small ranges (and empty ones), a slice past _PIECE values, then a range
+# longer than _SLICE in a slice of its own
+@example([range(k, k + 1) for k in range(_LONG)])
+@example([range(k, k + k % 7) for k in range(1024)] + [range(k, k + 70) for k in range(1024)]
+         + [range(3, 2 * 1024 + 4), range(0)])
 @example([({"l2": k, "valid": False, "constraint": "gcd(l2,l1*w1) = 1"},
            {"l2": k, "valid": True, "unreduced": 1, "reduced": 1},
            {"l2": k, "reduced": 3, "unreduced": 3, "valid": True})[(k if k < 1024 else -k) % 3]
@@ -376,6 +387,16 @@ def test_json_rendering_equals_json_dumps(tree):
     # json.dumps renders a range or a LazySequence, which reports hold, by default=list
     expected = json.dumps(tree, sort_keys=True, indent=2, default=list)
     assert "".join(cli._json(tree)) == expected
+
+
+def test_ranges_past_the_piece_bound_are_written_a_range_at_a_time():
+    # a slice of ranges is one piece only while it holds at most _PIECE values,
+    # so a piece of ranges never holds more than that
+    ranges = [range(k, k + 65) for k in range(cli._SLICE)]
+    assert sum(map(len, ranges)) > cli._PIECE
+    pieces = list(cli._json(ranges))
+    assert "".join(pieces) == json.dumps(ranges, indent=2, default=list)
+    assert max(piece.count("\n") for piece in pieces) < cli._PIECE
 
 
 def test_json_rendering_fails_where_json_dumps_fails():
@@ -411,9 +432,10 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert proc.stdout == "[]\n"
 
 
-# what a command must leave unloaded: the ray kernel and fractions for the
-# classification and invariants commands, classify and csv for the csc ones
-NOT_KERNEL = ("sasakijoin.exactpoly", "sasakijoin.cscrays", "fractions")
+# what a command must leave unloaded: the ray kernel, fractions and
+# dataclasses (with the inspect it imports) for the classification and
+# invariants commands, classify and csv for the csc ones
+NOT_KERNEL = ("sasakijoin.exactpoly", "sasakijoin.cscrays", "fractions", "dataclasses", "inspect")
 NOT_CLASSIFY = ("sasakijoin.classify", "csv")
 
 

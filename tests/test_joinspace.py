@@ -1,10 +1,15 @@
 """Tests for parameter validation and topological invariants."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sasakijoin import classify, joinspace
 from sasakijoin.joinspace import (
     AbelianGroupDescriptor,
     JoinParams,
@@ -274,3 +279,176 @@ def test_relation_and_group_invariants():
     with pytest.raises(ValueError):
         AbelianGroupDescriptor(free_rank=-1)
     assert str(AbelianGroupDescriptor(free_rank=1, torsion=(25,))) == "Z + Z/25"
+
+
+# ----------------------------------------------------------------------
+# records: each class made by joinspace.record against the frozen dataclass it
+# replaced, whose definition is kept here as it was
+
+@dataclasses.dataclass(frozen=True)
+class OldJoinParams:
+    p: int
+    l1: int
+    l2: int
+    w1: int
+    w2: int
+
+    def __post_init__(self) -> None:
+        for name in ("p", "l1", "l2", "w1", "w2"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ParameterError(f"{name} >= 1", f"{name} must be a positive integer, got {value!r}")
+        if self.w1 < self.w2:
+            raise ParameterError("w1 >= w2", f"weights must satisfy w1 >= w2, got ({self.w1},{self.w2})")
+        if gcd(self.w1, self.w2) != 1:
+            raise ParameterError("gcd(w1,w2) = 1",
+                                 f"gcd(w1,w2) = {gcd(self.w1, self.w2)} != 1")
+        if gcd(self.l2, self.l1 * self.w1) != 1:
+            raise ParameterError("gcd(l2,l1*w1) = 1",
+                                 f"gcd(l2, l1*w1) = {gcd(self.l2, self.l1 * self.w1)} != 1")
+        if gcd(self.l2, self.l1 * self.w2) != 1:
+            raise ParameterError("gcd(l2,l1*w2) = 1",
+                                 f"gcd(l2, l1*w2) = {gcd(self.l2, self.l1 * self.w2)} != 1")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldRelation:
+    coefficient: int
+    monomial: tuple
+
+    def __post_init__(self) -> None:
+        if self.coefficient == 0:
+            raise ValueError("relation coefficient must be nonzero")
+        for _, power in self.monomial:
+            if power < 1:
+                raise ValueError("monomial powers must be positive")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldRingPresentation:
+    generators: tuple
+    relations: tuple
+
+    def __post_init__(self) -> None:
+        for _, degree in self.generators:
+            if degree < 1:
+                raise ValueError("generator degrees must be positive")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldAbelianGroupDescriptor:
+    free_rank: int = 0
+    torsion: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.free_rank < 0:
+            raise ValueError("free rank must be nonnegative")
+        for t in self.torsion:
+            if t <= 1:
+                raise ValueError("torsion orders must exceed 1")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldLambdaExponents:
+    lambda2: int
+    lambda7: int
+
+
+@dataclasses.dataclass(frozen=True)
+class OldCondition:
+    label: str
+    holds: bool
+    witness: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class OldClassificationVerdict:
+    relation: str
+    overall: bool
+    conditions: tuple
+
+    def __post_init__(self) -> None:
+        if self.overall != all(c.holds for c in self.conditions):
+            raise ValueError("overall verdict must be the conjunction of its conditions")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldDiffeoPartition:
+    classes: tuple
+    invalid: tuple
+
+
+_INT = st.integers(-2, 13) | st.booleans()
+_NAMES = st.sampled_from(("x", "y", "z"))
+_CONDITIONS = st.lists(st.builds(classify.Condition, st.text(max_size=3), st.booleans(),
+                                 st.lists(_INT, max_size=3).map(tuple)), max_size=3).map(tuple)
+# each replaced class, its old dataclass, and a strategy for its field values
+RECORDS = [
+    (joinspace.JoinParams, OldJoinParams, st.tuples(_INT, _INT, _INT, _INT, _INT)),
+    (joinspace.Relation, OldRelation,
+     st.tuples(_INT, st.lists(st.tuples(_NAMES, _INT), max_size=3).map(tuple))),
+    (joinspace.RingPresentation, OldRingPresentation,
+     st.tuples(st.lists(st.tuples(_NAMES, _INT), max_size=3).map(tuple),
+               st.lists(_INT, max_size=2).map(tuple))),
+    (joinspace.AbelianGroupDescriptor, OldAbelianGroupDescriptor,
+     st.tuples(_INT, st.lists(_INT, max_size=3).map(tuple))),
+    (classify.LambdaExponents, OldLambdaExponents, st.tuples(_INT, _INT)),
+    (classify.Condition, OldCondition,
+     st.tuples(st.text(max_size=4), st.booleans(), st.lists(_INT, max_size=3).map(tuple))),
+    (classify.ClassificationVerdict, OldClassificationVerdict,
+     st.tuples(st.sampled_from(("homotopy", "homeo")), st.booleans(), _CONDITIONS)),
+    (classify.DiffeoPartition, OldDiffeoPartition,
+     st.tuples(st.lists(st.lists(_INT, max_size=2).map(tuple), max_size=2).map(tuple),
+               st.lists(st.tuples(_INT, st.just("l2 >= 1")), max_size=2).map(tuple))),
+]
+
+
+def _made(cls, values, keywords):
+    """cls on the values, by keyword from index ``keywords`` on, or the error it raised."""
+    names = cls.__match_args__
+    try:
+        return cls(*values[:keywords], **dict(zip(names[keywords:], values[keywords:])))
+    except ValueError as exc:   # ParameterError among them
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_records_match_the_dataclasses_they_replaced(data):
+    new_cls, old_cls, fields = data.draw(st.sampled_from(RECORDS))
+    values, other = data.draw(fields), data.draw(fields)
+    keywords = data.draw(st.integers(0, len(values)))
+    new, old = _made(new_cls, values, keywords), _made(old_cls, values, keywords)
+    if isinstance(old, Exception):
+        assert type(new) is type(old) and str(new) == str(old)
+        assert getattr(new, "constraint", None) == getattr(old, "constraint", None)
+        return
+    assert repr(new) == repr(old).replace(old_cls.__name__, new_cls.__name__, 1)
+    assert new_cls.__match_args__ == old_cls.__match_args__
+    assert hash(new) == hash(old)
+    assert new != old and new == _made(new_cls, values, 0)
+    new_other, old_other = _made(new_cls, other, 0), _made(old_cls, other, 0)
+    if not isinstance(old_other, Exception):
+        assert (new == new_other) == (old == old_other)
+    for twin in (pickle.loads(pickle.dumps(new)), copy.copy(new), copy.deepcopy(new)):
+        assert type(twin) is new_cls and twin == new and repr(twin) == repr(new)
+    name = data.draw(st.sampled_from(new_cls.__match_args__ + ("other",)))
+    for change in (lambda obj: setattr(obj, name, 1), lambda obj: delattr(obj, name)):
+        with pytest.raises(AttributeError) as refused:
+            change(new)
+        with pytest.raises(dataclasses.FrozenInstanceError) as expected:
+            change(old)
+        assert str(refused.value) == str(expected.value)
+    assert repr(new) == repr(_made(new_cls, values, keywords))
+
+
+def test_a_record_takes_its_defaults_and_refuses_a_wrong_call():
+    assert AbelianGroupDescriptor() == AbelianGroupDescriptor(0, ()) == joinspace.TRIVIAL_GROUP
+    assert AbelianGroupDescriptor(torsion=(2,)) == AbelianGroupDescriptor(0, (2,))
+    for args, kwargs in (((1, 2, 3, 4), {}), ((1, 2, 3, 4, 5, 6), {}), ((1, 2, 3, 4), {"p": 1}),
+                         ((1, 2, 3, 4), {"w3": 1})):
+        with pytest.raises(TypeError):
+            JoinParams(*args, **kwargs)
+    with pytest.raises(TypeError):
+        AbelianGroupDescriptor(1, (), 3)
+    assert not hasattr(JoinParams(1, 1, 1, 1, 1), "__dict__")
