@@ -90,6 +90,11 @@ BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
 # which the 19-digit l1 pins find among the open rows
 SWEEP_ROWS = ("tests/test_cli.py", "-k", "sweep_csc_threshold_detection")
 WINDOW = ("tests/test_cscrays.py", "-k", "window_edges")
+# three_ray_split when the certificate fails, against the first maximal row csc_rays finds
+FAILED_SPLIT = ("tests/test_cscrays.py", "-k", "rows_at_the_threshold or first_maximal_row")
+# the rows min_l2_multiple_csc builds and the ones it sends to csc_rays; the
+# answer is the same when it also counts above the window
+MIN_L2_ROWS = ("tests/test_cscrays.py", "-k", "builds_rows_from_the_window")
 SWEEP_PINS = ("tests/test_cli.py", "-k", "sweep_reports_match_pinned")
 
 # a replacement bound before the first command, as a bench probe binds it;
@@ -246,7 +251,17 @@ MUTANTS = [
     ("sweep csc reads validity modulo l1*w1, not l1*w1*w2", "cli.py",
      "    period = l1 * w1 * w2\n", "    period = l1 * w1\n", SWEEP_ROWS),
     ("the window starts one l2 late, so its first open row is read as below", "cscrays.py",
-     "floor(threshold.lo * l1) + 1,", "floor(threshold.lo * l1) + 2,", WINDOW),
+     "bisect_right(l2_values, t_star.lo * l1),", "bisect_right(l2_values, t_star.lo * l1) + 1,",
+     WINDOW),
+    ("the window stops one l2 early, so its last open row is read as above", "cscrays.py",
+     "bisect_right(l2_values, t_star * l1)\n", "bisect_right(l2_values, t_star * l1) - 1\n", WINDOW),
+    ("a failed certificate puts every l2 below the window", "cscrays.py",
+     "        return l2_values[:0], l2_values, l2_values[:0]\n",
+     "        return l2_values, l2_values[:0], l2_values[:0]\n", FAILED_SPLIT),
+    ("min_l2_multiple_csc asks csc_rays above the window too", "cscrays.py",
+     "        if l2 in above or csc_rays(params)", "        if csc_rays(params)", MIN_L2_ROWS),
+    ("min_l2_multiple_csc starts at the window's second l2", "cscrays.py",
+     "chain(window, above)", "chain(window[1:], above)", MIN_L2_ROWS),
     ("threshold_l2 skips a maximal open row", "cli.py",
      "    threshold = next((row[\"l2\"] for row in found if row[\"reduced\"] == maximal), None)\n",
      "    threshold = None\n", SWEEP_PINS),

@@ -56,7 +56,6 @@ import importlib
 import json
 import os
 import sys
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, compress, islice, starmap
 from json.encoder import encode_basestring_ascii as _quote
@@ -86,7 +85,7 @@ __all__ = ["main", "entry", "SCHEMA_VERSION", "frac_str", "decimal_str"]
 # exactpoly first: compiled before cscrays, the kernel peaks lower in memory
 _KERNEL = (("exactpoly", ("format_poly", "intpoly")),
            ("cscrays", ("CSC_CAVEAT", "csc_polynomial", "csc_rays", "deflate_forbidden",
-                        "family_threshold", "maximal_ray_count", "threshold_window")))
+                        "maximal_ray_count", "three_ray_split")))
 _CLASSIFY = (("classify", ("ks_diffeomorphic", "ks_homeomorphic", "ks_moduli",
                            "kruggel_homotopy_equivalent", "partition_diffeo_types")),)
 _LAYERS = {"csc": _KERNEL, "sweep csc": _KERNEL,
@@ -262,6 +261,15 @@ def _json(obj, indent: str = "\n", head: str = ""):
         yield indent + "]"
 
 
+def _printable(*values) -> None:
+    """Refuse, before anything is written, integers past the interpreter's limit
+    for int-to-str conversion, which ``json.loads`` shares."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(abs, values)) >= 10 ** limit:
+        raise ParameterError(f"integers of at most {limit} digits",
+                             f"the report would print an integer of more than {limit} digits")
+
+
 def _key_value_rows(payload: dict) -> list[list]:
     return [["key", "value"],
             *([key, json.dumps(payload[key], sort_keys=True)] for key in sorted(payload))]
@@ -389,12 +397,15 @@ def _invariants(args):
         "c1": c1_coefficient(params),
         "spin": is_spin(params),
     }
+    order = h4_order(params) if params.p > 1 else 0
+    # every other integer of the payload is at most dim or |H^4|
+    _printable(params.dim, payload["c1"], order)
     if params.p == 1:
         payload["dim5_type"] = diffeo_type_dim5(params.l1, params.l2,
                                                 params.w1, params.w2)
     else:
         ring = cohomology_ring(params)
-        payload["h4_order"] = h4_order(params)
+        payload["h4_order"] = order
         payload["ring"] = {
             "generators": [[g, d] for g, d in ring.generators],
             "relations": [str(r) for r in ring.relations],
@@ -430,6 +441,7 @@ def _csc(args):
     params = JoinParams(args.p, args.l1, args.l2, *args.w)
     fp = csc_polynomial(params)
     deflated, multiplicity = deflate_forbidden(fp)
+    _printable(*fp.poly.coeffs, *deflated.coeffs)
     report = csc_rays((fp, deflated, multiplicity), args.precision)
     payload: dict = {
         "params": _params_payload(params),
@@ -477,6 +489,7 @@ def _classify(args):
                                  "classify homotopy needs exactly two l1,l2,w1,w2 tuples")
         a, b = (JoinParams(2, *t) for t in args.tuples)
         verdict = kruggel_homotopy_equivalent(a, b)
+        _printable(*chain.from_iterable(c.witness for c in verdict.conditions))
         payload = {
             "relation": "homotopy",
             "a": _params_payload(a),
@@ -498,6 +511,7 @@ def _classify(args):
     else:
         relation, modulus = "diffeomorphism", diffeo_mod
         result = ks_diffeomorphic(args.l1, args.l2, args.l2p)
+    _printable(modulus)
     payload = {
         "relation": relation,
         "l1": args.l1,
@@ -553,7 +567,7 @@ def _sweep_csc(args):
     l2_values = _l2_values(args.l2_values if args.bound is None else range(1, args.bound + 1),
                            "sweep csc needs --l2 A..B or --bound N")
     p, l1, (w1, w2) = args.p, args.l1, args.w
-    first, stop = threshold_window(l1, family_threshold(p, l1, w1, w2))
+    below, window, above = three_ray_split(p, l1, w1, w2, l2_values)
     # the rules on l2 are gcd(l2, l1*w1) = gcd(l2, l1*w2) = 1, so validity is
     # one answer per class of l2 mod l1*w1*w2; a bounded cache, as the period
     # can be far longer than the range when l1 is a large prime
@@ -568,8 +582,6 @@ def _sweep_csc(args):
         return None
 
     n = len(l2_values)
-    i, j = (n if x is None else bisect_left(l2_values, x) for x in (first, stop))
-    below, window, above = l2_values[:i], l2_values[i:j], l2_values[j:]
     open_tasks = [(p, l1, l2, w1, w2) for l2 in window if not constraint(l2 % period)]
     jobs = args.jobs
     usable = min(os.cpu_count() or 1, n)
@@ -635,8 +647,9 @@ def _sweep_diffeo(args):
     l2_values = _l2_values(args.l2_values, "sweep diffeo needs --l2 A..B")
     if args.bound is not None:
         raise ParameterError("no --bound", "--bound is for sweep csc; sweep diffeo takes --l2")
-    partition = partition_diffeo_types(args.l1, l2_values)
     homeo_mod, diffeo_mod = ks_moduli(args.l1)
+    _printable(homeo_mod, diffeo_mod)
+    partition = partition_diffeo_types(args.l1, l2_values)
     payload = {
         "target": "diffeo",
         "l1": args.l1,

@@ -25,12 +25,13 @@ f = l2*A + l1*B.  The structure of R = -B/A is certified once per family
 (p, w1, w2) and cached.  From it :func:`ray_threshold` reads the value t*
 of l2/l1 at which the ray count jumps, from 1 to 3 (1 to 2 reduced for
 w = (1,1); for w1 > w2, t* = R(c*) at the critical point c* of R below
-w2/w1), and :func:`threshold_ray_counts` reads a tuple's counts off t*;
-sweeps and :func:`min_l2_multiple_csc` call :func:`csc_rays` only for
-tuples whose l2/l1 is not separated from t*.  The same entry lets
-:func:`csc_rays` skip dense isolation at high degree: each branch of R
-holds at most one root, so the roots are bracketed by signs of the sparse
-ray polynomial and isolated, with byte-identical reports, by
+w2/w1), and :func:`three_ray_split` splits a range of l2 at t* into the
+values below it, the window not separated from it, and those above;
+sweeps and :func:`min_l2_multiple_csc` call :func:`csc_rays` only in the
+window.  The same entry lets :func:`csc_rays` skip dense isolation at high
+degree: each branch of R holds at most one root, so the roots are
+bracketed by signs of the sparse ray polynomial and isolated, with
+byte-identical reports, by
 :func:`~sasakijoin.exactpoly.isolate_bracketed_roots`.  Threshold and
 brackets share one walk on c*, :func:`_critical_cells`: its counts, its bound.
 
@@ -42,10 +43,12 @@ metrics outside that family are neither confirmed nor excluded.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd
+from itertools import chain
+from math import gcd
 
 from .exactpoly import (
     IntPolynomial,
@@ -79,9 +82,7 @@ __all__ = [
     "fourth_derivative_at_one",
     "wz_threshold",
     "ray_threshold",
-    "threshold_ray_counts",
-    "threshold_window",
-    "family_threshold",
+    "three_ray_split",
     "THRESHOLD_WIDTH",
     "deflate_forbidden",
     "csc_rays",
@@ -318,39 +319,23 @@ def _critical_value(p, w1, w2, big_a, big_b, wronskian) -> RationalInterval:
         f"in {_CELL_LEVELS} levels")
 
 
-def threshold_window(l1: int, threshold) -> tuple[int, int | None]:
-    """(first, stop): at l1, t = l2/l1 lies below the threshold that
-    :func:`family_threshold` gives for l2 < first, above it for l2 >= stop,
-    and is not separated from t* in between; (1, None) when threshold is
-    None, which separates no l2."""
-    if threshold is None:
-        return 1, None
-    if isinstance(threshold, RationalInterval):
-        return floor(threshold.lo * l1) + 1, ceil(threshold.hi * l1)
-    return ceil(threshold * l1), floor(threshold * l1) + 1
-
-
-def threshold_ray_counts(params: JoinParams, threshold) -> tuple[int, int] | None:
-    """(unreduced, reduced) ray counts of params read off the threshold that
-    :func:`ray_threshold` gives for its family, or None when l2/l1 is not
-    separated from t* (or threshold is None) and only :func:`csc_rays` can
-    tell."""
-    first, stop = threshold_window(params.l1, threshold)
-    if params.l2 < first:
-        return 1, 1
-    if stop is not None and params.l2 >= stop:
-        return 3, maximal_ray_count(params.w1, params.w2)
-    return None
-
-
-def family_threshold(p: int, l1: int, w1: int, w2: int):
-    """The :func:`ray_threshold` of every tuple (p, l1, l2, w1, w2), or None when
-    its certificate fails; l2 = 1, coprime to all, checks the rules without l2."""
+def three_ray_split(p: int, l1: int, w1: int, w2: int, l2_values: range):
+    """(below, window, above): the slices of the ascending range ``l2_values``
+    whose l2/l1 lies below the :func:`ray_threshold` of the family, is not
+    separated from it, and lies above it.  A valid tuple has 1 ray (1 reduced)
+    below and 3 (:func:`maximal_ray_count` reduced) above; in the window, the
+    whole range when the certificate fails, only :func:`csc_rays` can tell.
+    l2 = 1, coprime to all, checks the join rules that do not involve l2."""
     JoinParams(p, l1, 1, w1, w2)
     try:
-        return ray_threshold(p, w1, w2)
+        t_star = ray_threshold(p, w1, w2)
     except InternalInvariantError:
-        return None
+        return l2_values[:0], l2_values, l2_values[:0]
+    if isinstance(t_star, RationalInterval):    # below at l2/l1 <= lo, above at >= hi
+        i, j = bisect_right(l2_values, t_star.lo * l1), bisect_left(l2_values, t_star.hi * l1)
+    else:                                       # below at l2/l1 < t*, above at > t*
+        i, j = bisect_left(l2_values, t_star * l1), bisect_right(l2_values, t_star * l1)
+    return l2_values[:i], l2_values[i:j], l2_values[j:]
 
 
 def deflate_forbidden(fp: CscPolynomial) -> tuple[IntPolynomial, int]:
@@ -515,21 +500,20 @@ def min_l2_multiple_csc(p: int, l1: int, w1: int, w2: int, search_bound: int):
 
     Maximal means 3 unreduced rays for w1 > w2 and 2 reduced rays for
     w = (1,1).  Values of l2 violating the gcd constraints are skipped.
-    Each count is read off :func:`family_threshold`, the rule ``sweep csc``
-    shares, or comes from :func:`csc_rays` when l2/l1 is not separated from
-    t*.  Returns None when no l2 within the bound qualifies.
+    :func:`three_ray_split`, the rule ``sweep csc`` shares, leaves no maximal
+    row below its window and every valid row above it maximal, so only the
+    window goes to :func:`csc_rays`.  Returns None when no l2 within the
+    bound qualifies.
     """
     if not isinstance(search_bound, int) or isinstance(search_bound, bool) or search_bound < 1:
         raise ParameterError("search_bound >= 1", "search bound must be a positive integer")
-    threshold = family_threshold(p, l1, w1, w2)
-    for l2 in range(1, search_bound + 1):
+    _, window, above = three_ray_split(p, l1, w1, w2, range(1, search_bound + 1))
+    for l2 in chain(window, above):
         try:
             params = JoinParams(p, l1, l2, w1, w2)
         except ParameterError:
             continue
-        counts = threshold_ray_counts(params, threshold)
-        reduced = counts[1] if counts else csc_rays(params).reduced_count
-        if reduced == maximal_ray_count(w1, w2):
+        if l2 in above or csc_rays(params).reduced_count == maximal_ray_count(w1, w2):
             return l2
     return None
 

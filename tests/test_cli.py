@@ -128,6 +128,44 @@ def test_csc_internal_invariant_exits_two(capsys, monkeypatch):
     assert "internal invariant" in err
 
 
+# a 2,202-digit l1: l1^2, so |H^4| and the Kreck-Stolz moduli, has 4,403 digits,
+# past the interpreter's default limit of 4,300 digits for int -> str
+HUGE_L1 = "1" + "0" * 2200 + "1"
+DIGITS = sys.get_int_max_str_digits()
+PAST_THE_DIGITS = [
+    # every coefficient of f and of the quotient has more than 4,300 digits,
+    # known before csc_rays would spend about 20 s on the quotient
+    "csc -p 200 -l1 1 -l2 5 -w 100000000003,100000000001",
+    f"invariants -p 2 -l1 {HUGE_L1} -l2 1 -w 1,1",
+    f"classify homeo -l1 {HUGE_L1} -l2 1 -l2p 3",
+    f"classify diffeo -l1 {HUGE_L1} -l2 1 -l2p 3",
+    f"classify homotopy {HUGE_L1},1,1,1 {HUGE_L1},3,1,1",
+    f"sweep diffeo -l1 {HUGE_L1} --l2 1..5",
+]
+
+
+def test_integers_past_the_digit_limit_are_refused_before_the_work(capsys, monkeypatch):
+    # exit 1 with the limit named and nothing written, in every format, and
+    # neither csc_rays nor the partition runs
+    def work(*_):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "csc_rays", work, raising=False)
+    monkeypatch.setattr(cli, "partition_diffeo_types", work, raising=False)
+    for args in PAST_THE_DIGITS:
+        for fmt in ("--json", "--table", "--csv"):
+            assert run_cli(capsys, args.split() + [fmt]) == (1, "", (
+                f"error [integers of at most {DIGITS} digits]: "
+                f"the report would print an integer of more than {DIGITS} digits\n")), args[:40]
+    # integers of the limit's length are printed: for p = 1 no square of l1,
+    # and |H^4| = l1^2 of DIGITS digits for the largest l1 that gives one
+    report = run_json(capsys, ["invariants", "-p", "1", "-l1", HUGE_L1, "-l2", "1", "-w", "1,1"])
+    assert report["payload"]["c1"] == 2 - 2 * int(HUGE_L1)
+    root = 10 ** (DIGITS // 2) - 1
+    report = run_json(capsys, ["invariants", "-p", "2", "-l1", str(root), "-l2", "1", "-w", "1,1"])
+    assert len(str(report["payload"]["h4_order"])) == DIGITS
+
+
 # ----------------------------------------------------------------------
 # classify
 

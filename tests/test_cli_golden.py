@@ -11,6 +11,7 @@ which differs between Python versions; they were computed on Python 3.11.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -454,7 +455,8 @@ GOLDEN = {
 # invalid input now, as in the csc command.  So is a range with more values
 # than len() counts: sweep diffeo exited 2 with an OverflowError, and sweep
 # csc built rows until it was killed.  And sweep diffeo echoed a --bound
-# that it ignored.
+# that it ignored.  Its --csv prints neither modulus, and exited 0 where
+# they have more digits than str() prints; every format refuses it now.
 CORRECTED = {
     "sweep diffeo -l1 2 --l2 1..5 --bound 9":
         "error [no --bound]: --bound is for sweep csc; sweep diffeo takes --l2\n",
@@ -475,6 +477,9 @@ CORRECTED = {
         "error [gcd(w1,w2) = 1]: gcd(w1,w2) = 2 != 1\n",
     "sweep csc -p 0 -l1 1 -w 3,2 --l2 1..3":
         "error [p >= 1]: p must be a positive integer, got 0\n",
+    f"sweep diffeo -l1 1{'0' * 2200}1 --l2 1..5":
+        f"error [integers of at most {sys.get_int_max_str_digits()} digits]: the report "
+        f"would print an integer of more than {sys.get_int_max_str_digits()} digits\n",
 }
 
 

@@ -4,6 +4,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction as F
+from itertools import chain
 from math import gcd
 from types import SimpleNamespace
 
@@ -21,11 +22,11 @@ from sasakijoin.cscrays import (
     csc_rays,
     deflate_forbidden,
     fourth_derivative_at_one,
+    maximal_ray_count,
     min_l2_multiple_csc,
     quasireg_family,
     ray_threshold,
-    threshold_ray_counts,
-    threshold_window,
+    three_ray_split,
     wz_threshold,
 )
 from sasakijoin.exactpoly import (
@@ -1075,15 +1076,25 @@ def test_threshold_validates_the_family():
         ray_threshold(1, 4, 2)
 
 
-def test_rows_at_the_threshold_are_left_to_csc_rays():
+def no_threshold(p, w1, w2):
+    raise InternalInvariantError("no certified threshold")
+
+
+def test_rows_at_the_threshold_are_left_to_csc_rays(monkeypatch):
     # (2,3,7,1,1) has t = 7/3 = t* exactly; the mixed tuple lies within
     # THRESHOLD_WIDTH of t*(1, 3, 2)
     for params in (JoinParams(2, 3, 7, 1, 1),
                    JoinParams(1, 10000000000001, 189792026486741, 3, 2)):
-        threshold = ray_threshold(params.p, params.w1, params.w2)
-        assert threshold_ray_counts(params, threshold) is None
+        _, window, _ = three_ray_split(params.p, params.l1, params.w1, params.w2,
+                                       range(1, params.l2 + 3))
+        assert params.l2 in window
     assert csc_rays(JoinParams(2, 3, 7, 1, 1)).unreduced_count == 1
-    assert threshold_ray_counts(JoinParams(2, 3, 7, 1, 1), None) is None
+    # a bound past 10**14 reads the rows of the window and the first above it
+    assert min_l2_multiple_csc(1, 10000000000001, 3, 2, 10 ** 15) == 189792026486747
+    # a failed certificate leaves every l2 in the window
+    monkeypatch.setattr(cscrays, "ray_threshold", no_threshold)
+    values = range(2, 9, 3)
+    assert three_ray_split(2, 3, 1, 1, values) == (values[:0], values, values[:0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1093,20 +1104,22 @@ def test_rows_at_the_threshold_are_left_to_csc_rays():
 @example(F(5, 2), 4, True, 2, 0)
 @example(F(7, 3), 1000, False, 3, 0)
 def test_threshold_window_edges_are_the_comparisons(t_star, width, exact, l1, offset):
-    # the rule threshold_ray_counts applied before its window: t <= lo is
+    # the rule three_ray_split applies at the drawn threshold: t <= lo is
     # below and t >= hi above for an interval, t < t* and t > t* for a value;
-    # l2 runs over the integers next to lo * l1 and hi * l1, and one further off
+    # l2 runs over the integers next to lo * l1 and hi * l1, and one further
+    # off, in a range of every l2 and in one of its parity
     threshold = t_star if exact else RationalInterval(t_star, t_star + F(width, 10 ** 3))
     lo, hi = (threshold, threshold) if exact else (threshold.lo, threshold.hi)
-    first, stop = threshold_window(l1, threshold)
-    for l2 in {max(1, round(x * l1) + d) for x in (lo, hi) for d in (-1, 0, 1, offset)}:
-        t = F(l2, l1)
-        below, above = (t < lo, t > hi) if exact else (t <= lo, t >= hi)
-        assert (l2 < first, l2 >= stop) == (below, above)
-        params = SimpleNamespace(l1=l1, l2=l2, w1=3, w2=2)
-        assert threshold_ray_counts(params, threshold) == \
-            ((1, 1) if below else (3, 3) if above else None)
-    assert threshold_window(l1, None) == (1, None)
+    l2s = {max(1, round(x * l1) + d) for x in (lo, hi) for d in (-1, 0, 1, offset)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cscrays, "ray_threshold", lambda p, w1, w2: threshold)
+        for l2 in l2s:
+            t = F(l2, l1)
+            below, above = (t < lo, t > hi) if exact else (t <= lo, t >= hi)
+            for values in (range(1, max(l2s) + 1), range(2 - l2 % 2, max(l2s) + 1, 2)):
+                parts = three_ray_split(1, l1, 3, 2, values)
+                assert [l2 in part for part in parts] == [below, not below and not above, above]
+                assert sum(map(len, parts)) == len(values)
 
 
 def test_threshold_certificate_failure_raises(monkeypatch):
@@ -1146,12 +1159,65 @@ def _family_tuples(draw):
 @settings(max_examples=80, deadline=None)
 @given(_family_tuples())
 def test_threshold_counts_match_csc_rays(case):
-    params, threshold = case
+    # (1, 1) below the window and (3, maximal) above it
+    params, _ = case
     report = csc_rays(params)
-    counts = threshold_ray_counts(params, threshold)
-    if counts is None:
-        counts = report.unreduced_count, report.reduced_count
-    assert counts == (report.unreduced_count, report.reduced_count)
+    below, _, above = three_ray_split(params.p, params.l1, params.w1, params.w2,
+                                      range(1, params.l2 + 1))
+    counts = report.unreduced_count, report.reduced_count
+    if params.l2 in below:
+        assert counts == (1, 1)
+    if params.l2 in above:
+        assert counts == (3, maximal_ray_count(params.w1, params.w2))
+
+
+def first_maximal_l2(p, l1, w1, w2, search_bound):
+    """The first valid l2 <= search_bound whose csc_rays reduced count is maximal."""
+    for l2 in range(1, search_bound + 1):
+        try:
+            params = JoinParams(p, l1, l2, w1, w2)
+        except ParameterError:
+            continue
+        if csc_rays(params).reduced_count == (2 if w1 == w2 else 3):
+            return l2
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (5, 3)]),
+       st.integers(1, 40), st.booleans())
+@example(1, 1, (3, 2), 30, False)
+@example(2, 3, (1, 1), 40, True)
+def test_min_l2_equals_the_first_maximal_row(p, l1, w, search_bound, certified):
+    with pytest.MonkeyPatch.context() as patch:
+        if not certified:
+            patch.setattr(cscrays, "ray_threshold", no_threshold)
+        assert min_l2_multiple_csc(p, l1, *w, search_bound) == first_maximal_l2(p, l1, *w, search_bound)
+
+
+@pytest.mark.parametrize("args, search_bound, certified", [
+    ((2, 3, 1, 1), 10, True), ((3, 4, 1, 1), 12, True), ((1, 1, 3, 2), 30, True),
+    ((1, 1, 3, 2), 30, False), ((2, 1, 1, 1), 10, False)])
+def test_min_l2_builds_rows_from_the_window_and_counts_only_in_it(monkeypatch, args, search_bound,
+                                                                  certified):
+    # JoinParams at l2 = 1 for the family's rules, then at each l2 of the
+    # window and above it up to the answer; csc_rays only in the window
+    p, l1, w1, w2 = args
+    threshold = ray_threshold(p, w1, w2)
+    monkeypatch.setattr(cscrays, "ray_threshold",
+                        (lambda *_: threshold) if certified else no_threshold)
+    below, window, above = three_ray_split(*args, range(1, search_bound + 1))
+    least = first_maximal_l2(*args, search_bound)
+    built, counted = [], []
+    monkeypatch.setattr(JoinParams, "__post_init__", lambda params, real=JoinParams.__post_init__:
+                        built.append(params.l2) or real(params))
+    monkeypatch.setattr(cscrays, "csc_rays", lambda params: counted.append(params.l2) or csc_rays(params))
+    assert min_l2_multiple_csc(*args, search_bound) == least
+    assert built[0] == 1 and not any(l2 in below for l2 in built[1:])
+    assert not any(l2 >= window.stop for l2 in counted)
+    assert built[1:] == [l2 for l2 in chain(window, above) if least is None or l2 <= least]
+    assert counted == [l2 for l2 in window if (least is None or l2 <= least)
+                       and gcd(l2, l1 * w1) == gcd(l2, l1 * w2) == 1]
 
 
 # the degree ops of the stress benchmark at seed 1, and the tuples of
