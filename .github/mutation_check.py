@@ -84,6 +84,12 @@ STREAM = ("tests/test_cli.py", "-k", "json_rendering_equals")
 PIECE = ("tests/test_cli.py", "-k", "piece_bound")
 # each record against the frozen dataclass it replaced
 RECORDS = ("tests/test_joinspace.py", "-k", "records_match")
+# the repr of a one-field record
+DEFAULTS = ("tests/test_joinspace.py", "-k", "takes_its_defaults")
+# the fields of Record, and of the records asked after it
+BASE_FIELDS = ("tests/test_joinspace.py", "-k", "base_for_its_fields")
+# IntPolynomial's refusal of a trailing zero
+CANONICAL = ("tests/test_exactpoly.py", "-k", "intpoly_canonicalizes")
 # the raw writes under PYTHONUNBUFFERED, one per piece without the entry's reconfigure
 BATCHED = ("tests/test_cli.py", "-k", "stay_batched")
 # sweep csc rows: validity by class, the window's edges, and the first maximal row,
@@ -242,12 +248,21 @@ MUTANTS = [
      "kinds == {range} and sum(map(len, chunk)) <= _PIECE:", "kinds == {range}:", PIECE),
     ("the helper's records take assignment", "joinspace.py",
      "        raise AttributeError(f\"cannot assign to field {name!r}\")\n",
-     "        _set(self, name, value)\n", RECORDS),
+     "        object.__setattr__(self, name, value)\n", RECORDS),
     ("a record's == and hash ignore its last field", "joinspace.py",
      "        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented\n"
      "\n    def __hash__(self):\n        return hash(self._values)\n",
      "        return self._values[:-1] == other._values[:-1] if other.__class__ is self.__class__ else NotImplemented\n"
      "\n    def __hash__(self):\n        return hash(self._values[:-1])\n", RECORDS),
+    ("a one-field record's values are the bare value, not a 1-tuple", "joinspace.py",
+     "property(get if len(names) > 1 else lambda self: (get(self),))", "property(get)", DEFAULTS),
+    ("the fields of the class asked are kept on Record, for every record", "joinspace.py",
+     "            cls.__dataclass_fields__ = found\n", "            Record.__dataclass_fields__ = found\n",
+     BASE_FIELDS),
+    ("asking Record keeps its empty fields on Record, for every record", "joinspace.py",
+     "        if \"__dataclass_fields__\" not in vars(cls):\n", "        if True:\n", BASE_FIELDS),
+    ("IntPolynomial accepts a trailing zero", "exactpoly.py",
+     "        if self.coeffs and self.coeffs[-1] == 0:\n", "        if False:\n", CANONICAL),
     ("sweep csc reads validity modulo l1*w1, not l1*w1*w2", "cli.py",
      "    period = l1 * w1 * w2\n", "    period = l1 * w1\n", SWEEP_ROWS),
     ("the window starts one l2 late, so its first open row is read as below", "cscrays.py",

@@ -443,6 +443,9 @@ def _csc(args):
     deflated, multiplicity = deflate_forbidden(fp)
     _printable(*fp.poly.coeffs, *deflated.coeffs)
     report = csc_rays((fp, deflated, multiplicity), args.precision)
+    ends = [end for ray in report.rays for end in (
+        (ray.record.value,) if ray.record.is_rational else (ray.record.value.lo, ray.record.value.hi))]
+    _printable(*chain.from_iterable((end.numerator, end.denominator) for end in ends))
     payload: dict = {
         "params": _params_payload(params),
         "f_coeffs": list(fp.poly.coeffs),

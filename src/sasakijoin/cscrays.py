@@ -44,7 +44,6 @@ metrics outside that family are neither confirmed nor excluded.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -69,7 +68,7 @@ from .exactpoly import (
     split_counts,
     sturm_count,
 )
-from .joinspace import InternalInvariantError, JoinParams, ParameterError
+from .joinspace import InternalInvariantError, JoinParams, ParameterError, Record
 
 __all__ = [
     "InternalInvariantError",
@@ -102,29 +101,23 @@ CSC_CAVEAT = (
 RAY_CLASSES = ("regular", "quasi-regular", "irregular")
 
 
-@dataclass(frozen=True)
-class CscPolynomial:
+class CscPolynomial(Record):
     """The exact degree-(2p+4) ray polynomial together with its provenance."""
 
-    poly: IntPolynomial
-    params: JoinParams
-    forbidden_root: Fraction
+    __slots__ = ("poly", "params", "forbidden_root")    # IntPolynomial, JoinParams, Fraction
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(Record):
     """One CSC ray: the isolated root and its regularity class."""
 
-    record: RootRecord
-    ray_class: str
+    __slots__ = ("record", "ray_class")     # RootRecord, str
 
     def __post_init__(self) -> None:
         if self.ray_class not in RAY_CLASSES:
             raise ValueError(f"unknown ray class {self.ray_class!r}")
 
 
-@dataclass(frozen=True)
-class RayReport:
+class RayReport(Record):
     """CSC verdict for one parameter tuple.
 
     Both counts follow from ``rays``.  ``unreduced_count`` counts distinct CSC
@@ -133,10 +126,8 @@ class RayReport:
     single ray (``weyl_paired`` is True).
     """
 
-    rays: tuple[Ray, ...]
-    unreduced_count: int
-    reduced_count: int
-    weyl_paired: bool
+    # tuple[Ray, ...], int, int, bool
+    __slots__ = ("rays", "unreduced_count", "reduced_count", "weyl_paired")
 
 
 def _raw_coefficients(p: int, l1: int, l2: int, w1: int, w2: int) -> tuple[int, ...]:
@@ -483,7 +474,7 @@ def csc_rays(params: JoinParams | tuple[CscPolynomial, IntPolynomial, int],
         # the records balance around b = 1, so the regular ray sits in the middle
         rays.insert(len(rays) // 2, Ray(RootRecord(forced, k, True), "regular"))
     reduced = (len(rays) + 1) // 2 if paired else len(rays)
-    return RayReport(tuple(rays), len(rays), reduced, weyl_paired=paired)
+    return RayReport(tuple(rays), len(rays), reduced, paired)
 
 
 def maximal_ray_count(w1: int, w2: int) -> int:

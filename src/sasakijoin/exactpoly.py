@@ -50,13 +50,14 @@ both sides of a point from prefix sums instead, with no Taylor shift.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, count, repeat
 from math import ceil, gcd, isqrt
 from operator import mul, ne
 from struct import pack
+
+from .joinspace import Record
 
 __all__ = [
     "IntPolynomial",
@@ -93,8 +94,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Dense integer polynomial; ``coeffs[i]`` multiplies x**i.
 
     Canonical form: no trailing zero coefficients, so ``coeffs`` is empty
@@ -102,7 +102,8 @@ class IntPolynomial:
     an arbitrary coefficient sequence.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)     # tuple[int, ...]
+    _defaults = {"coeffs": ()}
 
     def __post_init__(self) -> None:
         for c in self.coeffs:
@@ -655,16 +656,14 @@ def deflate_linear(poly: IntPolynomial, root) -> tuple[IntPolynomial, int]:
 # ----------------------------------------------------------------------
 # isolation and refinement of real roots, and rational roots
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(Record):
     """Open-ended certificate interval with exact rational endpoints.
 
     The endpoints are never roots of the certified polynomial; the interval
     contains exactly one of its distinct real roots.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")    # Fraction, Fraction
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
@@ -679,13 +678,10 @@ class RationalInterval:
         return (self.lo + self.hi) / 2
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(Record):
     """One distinct positive real root: exact rational or isolating interval."""
 
-    value: "Fraction | RationalInterval"
-    multiplicity: int
-    is_rational: bool
+    __slots__ = ("value", "multiplicity", "is_rational")    # Fraction | RationalInterval, int, bool
 
     @property
     def position(self) -> Fraction:

@@ -67,35 +67,49 @@ class LazySequence:
         return self._items()
 
 
-_set = object.__setattr__     # past a record's refusal
+class _DataclassFields:
+    """A record's ``__dataclass_fields__``: real ``dataclasses.Field``s, made
+    on first request and kept on the class asked, unless the class holds this
+    descriptor itself, so that its subclasses still reach it."""
+
+    def __get__(self, record, cls):
+        from dataclasses import MISSING, field, make_dataclass
+        found = make_dataclass(cls.__name__, [
+            (name, object, field(default=cls._defaults.get(name, MISSING)))
+            for name in cls.__slots__]).__dataclass_fields__
+        if "__dataclass_fields__" not in vars(cls):
+            cls.__dataclass_fields__ = found
+        return found
 
 
 class Record:
-    """``dataclass(frozen=True)`` for a class naming its two or more fields in
-    ``__slots__`` (defaults in ``_defaults``), without importing ``dataclasses``
-    and ``inspect``: construction by position or keyword, ``__post_init__``,
+    """``dataclass(frozen=True)`` for a class naming its fields in ``__slots__``
+    (defaults in ``_defaults``), without importing ``dataclasses`` and
+    ``inspect``: construction by position or keyword, ``__post_init__``,
     ``repr``, ``==`` and ``hash`` on the fields within one class, pickle and
-    copy, and no assignment or deletion."""
+    copy, and no assignment or deletion.  ``dataclasses.fields``, ``replace``
+    and ``asdict`` see the fields.  Each class gets an ``__init__`` generated
+    as the dataclass's is, setting its slots through their descriptors."""
 
     __slots__ = ()
     _defaults: dict = {}
+    __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls):
-        cls.__match_args__, cls._values = cls.__slots__, property(attrgetter(*cls.__slots__))
-
-    def __init__(self, *args, **kwargs):
-        names = self.__match_args__
-        if kwargs or len(args) != len(names):   # dict() refuses a name given twice
-            given = {**self._defaults, **dict(**dict(zip(names, args)), **kwargs)}
-            if len(args) > len(names) or given.keys() != set(names):
-                raise TypeError(f"{type(self).__name__}() takes {names}, got {args} and {kwargs}")
-            args = tuple(map(given.__getitem__, names))
-        for name, value in zip(names, args):
-            _set(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
+        names = cls.__match_args__ = cls.__slots__
+        get = attrgetter(*names)
+        cls._values = property(get if len(names) > 1 else lambda self: (get(self),))
+        # generated, as dataclass does it, for the dataclass's speed and messages
+        params = ", ".join(f"{name}=_defaults[{name!r}]" if name in cls._defaults else name
+                           for name in names)
+        body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        scope = {"_defaults": cls._defaults,
+                 **{f"_set_{name}": cls.__dict__[name].__set__ for name in names}}
+        exec(f"def __init__(self, {params}):\n{body}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

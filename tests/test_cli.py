@@ -166,6 +166,27 @@ def test_integers_past_the_digit_limit_are_refused_before_the_work(capsys, monke
     assert len(str(report["payload"]["h4_order"])) == DIGITS
 
 
+def test_ray_records_past_the_digit_limit_are_refused(capsys):
+    # l2 = 10^(limit-1) + 1 has the limit's length, and so has the largest
+    # coefficient of f, so only the rays show it: the numerators of the
+    # interval ends around the root near l2 have about twice as many digits.
+    # At the least limit, 640, csc_rays takes milliseconds; at 4,300, 2-3 s
+    def csc(l2, fmt):
+        return run_cli(capsys, ["csc", "-p", "1", "-l1", "1", "-l2", str(l2), "-w", "1,1", fmt])
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for fmt in ("--json", "--table", "--csv"):
+            assert csc(10 ** 639 + 1, fmt) == (1, "", (
+                "error [integers of at most 640 digits]: "
+                "the report would print an integer of more than 640 digits\n"))
+        code, out, _ = csc(10 ** 300 + 1, "--json")     # ends of at most 613 digits
+        assert code == 0 and json.loads(out)["payload"]["unreduced_count"] == 3
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # ----------------------------------------------------------------------
 # classify
 
@@ -470,11 +491,13 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert proc.stdout == "[]\n"
 
 
-# what a command must leave unloaded: the ray kernel, fractions and
-# dataclasses (with the inspect it imports) for the classification and
-# invariants commands, classify and csv for the csc ones
-NOT_KERNEL = ("sasakijoin.exactpoly", "sasakijoin.cscrays", "fractions", "dataclasses", "inspect")
-NOT_CLASSIFY = ("sasakijoin.classify", "csv")
+# what a command must leave unloaded: dataclasses, with the inspect it
+# imports, for every command, as every record is a joinspace.Record; the ray
+# kernel and fractions for the classification and invariants commands,
+# classify and csv for the csc ones
+NO_DATACLASSES = ("dataclasses", "inspect")
+NOT_KERNEL = ("sasakijoin.exactpoly", "sasakijoin.cscrays", "fractions", *NO_DATACLASSES)
+NOT_CLASSIFY = ("sasakijoin.classify", "csv", *NO_DATACLASSES)
 
 
 @pytest.mark.parametrize("argv", [
@@ -497,6 +520,16 @@ def test_each_command_loads_only_its_layers(argv):
                      f"print(code, [m for m in {unloaded!r} if m in sys.modules])\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 []\n"
+
+
+def test_the_kernel_api_loads_no_dataclasses():
+    # as the set-up probes of the bench's census and stress workloads run it
+    proc = run_fresh("import sys\n"
+                     "from sasakijoin import JoinParams, csc_rays\n"
+                     "csc_rays(JoinParams(2, 3, 7, 5, 3), 12)\n"
+                     f"print([m for m in {NO_DATACLASSES!r} if m in sys.modules])\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_a_name_bound_before_the_first_command_is_the_one_it_calls():
@@ -752,7 +785,7 @@ def test_pool_gets_only_the_rows_the_threshold_leaves_open(capsys, monkeypatch, 
 
 
 def test_sweep_and_min_l2_share_one_family_rule(capsys, monkeypatch):
-    # sweep csc and min_l2_multiple_csc read t* through family_threshold, so
+    # sweep csc and min_l2_multiple_csc read t* through three_ray_split, so
     # a failed certificate sends every valid row of the sweep to csc_rays,
     # and both still find the same least l2
     monkeypatch.setattr(cscrays, "ray_threshold", no_threshold)

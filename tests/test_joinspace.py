@@ -4,12 +4,13 @@ import copy
 import dataclasses
 import pickle
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sasakijoin import classify, joinspace
+from sasakijoin import classify, cscrays, exactpoly, joinspace
 from sasakijoin.joinspace import (
     AbelianGroupDescriptor,
     JoinParams,
@@ -282,7 +283,7 @@ def test_relation_and_group_invariants():
 
 
 # ----------------------------------------------------------------------
-# records: each class made by joinspace.record against the frozen dataclass it
+# records: each class on joinspace.Record against the frozen dataclass it
 # replaced, whose definition is kept here as it was
 
 @dataclasses.dataclass(frozen=True)
@@ -378,10 +379,69 @@ class OldDiffeoPartition:
     invalid: tuple
 
 
+@dataclasses.dataclass(frozen=True)
+class OldIntPolynomial:
+    coeffs: tuple = ()
+
+    def __post_init__(self) -> None:
+        for c in self.coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"integer coefficient required, got {c!r}")
+        if self.coeffs and self.coeffs[-1] == 0:
+            raise ValueError("leading coefficient must be nonzero; use intpoly()")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldRationalInterval:
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise ValueError("interval needs lo < hi")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldRootRecord:
+    value: object
+    multiplicity: int
+    is_rational: bool
+
+
+@dataclasses.dataclass(frozen=True)
+class OldCscPolynomial:
+    poly: object
+    params: object
+    forbidden_root: Fraction
+
+
+@dataclasses.dataclass(frozen=True)
+class OldRay:
+    record: object
+    ray_class: str
+
+    def __post_init__(self) -> None:
+        if self.ray_class not in cscrays.RAY_CLASSES:
+            raise ValueError(f"unknown ray class {self.ray_class!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class OldRayReport:
+    rays: tuple
+    unreduced_count: int
+    reduced_count: int
+    weyl_paired: bool
+
+
 _INT = st.integers(-2, 13) | st.booleans()
 _NAMES = st.sampled_from(("x", "y", "z"))
 _CONDITIONS = st.lists(st.builds(classify.Condition, st.text(max_size=3), st.booleans(),
                                  st.lists(_INT, max_size=3).map(tuple)), max_size=3).map(tuple)
+_FRACTIONS = st.fractions(-2, 2, max_denominator=3)
+_ROOT_VALUES = _FRACTIONS | st.builds(exactpoly.RationalInterval, st.just(Fraction(0)),
+                                      st.fractions(1, 2))
+_ROOTS = st.builds(exactpoly.RootRecord, _ROOT_VALUES, _INT, st.booleans())
+_RAYS = st.builds(cscrays.Ray, _ROOTS, st.sampled_from(cscrays.RAY_CLASSES))
 # each replaced class, its old dataclass, and a strategy for its field values
 RECORDS = [
     (joinspace.JoinParams, OldJoinParams, st.tuples(_INT, _INT, _INT, _INT, _INT)),
@@ -400,6 +460,17 @@ RECORDS = [
     (classify.DiffeoPartition, OldDiffeoPartition,
      st.tuples(st.lists(st.lists(_INT, max_size=2).map(tuple), max_size=2).map(tuple),
                st.lists(st.tuples(_INT, st.just("l2 >= 1")), max_size=2).map(tuple))),
+    (exactpoly.IntPolynomial, OldIntPolynomial,
+     st.tuples(st.lists(_INT | st.just(0.5), max_size=3).map(tuple))),
+    (exactpoly.RationalInterval, OldRationalInterval, st.tuples(_FRACTIONS, _FRACTIONS)),
+    (exactpoly.RootRecord, OldRootRecord, st.tuples(_ROOT_VALUES, _INT, st.booleans())),
+    (cscrays.CscPolynomial, OldCscPolynomial,
+     st.tuples(st.sampled_from((exactpoly.IntPolynomial(), exactpoly.intpoly([-1, 2, -3]))),
+               st.sampled_from((JoinParams(1, 1, 19, 3, 2), JoinParams(2, 3, 40, 1, 1))),
+               _FRACTIONS)),
+    (cscrays.Ray, OldRay, st.tuples(_ROOTS, st.sampled_from(cscrays.RAY_CLASSES + ("other",)))),
+    (cscrays.RayReport, OldRayReport,
+     st.tuples(st.lists(_RAYS, max_size=2).map(tuple), _INT, _INT, st.booleans())),
 ]
 
 
@@ -408,8 +479,23 @@ def _made(cls, values, keywords):
     names = cls.__match_args__
     try:
         return cls(*values[:keywords], **dict(zip(names[keywords:], values[keywords:])))
-    except ValueError as exc:   # ParameterError among them
+    except (TypeError, ValueError) as exc:  # ParameterError among them
         return exc
+
+
+def _replaced(obj, changes):
+    """dataclasses.replace(obj, **changes), or the error it raised."""
+    try:
+        return dataclasses.replace(obj, **changes)
+    except (TypeError, ValueError) as exc:
+        return exc
+
+
+def _same(new, old, new_cls, old_cls):
+    """new and old are the same errors, or records of equal repr."""
+    if isinstance(old, Exception):
+        return type(new) is type(old) and str(new) == str(old)
+    return repr(new) == repr(old).replace(old_cls.__name__, new_cls.__name__, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -419,12 +505,20 @@ def test_records_match_the_dataclasses_they_replaced(data):
     values, other = data.draw(fields), data.draw(fields)
     keywords = data.draw(st.integers(0, len(values)))
     new, old = _made(new_cls, values, keywords), _made(old_cls, values, keywords)
+    assert _same(new, old, new_cls, old_cls)
     if isinstance(old, Exception):
-        assert type(new) is type(old) and str(new) == str(old)
         assert getattr(new, "constraint", None) == getattr(old, "constraint", None)
         return
-    assert repr(new) == repr(old).replace(old_cls.__name__, new_cls.__name__, 1)
     assert new_cls.__match_args__ == old_cls.__match_args__
+    assert dataclasses.is_dataclass(new) and dataclasses.is_dataclass(new_cls)
+    for fields in (dataclasses.fields(new), dataclasses.fields(new_cls)):
+        assert ([(f.name, f.default) for f in fields]
+                == [(f.name, f.default) for f in dataclasses.fields(old)])
+    assert dataclasses.asdict(new) == dataclasses.asdict(old)
+    assert dataclasses.astuple(new) == dataclasses.astuple(old)
+    index = data.draw(st.integers(0, len(values) - 1))
+    changes = {new_cls.__match_args__[index]: other[index]}
+    assert _same(_replaced(new, changes), _replaced(old, changes), new_cls, old_cls)
     assert hash(new) == hash(old)
     assert new != old and new == _made(new_cls, values, 0)
     new_other, old_other = _made(new_cls, other, 0), _made(old_cls, other, 0)
@@ -445,10 +539,29 @@ def test_records_match_the_dataclasses_they_replaced(data):
 def test_a_record_takes_its_defaults_and_refuses_a_wrong_call():
     assert AbelianGroupDescriptor() == AbelianGroupDescriptor(0, ()) == joinspace.TRIVIAL_GROUP
     assert AbelianGroupDescriptor(torsion=(2,)) == AbelianGroupDescriptor(0, (2,))
+    assert repr(exactpoly.IntPolynomial()) == "IntPolynomial(coeffs=())"
+    assert repr(exactpoly.IntPolynomial((1, 2))) == "IntPolynomial(coeffs=(1, 2))"
+    # the messages are the dataclass's, as the generated __init__ is
     for args, kwargs in (((1, 2, 3, 4), {}), ((1, 2, 3, 4, 5, 6), {}), ((1, 2, 3, 4), {"p": 1}),
                          ((1, 2, 3, 4), {"w3": 1})):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as refused:
             JoinParams(*args, **kwargs)
+        with pytest.raises(TypeError) as expected:
+            OldJoinParams(*args, **kwargs)
+        assert str(refused.value) == str(expected.value).replace("OldJoinParams", "JoinParams")
     with pytest.raises(TypeError):
         AbelianGroupDescriptor(1, (), 3)
     assert not hasattr(JoinParams(1, 1, 1, 1, 1), "__dict__")
+
+
+def test_asking_the_base_for_its_fields_leaves_each_record_its_own():
+    class Pair(joinspace.Record):
+        __slots__ = ("first", "second")
+        _defaults = {"second": 0}
+
+    assert dataclasses.fields(joinspace.Record) == ()
+    assert [(f.name, f.default) for f in dataclasses.fields(Pair(1))] == [
+        ("first", dataclasses.MISSING), ("second", 0)]
+    assert [f.name for f in dataclasses.fields(Relation)] == ["coefficient", "monomial"]
+    assert dataclasses.fields(joinspace.Record) == ()
+    assert dataclasses.replace(Pair(1), second=2) == Pair(1, 2)
