@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check for the certificate code, the records that replace
-dataclasses, and the byte-identity and batched writes of streamed reports:
-the tests must kill every mutant.
+dataclasses, the classification verdicts, and the byte-identity and batched
+writes of streamed reports: the tests must kill every mutant.
 
 Each mutant replaces one piece of text, which must occur exactly once, in
 one module of src/sasakijoin.  For each mutant in turn, the script copies
@@ -102,6 +102,12 @@ FAILED_SPLIT = ("tests/test_cscrays.py", "-k", "rows_at_the_threshold or first_m
 # answer is the same when it also counts above the window
 MIN_L2_ROWS = ("tests/test_cscrays.py", "-k", "builds_rows_from_the_window")
 SWEEP_PINS = ("tests/test_cli.py", "-k", "sweep_reports_match_pinned")
+# the Kreck-Stolz case tables, the classify reports and the homotopy witnesses
+LAMBDA = ("tests/test_classify.py", "-k", "lambda_exponent_tables")
+CLASSIFY_PINS = ("tests/test_cli_golden.py", "-k", "classify")
+WITNESS = ("tests/test_cli.py", "-k", "homeo_diffeo_flags")
+KRUGGEL = ("tests/test_classify.py", "-k", "kruggel_condition_witnesses")
+INVARIANTS_PINS = ("tests/test_cli_golden.py", "-k", "invariants")
 
 # a replacement bound before the first command, as a bench probe binds it;
 # a spawned pool worker, which imports cli afresh and runs no command
@@ -287,6 +293,21 @@ MUTANTS = [
      "            globals().setdefault(name, getattr(module, name))\n",
      "            globals()[name] = getattr(module, name)\n", LATE),
     ("the pool task stops loading its own names", "cli.py", "    _load(_KERNEL)\n", "", SPAWNED),
+    ("lambda2 reads 2 at l1 = 7 mod 8", "classify.py",
+     "_LAMBDA2 = (3, 1, 0, 2, 3, 2, 0, 1)", "_LAMBDA2 = (3, 1, 0, 2, 3, 2, 0, 2)", LAMBDA),
+    ("lambda7 reads 0 at l1 = 4 mod 7", "classify.py",
+     "_LAMBDA7 = (1, 0, 0, 1, 1, 0, 0)", "_LAMBDA7 = (1, 0, 0, 1, 0, 0, 0)", LAMBDA),
+    ("classify homeo reports the diffeomorphism modulus", "cli.py",
+     "(\"homeomorphism\", 0, ks_homeomorphic)", "(\"homeomorphism\", 1, ks_homeomorphic)",
+     CLASSIFY_PINS),
+    ("the Kreck-Stolz witness is the residue of l2 - l2'", "cli.py",
+     "((args.l2p - args.l2) % modulus, modulus)", "((args.l2 - args.l2p) % modulus, modulus)",
+     WITNESS),
+    ("the homotopy verdict takes the first tuple's H^4 order for both", "classify.py",
+     "m_a, m_b = h4_order(a), h4_order(b)", "m_a, m_b = h4_order(a), h4_order(a)", KRUGGEL),
+    ("the lazy cohomology rows stop one degree short", "cli.py",
+     "for k in range(params.dim + 1) for group", "for k in range(params.dim) for group",
+     INVARIANTS_PINS),
 ]
 TIMEOUT_S = 300     # a mutant that hangs its tests counts as killed
 

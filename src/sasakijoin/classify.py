@@ -7,7 +7,9 @@ Three layers of comparison between 7-dimensional joins (p = 2):
   the linking cubes l2^3 up to sign;
 * homeomorphism and diffeomorphism in the homogeneous w = (1,1) family,
   decided by the Kreck-Stolz congruences l2' = l2 modulo an l1-dependent
-  modulus built from the exponent tables lambda_2 and lambda_7.
+  modulus; the diffeomorphism modulus 2^lambda_2 * 7^lambda_7 * l1^2 reads
+  its exponents from the case tables _LAMBDA2 (by l1 mod 8) and _LAMBDA7
+  (by l1 mod 7).
 
 The weight-norm condition is read as divisibility of the difference by
 3*m, where m is the shared order of H^4; this is the reading under which
@@ -23,7 +25,7 @@ from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import not_
 
-from .joinspace import JoinParams, LazySequence, ParameterError, Record
+from .joinspace import JoinParams, LazySequence, ParameterError, Record, h4_order
 
 __all__ = [
     "LambdaExponents",
@@ -62,23 +64,17 @@ class ClassificationVerdict(Record):
             raise ValueError("overall verdict must be the conjunction of its conditions")
 
 
+_LAMBDA2 = (3, 1, 0, 2, 3, 2, 0, 1)
+_LAMBDA7 = (1, 0, 0, 1, 1, 0, 0)
+
+
 def lambda_exponents(l1: int) -> LambdaExponents:
     """Case-table exponents: lambda2 from l1 mod 8, lambda7 from l1 mod 7."""
     if not isinstance(l1, int) or isinstance(l1, bool):
         raise ParameterError("l1 >= 1", f"l1 must be a positive integer, got {l1!r}")
     if l1 < 1:
         raise ParameterError("l1 >= 1", f"l1 must be positive, got {l1}")
-    r8 = l1 % 8
-    if r8 in (2, 6):
-        lam2 = 0
-    elif r8 in (1, 7):
-        lam2 = 1
-    elif r8 in (3, 5):
-        lam2 = 2
-    else:  # 0, 4
-        lam2 = 3
-    lam7 = 0 if l1 % 7 in (1, 2, 5, 6) else 1
-    return LambdaExponents(lam2, lam7)
+    return LambdaExponents(_LAMBDA2[l1 % 8], _LAMBDA7[l1 % 7])
 
 
 def ks_moduli(l1: int) -> tuple[int, int]:
@@ -137,8 +133,7 @@ def kruggel_homotopy_equivalent(a: JoinParams, b: JoinParams) -> ClassificationV
                 raise ParameterError(f"{name} odd",
                                      f"{label} tuple needs odd {name}, got {getattr(params, name)}")
 
-    m_a = a.w1 * a.w2 * a.l1 ** 2
-    m_b = b.w1 * b.w2 * b.l1 ** 2
+    m_a, m_b = h4_order(a), h4_order(b)
     cond1 = Condition("equal_h4_order", m_a == m_b, (m_a, m_b))
 
     cond2 = Condition("l2_mod_2", (a.l2 - b.l2) % 2 == 0, (a.l2 % 2, b.l2 % 2))

@@ -36,11 +36,13 @@ other internal failure, or stdout closed early.  The --jobs worker count
 is clamped to the CPU count and to the number of sweep rows, with a note on
 stderr.  ``sweep csc`` starts a process pool only for two or more rows that
 the threshold leaves open, with at most one worker per open row.
-Both sweeps run in bounded memory, as their rows, classes (ranges),
-invalid values and warnings are made as they are written: a 10^6-value
-``--json`` report of either peaks near 18 MB.  ``sweep csc`` asks
-``JoinParams`` once per class of l2 mod l1*w1*w2 and sends to ``csc_rays``
-only the window of l2 that the threshold leaves open.
+Both sweeps and ``invariants`` run in bounded memory, as their rows, classes
+(ranges), invalid values, warnings and cohomology rows are made as they are
+written: a 10^6-value ``--json`` sweep peaks near 18 MB and ``invariants`` at
+p = 10^5 near 16 MB, but for CSV, whose one cell holds the cohomology rows.
+``classify`` renders each relation from one ``ClassificationVerdict``.
+``sweep csc`` asks ``JoinParams`` once per class of l2 mod l1*w1*w2 and sends
+to ``csc_rays`` only the window of l2 that the threshold leaves open.
 
 A process loads only the layers its command runs: ``joinspace`` comes with
 the module, and ``_LAYERS`` names the rest, with the names taken from each
@@ -86,8 +88,9 @@ __all__ = ["main", "entry", "SCHEMA_VERSION", "frac_str", "decimal_str"]
 _KERNEL = (("exactpoly", ("format_poly", "intpoly")),
            ("cscrays", ("CSC_CAVEAT", "csc_polynomial", "csc_rays", "deflate_forbidden",
                         "maximal_ray_count", "three_ray_split")))
-_CLASSIFY = (("classify", ("ks_diffeomorphic", "ks_homeomorphic", "ks_moduli",
-                           "kruggel_homotopy_equivalent", "partition_diffeo_types")),)
+_CLASSIFY = (("classify", ("ClassificationVerdict", "Condition", "ks_diffeomorphic",
+                           "ks_homeomorphic", "ks_moduli", "kruggel_homotopy_equivalent",
+                           "partition_diffeo_types")),)
 _LAYERS = {"csc": _KERNEL, "sweep csc": _KERNEL,
            "classify": _CLASSIFY, "sweep diffeo": _CLASSIFY}
 
@@ -272,7 +275,8 @@ def _printable(*values) -> None:
 
 def _key_value_rows(payload: dict) -> list[list]:
     return [["key", "value"],
-            *([key, json.dumps(payload[key], sort_keys=True)] for key in sorted(payload))]
+            *([key, json.dumps(payload[key], sort_keys=True, default=list)]
+              for key in sorted(payload))]
 
 
 # ----------------------------------------------------------------------
@@ -410,31 +414,30 @@ def _invariants(args):
             "generators": [[g, d] for g, d in ring.generators],
             "relations": [str(r) for r in ring.relations],
         }
-        payload["cohomology"] = [
+        payload["cohomology"] = LazySequence(params.dim + 1, lambda: (
             {"degree": k, "free_rank": group.free_rank, "torsion": list(group.torsion)}
-            for k in range(params.dim + 1) for group in [cohomology_group(params, k)]
-        ]
+            for k in range(params.dim + 1) for group in [cohomology_group(params, k)]))
         if params.p == 2:
             payload["p1"] = p1_class(params)
             payload["linking_form"] = linking_form(params)
     return payload["params"], payload, []
 
 
-def _invariants_table(payload: dict) -> list[str]:
-    lines = [f"{_params_line(payload['params'])}  [dimension {payload['dim']}]",
-             f"c1 coefficient: {payload['c1']}   spin: {payload['spin']}"]
+def _invariants_table(payload: dict):
+    yield f"{_params_line(payload['params'])}  [dimension {payload['dim']}]"
+    yield f"c1 coefficient: {payload['c1']}   spin: {payload['spin']}"
     if "dim5_type" in payload:
-        return lines + [f"diffeomorphism type: {payload['dim5_type']}"]
+        yield f"diffeomorphism type: {payload['dim5_type']}"
+        return
     order = payload["h4_order"]
-    lines.append(f"|H^4| = {order}")
-    lines.append(f"cohomology ring: Z[x,y]/({', '.join(payload['ring']['relations'])})")
-    lines.extend(f"  H^{h['degree']:<2} = "
-                 f"{AbelianGroupDescriptor(h['free_rank'], tuple(h['torsion']))}"
-                 for h in payload["cohomology"])
+    yield f"|H^4| = {order}"
+    yield f"cohomology ring: Z[x,y]/({', '.join(payload['ring']['relations'])})"
+    yield from (f"  H^{h['degree']:<2} = "
+                f"{AbelianGroupDescriptor(h['free_rank'], tuple(h['torsion']))}"
+                for h in payload["cohomology"])
     if "p1" in payload:
-        lines.append(f"p1 residue: {payload['p1']} mod {order}")
-        lines.append(f"linking form: {payload['linking_form']} mod {order}")
-    return lines
+        yield f"p1 residue: {payload['p1']} mod {order}"
+        yield f"linking form: {payload['linking_form']} mod {order}"
 
 
 def _csc(args):
@@ -492,42 +495,25 @@ def _classify(args):
                                  "classify homotopy needs exactly two l1,l2,w1,w2 tuples")
         a, b = (JoinParams(2, *t) for t in args.tuples)
         verdict = kruggel_homotopy_equivalent(a, b)
-        _printable(*chain.from_iterable(c.witness for c in verdict.conditions))
-        payload = {
-            "relation": "homotopy",
-            "a": _params_payload(a),
-            "b": _params_payload(b),
-            "overall": verdict.overall,
-            "conditions": [
-                {"label": c.label, "holds": c.holds, "witness": list(c.witness)}
-                for c in verdict.conditions
-            ],
-        }
-        return {"relation": "homotopy", "tuples": args.tuples}, payload, []
-    if args.l1 is None or args.l2 is None or args.l2p is None:
-        raise ParameterError("flags -l1 -l2 -l2p",
-                             f"classify {args.relation} needs -l1, -l2 and -l2p")
-    homeo_mod, diffeo_mod = ks_moduli(args.l1)
-    if args.relation == "homeo":
-        relation, modulus = "homeomorphism", homeo_mod
-        result = ks_homeomorphic(args.l1, args.l2, args.l2p)
+        head = {"a": _params_payload(a), "b": _params_payload(b)}
+        request = {"relation": "homotopy", "tuples": args.tuples}
     else:
-        relation, modulus = "diffeomorphism", diffeo_mod
-        result = ks_diffeomorphic(args.l1, args.l2, args.l2p)
-    _printable(modulus)
-    payload = {
-        "relation": relation,
-        "l1": args.l1,
-        "l2": args.l2,
-        "l2prime": args.l2p,
-        "overall": result,
-        "conditions": [{
-            "label": "l2_congruence",
-            "holds": result,
-            "witness": [(args.l2p - args.l2) % modulus, modulus],
-        }],
-    }
-    request = {"relation": args.relation, "l1": args.l1, "l2": args.l2, "l2p": args.l2p}
+        if args.l1 is None or args.l2 is None or args.l2p is None:
+            raise ParameterError("flags -l1 -l2 -l2p",
+                                 f"classify {args.relation} needs -l1, -l2 and -l2p")
+        # the relation's name, its modulus in ks_moduli and its predicate
+        relation, index, decide = {"homeo": ("homeomorphism", 0, ks_homeomorphic),
+                                   "diffeo": ("diffeomorphism", 1, ks_diffeomorphic)}[args.relation]
+        modulus = ks_moduli(args.l1)[index]
+        holds = decide(args.l1, args.l2, args.l2p)
+        verdict = ClassificationVerdict(relation, holds, (
+            Condition("l2_congruence", holds, ((args.l2p - args.l2) % modulus, modulus)),))
+        head = {"l1": args.l1, "l2": args.l2, "l2prime": args.l2p}
+        request = {"relation": args.relation, "l1": args.l1, "l2": args.l2, "l2p": args.l2p}
+    _printable(*chain.from_iterable(c.witness for c in verdict.conditions))
+    payload = {"relation": verdict.relation, **head, "overall": verdict.overall,
+               "conditions": [{"label": c.label, "holds": c.holds, "witness": list(c.witness)}
+                              for c in verdict.conditions]}
     return request, payload, []
 
 

@@ -172,6 +172,9 @@ def test_kruggel_condition_witnesses():
     assert by_label["weight_norm_mod_3m"].witness == (0, 75)
     # 21^3 + 29^3 = 0 mod 25
     assert by_label["linking_cubes_mod_m"].witness == ((21 ** 3 - 29 ** 3) % 25, 0, 25)
+    # unequal orders |H^4|: 9 for l1 = 3 and 5 for w1 = 5
+    verdict = kruggel_homotopy_equivalent(P(3, 1, 1, 1), P(1, 1, 5, 1))
+    assert verdict.conditions[0] == Condition("equal_h4_order", False, (9, 5))
 
 
 def test_weight_norm_readings_coincide_given_equal_h4():

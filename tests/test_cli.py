@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its output contract."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -224,6 +225,10 @@ def test_classify_homeo_diffeo_flags(capsys):
                                "-l2p", "139"])
     assert report["payload"]["overall"] is True
     assert report["payload"]["conditions"][0]["witness"] == [0, 100]
+    # 101 - 39 = 62: a residue other than 0 or m/2 tells l2' - l2 from l2 - l2'
+    for relation, witness in (("diffeo", [62, 100]), ("homeo", [12, 50])):
+        report = run_json(capsys, ["classify", relation, "-l1", "5", "-l2", "39", "-l2p", "101"])
+        assert report["payload"]["conditions"][0]["witness"] == witness
 
 
 def test_classify_missing_flags(capsys):
@@ -356,6 +361,95 @@ def test_rationals_serialize_as_fraction_strings(capsys):
 def test_unknown_flag_exits_one(capsys):
     code, _, _ = run_cli(capsys, ["invariants", "--bogus"])
     assert code == 1
+
+
+# ----------------------------------------------------------------------
+# the exit contract, on argument lists drawn from the grammar
+
+_WORDS = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--", "-"])    # not integers
+
+
+@st.composite
+def _number(draw, small=st.integers(1, 40)):
+    """Mostly a small integer; else one below 1, one of hundreds of digits, or a non-integer."""
+    kind = draw(st.integers(0, 31))
+    if kind == 0:
+        return draw(_WORDS)
+    return str(draw(st.integers(-3, 0) if kind == 1 else
+                    st.integers(-10 ** 300, 10 ** 300) if kind == 2 else small))
+
+
+@st.composite
+def _range(draw):
+    """A..B[:tag] of at most 20 values, empty and reversed ones among them."""
+    if not draw(st.integers(0, 15)):
+        return draw(_WORDS)
+    start = draw(_number())
+    stop = int(start) + draw(st.integers(-3, 19)) if start.lstrip("-").isdigit() else draw(_WORDS)
+    return f"{start}..{stop}{draw(st.sampled_from(['', '', '', ':odd', ':even', ':prime']))}"
+
+
+_P = _number(st.integers(1, 20))     # p <= 20 keeps each example to milliseconds
+_W = st.builds("{},{}".format, _number(st.integers(1, 9)), _number(st.sampled_from([1, 1, 2, 3])))
+_ODD = st.integers(0, 4).map(lambda k: 2 * k + 1)   # homotopy asks for odd l1, w1 and w2
+_TUPLE = st.builds(lambda form, *t: form.format(",".join(t)),
+                   st.sampled_from(["{}", "{}", "({})", "{},1"]), _number(_ODD), _number(),
+                   _number(_ODD), _number(st.sampled_from([1, 1, 3])))
+_BOUND = st.integers(-3, 20).map(str)
+# (flag, values, whether it is given only now and then)
+_FLAGS = {
+    "invariants": (("-p", _P, False), ("-l1", _number(), False), ("-l2", _number(), False),
+                   ("-w", _W, False)),
+    "classify homotopy": (("-l1", _number(), True),),
+    "classify homeo": (("-l1", _number(), False), ("-l2", _number(), False),
+                       ("-l2p", _number(), False)),
+    "sweep csc": (("-p", _P, False), ("-l1", _number(), False), ("-w", _W, False)),
+    "sweep diffeo": (("-l1", _number(), False), ("-p", _P, True), ("-w", _W, True)),
+}
+_FLAGS["csc"], _FLAGS["classify diffeo"] = _FLAGS["invariants"], _FLAGS["classify homeo"]
+# --jobs above 1 would start a process pool for each sweep with open rows
+_COMMON = (("--precision", _number(st.integers(1, 1000)), True),
+           ("--jobs", _number(st.integers(-2, 1)), True))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = command.split()
+    if command == "classify homotopy":
+        argv += draw(st.lists(_TUPLE, min_size=2, max_size=2) | st.lists(_TUPLE, max_size=3))
+    if argv[0] == "sweep":
+        for flag in draw(st.sampled_from([["--l2"], ["--l2"], ["--bound"], [], ["--l2", "--bound"]])):
+            argv += [flag, draw(_range() if flag == "--l2" else _BOUND)]
+    for flag, values, rare in _FLAGS[command] + _COMMON:
+        if draw(st.integers(0, 15)) >= (12 if rare else 1):
+            argv += [flag, draw(values)]
+    argv += draw(st.sampled_from([[], ["--json"], ["--json"], ["--table"], ["--csv"]]))
+    if not draw(st.integers(0, 7)):
+        argv += draw(st.sampled_from([["--quote-caveat"], ["--no-quote-caveat"], ["--bogus"],
+                                      ["-x", "1"], ["--json", "--csv"]]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+@example(["csc", "-p", "200", "-l1", "1", "-l2", "5", "-w", "100000000003,100000000001"])
+@example(["csc", "-p", "400", "-l1", "1", "-l2", "5", "-w", "1000003,1000001"])
+def test_every_argument_list_exits_zero_or_one_on_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1), err
+    assert "Traceback" not in out + err
+    if code == 1:
+        lines = err.splitlines()
+        # one error line naming the constraint, or argparse's usage and error lines
+        assert (len(lines) == 1 and lines[0].startswith("error [")
+                or lines[0].startswith("usage: sasakijoin")
+                and lines[-1].startswith("sasakijoin") and ": error: " in lines[-1]), err
+    elif "--json" in argv:
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_module_invocation_is_deterministic():
@@ -671,6 +765,20 @@ def test_streamed_sweep_report_stays_small_in_memory(monkeypatch):
         code, peak_kib = map(int, proc.stdout.split())
         assert code == 0, target
         assert peak_kib < 32 * 2 ** 10, target
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--table"])
+def test_invariants_at_a_large_p_stays_small_in_memory(fmt):
+    # 200,004 cohomology rows at p = 10^5, made as they are written, peak near
+    # 16 MB; held as a list, they peaked at 74 MB (--json) and 89 MB (--table).
+    # --csv writes the whole list as one cell, so its peak grows with p (95 MB)
+    argv = [sys.executable, "-m", "sasakijoin", "invariants", "-p", "100000", "-l1", "5",
+            "-l2", "21", "-w", "1,1", fmt]
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True,
+                          text=True, timeout=120)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 32 * 2 ** 10
 
 
 # ----------------------------------------------------------------------

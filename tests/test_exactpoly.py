@@ -959,7 +959,9 @@ def test_refinement_reaches_the_bisection_cell(n, k, digits):
     assert cell == bisection_cell(coeffs, F(0), hi, F(1, 10 ** digits))
 
 
-@settings(max_examples=40, deadline=None)
+# derandomized, so its time does not vary from run to run; the example is of
+# its costliest shape, degree 8 with a double root at lo and digits 1000
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(2, 10 ** 4), st.sampled_from([2, 3, 7, 10 ** 9 + 7]),
        st.sampled_from([10 ** 6, 10 ** 12, 2 ** 60]),
        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 2)), min_size=1, max_size=3,
@@ -967,6 +969,7 @@ def test_refinement_reaches_the_bisection_cell(n, k, digits):
        st.lists(st.tuples(st.integers(2, 4), st.integers(1, 2)), max_size=3,
                 unique_by=lambda t: t[0]),
        st.sampled_from([1, 10, 1000]), st.sampled_from([1, 2, 5, 40, 200, 1000]))
+@example(7, 10 ** 9 + 7, 10 ** 6, [(0, 2)], [(2, 2), (3, 2)], 10, 1000)
 def test_refinement_reaches_the_bisection_cell_among_clustered_roots(n, k, scale, below, above,
                                                                      spread, digits):
     # degree 3-8: the root sqrt(k)/n of n^2 x^2 - k lies in (g, g + 1]/scale,
